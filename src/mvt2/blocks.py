@@ -13,20 +13,21 @@ Four block families:
   to compare cost against ``SDTABlock``; train form only.
 
 Train form runs every conv through its own batch norm.  Deploy form
-runs single folded convolutions; the ``deployed_*`` converters fill the
-deploy fields from the train weights.  Blocks are immutable after
-construction and forwards are pure, so shared blocks are safe to use
-concurrently.
+runs single folded convolutions.  Each block class lists its conv units
+once, in execution order, in a ``UNITS`` table; ``units`` walks that
+table and ``deployed`` fills every deploy field from the train weights.
+Blocks are immutable after construction and forwards are pure, so
+shared blocks are safe to use concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Iterator, Optional
 
 import numpy as np
 
-from .fusion import RepBranchSpec, fold_bn, fuse, rep_branch_forward
+from .fusion import RepBranchSpec, fuse, rep_branch_forward
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -56,9 +57,36 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+@dataclass(frozen=True)
+class Unit:
+    """One row of a block's unit table: a conv unit that deploy folds to one conv.
+
+    ``conv`` names the field holding the unit's conv, or its whole
+    ``RepBranchSpec`` when ``bn`` is None; ``bn`` names the batch norm
+    after a plain conv; ``deploy`` names the field that holds the folded
+    conv, or is None when the block never deploys.  ``name`` is the
+    unit's part of its tensor names, empty for an embedding.
+    """
+
+    name: str
+    conv: str
+    bn: Optional[str] = None
+    deploy: Optional[str] = None
+
+    def spec(self, block) -> RepBranchSpec:
+        """The unit's train-form weights; a plain conv+BN is a one-branch spec."""
+        conv = getattr(block, self.conv)
+        return conv if self.bn is None else RepBranchSpec(conv, getattr(block, self.bn))
+
+
 @dataclass
 class FFNBlock:
     """Two pointwise convolutions with an activation between them."""
+
+    UNITS: ClassVar[tuple[Unit, ...]] = (
+        Unit("expand", "expand", "expand_bn", "deploy_expand"),
+        Unit("project", "project", "project_bn", "deploy_project"),
+    )
 
     expand: ConvSpec
     expand_bn: BNSpec
@@ -96,6 +124,8 @@ class FFNBlock:
 class RepEmbedBlock:
     """Dense multi-branch convolution; embeds patches or downsamples."""
 
+    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("", "branch", deploy="deploy"),)
+
     branch: RepBranchSpec
     deploy: Optional[ConvSpec] = None
 
@@ -119,6 +149,8 @@ class RepEmbedBlock:
 @dataclass
 class RepDWBlock:
     """Residual depthwise mixer followed by a residual feed-forward."""
+
+    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("mixer", "mixer", deploy="deploy_mixer"),)
 
     mixer: RepBranchSpec
     ffn: FFNBlock
@@ -146,6 +178,12 @@ class SDTABlock:
     tokens of Q, K and V; U passes through a sigmoid gate; ``proj_o``
     maps the concatenation back to C channels.
     """
+
+    UNITS: ClassVar[tuple[Unit, ...]] = (
+        Unit("mixer", "pre_mixer", deploy="deploy_mixer"),
+        Unit("proj_p", "proj_p", "proj_p_bn", "deploy_proj_p"),
+        Unit("proj_o", "proj_o", "proj_o_bn", "deploy_proj_o"),
+    )
 
     pre_mixer: RepBranchSpec
     proj_p: ConvSpec
@@ -183,6 +221,10 @@ class SDTABlock:
     def channels(self) -> int:
         return self.pre_mixer.out_channels
 
+    def attention_macs(self, hw: int) -> dict:
+        """MACs of the two token contractions over ``hw`` positions."""
+        return {"attn_qk": QK_DIM * hw * hw, "attn_av": self.channels // 4 * hw * hw}
+
 
 @dataclass
 class MDTABlock:
@@ -192,6 +234,12 @@ class MDTABlock:
     by a depthwise 3x3; the C by C channel map softmax((Q Kt)/sqrt(C))
     is row-stochastic and mixes value channels.
     """
+
+    UNITS: ClassVar[tuple[Unit, ...]] = (
+        Unit("qkv", "qkv", "qkv_bn"),
+        Unit("dw", "dw", "dw_bn"),
+        Unit("proj", "proj", "proj_bn"),
+    )
 
     qkv: ConvSpec
     qkv_bn: BNSpec
@@ -221,6 +269,11 @@ class MDTABlock:
     @property
     def channels(self) -> int:
         return self.qkv.in_channels
+
+    def attention_macs(self, hw: int) -> dict:
+        """MACs of the two channel contractions over ``hw`` positions."""
+        c = self.channels
+        return {"attn_qk": c * c * hw, "attn_av": c * c * hw}
 
 
 def ffn_forward(ffn: FFNBlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
@@ -260,12 +313,10 @@ def _spatial_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     return matmul(v, m), m
 
 
-def sdta_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
-    """Attention half of the block: mixer, split projection, attention,
-    gated local path, output projection, residual.  The feed-forward
-    residual is applied by :func:`sdta_block_forward`."""
+def _sdta_split(block: SDTABlock, x: np.ndarray, mode: str):
+    """Mixer and input projection, split into Q, K, V and U."""
     _check_mode(mode)
-    n, c, h, w = x.shape
+    c = x.shape[1]
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     if mode == "deploy":
         if block.deploy_mixer is None:
@@ -275,7 +326,15 @@ def sdta_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.nda
     else:
         t = rep_branch_forward(x, block.pre_mixer)
         p = batchnorm_infer(conv2d(t, block.proj_p), block.proj_p_bn)
-    q, k, v, u = split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+    return split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+
+
+def sdta_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
+    """Attention half of the block: mixer, split projection, attention,
+    gated local path, output projection, residual.  The feed-forward
+    residual is applied by :func:`sdta_block_forward`."""
+    n, c, h, w = x.shape
+    q, k, v, u = _sdta_split(block, x, mode)
     hw = h * w
     att = np.empty_like(v)
     for b in range(n):
@@ -299,22 +358,13 @@ def sdta_block_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> 
 
 def sdta_attention_map(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
     """The (N, HW, HW) attention matrices the forward pass would use."""
-    _check_mode(mode)
     n, c, h, w = x.shape
-    if mode == "deploy":
-        t = conv2d(x, block.deploy_mixer)
-        p = conv2d(t, block.deploy_proj_p)
-    else:
-        t = rep_branch_forward(x, block.pre_mixer)
-        p = batchnorm_infer(conv2d(t, block.proj_p), block.proj_p_bn)
-    q, k, _, _ = split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+    q, k, v, _ = _sdta_split(block, x, mode)
     hw = h * w
     maps = np.empty((n, hw, hw), dtype=x.dtype)
     for b in range(n):
-        maps[b] = softmax(
-            matmul(q[b].reshape(QK_DIM, hw).T, k[b].reshape(QK_DIM, hw))
-            / float(np.sqrt(QK_DIM)),
-            axis=0,
+        _, maps[b] = _spatial_attention(
+            q[b].reshape(QK_DIM, hw), k[b].reshape(QK_DIM, hw), v[b].reshape(c // 4, hw),
         )
     return maps
 
@@ -343,31 +393,28 @@ def mdta_block_forward(block: MDTABlock, x: np.ndarray) -> np.ndarray:
     return x + ffn_forward(block.ffn, x, mode="train")
 
 
-def deployed_ffn(ffn: FFNBlock) -> FFNBlock:
-    return replace(
-        ffn,
-        deploy_expand=fold_bn(ffn.expand, ffn.expand_bn),
-        deploy_project=fold_bn(ffn.project, ffn.project_bn),
-    )
+def units(block) -> Iterator[tuple[str, object, Unit]]:
+    """Yield (unit name, owner, row) for each unit of ``block`` in execution
+    order; ``row.spec(owner)`` is the unit's weights.  A feed-forward's
+    units follow the block's own as ``ffn.<row name>``, and are never
+    deployed when the block itself never is.
+    """
+    for row in block.UNITS:
+        yield row.name, block, row
+    if hasattr(block, "ffn"):
+        deploys = block.UNITS[0].deploy is not None
+        for row in FFNBlock.UNITS:
+            yield f"ffn.{row.name}", block.ffn, row if deploys else replace(row, deploy=None)
 
 
-def deployed_rep_embed(block: RepEmbedBlock) -> RepEmbedBlock:
-    return replace(block, deploy=fuse(block.branch))
+def deployed(block):
+    """A copy of ``block`` with every deploy field set to its fused unit."""
+    if any(row.deploy is None for row in block.UNITS):
+        raise ValueError(f"{type(block).__name__} has no deploy form")
+    fused = {row.deploy: fuse(row.spec(block)) for row in block.UNITS}
+    if hasattr(block, "ffn"):
+        fused["ffn"] = deployed(block.ffn)
+    return replace(block, **fused)
 
 
-def deployed_rep_dw(block: RepDWBlock) -> RepDWBlock:
-    return replace(
-        block,
-        ffn=deployed_ffn(block.ffn),
-        deploy_mixer=fuse(block.mixer),
-    )
-
-
-def deployed_sdta(block: SDTABlock) -> SDTABlock:
-    return replace(
-        block,
-        ffn=deployed_ffn(block.ffn),
-        deploy_mixer=fuse(block.pre_mixer),
-        deploy_proj_p=fold_bn(block.proj_p, block.proj_p_bn),
-        deploy_proj_o=fold_bn(block.proj_o, block.proj_o_bn),
-    )
+deployed_rep_embed = deployed_rep_dw = deployed_sdta = deployed

@@ -107,6 +107,10 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify_fusion(args) -> int:
+    if args.samples < 1:
+        raise CliError(EXIT_USAGE, f"--samples must be at least 1, got {args.samples}")
+    if not 0 <= args.tol < float("inf"):
+        raise CliError(EXIT_USAGE, f"--tol must be finite and non-negative, got {args.tol}")
     model = _load_model(args.in_path)
     if model.mode == "deploy":
         raise CliError(EXIT_CHECK_FAILED, f"{args.in_path} holds fused weights; nothing to verify")
@@ -128,10 +132,11 @@ def cmd_verify_fusion(args) -> int:
 
 def cmd_count(args) -> int:
     config = VARIANTS[args.variant]
-    if args.resolution is not None:
-        config = dataclasses.replace(config, input_resolution=args.resolution)
-    if args.attention != config.attention:
-        config = dataclasses.replace(config, attention=args.attention)
+    res = config.input_resolution if args.resolution is None else args.resolution
+    try:
+        config = dataclasses.replace(config, input_resolution=res, attention=args.attention)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"--resolution {res}: {exc}") from None
     report = count(config, mode=args.mode)
     _emit(
         {

@@ -22,7 +22,7 @@ function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,15 +33,12 @@ from .blocks import (
     RepDWBlock,
     RepEmbedBlock,
     SDTABlock,
-    deployed_ffn,
-    deployed_rep_dw,
-    deployed_rep_embed,
-    deployed_sdta,
-    ffn_forward,
+    deployed,
     mdta_block_forward,
     rep_dw_block_forward,
     rep_embed_forward,
     sdta_block_forward,
+    units,
 )
 from .fusion import RepBranchSpec
 from .tensor import (
@@ -60,6 +57,8 @@ ATTENTION_KINDS = ("sdta", "mdta")
 RESIDUAL_DAMP = 0.2
 # Running-variance range for identity-branch batch norms (see module docstring).
 IDENTITY_VAR_RANGE = (20.0, 30.0)
+# Model fields holding blocks, in execution order.
+BLOCK_FIELDS = ("stem", "stage1", "down12", "stage2", "down23", "stage3")
 
 
 @dataclass(frozen=True)
@@ -272,22 +271,31 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
     return linear(global_avg_pool(x), model.head_weight, model.head_bias)
 
 
+def _walk(model: Model):
+    """Yield (block name, unit name, owner, row) for every conv unit of the
+    network in execution order; see :func:`blocks.units`."""
+    for f in BLOCK_FIELDS:
+        value = getattr(model, f)
+        if isinstance(value, list):
+            named = [(f"{f}.{i}", b) for i, b in enumerate(value)]
+        else:
+            named = [(f, value)]
+        for name, block in named:
+            for unit, owner, row in units(block):
+                yield name, unit, owner, row
+
+
 def deploy(model: Model) -> Model:
     """Fuse every branch group and fold every batch norm; returns a new model."""
     if model.mode == "deploy":
         raise ValueError("model is already in deploy form")
     if model.config.attention != "sdta":
         raise ValueError("the ablation attention variant has no deploy form")
-    return replace(
-        model,
-        stem=[deployed_rep_embed(b) for b in model.stem],
-        stage1=[deployed_rep_dw(b) for b in model.stage1],
-        down12=deployed_rep_embed(model.down12),
-        stage2=[deployed_rep_dw(b) for b in model.stage2],
-        down23=deployed_rep_embed(model.down23),
-        stage3=[deployed_sdta(b) for b in model.stage3],
-        mode="deploy",
-    )
+    converted = {}
+    for f in BLOCK_FIELDS:
+        value = getattr(model, f)
+        converted[f] = [deployed(b) for b in value] if isinstance(value, list) else deployed(value)
+    return replace(model, mode="deploy", **converted)
 
 
 @dataclass
@@ -340,16 +348,8 @@ def bn_cost(c: int, hw: int) -> tuple[int, int]:
     return 4 * c, c * hw
 
 
-def _convbn_cost(spec: ConvSpec, out_hw: int, mode: str) -> tuple[int, int]:
-    p, m = conv_cost(spec, out_hw)
-    if mode == "train":
-        pb, mb = bn_cost(spec.out_channels, out_hw)
-        p, m = p + pb, m + mb
-    return p, m
-
-
 def _branch_cost(spec: RepBranchSpec, in_res: int, mode: str) -> tuple[int, int, int]:
-    """Returns (params, macs, out_res) for a multi-branch group."""
+    """Returns (params, macs, out_res) for a branch group or a conv+BN unit."""
     k = spec.main.kernel_size[0]
     out_res, _ = conv_output_hw(in_res, in_res, k, k,
                                 spec.main.stride, spec.main.padding)
@@ -371,13 +371,6 @@ def _branch_cost(spec: RepBranchSpec, in_res: int, mode: str) -> tuple[int, int,
     return p, m, out_res
 
 
-def _ffn_entries(name: str, ffn: FFNBlock, res: int, mode: str) -> Iterator[CostEntry]:
-    hw = res * res
-    p1, m1 = _convbn_cost(ffn.expand, hw, mode)
-    p2, m2 = _convbn_cost(ffn.project, hw, mode)
-    yield CostEntry(f"{name}.ffn", p1 + p2, m1 + m2)
-
-
 def count(model_or_config: Union[Model, ModelConfig],
           mode: Optional[str] = None) -> CostReport:
     """Analytic cost report; per-image, input-resolution-dependent.
@@ -394,50 +387,21 @@ def count(model_or_config: Union[Model, ModelConfig],
         mode = mode or "deploy"
     if mode not in ("train", "deploy"):
         raise ValueError(f"mode must be train or deploy, got {mode!r}")
-    config = model.config
     report = CostReport()
-    res = config.input_resolution
-
-    for i, emb in enumerate(model.stem):
-        p, m, res = _branch_cost(emb.branch, res, mode)
-        report.entries.append(CostEntry(f"stem.{i}", p, m))
-
-    def add_dw_stage(name, blocks, res):
-        for i, blk in enumerate(blocks):
-            p, m, _ = _branch_cost(blk.mixer, res, mode)
-            report.entries.append(CostEntry(f"{name}.{i}.mixer", p, m))
-            report.entries.extend(_ffn_entries(f"{name}.{i}", blk.ffn, res, mode))
-
-    add_dw_stage("stage1", model.stage1, res)
-    p, m, res = _branch_cost(model.down12.branch, res, mode)
-    report.entries.append(CostEntry("down12", p, m))
-    add_dw_stage("stage2", model.stage2, res)
-    p, m, res = _branch_cost(model.down23.branch, res, mode)
-    report.entries.append(CostEntry("down23", p, m))
-
-    hw = res * res
-    c = config.dims[2]
-    for i, blk in enumerate(model.stage3):
-        name = f"stage3.{i}"
-        if config.attention == "sdta":
-            p, m, _ = _branch_cost(blk.pre_mixer, res, mode)
-            report.entries.append(CostEntry(f"{name}.mixer", p, m))
-            p, m = _convbn_cost(blk.proj_p, hw, mode)
-            report.entries.append(CostEntry(f"{name}.proj_p", p, m))
-            report.entries.append(CostEntry(f"{name}.attn_qk", 0, QK_DIM * hw * hw))
-            report.entries.append(CostEntry(f"{name}.attn_av", 0, (c // 4) * hw * hw))
-            p, m = _convbn_cost(blk.proj_o, hw, mode)
-            report.entries.append(CostEntry(f"{name}.proj_o", p, m))
+    res = model.config.input_resolution
+    for name, unit, owner, row in _walk(model):
+        if hasattr(owner, "attention_macs") and row is owner.UNITS[-1]:
+            # the attention contractions run just before the output projection
+            for kind, macs in owner.attention_macs(res * res).items():
+                report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
+        p, m, res = _branch_cost(row.spec(owner), res, mode)
+        # a feed-forward's two units share one entry, "<block>.ffn"
+        key = f"{name}.{unit.split('.')[0]}" if unit else name
+        if report.entries and report.entries[-1].name == key:
+            report.entries[-1].params += p
+            report.entries[-1].macs += m
         else:
-            p, m = _convbn_cost(blk.qkv, hw, mode)
-            report.entries.append(CostEntry(f"{name}.qkv", p, m))
-            p, m = _convbn_cost(blk.dw, hw, mode)
-            report.entries.append(CostEntry(f"{name}.dw", p, m))
-            report.entries.append(CostEntry(f"{name}.attn_qk", 0, c * c * hw))
-            report.entries.append(CostEntry(f"{name}.attn_av", 0, c * c * hw))
-            p, m = _convbn_cost(blk.proj, hw, mode)
-            report.entries.append(CostEntry(f"{name}.proj", p, m))
-        report.entries.extend(_ffn_entries(name, blk.ffn, res, mode))
+            report.entries.append(CostEntry(key, p, m))
 
     head_params = model.head_weight.size + model.head_bias.size
     head_macs = model.head_weight.size
@@ -445,123 +409,46 @@ def count(model_or_config: Union[Model, ModelConfig],
     return report
 
 
-def _branch_tensors(prefix: str, spec: RepBranchSpec):
-    yield f"{prefix}.main.kernel", spec.main.kernel
-    yield f"{prefix}.main.bias", spec.main.bias
-    yield from _bn_tensors(f"{prefix}.main_bn", spec.main_bn)
-    if spec.scale is not None:
-        yield f"{prefix}.scale.kernel", spec.scale.kernel
-        yield f"{prefix}.scale.bias", spec.scale.bias
-        yield from _bn_tensors(f"{prefix}.scale_bn", spec.scale_bn)
-    if spec.identity_bn is not None:
-        yield from _bn_tensors(f"{prefix}.identity_bn", spec.identity_bn)
-
-
-def _bn_tensors(prefix: str, bn: BNSpec):
-    yield f"{prefix}.gamma", bn.gamma
-    yield f"{prefix}.beta", bn.beta
-    yield f"{prefix}.mean", bn.running_mean
-    yield f"{prefix}.var", bn.running_var
-
-
-def _conv_tensors(prefix: str, spec: ConvSpec):
-    yield f"{prefix}.kernel", spec.kernel
-    yield f"{prefix}.bias", spec.bias
-
-
-def _ffn_tensors(prefix: str, ffn: FFNBlock, mode: str):
-    if mode == "deploy":
-        yield from _conv_tensors(f"{prefix}.expand_fused", ffn.deploy_expand)
-        yield from _conv_tensors(f"{prefix}.project_fused", ffn.deploy_project)
-        return
-    yield from _conv_tensors(f"{prefix}.expand", ffn.expand)
-    yield from _bn_tensors(f"{prefix}.expand_bn", ffn.expand_bn)
-    yield from _conv_tensors(f"{prefix}.project", ffn.project)
-    yield from _bn_tensors(f"{prefix}.project_bn", ffn.project_bn)
+def _conv_bn_tensors(prefix: str, conv: Optional[ConvSpec], bn: Optional[BNSpec] = None):
+    if conv is not None:
+        yield f"{prefix}.kernel", conv.kernel
+        yield f"{prefix}.bias", conv.bias
+    if bn is not None:
+        yield f"{prefix}_bn.gamma", bn.gamma
+        yield f"{prefix}_bn.beta", bn.beta
+        yield f"{prefix}_bn.mean", bn.running_mean
+        yield f"{prefix}_bn.var", bn.running_var
 
 
 def named_tensors(model: Model):
     """Yield (name, array) pairs for the tensors the model's mode executes,
-    in a stable order.  The arrays are the live model arrays."""
-    mode = model.mode
-    for i, emb in enumerate(model.stem):
-        if mode == "deploy":
-            yield from _conv_tensors(f"stem.{i}.fused", emb.deploy)
+    in execution order.  The arrays are the live model arrays; the names
+    follow the rule in the README's "Weight files" section."""
+    for name, _, owner, row in _walk(model):
+        prefix = f"{name}.{row.name}" if row.name else name
+        if model.mode == "deploy":
+            fused = f"{prefix}_fused" if row.name else f"{prefix}.fused"
+            yield from _conv_bn_tensors(fused, getattr(owner, row.deploy))
+        elif row.bn is not None:
+            yield from _conv_bn_tensors(prefix, getattr(owner, row.conv), getattr(owner, row.bn))
         else:
-            yield from _branch_tensors(f"stem.{i}", emb.branch)
-
-    def dw_stage(name, blocks):
-        for i, blk in enumerate(blocks):
-            if mode == "deploy":
-                yield from _conv_tensors(f"{name}.{i}.mixer_fused", blk.deploy_mixer)
-            else:
-                yield from _branch_tensors(f"{name}.{i}.mixer", blk.mixer)
-            yield from _ffn_tensors(f"{name}.{i}", blk.ffn, mode)
-
-    yield from dw_stage("stage1", model.stage1)
-    if mode == "deploy":
-        yield from _conv_tensors("down12.fused", model.down12.deploy)
-    else:
-        yield from _branch_tensors("down12", model.down12.branch)
-    yield from dw_stage("stage2", model.stage2)
-    if mode == "deploy":
-        yield from _conv_tensors("down23.fused", model.down23.deploy)
-    else:
-        yield from _branch_tensors("down23", model.down23.branch)
-
-    for i, blk in enumerate(model.stage3):
-        name = f"stage3.{i}"
-        if model.config.attention == "sdta":
-            if mode == "deploy":
-                yield from _conv_tensors(f"{name}.mixer_fused", blk.deploy_mixer)
-                yield from _conv_tensors(f"{name}.proj_p_fused", blk.deploy_proj_p)
-                yield from _conv_tensors(f"{name}.proj_o_fused", blk.deploy_proj_o)
-            else:
-                yield from _branch_tensors(f"{name}.mixer", blk.pre_mixer)
-                yield from _conv_tensors(f"{name}.proj_p", blk.proj_p)
-                yield from _bn_tensors(f"{name}.proj_p_bn", blk.proj_p_bn)
-                yield from _conv_tensors(f"{name}.proj_o", blk.proj_o)
-                yield from _bn_tensors(f"{name}.proj_o_bn", blk.proj_o_bn)
-        else:
-            yield from _conv_tensors(f"{name}.qkv", blk.qkv)
-            yield from _bn_tensors(f"{name}.qkv_bn", blk.qkv_bn)
-            yield from _conv_tensors(f"{name}.dw", blk.dw)
-            yield from _bn_tensors(f"{name}.dw_bn", blk.dw_bn)
-            yield from _conv_tensors(f"{name}.proj", blk.proj)
-            yield from _bn_tensors(f"{name}.proj_bn", blk.proj_bn)
-        yield from _ffn_tensors(name, blk.ffn, mode)
-
+            spec = row.spec(owner)
+            yield from _conv_bn_tensors(f"{prefix}.main", spec.main, spec.main_bn)
+            yield from _conv_bn_tensors(f"{prefix}.scale", spec.scale, spec.scale_bn)
+            yield from _conv_bn_tensors(f"{prefix}.identity", None, spec.identity_bn)
     yield "head.weight", model.head_weight
     yield "head.bias", model.head_bias
 
 
 def fusable_branches(model: Model):
-    """Yield (name, RepBranchSpec) for every unit deploy() folds to one conv.
+    """Yield (name, RepBranchSpec) for every unit deploy() folds to one conv,
+    in execution order.
 
     Plain conv+BN pairs (FFN layers, attention projections) ride along as
     single-branch specs so one verifier covers everything fusion touches.
     Nothing is yielded for the ablation attention blocks because they are
     never deployed.
     """
-    def wrap(conv: ConvSpec, bn: BNSpec) -> RepBranchSpec:
-        return RepBranchSpec(main=conv, main_bn=bn)
-
-    def ffn_units(prefix: str, ffn: FFNBlock):
-        yield f"{prefix}.ffn.expand", wrap(ffn.expand, ffn.expand_bn)
-        yield f"{prefix}.ffn.project", wrap(ffn.project, ffn.project_bn)
-
-    for i, block in enumerate(model.stem):
-        yield f"stem.{i}", block.branch
-    for stage_name, stage in (("stage1", model.stage1), ("stage2", model.stage2)):
-        for i, block in enumerate(stage):
-            yield f"{stage_name}.{i}.mixer", block.mixer
-            yield from ffn_units(f"{stage_name}.{i}", block.ffn)
-    yield "down12", model.down12.branch
-    yield "down23", model.down23.branch
-    if model.config.attention == "sdta":
-        for i, block in enumerate(model.stage3):
-            name = f"stage3.{i}"
-            yield f"{name}.mixer", block.pre_mixer
-            yield f"{name}.proj_p", wrap(block.proj_p, block.proj_p_bn)
-            yield f"{name}.proj_o", wrap(block.proj_o, block.proj_o_bn)
-            yield from ffn_units(name, block.ffn)
+    for name, unit, owner, row in _walk(model):
+        if row.deploy is not None:
+            yield f"{name}.{unit}" if unit else name, row.spec(owner)

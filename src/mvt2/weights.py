@@ -12,10 +12,12 @@ The JSON header holds the model configuration, the mode ("train" or
 "deploy"), the input preprocessing recipe, and one manifest entry per
 tensor: {"name", "dtype": "f32", "shape", "byte_offset", "byte_len"} with
 offsets relative to the start of the payload.  Tensor names are the dotted
-paths produced by ``model.named_tensors``; every parameter appears exactly
-once.  Data is float32 regardless of platform endianness.
+paths produced by ``model.named_tensors``, derived from each block's
+``UNITS`` table in ``blocks``; every parameter appears exactly once.  Data
+is float32 regardless of platform endianness.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -95,14 +97,7 @@ def save(model: Model, path) -> None:
     recipe = dict(PREPROCESSING)
     recipe["resize"] = [model.config.input_resolution, model.config.input_resolution]
     header = {
-        "config": {
-            "depths": list(model.config.depths),
-            "dims": list(model.config.dims),
-            "ffn_ratio": model.config.ffn_ratio,
-            "num_classes": model.config.num_classes,
-            "input_resolution": model.config.input_resolution,
-            "attention": model.config.attention,
-        },
+        "config": dataclasses.asdict(model.config),
         "mode": model.mode,
         "preprocessing": recipe,
         "tensors": entries,

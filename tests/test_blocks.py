@@ -11,6 +11,7 @@ from mvt2.blocks import (
     RepDWBlock,
     RepEmbedBlock,
     SDTABlock,
+    deployed,
     deployed_rep_dw,
     deployed_rep_embed,
     deployed_sdta,
@@ -21,8 +22,9 @@ from mvt2.blocks import (
     sdta_attention_map,
     sdta_block_forward,
     sdta_forward,
+    units,
 )
-from mvt2.fusion import RepBranchSpec
+from mvt2.fusion import RepBranchSpec, fold_bn, fuse
 from mvt2.model import (
     init_dw_mixer,
     init_ffn,
@@ -307,6 +309,21 @@ class TestSDTA:
             b = sdta_block_forward(block, x, "deploy")
             assert np.max(np.abs(a - b)) < 1e-4, c
 
+    def test_attention_map_without_deploy_weights_raises(self):
+        rng = np.random.default_rng(19)
+        block = init_sdta_block(rng, 8, 2)
+        x = rng.standard_normal((1, 8, 2, 2)).astype(np.float32)
+        with pytest.raises(ValueError, match="convert first"):
+            sdta_attention_map(block, x, "deploy")
+
+    def test_attention_map_agrees_across_forms(self):
+        rng = np.random.default_rng(20)
+        block = deployed(init_sdta_block(rng, 8, 2))
+        x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
+        a = sdta_attention_map(block, x, "train")
+        b = sdta_attention_map(block, x, "deploy")
+        assert np.max(np.abs(a - b)) < 1e-5
+
     def test_rejects_indivisible_channels(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
@@ -419,3 +436,37 @@ class TestMDTA:
                                         "proj", "proj_bn"])
         # 4 C^2 dominates 2 C^2 + 32 C
         assert mdta_attn > sdta_attn
+
+
+class TestConverter:
+    def test_fills_every_deploy_field_with_the_fused_unit(self):
+        rng = np.random.default_rng(30)
+        for block in (init_rep_embed(rng, 8, 16, 2), init_rep_dw_block(rng, 8, 2),
+                      init_sdta_block(rng, 8, 2)):
+            converted = deployed(block)
+            for _, owner, row in units(converted):
+                got = getattr(owner, row.deploy)
+                want = fuse(row.spec(owner))
+                assert np.array_equal(got.kernel, want.kernel), row.name
+                assert np.array_equal(got.bias, want.bias), row.name
+
+    def test_single_branch_fuse_is_fold_bn(self):
+        ffn = init_ffn(np.random.default_rng(31), 8, 2)
+        got = deployed(ffn).deploy_expand
+        want = fold_bn(ffn.expand, ffn.expand_bn)
+        assert np.array_equal(got.kernel, want.kernel)
+        assert np.array_equal(got.bias, want.bias)
+
+    def test_per_block_names_bind_to_the_one_converter(self):
+        assert deployed_rep_embed is deployed_rep_dw is deployed_sdta is deployed
+
+    def test_ablation_block_has_no_deploy_form(self):
+        with pytest.raises(ValueError, match="no deploy form"):
+            deployed(init_mdta_block(np.random.default_rng(32), 8, 2))
+
+    def test_ablation_feed_forward_is_never_deployed(self):
+        block = init_mdta_block(np.random.default_rng(33), 8, 2)
+        assert [(name, row.deploy) for name, _, row in units(block)] == [
+            ("qkv", None), ("dw", None), ("proj", None),
+            ("ffn.expand", None), ("ffn.project", None),
+        ]

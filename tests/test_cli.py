@@ -116,6 +116,26 @@ class TestVerifyFusion:
         assert rc == 1
 
 
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("flags", [
+        ["verify-fusion", "--samples", "0"],
+        ["verify-fusion", "--tol", "-1"],
+        ["verify-fusion", "--tol", "nan"],
+        ["verify-fusion", "--tol", "inf"],
+        ["count", "--variant", "s1", "--resolution", "100"],
+        ["count", "--variant", "s1", "--resolution", "0"],
+    ])
+    def test_usage_error_with_one_line(self, capsys, tiny_files, flags):
+        if flags[0] == "verify-fusion":
+            flags = flags + ["--in", tiny_files["train"]]
+        rc, stdout, stderr = run(capsys, flags)
+        assert rc == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
+
 class TestCount:
     def test_s1_near_published_budget(self, capsys):
         rc, stdout, _ = run(capsys, ["count", "--variant", "s1"])
