@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from mvt2.tensor import (
     BNSpec,
@@ -313,3 +316,100 @@ class TestShapeOps:
         b = np.array([0.5, -0.5], dtype=np.float32)
         got = linear(x, w, b)
         assert np.allclose(got, [[1 * 3 + 2 * 4 + 0.5, 1 * 5 + 2 * 6 - 0.5]])
+
+
+def gelu_float64(x):
+    """The exact GELU evaluated in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+
+
+class TestGelu:
+    def test_rejects_non_float_dtypes(self):
+        for x in (np.array([1, 2, 3]), np.array([1.0, 2.0], dtype=np.float16),
+                  np.array([True]), np.array([1 + 1j])):
+            with pytest.raises(ValueError, match="float32 or float64"):
+                gelu(x)
+
+    def test_float64_is_the_scipy_formula_bit_for_bit(self):
+        x = np.random.default_rng(0).normal(scale=4.0, size=10_000)
+        assert np.array_equal(gelu(x), gelu_float64(x))
+
+    def test_float32_within_1e6_on_grid(self):
+        x = np.linspace(-10.0, 10.0, 400_001, dtype=np.float32)
+        got = gelu(x)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - gelu_float64(x))) < 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_float32_within_1e6_for_large_magnitudes(self):
+        rng = np.random.default_rng(1)
+        mag = 10.0 ** rng.uniform(0.0, 30.0, size=20_000)
+        x = (mag * rng.choice([-1.0, 1.0], size=mag.size)).astype(np.float32)
+        got = gelu(x)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - gelu_float64(x))) < 1e-6
+
+    def test_special_values_match_float64(self):
+        x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+        with np.errstate(invalid="ignore"):
+            want = gelu(x)
+            got = gelu(x.astype(np.float32))
+        assert np.array_equal(got, want.astype(np.float32), equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_zero_dim_input(self):
+        got = gelu(np.array(1.0, dtype=np.float32))
+        assert got.shape == () and got.dtype == np.float32
+        assert abs(float(got) - gelu_float64(1.0)) < 1e-6
+
+    def test_batch_rows_bit_identical_to_batch_one(self):
+        # Odd extents, so rows start at every alignment within a SIMD vector.
+        x = np.random.default_rng(2).normal(scale=3.0, size=(5, 7, 13, 11)).astype(np.float32)
+        full = gelu(x)
+        for b in range(x.shape[0]):
+            assert np.array_equal(full[b:b + 1], gelu(x[b:b + 1]))
+
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.sampled_from([0, 1]))
+    kind = draw(st.sampled_from(["dense", "grouped", "depthwise"]))
+    n = draw(st.integers(1, 4))
+    if kind == "depthwise":
+        c = oc = groups = draw(st.integers(1, 4))
+    else:
+        groups = 1 if kind == "dense" else 2
+        c = groups * draw(st.integers(1, 3))
+        oc = groups * draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, k - 2 * padding), 6))
+    w = draw(st.integers(max(1, k - 2 * padding), 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, c, h, w, oc, k, stride, padding, groups, seed
+
+
+class TestConv2dProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(conv_cases())
+    def test_matches_reference_and_rows_are_independent(self, case):
+        n, c, h, w, oc, k, stride, padding, groups, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w))
+        kernel = rng.standard_normal((oc, c // groups, k, k))
+        bias = rng.standard_normal(oc)
+        want = conv2d_reference(x, kernel, bias, stride, padding, groups)
+        for dtype in (np.float64, np.float32):
+            spec = ConvSpec(kernel.astype(dtype), bias.astype(dtype), stride, padding, groups)
+            xd = x.astype(dtype)
+            got = conv2d(xd, spec)
+            assert got.dtype == dtype and got.shape == want.shape
+            if dtype == np.float64:
+                assert np.max(np.abs(got - want)) < 1e-10
+            else:
+                exact = conv2d(xd.astype(np.float64), spec.astype(np.float64))
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(got - exact)) <= 1e-5 * scale
+            for b in range(n):
+                assert np.array_equal(got[b:b + 1], conv2d(xd[b:b + 1], spec))
