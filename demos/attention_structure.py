@@ -34,7 +34,7 @@ entropy = -float(np.sum(col * np.log(col + 1e-12)))
 print(f"first column entropy {entropy:.3f} (uniform would be {np.log(16):.3f})")
 
 # the block keeps the channel count and spatial grid unchanged
-y = sdta_block_forward(block, x, "train")
+y = sdta_block_forward(block, x)
 print("block output shape:", y.shape)
 
 # a 1x1 grid has nothing to mix: the matrix degenerates to [[1]] and the

@@ -12,18 +12,21 @@ Four block families:
 - ``MDTABlock``: a per-channel transposed-attention variant kept only
   to compare cost against ``SDTABlock``; train form only.
 
-Train form runs every conv through its own batch norm.  Deploy form
-runs single folded convolutions.  Each block class lists its conv units
-once, in execution order, in a ``UNITS`` table; ``units`` walks that
-table and ``deployed`` fills every deploy field from the train weights.
-Blocks are immutable after construction and forwards are pure, so
-shared blocks are safe to use concurrently.
+Each block class lists its conv units once, in execution order, in a
+``UNITS`` table.  A unit's field holds its current weights: in train
+form a multi-branch ``RepBranchSpec``, or a conv whose batch norm sits in
+a second field; in deploy form the one folded conv, with the batch-norm
+field None.  ``Unit.forward`` runs a unit in whichever form it holds, so
+every block forward serves both forms, and ``deployed`` returns a copy
+of a block that keeps only its folded convs.  Blocks are immutable after
+construction and forwards are pure, so shared blocks are safe to use
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterator, Optional, Union
 
 import numpy as np
 
@@ -44,13 +47,6 @@ from .tensor import (
 # Query/key head width; attention scores are divided by its square root (4).
 QK_DIM = 16
 
-MODES = ("train", "deploy")
-
-
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
 
 def _require(cond: bool, msg: str):
     if not cond:
@@ -61,22 +57,31 @@ def _require(cond: bool, msg: str):
 class Unit:
     """One row of a block's unit table: a conv unit that deploy folds to one conv.
 
-    ``conv`` names the field holding the unit's conv, or its whole
-    ``RepBranchSpec`` when ``bn`` is None; ``bn`` names the batch norm
-    after a plain conv; ``deploy`` names the field that holds the folded
-    conv, or is None when the block never deploys.  ``name`` is the
+    ``conv`` names the field holding the unit's weights: a whole
+    ``RepBranchSpec`` when ``bn`` is None, otherwise a plain conv followed
+    by the batch norm in field ``bn``.  Once deployed, the ``conv`` field
+    holds the folded conv and the ``bn`` field is None.  ``name`` is the
     unit's part of its tensor names, empty for an embedding.
     """
 
     name: str
     conv: str
     bn: Optional[str] = None
-    deploy: Optional[str] = None
 
-    def spec(self, block) -> RepBranchSpec:
-        """The unit's train-form weights; a plain conv+BN is a one-branch spec."""
+    def spec(self, block) -> Union[RepBranchSpec, ConvSpec]:
+        """The unit's weights: a ``RepBranchSpec`` in train form (a plain
+        conv+BN is a one-branch spec), the folded ``ConvSpec`` once deployed."""
         conv = getattr(block, self.conv)
-        return conv if self.bn is None else RepBranchSpec(conv, getattr(block, self.bn))
+        bn = getattr(block, self.bn) if self.bn else None
+        return conv if bn is None else RepBranchSpec(conv, bn)
+
+    def forward(self, block, x: np.ndarray) -> np.ndarray:
+        """Run the unit: its branch group, its conv and batch norm, or its folded conv."""
+        conv = getattr(block, self.conv)
+        if isinstance(conv, RepBranchSpec):
+            return rep_branch_forward(x, conv)
+        bn = getattr(block, self.bn) if self.bn else None
+        return conv2d(x, conv) if bn is None else batchnorm_infer(conv2d(x, conv), bn)
 
 
 @dataclass
@@ -84,16 +89,14 @@ class FFNBlock:
     """Two pointwise convolutions with an activation between them."""
 
     UNITS: ClassVar[tuple[Unit, ...]] = (
-        Unit("expand", "expand", "expand_bn", "deploy_expand"),
-        Unit("project", "project", "project_bn", "deploy_project"),
+        Unit("expand", "expand", "expand_bn"),
+        Unit("project", "project", "project_bn"),
     )
 
     expand: ConvSpec
-    expand_bn: BNSpec
+    expand_bn: Optional[BNSpec]
     project: ConvSpec
-    project_bn: BNSpec
-    deploy_expand: Optional[ConvSpec] = None
-    deploy_project: Optional[ConvSpec] = None
+    project_bn: Optional[BNSpec]
 
     def __post_init__(self):
         _require(self.expand.kernel_size == (1, 1), "expand conv must be 1x1")
@@ -106,9 +109,9 @@ class FFNBlock:
                  "project input width must equal expand output width")
         _require(self.expand.out_channels % self.expand.in_channels == 0,
                  "expansion ratio must be integral")
-        _require(self.expand_bn.channels == self.expand.out_channels,
+        _require(self.expand_bn is None or self.expand_bn.channels == self.expand.out_channels,
                  "expand batch-norm width mismatch")
-        _require(self.project_bn.channels == self.project.out_channels,
+        _require(self.project_bn is None or self.project_bn.channels == self.project.out_channels,
                  "project batch-norm width mismatch")
 
     @property
@@ -124,10 +127,9 @@ class FFNBlock:
 class RepEmbedBlock:
     """Dense multi-branch convolution; embeds patches or downsamples."""
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("", "branch", deploy="deploy"),)
+    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("", "branch"),)
 
-    branch: RepBranchSpec
-    deploy: Optional[ConvSpec] = None
+    branch: Union[RepBranchSpec, ConvSpec]
 
     def __post_init__(self):
         _require(self.branch.groups == 1, "embedding branch must be dense")
@@ -150,11 +152,10 @@ class RepEmbedBlock:
 class RepDWBlock:
     """Residual depthwise mixer followed by a residual feed-forward."""
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("mixer", "mixer", deploy="deploy_mixer"),)
+    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("mixer", "mixer"),)
 
-    mixer: RepBranchSpec
+    mixer: Union[RepBranchSpec, ConvSpec]
     ffn: FFNBlock
-    deploy_mixer: Optional[ConvSpec] = None
 
     def __post_init__(self):
         m = self.mixer
@@ -180,20 +181,17 @@ class SDTABlock:
     """
 
     UNITS: ClassVar[tuple[Unit, ...]] = (
-        Unit("mixer", "pre_mixer", deploy="deploy_mixer"),
-        Unit("proj_p", "proj_p", "proj_p_bn", "deploy_proj_p"),
-        Unit("proj_o", "proj_o", "proj_o_bn", "deploy_proj_o"),
+        Unit("mixer", "pre_mixer"),
+        Unit("proj_p", "proj_p", "proj_p_bn"),
+        Unit("proj_o", "proj_o", "proj_o_bn"),
     )
 
-    pre_mixer: RepBranchSpec
+    pre_mixer: Union[RepBranchSpec, ConvSpec]
     proj_p: ConvSpec
-    proj_p_bn: BNSpec
+    proj_p_bn: Optional[BNSpec]
     proj_o: ConvSpec
-    proj_o_bn: BNSpec
+    proj_o_bn: Optional[BNSpec]
     ffn: FFNBlock
-    deploy_mixer: Optional[ConvSpec] = None
-    deploy_proj_p: Optional[ConvSpec] = None
-    deploy_proj_o: Optional[ConvSpec] = None
 
     def __post_init__(self):
         m = self.pre_mixer
@@ -207,13 +205,13 @@ class SDTABlock:
         _require(self.proj_p.in_channels == c, "input projection width mismatch")
         _require(self.proj_p.out_channels == c + 2 * QK_DIM,
                  f"input projection must emit {c + 2 * QK_DIM} channels")
-        _require(self.proj_p_bn.channels == c + 2 * QK_DIM,
+        _require(self.proj_p_bn is None or self.proj_p_bn.channels == c + 2 * QK_DIM,
                  "input projection batch-norm width mismatch")
         _require(self.proj_o.kernel_size == (1, 1) and self.proj_o.groups == 1,
                  "output projection must be a dense 1x1 conv")
         _require(self.proj_o.in_channels == c and self.proj_o.out_channels == c,
                  "output projection must map C to C")
-        _require(self.proj_o_bn.channels == c,
+        _require(self.proj_o_bn is None or self.proj_o_bn.channels == c,
                  "output projection batch-norm width mismatch")
         _require(self.ffn.channels == c, "feed-forward width must match block width")
 
@@ -276,35 +274,18 @@ class MDTABlock:
         return {"attn_qk": c * c * hw, "attn_av": c * c * hw}
 
 
-def ffn_forward(ffn: FFNBlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
-    _check_mode(mode)
-    if mode == "deploy":
-        if ffn.deploy_expand is None or ffn.deploy_project is None:
-            raise ValueError("feed-forward has no deploy weights; convert first")
-        return conv2d(gelu(conv2d(x, ffn.deploy_expand)), ffn.deploy_project)
-    h = gelu(batchnorm_infer(conv2d(x, ffn.expand), ffn.expand_bn))
-    return batchnorm_infer(conv2d(h, ffn.project), ffn.project_bn)
+def ffn_forward(ffn: FFNBlock, x: np.ndarray) -> np.ndarray:
+    expand, project = ffn.UNITS
+    return project.forward(ffn, gelu(expand.forward(ffn, x)))
 
 
-def rep_embed_forward(block: RepEmbedBlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
-    _check_mode(mode)
-    if mode == "deploy":
-        if block.deploy is None:
-            raise ValueError("embedding has no deploy weights; convert first")
-        return conv2d(x, block.deploy)
-    return rep_branch_forward(x, block.branch)
+def rep_embed_forward(block: RepEmbedBlock, x: np.ndarray) -> np.ndarray:
+    return block.UNITS[0].forward(block, x)
 
 
-def rep_dw_block_forward(block: RepDWBlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
-    _check_mode(mode)
-    if mode == "deploy":
-        if block.deploy_mixer is None:
-            raise ValueError("mixer has no deploy weights; convert first")
-        mixed = conv2d(x, block.deploy_mixer)
-    else:
-        mixed = rep_branch_forward(x, block.mixer)
-    x = x + mixed
-    return x + ffn_forward(block.ffn, x, mode)
+def rep_dw_block_forward(block: RepDWBlock, x: np.ndarray) -> np.ndarray:
+    x = x + block.UNITS[0].forward(block, x)
+    return x + ffn_forward(block.ffn, x)
 
 
 def _spatial_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
@@ -313,28 +294,21 @@ def _spatial_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     return matmul(v, m), m
 
 
-def _sdta_split(block: SDTABlock, x: np.ndarray, mode: str):
+def _sdta_split(block: SDTABlock, x: np.ndarray):
     """Mixer and input projection, split into Q, K, V and U."""
-    _check_mode(mode)
     c = x.shape[1]
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
-    if mode == "deploy":
-        if block.deploy_mixer is None:
-            raise ValueError("block has no deploy weights; convert first")
-        t = conv2d(x, block.deploy_mixer)
-        p = conv2d(t, block.deploy_proj_p)
-    else:
-        t = rep_branch_forward(x, block.pre_mixer)
-        p = batchnorm_infer(conv2d(t, block.proj_p), block.proj_p_bn)
+    mixer, proj_p, _ = block.UNITS
+    p = proj_p.forward(block, mixer.forward(block, x))
     return split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
 
 
-def sdta_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
+def sdta_forward(block: SDTABlock, x: np.ndarray) -> np.ndarray:
     """Attention half of the block: mixer, split projection, attention,
     gated local path, output projection, residual.  The feed-forward
     residual is applied by :func:`sdta_block_forward`."""
     n, c, h, w = x.shape
-    q, k, v, u = _sdta_split(block, x, mode)
+    q, k, v, u = _sdta_split(block, x)
     hw = h * w
     att = np.empty_like(v)
     for b in range(n):
@@ -343,23 +317,19 @@ def sdta_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.nda
             v[b].reshape(c // 4, hw),
         )
         att[b] = att_b.reshape(c // 4, h, w)
-    y = concat_channels([att, sigmoid(u)])
-    if mode == "deploy":
-        y = conv2d(y, block.deploy_proj_o)
-    else:
-        y = batchnorm_infer(conv2d(y, block.proj_o), block.proj_o_bn)
+    y = block.UNITS[2].forward(block, concat_channels([att, sigmoid(u)]))
     return x + y
 
 
-def sdta_block_forward(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
-    x = sdta_forward(block, x, mode)
-    return x + ffn_forward(block.ffn, x, mode)
+def sdta_block_forward(block: SDTABlock, x: np.ndarray) -> np.ndarray:
+    x = sdta_forward(block, x)
+    return x + ffn_forward(block.ffn, x)
 
 
-def sdta_attention_map(block: SDTABlock, x: np.ndarray, mode: str = "train") -> np.ndarray:
+def sdta_attention_map(block: SDTABlock, x: np.ndarray) -> np.ndarray:
     """The (N, HW, HW) attention matrices the forward pass would use."""
     n, c, h, w = x.shape
-    q, k, v, _ = _sdta_split(block, x, mode)
+    q, k, v, _ = _sdta_split(block, x)
     hw = h * w
     maps = np.empty((n, hw, hw), dtype=x.dtype)
     for b in range(n):
@@ -373,9 +343,8 @@ def mdta_forward(block: MDTABlock, x: np.ndarray) -> np.ndarray:
     """Attention half of the ablation block, residual included."""
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
-    p = batchnorm_infer(conv2d(x, block.qkv), block.qkv_bn)
-    p = batchnorm_infer(conv2d(p, block.dw), block.dw_bn)
-    q, k, v = split_channels(p, [c, c, c])
+    qkv, dw, proj = block.UNITS
+    q, k, v = split_channels(dw.forward(block, qkv.forward(block, x)), [c, c, c])
     hw = h * w
     out = np.empty_like(v)
     for b in range(n):
@@ -384,36 +353,39 @@ def mdta_forward(block: MDTABlock, x: np.ndarray) -> np.ndarray:
         vb = v[b].reshape(c, hw)
         m = softmax(matmul(qb, kb.T) / float(np.sqrt(c)), axis=1)
         out[b] = matmul(m, vb).reshape(c, h, w)
-    y = batchnorm_infer(conv2d(out, block.proj), block.proj_bn)
-    return x + y
+    return x + proj.forward(block, out)
 
 
 def mdta_block_forward(block: MDTABlock, x: np.ndarray) -> np.ndarray:
     x = mdta_forward(block, x)
-    return x + ffn_forward(block.ffn, x, mode="train")
+    return x + ffn_forward(block.ffn, x)
 
 
 def units(block) -> Iterator[tuple[str, object, Unit]]:
     """Yield (unit name, owner, row) for each unit of ``block`` in execution
     order; ``row.spec(owner)`` is the unit's weights.  A feed-forward's
-    units follow the block's own as ``ffn.<row name>``, and are never
-    deployed when the block itself never is.
+    units follow the block's own as ``ffn.<row name>``.
     """
     for row in block.UNITS:
         yield row.name, block, row
     if hasattr(block, "ffn"):
-        deploys = block.UNITS[0].deploy is not None
         for row in FFNBlock.UNITS:
-            yield f"ffn.{row.name}", block.ffn, row if deploys else replace(row, deploy=None)
+            yield f"ffn.{row.name}", block.ffn, row
 
 
-def deployed(block):
-    """A copy of ``block`` with every deploy field set to its fused unit."""
-    if any(row.deploy is None for row in block.UNITS):
+def deployed(block, fold=fuse):
+    """A copy of ``block`` that holds each unit as ``fold`` of its weights
+    (by default the fused conv) and no batch norms; the train-form weights
+    are not kept."""
+    if isinstance(block, MDTABlock):
         raise ValueError(f"{type(block).__name__} has no deploy form")
-    fused = {row.deploy: fuse(row.spec(block)) for row in block.UNITS}
+    fused = {}
+    for row in block.UNITS:
+        fused[row.conv] = fold(row.spec(block))
+        if row.bn:
+            fused[row.bn] = None
     if hasattr(block, "ffn"):
-        fused["ffn"] = deployed(block.ffn)
+        fused["ffn"] = deployed(block.ffn, fold)
     return replace(block, **fused)
 
 

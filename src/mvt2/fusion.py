@@ -205,6 +205,16 @@ def fuse(spec: RepBranchSpec) -> ConvSpec:
     )
 
 
+def fused_skeleton(spec: RepBranchSpec) -> ConvSpec:
+    """A zero conv with the kernel shape, stride, padding, groups and dtype
+    that ``fuse(spec)`` returns, made without any arithmetic."""
+    m = spec.main
+    k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
+    return ConvSpec(np.zeros((m.out_channels, m.in_channels // m.groups, k, k), m.dtype),
+                    np.zeros(m.out_channels, m.dtype), stride=m.stride,
+                    padding=m.padding + (k - m.kernel_size[0]) // 2, groups=m.groups)
+
+
 def verify_equivalence(
     spec: RepBranchSpec,
     samples: int = 100,

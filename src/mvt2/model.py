@@ -40,7 +40,7 @@ from .blocks import (
     sdta_block_forward,
     units,
 )
-from .fusion import RepBranchSpec
+from .fusion import RepBranchSpec, fuse, fused_skeleton
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -140,19 +140,24 @@ class Model:
 
 def _conv(rng, in_c: int, out_c: int, k: int, stride: int, padding: int,
           groups: int, dtype, gain: float = 1.0) -> ConvSpec:
-    fan_in = (in_c // groups) * k * k
-    std = gain / np.sqrt(fan_in)
-    kernel = (rng.standard_normal((out_c, in_c // groups, k, k)) * std).astype(dtype)
+    shape = (out_c, in_c // groups, k, k)
+    std = gain / np.sqrt(shape[1] * k * k)
+    kernel = (np.zeros(shape, dtype) if rng is None
+              else (rng.standard_normal(shape) * std).astype(dtype))
     return ConvSpec(kernel, np.zeros(out_c, dtype=dtype),
                     stride=stride, padding=padding, groups=groups)
 
 
 def _bn(rng, c: int, dtype, var_range=(0.8, 1.25)) -> BNSpec:
+    if rng is None:
+        mean = var = np.zeros(c)
+    else:
+        mean, var = rng.standard_normal(c) * 0.1, rng.uniform(*var_range, c)
     return BNSpec(
         gamma=np.ones(c, dtype=dtype),
         beta=np.zeros(c, dtype=dtype),
-        running_mean=(rng.standard_normal(c) * 0.1).astype(dtype),
-        running_var=rng.uniform(var_range[0], var_range[1], c).astype(dtype),
+        running_mean=mean.astype(dtype),
+        running_var=var.astype(dtype),
     )
 
 
@@ -214,9 +219,10 @@ def init_mdta_block(rng, c: int, ratio: int, dtype=np.float32) -> MDTABlock:
     )
 
 
-def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
-    """Construct a train-form model; deterministic in (config, seed)."""
-    rng = np.random.default_rng(seed)
+def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> Model:
+    """Construct a train-form model; deterministic in (config, seed).
+    Without a seed nothing is drawn and the drawn arrays are zero."""
+    rng = None if seed is None else np.random.default_rng(seed)
     d1, d2, d3 = config.dims
     r = config.ffn_ratio
 
@@ -234,8 +240,9 @@ def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
     else:
         stage3 = [init_mdta_block(rng, d3, r, dtype) for _ in range(config.depths[2])]
 
-    head_weight = (rng.standard_normal((config.num_classes, d3))
-                   / np.sqrt(d3)).astype(dtype)
+    head_shape = (config.num_classes, d3)
+    head_weight = (np.zeros(head_shape, dtype) if rng is None
+                   else (rng.standard_normal(head_shape) / np.sqrt(d3)).astype(dtype))
     head_bias = np.zeros(config.num_classes, dtype=dtype)
     return Model(config, stem, stage1, down12, stage2, down23, stage3,
                  head_weight, head_bias, mode="train")
@@ -252,28 +259,27 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
         )
     if x.dtype != model.dtype:
         raise ValueError(f"input dtype {x.dtype} does not match model dtype {model.dtype}")
-    mode = model.mode
     for i, emb in enumerate(model.stem):
-        x = rep_embed_forward(emb, x, mode)
+        x = rep_embed_forward(emb, x)
         if i < len(model.stem) - 1:
             x = gelu(x)
     for blk in model.stage1:
-        x = rep_dw_block_forward(blk, x, mode)
-    x = rep_embed_forward(model.down12, x, mode)
+        x = rep_dw_block_forward(blk, x)
+    x = rep_embed_forward(model.down12, x)
     for blk in model.stage2:
-        x = rep_dw_block_forward(blk, x, mode)
-    x = rep_embed_forward(model.down23, x, mode)
+        x = rep_dw_block_forward(blk, x)
+    x = rep_embed_forward(model.down23, x)
     for blk in model.stage3:
         if model.config.attention == "sdta":
-            x = sdta_block_forward(blk, x, mode)
+            x = sdta_block_forward(blk, x)
         else:
             x = mdta_block_forward(blk, x)
     return linear(global_avg_pool(x), model.head_weight, model.head_bias)
 
 
 def _walk(model: Model):
-    """Yield (block name, unit name, owner, row) for every conv unit of the
-    network in execution order; see :func:`blocks.units`."""
+    """Yield (block name, block, unit name, owner, row) for every conv unit
+    of the network in execution order; see :func:`blocks.units`."""
     for f in BLOCK_FIELDS:
         value = getattr(model, f)
         if isinstance(value, list):
@@ -282,11 +288,14 @@ def _walk(model: Model):
             named = [(f, value)]
         for name, block in named:
             for unit, owner, row in units(block):
-                yield name, unit, owner, row
+                yield name, block, unit, owner, row
 
 
-def deploy(model: Model) -> Model:
-    """Fuse every branch group and fold every batch norm; returns a new model."""
+def deploy(model: Model, fold=fuse) -> Model:
+    """Fuse every branch group and fold every batch norm; returns a new
+    model that holds only the folded convs and the classifier.  ``fold``
+    maps a unit's weights to its conv; ``fusion.fused_skeleton`` gives a
+    zero skeleton of the same geometry."""
     if model.mode == "deploy":
         raise ValueError("model is already in deploy form")
     if model.config.attention != "sdta":
@@ -294,7 +303,8 @@ def deploy(model: Model) -> Model:
     converted = {}
     for f in BLOCK_FIELDS:
         value = getattr(model, f)
-        converted[f] = [deployed(b) for b in value] if isinstance(value, list) else deployed(value)
+        converted[f] = ([deployed(b, fold) for b in value] if isinstance(value, list)
+                        else deployed(value, fold))
     return replace(model, mode="deploy", **converted)
 
 
@@ -348,18 +358,19 @@ def bn_cost(c: int, hw: int) -> tuple[int, int]:
     return 4 * c, c * hw
 
 
-def _branch_cost(spec: RepBranchSpec, in_res: int, mode: str) -> tuple[int, int, int]:
-    """Returns (params, macs, out_res) for a branch group or a conv+BN unit."""
-    k = spec.main.kernel_size[0]
-    out_res, _ = conv_output_hw(in_res, in_res, k, k,
-                                spec.main.stride, spec.main.padding)
+def _unit_cost(spec: Union[RepBranchSpec, ConvSpec], in_res: int,
+               mode: str) -> tuple[int, int, int]:
+    """Returns (params, macs, out_res) for a branch group, a conv+BN unit,
+    or a folded conv; a train-form unit in deploy mode is charged the
+    conv it would fold to."""
+    if mode == "deploy" and isinstance(spec, RepBranchSpec):
+        spec = fused_skeleton(spec)
+    conv = spec.main if isinstance(spec, RepBranchSpec) else spec
+    k = conv.kernel_size[0]
+    out_res, _ = conv_output_hw(in_res, in_res, k, k, conv.stride, conv.padding)
     hw = out_res * out_res
-    if mode == "deploy":
-        fk = 3 if (k == 3 or spec.identity_bn is not None) else 1
-        per_group_in = spec.main.in_channels // spec.main.groups
-        params = spec.out_channels * per_group_in * fk * fk + spec.out_channels
-        macs = spec.out_channels * per_group_in * fk * fk * hw
-        return params, macs, out_res
+    if isinstance(spec, ConvSpec):
+        return (*conv_cost(spec, hw), out_res)
     p, m = conv_cost(spec.main, hw)
     pb, mb = bn_cost(spec.out_channels, hw)
     p, m = p + pb, m + mb
@@ -376,25 +387,29 @@ def count(model_or_config: Union[Model, ModelConfig],
     """Analytic cost report; per-image, input-resolution-dependent.
 
     Accepts a built model (defaulting to its own mode) or a config
-    (defaulting to deploy form).  The ablation attention variant is
-    countable in deploy form even though it only executes in train form.
+    (defaulting to deploy form); a config is counted on an unseeded
+    ``build``, so no weights are drawn.  A deploy-form model has no
+    train-form cost.  The ablation attention variant is countable in
+    deploy form even though it only executes in train form.
     """
     if isinstance(model_or_config, Model):
         model = model_or_config
         mode = mode or model.mode
     else:
-        model = build(model_or_config, seed=0)
+        model = build(model_or_config)
         mode = mode or "deploy"
     if mode not in ("train", "deploy"):
         raise ValueError(f"mode must be train or deploy, got {mode!r}")
+    if model.mode == "deploy" and mode == "train":
+        raise ValueError("a deploy-form model holds no train-form weights to count")
     report = CostReport()
     res = model.config.input_resolution
-    for name, unit, owner, row in _walk(model):
+    for name, _, unit, owner, row in _walk(model):
         if hasattr(owner, "attention_macs") and row is owner.UNITS[-1]:
             # the attention contractions run just before the output projection
             for kind, macs in owner.attention_macs(res * res).items():
                 report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
-        p, m, res = _branch_cost(row.spec(owner), res, mode)
+        p, m, res = _unit_cost(row.spec(owner), res, mode)
         # a feed-forward's two units share one entry, "<block>.ffn"
         key = f"{name}.{unit.split('.')[0]}" if unit else name
         if report.entries and report.entries[-1].name == key:
@@ -424,15 +439,15 @@ def named_tensors(model: Model):
     """Yield (name, array) pairs for the tensors the model's mode executes,
     in execution order.  The arrays are the live model arrays; the names
     follow the rule in the README's "Weight files" section."""
-    for name, _, owner, row in _walk(model):
+    for name, _, _, owner, row in _walk(model):
         prefix = f"{name}.{row.name}" if row.name else name
+        spec = getattr(owner, row.conv)
         if model.mode == "deploy":
             fused = f"{prefix}_fused" if row.name else f"{prefix}.fused"
-            yield from _conv_bn_tensors(fused, getattr(owner, row.deploy))
+            yield from _conv_bn_tensors(fused, spec)
         elif row.bn is not None:
-            yield from _conv_bn_tensors(prefix, getattr(owner, row.conv), getattr(owner, row.bn))
+            yield from _conv_bn_tensors(prefix, spec, getattr(owner, row.bn))
         else:
-            spec = row.spec(owner)
             yield from _conv_bn_tensors(f"{prefix}.main", spec.main, spec.main_bn)
             yield from _conv_bn_tensors(f"{prefix}.scale", spec.scale, spec.scale_bn)
             yield from _conv_bn_tensors(f"{prefix}.identity", None, spec.identity_bn)
@@ -440,15 +455,17 @@ def named_tensors(model: Model):
     yield "head.bias", model.head_bias
 
 
-def fusable_branches(model: Model):
-    """Yield (name, RepBranchSpec) for every unit deploy() folds to one conv,
-    in execution order.
+def fusable_branches(model: Model) -> list[tuple[str, RepBranchSpec]]:
+    """(name, RepBranchSpec) for every unit deploy() folds to one conv, in
+    execution order.
 
     Plain conv+BN pairs (FFN layers, attention projections) ride along as
     single-branch specs so one verifier covers everything fusion touches.
-    Nothing is yielded for the ablation attention blocks because they are
-    never deployed.
+    Nothing is listed for the ablation attention blocks because they are
+    never deployed, and a deploy-form model has nothing left to fuse.
     """
-    for name, unit, owner, row in _walk(model):
-        if row.deploy is not None:
-            yield f"{name}.{unit}" if unit else name, row.spec(owner)
+    if model.mode == "deploy":
+        raise ValueError("a deploy-form model has no branches left to fuse")
+    return [(f"{name}.{unit}" if unit else name, row.spec(owner))
+            for name, block, unit, owner, row in _walk(model)
+            if not isinstance(block, MDTABlock)]

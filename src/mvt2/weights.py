@@ -14,15 +14,20 @@ tensor: {"name", "dtype": "f32", "shape", "byte_offset", "byte_len"} with
 offsets relative to the start of the payload.  Tensor names are the dotted
 paths produced by ``model.named_tensors``, derived from each block's
 ``UNITS`` table in ``blocks``; every parameter appears exactly once.  Data
-is float32 regardless of platform endianness.
+is float32 regardless of platform endianness.  A deploy file holds only
+the folded convs and the classifier.  Every fault in a file raises a
+``WeightFileError`` subclass.
 """
 
 import dataclasses
 import json
+import math
+import os
 import struct
 
 import numpy as np
 
+from .fusion import fused_skeleton
 from .model import Model, ModelConfig, build, deploy, named_tensors
 
 MAGIC = b"MVT2"
@@ -73,24 +78,23 @@ def _aligned(offset: int) -> int:
 
 
 def save(model: Model, path) -> None:
-    """Write the model's parameters to ``path``."""
+    """Write the model's parameters to ``path``, one tensor at a time."""
     if model.dtype != np.float32:
         raise ValueError("weight files store float32; convert the model first")
 
+    tensors = list(named_tensors(model))
     entries = []
-    payload = bytearray()
-    for name, arr in named_tensors(model):
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        offset = _aligned(len(payload))
-        payload.extend(b"\x00" * (offset - len(payload)))
-        payload.extend(data)
+    end = 0
+    for name, arr in tensors:
+        offset = _aligned(end)
+        end = offset + 4 * arr.size
         entries.append(
             {
                 "name": name,
                 "dtype": "f32",
                 "shape": list(arr.shape),
                 "byte_offset": offset,
-                "byte_len": len(data),
+                "byte_len": 4 * arr.size,
             }
         )
 
@@ -107,52 +111,73 @@ def save(model: Model, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_FIXED_HEADER.pack(MAGIC, VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
+        end = 0
+        for (_, arr), entry in zip(tensors, entries):
+            fh.write(bytes(entry["byte_offset"] - end))
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+            end = entry["byte_offset"] + entry["byte_len"]
 
 
 def read_header(path) -> dict:
     """Parse and validate the fixed header and JSON manifest."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse(data)[0]
+        return _parse(fh)[0]
 
 
-def _parse(data: bytes):
-    if len(data) < 4:
+def _parse(fh):
+    """The JSON header and the payload length; leaves ``fh`` at the payload."""
+    size = os.fstat(fh.fileno()).st_size
+    fixed = fh.read(_FIXED_HEADER.size)
+    if len(fixed) < 4:
         raise TruncatedPayloadError("file shorter than the magic number")
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}, got {data[:4]!r}")
-    if len(data) < _FIXED_HEADER.size:
+    if fixed[:4] != MAGIC:
+        raise BadMagicError(f"expected magic {MAGIC!r}, got {fixed[:4]!r}")
+    if len(fixed) < _FIXED_HEADER.size:
         raise TruncatedPayloadError("file shorter than the fixed header")
-    _, version, header_len = _FIXED_HEADER.unpack_from(data)
+    _, version, header_len = _FIXED_HEADER.unpack(fixed)
     if version != VERSION:
         raise VersionError(f"unsupported format version {version}, expected {VERSION}")
     header_end = _FIXED_HEADER.size + header_len
-    if len(data) < header_end:
+    if size < header_end:
         raise TruncatedPayloadError("file ends inside the JSON header")
     try:
-        header = json.loads(data[_FIXED_HEADER.size:header_end].decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable JSON header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError("JSON header is not an object")
     for key in ("config", "mode", "tensors"):
         if key not in header:
             raise FormatError(f"header missing {key!r}")
-    return header, data[header_end:]
+    return header, size - header_end
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _validate_manifest(entries, payload_len: int):
+    if not isinstance(entries, list):
+        raise FormatError("header 'tensors' is not a list")
     seen = set()
     for entry in entries:
-        for key in ("name", "dtype", "shape", "byte_offset", "byte_len"):
-            if key not in entry:
-                raise FormatError(f"tensor entry missing {key!r}")
+        keys = ("name", "dtype", "shape", "byte_offset", "byte_len")
+        if not isinstance(entry, dict) or any(key not in entry for key in keys):
+            raise FormatError(f"each tensor entry must be an object with keys {keys}")
         name = entry["name"]
+        if not isinstance(name, str):
+            raise FormatError(f"tensor name {name!r} is not a string")
         if name in seen:
             raise DuplicateNameError(f"tensor {name!r} listed more than once")
         seen.add(name)
         if entry["dtype"] != "f32":
             raise FormatError(f"tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        expected = int(np.prod(entry["shape"], dtype=np.int64)) * 4
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise FormatError(f"tensor {name!r}: shape {shape!r} is not a list of counts")
+        if not (_is_count(entry["byte_offset"]) and _is_count(entry["byte_len"])):
+            raise FormatError(f"tensor {name!r}: byte_offset and byte_len must be counts")
+        expected = math.prod(shape) * 4
         if entry["byte_len"] != expected:
             raise FormatError(
                 f"tensor {name!r}: byte_len {entry['byte_len']} does not match shape"
@@ -167,57 +192,42 @@ def _validate_manifest(entries, payload_len: int):
             raise FormatError("tensor payload regions overlap")
 
 
-def _config_from_header(header: dict) -> ModelConfig:
-    cfg = header["config"]
-    try:
-        return ModelConfig(
-            depths=tuple(cfg["depths"]),
-            dims=tuple(cfg["dims"]),
-            ffn_ratio=cfg["ffn_ratio"],
-            num_classes=cfg["num_classes"],
-            input_resolution=cfg["input_resolution"],
-            attention=cfg.get("attention", "sdta"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"invalid model config in header: {exc}") from None
-
-
 def load(path) -> Model:
     """Reconstruct a model from ``path``.
 
-    A fresh skeleton is built for the stored configuration and its
-    parameters are overwritten tensor by tensor, so the result is
-    bit-identical to the model that was saved.
+    An unseeded ``build`` of the stored configuration gives a weight-free
+    skeleton, and for a deploy file ``fused_skeleton`` gives each unit's
+    folded conv; nothing is drawn or fused.  Each tensor is then read from
+    the payload into its skeleton array, so the result is bit-identical to
+    the model that was saved and no copy of the whole file is held.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    header, payload = _parse(data)
-    _validate_manifest(header["tensors"], len(payload))
+        header, payload_len = _parse(fh)
+        payload_start = fh.tell()
+        _validate_manifest(header["tensors"], payload_len)
+        mode = header["mode"]
+        if mode not in ("train", "deploy"):
+            raise FormatError(f"unknown mode {mode!r}")
+        try:
+            model = build(ModelConfig(**header["config"]))
+            if mode == "deploy":
+                model = deploy(model, fold=fused_skeleton)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"invalid model config in header: {exc}") from None
 
-    config = _config_from_header(header)
-    mode = header["mode"]
-    if mode not in ("train", "deploy"):
-        raise FormatError(f"unknown mode {mode!r}")
-    model = build(config, seed=0)
-    if mode == "deploy":
-        model = deploy(model)
-
-    by_name = {e["name"]: e for e in header["tensors"]}
-    skeleton_names = []
-    for name, arr in named_tensors(model):
-        skeleton_names.append(name)
-        entry = by_name.get(name)
-        if entry is None:
-            raise FormatError(f"file has no tensor {name!r} required by the model")
-        if tuple(entry["shape"]) != arr.shape:
-            raise ShapeError(
-                f"tensor {name!r}: file shape {tuple(entry['shape'])}, "
-                f"model expects {arr.shape}"
-            )
-        start = entry["byte_offset"]
-        flat = np.frombuffer(payload, dtype="<f4", count=arr.size, offset=start)
-        np.copyto(arr, flat.reshape(arr.shape))
-    extra = set(by_name) - set(skeleton_names)
-    if extra:
-        raise FormatError(f"file contains unknown tensors: {sorted(extra)}")
+        by_name = {e["name"]: e for e in header["tensors"]}
+        for name, arr in named_tensors(model):
+            entry = by_name.pop(name, None)
+            if entry is None:
+                raise FormatError(f"file has no tensor {name!r} required by the model")
+            if tuple(entry["shape"]) != arr.shape:
+                raise ShapeError(
+                    f"tensor {name!r}: file shape {tuple(entry['shape'])}, "
+                    f"model expects {arr.shape}"
+                )
+            fh.seek(payload_start + entry["byte_offset"])
+            flat = np.frombuffer(fh.read(entry["byte_len"]), dtype="<f4")
+            np.copyto(arr, flat.reshape(arr.shape))
+    if by_name:
+        raise FormatError(f"file contains unknown tensors: {sorted(by_name)}")
     return model

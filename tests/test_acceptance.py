@@ -154,7 +154,7 @@ def test_criterion_5_attention_structure():
         assert maps.shape == (2, 16, 16)
         sums = maps.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-6
-        y = blocks.sdta_block_forward(block, x, "train")
+        y = blocks.sdta_block_forward(block, x)
         assert y.shape == x.shape
         note(f"criterion 5: C={c} column sums within {np.max(np.abs(sums - 1.0)):.1e} of 1")
     # single-position grid: the mixing matrix is [[1]], so attention

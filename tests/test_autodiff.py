@@ -260,7 +260,7 @@ class TestBlockGradients:
         block = init_sdta_block(rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         traced = ad.sdta_block(ad.Var(x), block).value
-        plain = sdta_block_forward(block, x, "train")
+        plain = sdta_block_forward(block, x)
         assert np.max(np.abs(traced - plain)) < 1e-12
 
     def test_mdta_block(self):

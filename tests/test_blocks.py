@@ -15,7 +15,6 @@ from mvt2.blocks import (
     deployed_rep_dw,
     deployed_rep_embed,
     deployed_sdta,
-    ffn_forward,
     mdta_forward,
     rep_dw_block_forward,
     rep_embed_forward,
@@ -26,6 +25,9 @@ from mvt2.blocks import (
 )
 from mvt2.fusion import RepBranchSpec, fold_bn, fuse
 from mvt2.model import (
+    ModelConfig,
+    build,
+    fusable_branches,
     init_dw_mixer,
     init_ffn,
     init_mdta_block,
@@ -141,40 +143,26 @@ class TestRepEmbed:
         block = RepEmbedBlock(branch)
         np.random.seed(42)
         x = np.random.randn(2, c, 5, 5).astype(np.float32)
-        assert np.array_equal(rep_embed_forward(block, x, "train"), x)
+        assert np.array_equal(rep_embed_forward(block, x), x)
 
     def test_stride2_output_shape(self):
         rng = np.random.default_rng(0)
         block = init_rep_embed(rng, 3, 16, stride=2)
         x = rng.standard_normal((1, 3, 224, 224)).astype(np.float32)
-        assert rep_embed_forward(block, x, "train").shape == (1, 16, 112, 112)
+        assert rep_embed_forward(block, x).shape == (1, 16, 112, 112)
 
     def test_train_vs_deploy(self):
         rng = np.random.default_rng(1)
-        block = deployed_rep_embed(init_rep_embed(rng, 8, 12, stride=2))
+        block = init_rep_embed(rng, 8, 12, stride=2)
         x = rng.standard_normal((2, 8, 14, 14)).astype(np.float32)
-        a = rep_embed_forward(block, x, "train")
-        b = rep_embed_forward(block, x, "deploy")
+        a = rep_embed_forward(block, x)
+        b = rep_embed_forward(deployed_rep_embed(block), x)
         assert np.max(np.abs(a - b)) < 1e-4
-
-    def test_deploy_without_weights_raises(self):
-        rng = np.random.default_rng(2)
-        block = init_rep_embed(rng, 4, 8, stride=2)
-        x = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        with pytest.raises(ValueError):
-            rep_embed_forward(block, x, "deploy")
 
     def test_rejects_grouped_branch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
             RepEmbedBlock(init_dw_mixer(rng, 8))
-
-    def test_rejects_unknown_mode(self):
-        rng = np.random.default_rng(4)
-        block = init_rep_embed(rng, 4, 8, stride=2)
-        x = rng.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        with pytest.raises(ValueError):
-            rep_embed_forward(block, x, "eval")
 
 
 class TestRepDWBlock:
@@ -189,21 +177,21 @@ class TestRepDWBlock:
         block = RepDWBlock(mixer=mixer, ffn=zero_ffn(c))
         np.random.seed(0)
         x = np.random.randn(1, c, 4, 4).astype(np.float32)
-        assert np.array_equal(rep_dw_block_forward(block, x, "train"), x)
+        assert np.array_equal(rep_dw_block_forward(block, x), x)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(5)
         block = init_rep_dw_block(rng, 128, 2)
         x = rng.standard_normal((2, 128, 14, 14)).astype(np.float32)
-        assert rep_dw_block_forward(block, x, "train").shape == (2, 128, 14, 14)
+        assert rep_dw_block_forward(block, x).shape == (2, 128, 14, 14)
 
     def test_train_vs_deploy_all_variant_widths(self):
         rng = np.random.default_rng(6)
         for c in (128, 224, 384, 448):
-            block = deployed_rep_dw(init_rep_dw_block(rng, c, 2))
+            block = init_rep_dw_block(rng, c, 2)
             x = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
-            a = rep_dw_block_forward(block, x, "train")
-            b = rep_dw_block_forward(block, x, "deploy")
+            a = rep_dw_block_forward(block, x)
+            b = rep_dw_block_forward(deployed_rep_dw(block), x)
             assert np.max(np.abs(a - b)) < 1e-4, c
 
     def test_rejects_dense_mixer(self):
@@ -232,13 +220,6 @@ class TestFFN:
         rng = np.random.default_rng(9)
         assert init_ffn(rng, 8, 2).ratio == 2
 
-    def test_deploy_without_weights_raises(self):
-        rng = np.random.default_rng(10)
-        ffn = init_ffn(rng, 4, 2)
-        x = rng.standard_normal((1, 4, 3, 3)).astype(np.float32)
-        with pytest.raises(ValueError):
-            ffn_forward(ffn, x, "deploy")
-
 
 class TestSDTA:
     def test_c320_projection_split(self):
@@ -246,7 +227,7 @@ class TestSDTA:
         block = init_sdta_block(rng, 320, 2)
         assert block.proj_p.out_channels == 352
         x = rng.standard_normal((1, 320, 4, 4)).astype(np.float32)
-        out = sdta_block_forward(block, x, "train")
+        out = sdta_block_forward(block, x)
         assert out.shape == x.shape
 
     def test_attention_scale_is_four(self):
@@ -254,7 +235,7 @@ class TestSDTA:
         rng = np.random.default_rng(12)
         block = init_sdta_block(rng, 8, 2)
         x = rng.standard_normal((1, 8, 3, 3)).astype(np.float32)
-        maps = sdta_attention_map(block, x, "train")
+        maps = sdta_attention_map(block, x)
         # recompute the map from the block's own projections at scale 4
         from mvt2.fusion import rep_branch_forward
         t = rep_branch_forward(x, block.pre_mixer)
@@ -270,7 +251,7 @@ class TestSDTA:
         rng = np.random.default_rng(13)
         block = init_sdta_block(rng, 16, 2)
         x = rng.standard_normal((2, 16, 4, 4)).astype(np.float32)
-        maps = sdta_attention_map(block, x, "train")
+        maps = sdta_attention_map(block, x)
         assert maps.shape == (2, 16, 16)
         assert np.max(np.abs(maps.sum(axis=1) - 1.0)) < 1e-6
 
@@ -278,7 +259,7 @@ class TestSDTA:
         rng = np.random.default_rng(14)
         block = init_sdta_block(rng, 8, 2)
         x = rng.standard_normal((1, 8, 1, 1)).astype(np.float32)
-        maps = sdta_attention_map(block, x, "train")
+        maps = sdta_attention_map(block, x)
         assert np.array_equal(maps, np.ones((1, 1, 1), dtype=np.float32))
         # with M = [[1]] the attended values equal V, so the block reduces
         # to projecting concat(V, sigmoid(U)) and adding the residual
@@ -289,39 +270,32 @@ class TestSDTA:
         u = p[:, 2 * QK_DIM + 2:]
         cat = np.concatenate([v, sigmoid(u)], axis=1)
         want = x + batchnorm_infer(conv2d(cat, block.proj_o), block.proj_o_bn)
-        got = sdta_forward(block, x, "train")
+        got = sdta_forward(block, x)
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_against_float64_reference(self):
         rng = np.random.default_rng(15)
         block = init_sdta_block(rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
-        got = sdta_block_forward(block, x, "train")
+        got = sdta_block_forward(block, x)
         want = sdta_block_ref64(block, x)
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_train_vs_deploy_all_variant_widths(self):
         rng = np.random.default_rng(16)
         for c in (320, 448):
-            block = deployed_sdta(init_sdta_block(rng, c, 2))
+            block = init_sdta_block(rng, c, 2)
             x = rng.standard_normal((1, c, 4, 4)).astype(np.float32)
-            a = sdta_block_forward(block, x, "train")
-            b = sdta_block_forward(block, x, "deploy")
+            a = sdta_block_forward(block, x)
+            b = sdta_block_forward(deployed_sdta(block), x)
             assert np.max(np.abs(a - b)) < 1e-4, c
-
-    def test_attention_map_without_deploy_weights_raises(self):
-        rng = np.random.default_rng(19)
-        block = init_sdta_block(rng, 8, 2)
-        x = rng.standard_normal((1, 8, 2, 2)).astype(np.float32)
-        with pytest.raises(ValueError, match="convert first"):
-            sdta_attention_map(block, x, "deploy")
 
     def test_attention_map_agrees_across_forms(self):
         rng = np.random.default_rng(20)
-        block = deployed(init_sdta_block(rng, 8, 2))
+        block = init_sdta_block(rng, 8, 2)
         x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
-        a = sdta_attention_map(block, x, "train")
-        b = sdta_attention_map(block, x, "deploy")
+        a = sdta_attention_map(block, x)
+        b = sdta_attention_map(deployed(block), x)
         assert np.max(np.abs(a - b)) < 1e-5
 
     def test_rejects_indivisible_channels(self):
@@ -444,15 +418,16 @@ class TestConverter:
         for block in (init_rep_embed(rng, 8, 16, 2), init_rep_dw_block(rng, 8, 2),
                       init_sdta_block(rng, 8, 2)):
             converted = deployed(block)
-            for _, owner, row in units(converted):
-                got = getattr(owner, row.deploy)
+            for (_, owner, row), (_, new_owner, _) in zip(units(block), units(converted)):
+                got = getattr(new_owner, row.conv)
                 want = fuse(row.spec(owner))
                 assert np.array_equal(got.kernel, want.kernel), row.name
                 assert np.array_equal(got.bias, want.bias), row.name
+                assert row.bn is None or getattr(new_owner, row.bn) is None, row.name
 
     def test_single_branch_fuse_is_fold_bn(self):
         ffn = init_ffn(np.random.default_rng(31), 8, 2)
-        got = deployed(ffn).deploy_expand
+        got = deployed(ffn).expand
         want = fold_bn(ffn.expand, ffn.expand_bn)
         assert np.array_equal(got.kernel, want.kernel)
         assert np.array_equal(got.bias, want.bias)
@@ -465,8 +440,8 @@ class TestConverter:
             deployed(init_mdta_block(np.random.default_rng(32), 8, 2))
 
     def test_ablation_feed_forward_is_never_deployed(self):
-        block = init_mdta_block(np.random.default_rng(33), 8, 2)
-        assert [(name, row.deploy) for name, _, row in units(block)] == [
-            ("qkv", None), ("dw", None), ("proj", None),
-            ("ffn.expand", None), ("ffn.project", None),
-        ]
+        config = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), num_classes=10,
+                             input_resolution=32, attention="mdta")
+        names = [name for name, _ in fusable_branches(build(config, seed=33))]
+        assert "stage2.0.ffn.expand" in names
+        assert not any(name.startswith("stage3.") for name in names)

@@ -5,6 +5,7 @@ from mvt2.fusion import (
     RepBranchSpec,
     fold_bn,
     fuse,
+    fused_skeleton,
     identity_to_conv,
     pad_1x1_to_3x3,
     random_rep_branch_spec,
@@ -246,6 +247,30 @@ class TestFuse:
                 spec = random_rep_branch_spec(dtype=dtype, rng=rng, **kw)
                 report = verify_equivalence(spec, samples=20, tol=tol, input_hw=8)
                 assert report["pass"], (kw, dtype, report)
+
+    def test_fused_skeleton_has_the_geometry_of_fuse(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            dict(in_channels=4, out_channels=4, groups=1, stride=1),
+            dict(in_channels=4, out_channels=4, groups=1, stride=1, with_identity=False),
+            dict(in_channels=3, out_channels=8, groups=1, stride=2),
+            dict(in_channels=6, out_channels=6, groups=6, stride=1, with_scale=False),
+            dict(in_channels=8, out_channels=8, groups=8, stride=2),
+            dict(in_channels=4, out_channels=6, groups=2, stride=2),
+            dict(in_channels=4, out_channels=4, groups=1, stride=1, kernel_size=1,
+                 with_identity=False),
+            dict(in_channels=4, out_channels=4, groups=1, stride=1, kernel_size=1),
+            dict(in_channels=4, out_channels=8, groups=1, stride=2, kernel_size=1),
+        ]
+        for kw in cases:
+            for dtype in (np.float32, np.float64):
+                spec = random_rep_branch_spec(dtype=dtype, rng=rng, **kw)
+                want, got = fuse(spec), fused_skeleton(spec)
+                assert (got.kernel.shape, got.kernel.dtype, got.bias.shape, got.bias.dtype,
+                        got.stride, got.padding, got.groups) == (
+                    want.kernel.shape, want.kernel.dtype, want.bias.shape, want.bias.dtype,
+                    want.stride, want.padding, want.groups), (kw, dtype)
+                assert not got.kernel.any() and not got.bias.any()
 
     def test_fused_param_count_never_exceeds_train_form(self):
         rng = np.random.default_rng(10)

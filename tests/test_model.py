@@ -11,6 +11,7 @@ from mvt2.model import (
     count,
     deploy,
     forward,
+    fusable_branches,
     named_tensors,
     stage_resolutions,
 )
@@ -146,6 +147,22 @@ class TestDeploy:
                           input_resolution=32, attention="mdta")
         with pytest.raises(ValueError):
             deploy(build(cfg, seed=0))
+
+    def test_deploy_form_has_no_train_cost_or_branches(self):
+        model = deploy(build(TINY, seed=0))
+        with pytest.raises(ValueError):
+            count(model, "train")
+        with pytest.raises(ValueError):
+            fusable_branches(model)
+
+    def test_count_of_a_config_draws_nothing(self, monkeypatch):
+        want = count(TINY, "train").total_params
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("count drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert count(TINY, "train").total_params == want
 
     def test_deploy_reduces_parameter_count(self):
         model = build(VARIANTS["s1"], seed=0)

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from mvt2 import weights
+from mvt2 import cli, weights
 from mvt2.model import ModelConfig, build, deploy, forward, named_tensors
 
 TINY = ModelConfig(
@@ -26,6 +27,24 @@ def rewrite_header(path, mutate):
     mutate(header)
     new_header = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(FIXED.pack(magic, version, len(new_header)) + new_header + data[FIXED.size + header_len:])
+
+
+def reachable_bytes(model):
+    """Bytes of the distinct arrays reachable from the model's fields."""
+    seen = {}
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            seen[id(obj)] = obj.nbytes
+        elif isinstance(obj, list):
+            for value in obj:
+                walk(value)
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+
+    walk(model)
+    return sum(seen.values())
 
 
 class TestRoundTrip:
@@ -256,3 +275,66 @@ class TestCorruption:
             weights.FormatError,
         ):
             assert issubclass(exc, weights.WeightFileError)
+
+
+class TestSkeleton:
+    def test_deploy_form_keeps_only_its_named_tensors(self, tmp_path):
+        model = deploy(build(TINY, seed=5))
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        for m in (model, weights.load(path)):
+            assert reachable_bytes(m) == sum(a.nbytes for _, a in named_tensors(m))
+
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch, form):
+        model = build(TINY, seed=6)
+        if form == "deploy":
+            model = deploy(model)
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = weights.load(path)
+        assert loaded.mode == form
+        saved = list(named_tensors(model))
+        got = list(named_tensors(loaded))
+        assert [n for n, _ in got] == [n for n, _ in saved]
+        for (name, a), (_, b) in zip(got, saved):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+HOSTILE_HEADERS = [
+    pytest.param(lambda h: h.update(tensors=5), id="tensors-not-a-list"),
+    pytest.param(lambda h: h["tensors"].insert(0, 7), id="entry-not-an-object"),
+    pytest.param(lambda h: h["tensors"][0].update(name=["a"]), id="name-not-a-string"),
+    pytest.param(lambda h: h["tensors"][0].update(shape="abc"), id="shape-a-string"),
+    pytest.param(lambda h: h["tensors"][0].update(byte_offset="0"), id="offset-a-string"),
+    pytest.param(lambda h: h["tensors"][0].update(byte_offset=-64), id="offset-negative"),
+    pytest.param(lambda h: h.update(mode="deploy", config={**h["config"], "attention": "mdta"}),
+                 id="deploy-form-of-the-ablation-variant"),
+]
+
+
+class TestHostileHeader:
+    @pytest.mark.parametrize("mutate", HOSTILE_HEADERS)
+    def test_rejected_with_exit_4(self, tmp_path, capsys, mutate):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        rewrite_header(path, mutate)
+        with pytest.raises(weights.WeightFileError):
+            weights.load(path)
+        raw = tmp_path / "x.raw"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(raw)
+        rc = cli.main(["infer", "--model", str(path), "--input", str(raw), "--shape", "1,3,32,32"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "m.mvt2"
+        path.write_bytes(FIXED.pack(b"MVT2", 1, 1) + b"5")
+        with pytest.raises(weights.FormatError):
+            weights.load(path)
