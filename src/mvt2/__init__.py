@@ -4,9 +4,11 @@ reparameterizable vision transformer family.
 Submodules:
 
 - ``tensor``: NCHW kernels (convolution, batch norm, softmax, ...)
-- ``autodiff``: reverse-mode tape and a finite-difference gradient checker
+- ``autodiff``: reverse-mode tape, the traced counterparts of the
+  ``tensor`` kernels, and a finite-difference gradient checker
 - ``fusion``: multi-branch to single-convolution reparameterization
-- ``blocks``: the network's building blocks in train and deploy form
+- ``blocks``: the network's building blocks in train and deploy form;
+  each forward runs on arrays or on traced ``autodiff.Var`` values
 - ``model``: configuration, construction, forward pass, cost model
 - ``weights``: binary weight-file serialization
 - ``bench``: latency/throughput/energy benchmark harness

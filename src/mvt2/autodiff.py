@@ -8,6 +8,12 @@ graph once and leaves ``.grad`` on every node.  :func:`check_gradient`
 compares the reverse-mode gradient of a scalar-valued function against
 central differences coordinate by coordinate.
 
+This module holds no network blocks.  It supplies ``traced``, the
+kernels a block forward calls under the names and ``(x, spec)``
+signatures of ``tensor``, and :func:`kernels`, which picks ``tensor``
+for an ndarray and ``traced`` for a ``Var``; so the one forward of each
+block in ``blocks`` and ``fusion`` runs on arrays or records a graph.
+
 There is no optimizer and no training loop; batch norm is differentiated
 in inference mode only (running statistics held fixed).  A graph of Vars
 is single-owner: do not share one across concurrent evaluations.
@@ -18,13 +24,13 @@ Verification runs in float64; traced values are whatever dtype flows in.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import erf, expit
 
 from . import tensor as T
-from .fusion import RepBranchSpec
 
 ArrayLike = Union[np.ndarray, float, int]
 
@@ -44,6 +50,29 @@ class Var:
     @property
     def shape(self):
         return self.value.shape
+
+    def __add__(self, other) -> "Var":
+        return add(self, other)
+
+    def __truediv__(self, c: float) -> "Var":
+        """Divide by a constant scalar (not differentiated)."""
+        return Var(self.value / c, (self,), (lambda g: g / c,))
+
+    def __getitem__(self, i: int) -> "Var":
+        """Row ``i`` along the first axis."""
+        def vjp(g):
+            full = np.zeros_like(self.value)
+            full[i] = g
+            return full
+
+        return Var(self.value[i], (self,), (vjp,))
+
+    def reshape(self, *shape) -> "Var":
+        return reshape(self, shape)
+
+    @property
+    def T(self) -> "Var":
+        return transpose(self)
 
 
 def _as_var(x) -> Var:
@@ -318,76 +347,23 @@ def check_gradient(f, x: np.ndarray, eps: float = 1e-5) -> float:
     return worst
 
 
-def _conv_spec(x: Var, spec: T.ConvSpec) -> Var:
-    return conv2d(x, Var(spec.kernel), Var(spec.bias), stride=spec.stride,
-                  padding=spec.padding, groups=spec.groups)
+# The tensor kernels the block forwards call, traced.  Weights are
+# recorded as constant leaves; batch norm keeps its running statistics.
+traced = SimpleNamespace(
+    conv2d=lambda x, spec: conv2d(x, Var(spec.kernel), Var(spec.bias), spec.stride,
+                                  spec.padding, spec.groups),
+    batchnorm_infer=lambda x, bn: batchnorm_infer(x, Var(bn.gamma), Var(bn.beta),
+                                                  bn.running_mean, bn.running_var,
+                                                  bn.epsilon),
+    gelu=gelu,
+    sigmoid=sigmoid,
+    softmax=softmax,
+    matmul=matmul,
+    concat_channels=concat_channels,
+    split_channels=split_channels,
+)
 
 
-def _bn_spec(x: Var, bn: T.BNSpec) -> Var:
-    return batchnorm_infer(x, Var(bn.gamma), Var(bn.beta), bn.running_mean,
-                           bn.running_var, bn.epsilon)
-
-
-def rep_branch(x: Var, spec: RepBranchSpec) -> Var:
-    """Traced train-form multi-branch forward."""
-    out = _bn_spec(_conv_spec(x, spec.main), spec.main_bn)
-    if spec.scale is not None:
-        out = add(out, _bn_spec(_conv_spec(x, spec.scale), spec.scale_bn))
-    if spec.identity_bn is not None:
-        out = add(out, _bn_spec(x, spec.identity_bn))
-    return out
-
-
-def ffn_block(x: Var, ffn) -> Var:
-    h = gelu(_bn_spec(_conv_spec(x, ffn.expand), ffn.expand_bn))
-    return _bn_spec(_conv_spec(h, ffn.project), ffn.project_bn)
-
-
-def rep_embed_block(x: Var, block) -> Var:
-    return rep_branch(x, block.branch)
-
-
-def rep_dw_block(x: Var, block) -> Var:
-    x = add(x, rep_branch(x, block.mixer))
-    return add(x, ffn_block(x, block.ffn))
-
-
-def sdta_block(x: Var, block) -> Var:
-    """Traced train-form attention block; single-sample input (N=1)."""
-    from .blocks import QK_DIM
-
-    n, c, h, w = x.value.shape
-    if n != 1:
-        raise ValueError("traced attention supports a single sample")
-    t = rep_branch(x, block.pre_mixer)
-    p = _bn_spec(_conv_spec(t, block.proj_p), block.proj_p_bn)
-    q, k, v, u = split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
-    hw = h * w
-    qm = reshape(q, (QK_DIM, hw))
-    km = reshape(k, (QK_DIM, hw))
-    vm = reshape(v, (c // 4, hw))
-    m = softmax(cmul(matmul(transpose(qm), km), 1.0 / np.sqrt(QK_DIM)), axis=0)
-    att = reshape(matmul(vm, m), (1, c // 4, h, w))
-    y = concat_channels([att, sigmoid(u)])
-    y = _bn_spec(_conv_spec(y, block.proj_o), block.proj_o_bn)
-    x = add(x, y)
-    return add(x, ffn_block(x, block.ffn))
-
-
-def mdta_block(x: Var, block) -> Var:
-    """Traced train-form ablation attention block; single-sample input."""
-    n, c, h, w = x.value.shape
-    if n != 1:
-        raise ValueError("traced attention supports a single sample")
-    p = _bn_spec(_conv_spec(x, block.qkv), block.qkv_bn)
-    p = _bn_spec(_conv_spec(p, block.dw), block.dw_bn)
-    q, k, v = split_channels(p, [c, c, c])
-    hw = h * w
-    qm = reshape(q, (c, hw))
-    km = reshape(k, (c, hw))
-    vm = reshape(v, (c, hw))
-    m = softmax(cmul(matmul(qm, transpose(km)), 1.0 / np.sqrt(c)), axis=1)
-    out = reshape(matmul(m, vm), (1, c, h, w))
-    y = _bn_spec(_conv_spec(out, block.proj), block.proj_bn)
-    x = add(x, y)
-    return add(x, ffn_block(x, block.ffn))
+def kernels(x):
+    """The kernel namespace for ``x``: ``traced`` for a ``Var``, else ``tensor``."""
+    return traced if isinstance(x, Var) else T

@@ -18,9 +18,12 @@ form a multi-branch ``RepBranchSpec``, or a conv whose batch norm sits in
 a second field; in deploy form the one folded conv, with the batch-norm
 field None.  ``Unit.forward`` runs a unit in whichever form it holds, so
 every block forward serves both forms, and ``deployed`` returns a copy
-of a block that keeps only its folded convs.  Blocks are immutable after
-construction and forwards are pure, so shared blocks are safe to use
-concurrently.
+of a block that keeps only its folded convs.  Each forward is written
+once and takes an ndarray or an ``autodiff.Var``: ``autodiff.kernels``
+picks the ``tensor`` kernels or their traced counterparts from the input,
+so the gradient checker differentiates the code the engine runs.  Blocks
+are immutable after construction and forwards are pure, so shared blocks
+are safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -30,19 +33,9 @@ from typing import ClassVar, Iterator, Optional, Union
 
 import numpy as np
 
+from .autodiff import kernels
 from .fusion import RepBranchSpec, fuse, rep_branch_forward
-from .tensor import (
-    BNSpec,
-    ConvSpec,
-    batchnorm_infer,
-    concat_channels,
-    conv2d,
-    gelu,
-    matmul,
-    sigmoid,
-    softmax,
-    split_channels,
-)
+from .tensor import BNSpec, ConvSpec
 
 # Query/key head width; attention scores are divided by its square root (4).
 QK_DIM = 16
@@ -75,13 +68,15 @@ class Unit:
         bn = getattr(block, self.bn) if self.bn else None
         return conv if bn is None else RepBranchSpec(conv, bn)
 
-    def forward(self, block, x: np.ndarray) -> np.ndarray:
+    def forward(self, block, x):
         """Run the unit: its branch group, its conv and batch norm, or its folded conv."""
         conv = getattr(block, self.conv)
         if isinstance(conv, RepBranchSpec):
             return rep_branch_forward(x, conv)
+        ops = kernels(x)
         bn = getattr(block, self.bn) if self.bn else None
-        return conv2d(x, conv) if bn is None else batchnorm_infer(conv2d(x, conv), bn)
+        y = ops.conv2d(x, conv)
+        return y if bn is None else ops.batchnorm_infer(y, bn)
 
 
 @dataclass
@@ -274,89 +269,87 @@ class MDTABlock:
         return {"attn_qk": c * c * hw, "attn_av": c * c * hw}
 
 
-def ffn_forward(ffn: FFNBlock, x: np.ndarray) -> np.ndarray:
+def ffn_forward(ffn: FFNBlock, x):
     expand, project = ffn.UNITS
-    return project.forward(ffn, gelu(expand.forward(ffn, x)))
+    return project.forward(ffn, kernels(x).gelu(expand.forward(ffn, x)))
 
 
-def rep_embed_forward(block: RepEmbedBlock, x: np.ndarray) -> np.ndarray:
+def rep_embed_forward(block: RepEmbedBlock, x):
     return block.UNITS[0].forward(block, x)
 
 
-def rep_dw_block_forward(block: RepDWBlock, x: np.ndarray) -> np.ndarray:
+def rep_dw_block_forward(block: RepDWBlock, x):
     x = x + block.UNITS[0].forward(block, x)
     return x + ffn_forward(block.ffn, x)
 
 
-def _spatial_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+def _spatial_attention(q, k, v):
     """Token attention for one sample: columns of M sum to 1; Att = V M."""
-    m = softmax(matmul(q.T, k) / float(np.sqrt(QK_DIM)), axis=0)
-    return matmul(v, m), m
+    ops = kernels(q)
+    m = ops.softmax(ops.matmul(q.T, k) / float(np.sqrt(QK_DIM)), axis=0)
+    return ops.matmul(v, m), m
 
 
-def _sdta_split(block: SDTABlock, x: np.ndarray):
-    """Mixer and input projection, split into Q, K, V and U."""
-    c = x.shape[1]
+def _stack(rows, shape):
+    """Per-sample (C, HW) results as one (N, C, H, W) tensor."""
+    n, c, h, w = shape
+    rows = [r.reshape(1, c, h, w) for r in rows]
+    return kernels(rows[0]).concat_channels(rows).reshape(n, c, h, w)
+
+
+def _sdta_attention(block: SDTABlock, x):
+    """Mixer, input projection split into Q, K, V and U, and the token
+    attention of each sample: returns the per-sample (Att, M) pairs and U."""
+    n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     mixer, proj_p, _ = block.UNITS
     p = proj_p.forward(block, mixer.forward(block, x))
-    return split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+    q, k, v, u = kernels(x).split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+    hw = h * w
+    pairs = [_spatial_attention(q[b].reshape(QK_DIM, hw), k[b].reshape(QK_DIM, hw),
+                                v[b].reshape(c // 4, hw)) for b in range(n)]
+    return pairs, u
 
 
-def sdta_forward(block: SDTABlock, x: np.ndarray) -> np.ndarray:
+def sdta_forward(block: SDTABlock, x):
     """Attention half of the block: mixer, split projection, attention,
     gated local path, output projection, residual.  The feed-forward
     residual is applied by :func:`sdta_block_forward`."""
     n, c, h, w = x.shape
-    q, k, v, u = _sdta_split(block, x)
-    hw = h * w
-    att = np.empty_like(v)
-    for b in range(n):
-        att_b, _ = _spatial_attention(
-            q[b].reshape(QK_DIM, hw), k[b].reshape(QK_DIM, hw),
-            v[b].reshape(c // 4, hw),
-        )
-        att[b] = att_b.reshape(c // 4, h, w)
-    y = block.UNITS[2].forward(block, concat_channels([att, sigmoid(u)]))
-    return x + y
+    ops = kernels(x)
+    pairs, u = _sdta_attention(block, x)
+    att = _stack([a for a, _ in pairs], (n, c // 4, h, w))
+    y = ops.concat_channels([att, ops.sigmoid(u)])
+    return x + block.UNITS[2].forward(block, y)
 
 
-def sdta_block_forward(block: SDTABlock, x: np.ndarray) -> np.ndarray:
+def sdta_block_forward(block: SDTABlock, x):
     x = sdta_forward(block, x)
     return x + ffn_forward(block.ffn, x)
 
 
 def sdta_attention_map(block: SDTABlock, x: np.ndarray) -> np.ndarray:
     """The (N, HW, HW) attention matrices the forward pass would use."""
-    n, c, h, w = x.shape
-    q, k, v, _ = _sdta_split(block, x)
-    hw = h * w
-    maps = np.empty((n, hw, hw), dtype=x.dtype)
-    for b in range(n):
-        _, maps[b] = _spatial_attention(
-            q[b].reshape(QK_DIM, hw), k[b].reshape(QK_DIM, hw), v[b].reshape(c // 4, hw),
-        )
-    return maps
+    return np.stack([m for _, m in _sdta_attention(block, x)[0]])
 
 
-def mdta_forward(block: MDTABlock, x: np.ndarray) -> np.ndarray:
+def mdta_forward(block: MDTABlock, x):
     """Attention half of the ablation block, residual included."""
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
+    ops = kernels(x)
     qkv, dw, proj = block.UNITS
-    q, k, v = split_channels(dw.forward(block, qkv.forward(block, x)), [c, c, c])
+    q, k, v = ops.split_channels(dw.forward(block, qkv.forward(block, x)), [c, c, c])
     hw = h * w
-    out = np.empty_like(v)
+    out = []
     for b in range(n):
-        qb = q[b].reshape(c, hw)
-        kb = k[b].reshape(c, hw)
-        vb = v[b].reshape(c, hw)
-        m = softmax(matmul(qb, kb.T) / float(np.sqrt(c)), axis=1)
-        out[b] = matmul(m, vb).reshape(c, h, w)
-    return x + proj.forward(block, out)
+        qb, kb, vb = (t[b].reshape(c, hw) for t in (q, k, v))
+        m = ops.softmax(ops.matmul(qb, kb.T) / float(np.sqrt(c)), axis=1)
+        out.append(ops.matmul(m, vb))
+    return x + proj.forward(block, _stack(out, x.shape))
 
 
-def mdta_block_forward(block: MDTABlock, x: np.ndarray) -> np.ndarray:
+def mdta_block_forward(block: MDTABlock, x):
     x = mdta_forward(block, x)
     return x + ffn_forward(block.ffn, x)
 

@@ -11,8 +11,8 @@ Exit codes:
     1  a numeric check failed or the operation is invalid for the input
     2  usage error (bad flags or argument values)
     3  a file could not be read or parsed
-    4  invalid weight file
-    5  invalid input tensor shape
+    4  invalid weight file, including a tensor holding NaN or infinity
+    5  invalid input tensor: wrong shape, or a NaN or infinite value
 """
 
 import argparse
@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import weights
 from .bench import BenchConfig, PowerProvider, load_power_trace, run_bench
+from .blocks import mdta_block_forward, rep_dw_block_forward, sdta_block_forward
 from .fusion import verify_equivalence
 from .model import (
     VARIANTS,
@@ -239,20 +240,20 @@ def cmd_gradcheck(args) -> int:
     try:
         if args.block == "repdw":
             block = init_rep_dw_block(rng, args.channels, 2, dtype=np.float64)
-            traced = ad.rep_dw_block
+            block_forward = rep_dw_block_forward
         elif args.block == "sdta":
             block = init_sdta_block(rng, args.channels, 2, dtype=np.float64)
-            traced = ad.sdta_block
+            block_forward = sdta_block_forward
         else:
             block = init_mdta_block(rng, args.channels, 2, dtype=np.float64)
-            traced = ad.mdta_block
+            block_forward = mdta_block_forward
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"cannot build {args.block} block: {exc}") from None
     x = rng.standard_normal((1, args.channels, args.hw, args.hw))
-    loss_w = ad._as_var(rng.standard_normal(x.shape))
+    loss_w = ad.Var(rng.standard_normal(x.shape))
 
     def f(v):
-        return ad.vsum(ad.mul(traced(v, block), loss_w))
+        return ad.vsum(ad.mul(block_forward(block, v), loss_w))
 
     try:
         error = ad.check_gradient(f, x, eps=args.eps)

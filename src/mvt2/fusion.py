@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import BNSpec, ConvSpec, batchnorm_infer, conv2d
+from .autodiff import kernels
+from .tensor import BNSpec, ConvSpec, conv2d
 
 
 def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
@@ -161,13 +162,15 @@ class RepBranchSpec:
         )
 
 
-def rep_branch_forward(x: np.ndarray, spec: RepBranchSpec) -> np.ndarray:
-    """Train-form forward: sum of per-branch BN'd outputs."""
-    out = batchnorm_infer(conv2d(x, spec.main), spec.main_bn)
+def rep_branch_forward(x, spec: RepBranchSpec):
+    """Train-form forward: sum of per-branch BN'd outputs.  ``x`` is an
+    ndarray or an ``autodiff.Var``; see ``autodiff.kernels``."""
+    ops = kernels(x)
+    out = ops.batchnorm_infer(ops.conv2d(x, spec.main), spec.main_bn)
     if spec.scale is not None:
-        out = out + batchnorm_infer(conv2d(x, spec.scale), spec.scale_bn)
+        out = out + ops.batchnorm_infer(ops.conv2d(x, spec.scale), spec.scale_bn)
     if spec.identity_bn is not None:
-        out = out + batchnorm_infer(x, spec.identity_bn)
+        out = out + ops.batchnorm_infer(x, spec.identity_bn)
     return out
 
 

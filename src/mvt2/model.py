@@ -259,6 +259,8 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
         )
     if x.dtype != model.dtype:
         raise ValueError(f"input dtype {x.dtype} does not match model dtype {model.dtype}")
+    if not np.isfinite(x).all():
+        raise ValueError("input holds a NaN or infinite value")
     for i, emb in enumerate(model.stem):
         x = rep_embed_forward(emb, x)
         if i < len(model.stem) - 1:

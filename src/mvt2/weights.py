@@ -16,7 +16,8 @@ paths produced by ``model.named_tensors``, derived from each block's
 ``UNITS`` table in ``blocks``; every parameter appears exactly once.  Data
 is float32 regardless of platform endianness.  A deploy file holds only
 the folded convs and the classifier.  Every fault in a file raises a
-``WeightFileError`` subclass.
+``WeightFileError`` subclass; a tensor holding a NaN or an infinity is a
+``FormatError``.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -198,8 +200,10 @@ def load(path) -> Model:
     An unseeded ``build`` of the stored configuration gives a weight-free
     skeleton, and for a deploy file ``fused_skeleton`` gives each unit's
     folded conv; nothing is drawn or fused.  Each tensor is then read from
-    the payload into its skeleton array, so the result is bit-identical to
-    the model that was saved and no copy of the whole file is held.
+    the payload straight into its skeleton array, so the result is
+    bit-identical to the model that was saved and no copy of the file or
+    of a tensor is held.  Each tensor is checked for non-finite values as
+    it is read.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -226,8 +230,12 @@ def load(path) -> Model:
                     f"model expects {arr.shape}"
                 )
             fh.seek(payload_start + entry["byte_offset"])
-            flat = np.frombuffer(fh.read(entry["byte_len"]), dtype="<f4")
-            np.copyto(arr, flat.reshape(arr.shape))
+            if fh.readinto(memoryview(arr).cast("B")) != entry["byte_len"]:
+                raise TruncatedPayloadError(f"payload ends inside tensor {name!r}")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"tensor {name!r} holds a NaN or infinite value")
     if by_name:
         raise FormatError(f"file contains unknown tensors: {sorted(by_name)}")
     return model

@@ -173,15 +173,15 @@ def test_criterion_6_gradient_checks_for_core_blocks():
     start = time.monotonic()
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 8, 4, 4))
-    loss_w = ad._as_var(rng.standard_normal(x.shape))
-    for label, init, traced in (
-        ("repdw", init_rep_dw_block, ad.rep_dw_block),
-        ("sdta", init_sdta_block, ad.sdta_block),
+    loss_w = ad.Var(rng.standard_normal(x.shape))
+    for label, init, block_forward in (
+        ("repdw", init_rep_dw_block, blocks.rep_dw_block_forward),
+        ("sdta", init_sdta_block, blocks.sdta_block_forward),
     ):
         block = init(rng, 8, 2, dtype=np.float64)
 
-        def f(v, traced=traced, block=block):
-            return ad.vsum(ad.mul(traced(v, block), loss_w))
+        def f(v, block_forward=block_forward, block=block):
+            return ad.vsum(ad.mul(block_forward(block, v), loss_w))
 
         err = ad.check_gradient(f, x, eps=1e-5)
         note(f"criterion 6: {label} gradient error {err:.2e}")

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from mvt2 import autodiff as ad
+from mvt2.blocks import (
+    mdta_block_forward,
+    rep_dw_block_forward,
+    rep_embed_forward,
+    sdta_block_forward,
+)
+from mvt2.fusion import rep_branch_forward
 from mvt2.model import (
     init_dw_mixer,
     init_mdta_block,
@@ -221,19 +228,21 @@ class TestPrimitives:
 
 
 class TestBlockGradients:
+    """The block forwards of ``blocks`` and ``fusion`` run on a traced ``Var``."""
+
     def test_rep_branch(self):
         rng = np.random.default_rng(17)
         spec = init_dw_mixer(rng, 6, dtype=np.float64)
         x = rng.standard_normal((1, 6, 4, 4))
         loss_w = weighted_sum(rng, (1, 6, 4, 4))
-        err = ad.check_gradient(lambda v: loss_w(ad.rep_branch(v, spec)), x)
+        err = ad.check_gradient(lambda v: loss_w(rep_branch_forward(v, spec)), x)
         assert err < 1e-6
 
     def test_rep_embed_gradient_finite(self):
         rng = np.random.default_rng(18)
         block = init_rep_embed(rng, 3, 8, stride=2, dtype=np.float64)
         x = ad.Var(rng.standard_normal((1, 3, 8, 8)))
-        loss = ad.vsum(ad.rep_embed_block(x, block))
+        loss = ad.vsum(rep_embed_forward(block, x))
         ad.backward(loss)
         assert np.all(np.isfinite(x.grad))
 
@@ -242,7 +251,7 @@ class TestBlockGradients:
         block = init_rep_dw_block(rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         loss_w = weighted_sum(rng, (1, 8, 4, 4))
-        err = ad.check_gradient(lambda v: loss_w(ad.rep_dw_block(v, block)), x)
+        err = ad.check_gradient(lambda v: loss_w(rep_dw_block_forward(block, v)), x)
         assert err < 1e-4
 
     def test_sdta_block(self):
@@ -250,42 +259,45 @@ class TestBlockGradients:
         block = init_sdta_block(rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         loss_w = weighted_sum(rng, (1, 8, 4, 4))
-        err = ad.check_gradient(lambda v: loss_w(ad.sdta_block(v, block)), x)
+        err = ad.check_gradient(lambda v: loss_w(sdta_block_forward(block, v)), x)
         assert err < 1e-4
 
-    def test_sdta_traced_matches_plain_forward(self):
-        from mvt2.blocks import sdta_block_forward
-
+    @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
+    @pytest.mark.parametrize("init, run", [
+        pytest.param(init_dw_mixer, lambda spec, x: rep_branch_forward(x, spec),
+                     id="rep_branch_forward"),
+        pytest.param(lambda rng, c, dtype: init_rep_embed(rng, c, c, 1, dtype),
+                     rep_embed_forward, id="rep_embed_forward"),
+        pytest.param(lambda rng, c, dtype: init_rep_dw_block(rng, c, 2, dtype),
+                     rep_dw_block_forward, id="rep_dw_block_forward"),
+        pytest.param(lambda rng, c, dtype: init_sdta_block(rng, c, 2, dtype),
+                     sdta_block_forward, id="sdta_block_forward"),
+        pytest.param(lambda rng, c, dtype: init_mdta_block(rng, c, 2, dtype),
+                     mdta_block_forward, id="mdta_block_forward"),
+    ])
+    def test_traced_matches_plain_forward(self, init, run, n):
         rng = np.random.default_rng(21)
-        block = init_sdta_block(rng, 8, 2, dtype=np.float64)
-        x = rng.standard_normal((1, 8, 4, 4))
-        traced = ad.sdta_block(ad.Var(x), block).value
-        plain = sdta_block_forward(block, x)
-        assert np.max(np.abs(traced - plain)) < 1e-12
+        block = init(rng, 8, dtype=np.float64)
+        x = rng.standard_normal((n, 8, 4, 4))
+        traced = run(block, ad.Var(x))
+        assert isinstance(traced, ad.Var)
+        assert np.max(np.abs(traced.value - run(block, x))) < 1e-12
 
     def test_mdta_block(self):
         rng = np.random.default_rng(23)
         block = init_mdta_block(rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         loss_w = weighted_sum(rng, (1, 8, 4, 4))
-        err = ad.check_gradient(lambda v: loss_w(ad.mdta_block(v, block)), x)
+        err = ad.check_gradient(lambda v: loss_w(mdta_block_forward(block, v)), x)
         assert err < 1e-4
 
-    def test_mdta_traced_matches_plain_forward(self):
-        from mvt2.blocks import mdta_block_forward
-
-        rng = np.random.default_rng(24)
-        block = init_mdta_block(rng, 8, 2, dtype=np.float64)
-        x = rng.standard_normal((1, 8, 4, 4))
-        traced = ad.mdta_block(ad.Var(x), block).value
-        plain = mdta_block_forward(block, x)
-        assert np.max(np.abs(traced - plain)) < 1e-12
-
-    def test_traced_attention_rejects_batched_input(self):
+    def test_batched_traced_attention_gives_finite_input_gradients(self):
         rng = np.random.default_rng(25)
         block = init_sdta_block(rng, 8, 2, dtype=np.float64)
-        with pytest.raises(ValueError):
-            ad.sdta_block(ad.Var(rng.standard_normal((2, 8, 4, 4))), block)
+        x = ad.Var(rng.standard_normal((2, 8, 4, 4)))
+        ad.backward(ad.vsum(sdta_block_forward(block, x)))
+        assert x.grad.shape == (2, 8, 4, 4)
+        assert np.all(np.isfinite(x.grad))
 
     def test_block_gradients_finite_for_normal_inputs(self):
         rng = np.random.default_rng(22)
@@ -293,10 +305,10 @@ class TestBlockGradients:
         sd = init_sdta_block(rng, 8, 2, dtype=np.float64)
         for _ in range(3):
             x = ad.Var(rng.standard_normal((1, 8, 4, 4)))
-            loss = ad.vsum(ad.rep_dw_block(x, dw))
+            loss = ad.vsum(rep_dw_block_forward(dw, x))
             ad.backward(loss)
             assert np.all(np.isfinite(x.grad))
             x2 = ad.Var(rng.standard_normal((1, 8, 4, 4)))
-            loss = ad.vsum(ad.sdta_block(x2, sd))
+            loss = ad.vsum(sdta_block_forward(sd, x2))
             ad.backward(loss)
             assert np.all(np.isfinite(x2.grad))

@@ -215,6 +215,20 @@ class TestInfer:
         )
         assert rc == 5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_input_is_shape_error(self, capsys, tiny_files, tmp_path, bad):
+        x = np.zeros((1, 3, 32, 32), dtype="<f4")
+        x[0, 1, 3, 4] = bad
+        path = tmp_path / "x.raw"
+        x.tofile(path)
+        rc, stdout, err = run(
+            capsys,
+            ["infer", "--model", tiny_files["deploy"], "--input", str(path), "--shape", "1,3,32,32"],
+        )
+        assert rc == 5
+        assert stdout == ""
+        assert err == "error: input holds a NaN or infinite value\n"
+
     def test_malformed_shape_is_usage_error(self, capsys, tiny_files, tmp_path):
         path, _ = self.write_input(tmp_path, (1, 3, 32, 32))
         rc, _, _ = run(

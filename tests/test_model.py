@@ -117,6 +117,14 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((1, 3, 32, 32), dtype=np.float64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_non_finite_input(self, bad):
+        model = build(TINY, seed=0)
+        x = np.zeros((2, 3, 32, 32), dtype=np.float32)
+        x[1, 2, 5, 7] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            forward(model, x)
+
 
 class TestS1FullResolution:
     def test_forward_deploy_agreement_and_batch_independence(self):

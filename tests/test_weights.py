@@ -338,3 +338,50 @@ class TestHostileHeader:
         path.write_bytes(FIXED.pack(b"MVT2", 1, 1) + b"5")
         with pytest.raises(weights.FormatError):
             weights.load(path)
+
+
+def patch_payload(path, name, index, value):
+    """Overwrite element ``index`` of tensor ``name`` in the payload."""
+    data = bytearray(path.read_bytes())
+    _, _, header_len = FIXED.unpack_from(data)
+    header = json.loads(data[FIXED.size:FIXED.size + header_len])
+    entry = next(e for e in header["tensors"] if e["name"] == name)
+    offset = FIXED.size + header_len + entry["byte_offset"] + 4 * index
+    struct.pack_into("<f", data, offset, value)
+    path.write_bytes(bytes(data))
+
+
+class TestNonFinitePayload:
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejected_with_exit_4_naming_the_tensor(self, tmp_path, capsys, form, bad):
+        model = build(TINY, seed=0)
+        if form == "deploy":
+            model = deploy(model)
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        names = [n for n, _ in named_tensors(model)]
+        # a later tensor too, so the message names the first bad one
+        patch_payload(path, names[-1], 0, bad)
+        patch_payload(path, names[3], 0, bad)
+        with pytest.raises(weights.FormatError, match=f"tensor '{names[3]}' holds a NaN"):
+            weights.load(path)
+        raw = tmp_path / "x.raw"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(raw)
+        rc = cli.main(["infer", "--model", str(path), "--input", str(raw), "--shape", "1,3,32,32"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: ") and err.count("\n") == 1 and names[3] in err
+
+    def test_large_finite_values_load(self, tmp_path):
+        # float32 max in every element of a tensor: a summed check would overflow
+        model = build(TINY, seed=0)
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        name, arr = list(named_tensors(model))[0]
+        big = float(np.finfo(np.float32).max)
+        for i in range(arr.size):
+            patch_payload(path, name, i, big)
+        loaded = dict(named_tensors(weights.load(path)))
+        assert np.all(loaded[name] == np.float32(big))
+
