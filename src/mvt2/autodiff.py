@@ -13,6 +13,9 @@ kernels a block forward calls under the names and ``(x, spec)``
 signatures of ``tensor``, and :func:`kernels`, which picks ``tensor``
 for an ndarray and ``traced`` for a ``Var``; so the one forward of each
 block in ``blocks`` and ``fusion`` runs on arrays or records a graph.
+A ``Var`` offers the array methods those forwards use (``+``, division
+by a scalar, ``reshape``, ``swapaxes``); ``matmul`` and ``softmax``
+take stacks of matrices, so attention is traced for the whole batch.
 
 There is no optimizer and no training loop; batch norm is differentiated
 in inference mode only (running statistics held fixed).  A graph of Vars
@@ -58,21 +61,11 @@ class Var:
         """Divide by a constant scalar (not differentiated)."""
         return Var(self.value / c, (self,), (lambda g: g / c,))
 
-    def __getitem__(self, i: int) -> "Var":
-        """Row ``i`` along the first axis."""
-        def vjp(g):
-            full = np.zeros_like(self.value)
-            full[i] = g
-            return full
-
-        return Var(self.value[i], (self,), (vjp,))
-
     def reshape(self, *shape) -> "Var":
         return reshape(self, shape)
 
-    @property
-    def T(self) -> "Var":
-        return transpose(self)
+    def swapaxes(self, a: int, b: int) -> "Var":
+        return swapaxes(self, a, b)
 
 
 def _as_var(x) -> Var:
@@ -152,7 +145,8 @@ def matmul(a: Var, b: Var) -> Var:
     a, b = _as_var(a), _as_var(b)
     out = T.matmul(a.value, b.value)
     return Var(out, (a, b),
-               (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
+               (lambda g: g @ b.value.swapaxes(-1, -2),
+                lambda g: a.value.swapaxes(-1, -2) @ g))
 
 
 def linear(x: Var, weight: Var, bias: Var) -> Var:
@@ -227,11 +221,9 @@ def reshape(x: Var, shape) -> Var:
     return Var(x.value.reshape(shape), (x,), (lambda g: g.reshape(orig),))
 
 
-def transpose(x: Var) -> Var:
+def swapaxes(x: Var, a: int, b: int) -> Var:
     x = _as_var(x)
-    if x.value.ndim != 2:
-        raise ValueError("transpose is defined for 2-D values")
-    return Var(x.value.T.copy(), (x,), (lambda g: g.T.copy(),))
+    return Var(x.value.swapaxes(a, b), (x,), (lambda g: g.swapaxes(a, b),))
 
 
 def concat_channels(xs: Sequence[Var]) -> Var:

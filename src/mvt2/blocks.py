@@ -283,32 +283,20 @@ def rep_dw_block_forward(block: RepDWBlock, x):
     return x + ffn_forward(block.ffn, x)
 
 
-def _spatial_attention(q, k, v):
-    """Token attention for one sample: columns of M sum to 1; Att = V M."""
-    ops = kernels(q)
-    m = ops.softmax(ops.matmul(q.T, k) / float(np.sqrt(QK_DIM)), axis=0)
-    return ops.matmul(v, m), m
-
-
-def _stack(rows, shape):
-    """Per-sample (C, HW) results as one (N, C, H, W) tensor."""
-    n, c, h, w = shape
-    rows = [r.reshape(1, c, h, w) for r in rows]
-    return kernels(rows[0]).concat_channels(rows).reshape(n, c, h, w)
-
-
 def _sdta_attention(block: SDTABlock, x):
     """Mixer, input projection split into Q, K, V and U, and the token
-    attention of each sample: returns the per-sample (Att, M) pairs and U."""
+    attention of the whole batch: returns Att = V M (N, C/4, HW), the
+    column-stochastic maps M (N, HW, HW) and U.  The stacked products run
+    one GEMM per sample, so each row matches a batch-1 run bit for bit."""
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
+    ops = kernels(x)
     mixer, proj_p, _ = block.UNITS
     p = proj_p.forward(block, mixer.forward(block, x))
-    q, k, v, u = kernels(x).split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
-    hw = h * w
-    pairs = [_spatial_attention(q[b].reshape(QK_DIM, hw), k[b].reshape(QK_DIM, hw),
-                                v[b].reshape(c // 4, hw)) for b in range(n)]
-    return pairs, u
+    q, k, v, u = ops.split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+    q, k, v = (t.reshape(n, t.shape[1], h * w) for t in (q, k, v))
+    m = ops.softmax(ops.matmul(q.swapaxes(1, 2), k) / float(np.sqrt(QK_DIM)), axis=1)
+    return ops.matmul(v, m), m, u
 
 
 def sdta_forward(block: SDTABlock, x):
@@ -317,9 +305,8 @@ def sdta_forward(block: SDTABlock, x):
     residual is applied by :func:`sdta_block_forward`."""
     n, c, h, w = x.shape
     ops = kernels(x)
-    pairs, u = _sdta_attention(block, x)
-    att = _stack([a for a, _ in pairs], (n, c // 4, h, w))
-    y = ops.concat_channels([att, ops.sigmoid(u)])
+    att, _, u = _sdta_attention(block, x)
+    y = ops.concat_channels([att.reshape(n, c // 4, h, w), ops.sigmoid(u)])
     return x + block.UNITS[2].forward(block, y)
 
 
@@ -330,7 +317,7 @@ def sdta_block_forward(block: SDTABlock, x):
 
 def sdta_attention_map(block: SDTABlock, x: np.ndarray) -> np.ndarray:
     """The (N, HW, HW) attention matrices the forward pass would use."""
-    return np.stack([m for _, m in _sdta_attention(block, x)[0]])
+    return _sdta_attention(block, x)[1]
 
 
 def mdta_forward(block: MDTABlock, x):
@@ -339,14 +326,10 @@ def mdta_forward(block: MDTABlock, x):
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     ops = kernels(x)
     qkv, dw, proj = block.UNITS
-    q, k, v = ops.split_channels(dw.forward(block, qkv.forward(block, x)), [c, c, c])
-    hw = h * w
-    out = []
-    for b in range(n):
-        qb, kb, vb = (t[b].reshape(c, hw) for t in (q, k, v))
-        m = ops.softmax(ops.matmul(qb, kb.T) / float(np.sqrt(c)), axis=1)
-        out.append(ops.matmul(m, vb))
-    return x + proj.forward(block, _stack(out, x.shape))
+    p = dw.forward(block, qkv.forward(block, x))
+    q, k, v = (t.reshape(n, c, h * w) for t in ops.split_channels(p, [c, c, c]))
+    m = ops.softmax(ops.matmul(q, k.swapaxes(1, 2)) / float(np.sqrt(c)), axis=2)
+    return x + proj.forward(block, ops.matmul(m, v).reshape(n, c, h, w))
 
 
 def mdta_block_forward(block: MDTABlock, x):
@@ -381,5 +364,3 @@ def deployed(block, fold=fuse):
         fused["ffn"] = deployed(block.ffn, fold)
     return replace(block, **fused)
 
-
-deployed_rep_embed = deployed_rep_dw = deployed_sdta = deployed

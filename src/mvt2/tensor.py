@@ -11,9 +11,13 @@ Dense ``conv2d`` lowers each sample and group to one im2col GEMM
 reproducible for a fixed build, so repeated evaluation on identical
 input is bit-identical.  The GEMM never spans samples, so each batch row
 takes the same arithmetic path at any batch size and is bit-identical to
-a batch-1 run of that row; ``linear`` runs row by row for the same
-reason, and the elementwise kernels apply one formula to every element.
-Concurrent calls on shared immutable inputs are safe.
+a batch-1 run of that row.  A stacked ``matmul`` runs one GEMM per
+matrix, the same GEMM a single matrix gets, so a batch of attention
+products keeps its rows independent the same way; ``softmax`` reduces
+along one axis of each matrix only.  ``linear`` runs row by row, because
+one GEMM over the rows is not row-identical, and the elementwise kernels
+apply one formula to every element.  Concurrent calls on shared
+immutable inputs are safe.
 """
 
 from __future__ import annotations
@@ -182,8 +186,6 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         raise ValueError(f"input dtype {x.dtype} does not match kernel dtype {spec.dtype}")
     if c != spec.in_channels:
         raise ValueError(f"input has {c} channels, spec expects {spec.in_channels}")
-    if c % spec.groups != 0:
-        raise ValueError(f"in_channels {c} not divisible by groups {spec.groups}")
     kh, kw = spec.kernel_size
     s, p, g = spec.stride, spec.padding, spec.groups
     ho, wo = conv_output_hw(h, w, kh, kw, s, p)
@@ -237,23 +239,20 @@ def batchnorm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Stabilized softmax of a 2-D matrix along ``axis`` (0 or 1)."""
+    """Stabilized softmax along ``axis``."""
     x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"softmax expects a 2-D matrix, got shape {x.shape}")
-    if axis not in (0, 1, -1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two matrices, or of two equal-length stacks of matrices."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3) or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul expects two matrices or equal stacks, got {a.shape}, {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
     return a @ b
 
@@ -281,8 +280,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype not in FLOAT_DTYPES:
         raise ValueError(f"gelu input must be float32 or float64, got {x.dtype}")
+    # x enters the last product clamped to the lowest finite value, so
+    # -inf gives 0 * finite = 0 (its limit) instead of 0 * -inf = NaN.
+    lowest = np.finfo(x.dtype).min
     if x.dtype == np.float64:
-        return 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        return 0.5 * np.maximum(x, lowest) * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
     f32 = np.float32
     # e = exp(-z^2) = exp(-x^2 / 2); x^2 overflows to inf for |x| > 1.8e19,
     # where e = 0 is the right value.
@@ -304,7 +306,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
     np.subtract(f32(1.0), q, out=q)
     np.copysign(q, x, out=q)
     q += f32(1.0)
-    q *= x
+    q *= np.maximum(x, lowest, out=t)
     q *= f32(0.5)
     return q
 

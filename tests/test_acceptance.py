@@ -157,15 +157,16 @@ def test_criterion_5_attention_structure():
         y = blocks.sdta_block_forward(block, x)
         assert y.shape == x.shape
         note(f"criterion 5: C={c} column sums within {np.max(np.abs(sums - 1.0)):.1e} of 1")
-    # single-position grid: the mixing matrix is [[1]], so attention
-    # returns the value channels untouched
-    q = rng.standard_normal((16, 1))
-    k = rng.standard_normal((16, 1))
-    v = rng.standard_normal((80, 1))
-    att, mix = blocks._spatial_attention(q, k, v)
-    assert mix.shape == (1, 1)
-    assert mix[0, 0] == 1.0
-    assert att.tobytes() == v.tobytes()
+        # single-position grid: the mixing matrix is [[1]], so attention
+        # returns the value channels untouched
+        x1 = rng.standard_normal((2, c, 1, 1)).astype(np.float32)
+        att, mix, _ = blocks._sdta_attention(block, x1)
+        assert mix.shape == (2, 1, 1)
+        assert np.all(mix == 1.0)
+        mixer, proj_p, _ = block.UNITS
+        p = proj_p.forward(block, mixer.forward(block, x1))
+        v = p[:, 2 * blocks.QK_DIM:2 * blocks.QK_DIM + c // 4]
+        assert att.tobytes() == np.ascontiguousarray(v).tobytes()
     assert blocks.QK_DIM == 16
 
 

@@ -12,9 +12,6 @@ from mvt2.blocks import (
     RepEmbedBlock,
     SDTABlock,
     deployed,
-    deployed_rep_dw,
-    deployed_rep_embed,
-    deployed_sdta,
     mdta_forward,
     rep_dw_block_forward,
     rep_embed_forward,
@@ -156,7 +153,7 @@ class TestRepEmbed:
         block = init_rep_embed(rng, 8, 12, stride=2)
         x = rng.standard_normal((2, 8, 14, 14)).astype(np.float32)
         a = rep_embed_forward(block, x)
-        b = rep_embed_forward(deployed_rep_embed(block), x)
+        b = rep_embed_forward(deployed(block), x)
         assert np.max(np.abs(a - b)) < 1e-4
 
     def test_rejects_grouped_branch(self):
@@ -191,7 +188,7 @@ class TestRepDWBlock:
             block = init_rep_dw_block(rng, c, 2)
             x = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
             a = rep_dw_block_forward(block, x)
-            b = rep_dw_block_forward(deployed_rep_dw(block), x)
+            b = rep_dw_block_forward(deployed(block), x)
             assert np.max(np.abs(a - b)) < 1e-4, c
 
     def test_rejects_dense_mixer(self):
@@ -287,7 +284,7 @@ class TestSDTA:
             block = init_sdta_block(rng, c, 2)
             x = rng.standard_normal((1, c, 4, 4)).astype(np.float32)
             a = sdta_block_forward(block, x)
-            b = sdta_block_forward(deployed_sdta(block), x)
+            b = sdta_block_forward(deployed(block), x)
             assert np.max(np.abs(a - b)) < 1e-4, c
 
     def test_attention_map_agrees_across_forms(self):
@@ -431,9 +428,6 @@ class TestConverter:
         want = fold_bn(ffn.expand, ffn.expand_bn)
         assert np.array_equal(got.kernel, want.kernel)
         assert np.array_equal(got.bias, want.bias)
-
-    def test_per_block_names_bind_to_the_one_converter(self):
-        assert deployed_rep_embed is deployed_rep_dw is deployed_sdta is deployed
 
     def test_ablation_block_has_no_deploy_form(self):
         with pytest.raises(ValueError, match="no deploy form"):

@@ -249,9 +249,21 @@ class TestSoftmax:
         m = np.random.randn(3, 4)
         assert np.allclose(softmax(m, axis=0), softmax(m + 100.0, axis=0), atol=1e-12)
 
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            softmax(np.zeros((2, 2, 2)), axis=0)
+    def test_stacked_results_equal_per_matrix_results(self):
+        # The batched attention relies on this: one stacked call gives each
+        # matrix the bits a call on that matrix alone gives.
+        rng = np.random.default_rng(11)
+        q = rng.standard_normal((4, 16, 49)).astype(np.float32)
+        k = rng.standard_normal((4, 16, 49)).astype(np.float32)
+        v = rng.standard_normal((4, 8, 49)).astype(np.float32)
+        scores = matmul(q.swapaxes(1, 2), k)
+        m = softmax(scores, axis=1)
+        att = matmul(v, m)
+        for b in range(4):
+            assert np.array_equal(scores[b], matmul(q[b].T, k[b]))
+            assert np.array_equal(m[b], softmax(scores[b], axis=0))
+            assert np.array_equal(att[b], matmul(v[b], m[b]))
+            assert np.array_equal(softmax(scores, axis=2)[b], softmax(scores[b], axis=1))
 
 
 class TestElementwise:
@@ -310,6 +322,12 @@ class TestShapeOps:
         with pytest.raises(ValueError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("a, b", [((2, 2, 3), (3, 3, 4)), ((2, 3), (2, 3, 4)),
+                                      ((3,), (3,)), ((1, 2, 2, 3), (1, 2, 3, 4))])
+    def test_matmul_rejects_unequal_stacks(self, a, b):
+        with pytest.raises(ValueError):
+            matmul(np.zeros(a), np.zeros(b))
+
     def test_linear_known(self):
         x = np.array([[1.0, 2.0]], dtype=np.float32)
         w = np.array([[3.0, 4.0], [5.0, 6.0]], dtype=np.float32)
@@ -350,11 +368,12 @@ class TestGelu:
         assert got.dtype == np.float32
         assert np.max(np.abs(got - gelu_float64(x))) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
     def test_special_values_match_float64(self):
         x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
-        with np.errstate(invalid="ignore"):
-            want = gelu(x)
-            got = gelu(x.astype(np.float32))
+        want = gelu(x)
+        got = gelu(x.astype(np.float32))
+        assert np.array_equal(want, [np.inf, 0.0, np.nan, 0.0, 0.0], equal_nan=True)
         assert np.array_equal(got, want.astype(np.float32), equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 

@@ -56,3 +56,21 @@ def test_traced_forward_records_block_and_conv_spans(tracer_module, form):
     assert ("fusion.rep_branch_forward" in names) == (form == "train")
     assert ("tensor.batchnorm_infer" in names) == (form == "train")
     assert all(getattr(blocks, n) is f for n, f in originals.items())
+
+
+def test_attention_spans_per_forward_do_not_grow_with_batch(tracer_module):
+    """Attention runs on the whole batch: a batch-4 forward makes the same
+    matmul/softmax/sigmoid calls as a batch-1 forward."""
+    model = build(TINY, seed=0)
+    x = np.random.default_rng(2).standard_normal((4, 3, 32, 32)).astype(np.float32)
+    counts = []
+    for n in (1, 4):
+        tracer = tracer_module.Tracer()
+        tracer.start()
+        try:
+            mvt2_model.forward(model, x[:n])
+        finally:
+            tracer.stop()
+        counts.append(sum(span[tracer_module.NAME] == "tensor.attention"
+                          for span in tracer.spans))
+    assert counts[0] == counts[1] > 0
