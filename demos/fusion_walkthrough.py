@@ -17,7 +17,6 @@ from mvt2.fusion import (
     pad_1x1_to_3x3,
     random_rep_branch_spec,
     rep_branch_forward,
-    train_param_count,
 )
 from mvt2.tensor import conv2d
 
@@ -51,6 +50,8 @@ print("train vs fused max abs diff:", float(np.max(np.abs(train_out - fused_out)
 
 # the fused form is also smaller: batch norm statistics and the extra
 # branches are gone
-before = train_param_count(spec)
+convs = (spec.main, spec.scale)
+bns = (spec.main_bn, spec.scale_bn, spec.identity_bn)
+before = sum(c.kernel.size + c.bias.size for c in convs) + sum(4 * b.channels for b in bns)
 after = fused.kernel.size + fused.bias.size
 print(f"parameters {before} -> {after}")

@@ -127,8 +127,7 @@ class BenchConfig:
     reproducible ones; duration runs stop after whatever number of
     iterations fits.  ``acc_percent`` is an externally supplied top-1
     accuracy used only for the efficiency ratio, with ``acc_source``
-    recording its provenance.  ``deterministic`` seeds the synthetic input
-    so repeated runs see identical data.
+    recording its provenance.
     """
 
     batch_size: int = 1
@@ -137,7 +136,6 @@ class BenchConfig:
     duration_s: Optional[float] = None
     acc_percent: Optional[float] = None
     acc_source: str = "unspecified"
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -234,13 +232,13 @@ def run_bench(model: Model, config: BenchConfig, power: PowerProvider) -> BenchR
     """Time repeated forward passes and assemble the report.
 
     Input is synthetic standard-normal data shaped by the model's expected
-    resolution.  Warmup iterations run first and are not timed.  The power
-    provider is averaged over the total measured time.
+    resolution, seeded 0 so repeated runs see identical data.  Warmup
+    iterations run first and are not timed.  The power provider is
+    averaged over the total measured time.
     """
     res = model.config.input_resolution
-    seed = 0 if config.deterministic else None
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((config.batch_size, 3, res, res)).astype(model.dtype)
+    x = np.random.default_rng(0).standard_normal(
+        (config.batch_size, 3, res, res)).astype(model.dtype)
 
     for _ in range(config.warmup):
         forward(model, x)
@@ -276,7 +274,6 @@ def run_bench(model: Model, config: BenchConfig, power: PowerProvider) -> BenchR
         "batch_size": config.batch_size,
         "iterations": len(latencies),
         "warmup": config.warmup,
-        "deterministic": config.deterministic,
         "acc_source": config.acc_source,
         "power_kind": power.kind,
         "power_trace_replayed": replayed,

@@ -13,32 +13,37 @@ Four block families:
   to compare cost against ``SDTABlock``; train form only.
 
 Each block class lists its conv units once, in execution order, in a
-``UNITS`` table.  A unit's field holds its current weights: in train
-form a multi-branch ``RepBranchSpec``, or a conv whose batch norm sits in
-a second field; in deploy form the one folded conv, with the batch-norm
-field None.  ``Unit.forward`` runs a unit in whichever form it holds, so
-every block forward serves both forms, and ``deployed`` returns a copy
-of a block that keeps only its folded convs.  Each forward is written
-once and takes an ndarray or an ``autodiff.Var``: ``autodiff.kernels``
-picks the ``tensor`` kernels or their traced counterparts from the input,
-so the gradient checker differentiates the code the engine runs.  Blocks
-are immutable after construction and forwards are pure, so shared blocks
-are safe to use concurrently.
+``UNITS`` table of (name, field) rows.  A unit's field holds its current
+weights: in train form a ``RepBranchSpec`` (a plain conv with its batch
+norm is a one-branch spec), in deploy form the one folded conv.
+``unit_forward`` runs a unit in whichever form it holds, so every block
+forward serves both forms, and ``deployed`` returns a copy of a block
+that keeps only its folded convs.  Each forward is written once and
+takes an ndarray or an ``autodiff.Var``: ``autodiff.kernels`` picks the
+``tensor`` kernels or their traced counterparts from the input, so the
+gradient checker differentiates the code the engine runs.  Blocks are
+immutable after construction and forwards are pure, so shared blocks are
+safe to use concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, Optional, Union
+from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
 from .autodiff import kernels
 from .fusion import RepBranchSpec, fuse, rep_branch_forward
-from .tensor import BNSpec, ConvSpec
+from .tensor import ConvSpec
 
 # Query/key head width; attention scores are divided by its square root (4).
 QK_DIM = 16
+
+# A conv unit: a branch group in train form, its folded conv once deployed.
+UnitSpec = Union[RepBranchSpec, ConvSpec]
+# A unit table row: (the unit's part of its tensor names, its field).
+Rows = tuple[tuple[str, str], ...]
 
 
 def _require(cond: bool, msg: str):
@@ -46,52 +51,21 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-@dataclass(frozen=True)
-class Unit:
-    """One row of a block's unit table: a conv unit that deploy folds to one conv.
-
-    ``conv`` names the field holding the unit's weights: a whole
-    ``RepBranchSpec`` when ``bn`` is None, otherwise a plain conv followed
-    by the batch norm in field ``bn``.  Once deployed, the ``conv`` field
-    holds the folded conv and the ``bn`` field is None.  ``name`` is the
-    unit's part of its tensor names, empty for an embedding.
-    """
-
-    name: str
-    conv: str
-    bn: Optional[str] = None
-
-    def spec(self, block) -> Union[RepBranchSpec, ConvSpec]:
-        """The unit's weights: a ``RepBranchSpec`` in train form (a plain
-        conv+BN is a one-branch spec), the folded ``ConvSpec`` once deployed."""
-        conv = getattr(block, self.conv)
-        bn = getattr(block, self.bn) if self.bn else None
-        return conv if bn is None else RepBranchSpec(conv, bn)
-
-    def forward(self, block, x):
-        """Run the unit: its branch group, its conv and batch norm, or its folded conv."""
-        conv = getattr(block, self.conv)
-        if isinstance(conv, RepBranchSpec):
-            return rep_branch_forward(x, conv)
-        ops = kernels(x)
-        bn = getattr(block, self.bn) if self.bn else None
-        y = ops.conv2d(x, conv)
-        return y if bn is None else ops.batchnorm_infer(y, bn)
+def unit_forward(unit: UnitSpec, x):
+    """Run a conv unit: its branch group in train form, its folded conv once deployed."""
+    if isinstance(unit, RepBranchSpec):
+        return rep_branch_forward(x, unit)
+    return kernels(x).conv2d(x, unit)
 
 
 @dataclass
 class FFNBlock:
     """Two pointwise convolutions with an activation between them."""
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (
-        Unit("expand", "expand", "expand_bn"),
-        Unit("project", "project", "project_bn"),
-    )
+    UNITS: ClassVar[Rows] = (("expand", "expand"), ("project", "project"))
 
-    expand: ConvSpec
-    expand_bn: Optional[BNSpec]
-    project: ConvSpec
-    project_bn: Optional[BNSpec]
+    expand: UnitSpec
+    project: UnitSpec
 
     def __post_init__(self):
         _require(self.expand.kernel_size == (1, 1), "expand conv must be 1x1")
@@ -104,10 +78,6 @@ class FFNBlock:
                  "project input width must equal expand output width")
         _require(self.expand.out_channels % self.expand.in_channels == 0,
                  "expansion ratio must be integral")
-        _require(self.expand_bn is None or self.expand_bn.channels == self.expand.out_channels,
-                 "expand batch-norm width mismatch")
-        _require(self.project_bn is None or self.project_bn.channels == self.project.out_channels,
-                 "project batch-norm width mismatch")
 
     @property
     def channels(self) -> int:
@@ -122,9 +92,9 @@ class FFNBlock:
 class RepEmbedBlock:
     """Dense multi-branch convolution; embeds patches or downsamples."""
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("", "branch"),)
+    UNITS: ClassVar[Rows] = (("", "branch"),)
 
-    branch: Union[RepBranchSpec, ConvSpec]
+    branch: UnitSpec
 
     def __post_init__(self):
         _require(self.branch.groups == 1, "embedding branch must be dense")
@@ -147,9 +117,9 @@ class RepEmbedBlock:
 class RepDWBlock:
     """Residual depthwise mixer followed by a residual feed-forward."""
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (Unit("mixer", "mixer"),)
+    UNITS: ClassVar[Rows] = (("mixer", "mixer"),)
 
-    mixer: Union[RepBranchSpec, ConvSpec]
+    mixer: UnitSpec
     ffn: FFNBlock
 
     def __post_init__(self):
@@ -175,17 +145,11 @@ class SDTABlock:
     maps the concatenation back to C channels.
     """
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (
-        Unit("mixer", "pre_mixer"),
-        Unit("proj_p", "proj_p", "proj_p_bn"),
-        Unit("proj_o", "proj_o", "proj_o_bn"),
-    )
+    UNITS: ClassVar[Rows] = (("mixer", "pre_mixer"), ("proj_p", "proj_p"), ("proj_o", "proj_o"))
 
-    pre_mixer: Union[RepBranchSpec, ConvSpec]
-    proj_p: ConvSpec
-    proj_p_bn: Optional[BNSpec]
-    proj_o: ConvSpec
-    proj_o_bn: Optional[BNSpec]
+    pre_mixer: UnitSpec
+    proj_p: UnitSpec
+    proj_o: UnitSpec
     ffn: FFNBlock
 
     def __post_init__(self):
@@ -200,14 +164,10 @@ class SDTABlock:
         _require(self.proj_p.in_channels == c, "input projection width mismatch")
         _require(self.proj_p.out_channels == c + 2 * QK_DIM,
                  f"input projection must emit {c + 2 * QK_DIM} channels")
-        _require(self.proj_p_bn is None or self.proj_p_bn.channels == c + 2 * QK_DIM,
-                 "input projection batch-norm width mismatch")
         _require(self.proj_o.kernel_size == (1, 1) and self.proj_o.groups == 1,
                  "output projection must be a dense 1x1 conv")
         _require(self.proj_o.in_channels == c and self.proj_o.out_channels == c,
                  "output projection must map C to C")
-        _require(self.proj_o_bn is None or self.proj_o_bn.channels == c,
-                 "output projection batch-norm width mismatch")
         _require(self.ffn.channels == c, "feed-forward width must match block width")
 
     @property
@@ -228,18 +188,11 @@ class MDTABlock:
     is row-stochastic and mixes value channels.
     """
 
-    UNITS: ClassVar[tuple[Unit, ...]] = (
-        Unit("qkv", "qkv", "qkv_bn"),
-        Unit("dw", "dw", "dw_bn"),
-        Unit("proj", "proj", "proj_bn"),
-    )
+    UNITS: ClassVar[Rows] = (("qkv", "qkv"), ("dw", "dw"), ("proj", "proj"))
 
-    qkv: ConvSpec
-    qkv_bn: BNSpec
-    dw: ConvSpec
-    dw_bn: BNSpec
-    proj: ConvSpec
-    proj_bn: BNSpec
+    qkv: RepBranchSpec
+    dw: RepBranchSpec
+    proj: RepBranchSpec
     ffn: FFNBlock
 
     def __post_init__(self):
@@ -247,16 +200,14 @@ class MDTABlock:
         _require(self.qkv.kernel_size == (1, 1) and self.qkv.groups == 1,
                  "qkv projection must be a dense 1x1 conv")
         _require(self.qkv.out_channels == 3 * c, "qkv projection must emit 3C channels")
-        _require(self.qkv_bn.channels == 3 * c, "qkv batch-norm width mismatch")
-        _require(self.dw.is_depthwise and self.dw.in_channels == 3 * c,
+        dw = self.dw.main
+        _require(dw.is_depthwise and dw.in_channels == 3 * c,
                  "depthwise conv must cover all 3C qkv channels")
-        _require(self.dw.stride == 1 and self.dw.padding == self.dw.kernel_size[0] // 2,
+        _require(dw.stride == 1 and dw.padding == dw.kernel_size[0] // 2,
                  "depthwise conv must preserve the grid")
-        _require(self.dw_bn.channels == 3 * c, "depthwise batch-norm width mismatch")
         _require(self.proj.kernel_size == (1, 1) and self.proj.groups == 1
                  and self.proj.in_channels == c and self.proj.out_channels == c,
                  "output projection must be a dense 1x1 C to C conv")
-        _require(self.proj_bn.channels == c, "projection batch-norm width mismatch")
         _require(self.ffn.channels == c, "feed-forward width must match block width")
 
     @property
@@ -270,16 +221,15 @@ class MDTABlock:
 
 
 def ffn_forward(ffn: FFNBlock, x):
-    expand, project = ffn.UNITS
-    return project.forward(ffn, kernels(x).gelu(expand.forward(ffn, x)))
+    return unit_forward(ffn.project, kernels(x).gelu(unit_forward(ffn.expand, x)))
 
 
 def rep_embed_forward(block: RepEmbedBlock, x):
-    return block.UNITS[0].forward(block, x)
+    return unit_forward(block.branch, x)
 
 
 def rep_dw_block_forward(block: RepDWBlock, x):
-    x = x + block.UNITS[0].forward(block, x)
+    x = x + unit_forward(block.mixer, x)
     return x + ffn_forward(block.ffn, x)
 
 
@@ -291,8 +241,7 @@ def _sdta_attention(block: SDTABlock, x):
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     ops = kernels(x)
-    mixer, proj_p, _ = block.UNITS
-    p = proj_p.forward(block, mixer.forward(block, x))
+    p = unit_forward(block.proj_p, unit_forward(block.pre_mixer, x))
     q, k, v, u = ops.split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
     q, k, v = (t.reshape(n, t.shape[1], h * w) for t in (q, k, v))
     m = ops.softmax(ops.matmul(q.swapaxes(1, 2), k) / float(np.sqrt(QK_DIM)), axis=1)
@@ -307,7 +256,7 @@ def sdta_forward(block: SDTABlock, x):
     ops = kernels(x)
     att, _, u = _sdta_attention(block, x)
     y = ops.concat_channels([att.reshape(n, c // 4, h, w), ops.sigmoid(u)])
-    return x + block.UNITS[2].forward(block, y)
+    return x + unit_forward(block.proj_o, y)
 
 
 def sdta_block_forward(block: SDTABlock, x):
@@ -325,11 +274,10 @@ def mdta_forward(block: MDTABlock, x):
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     ops = kernels(x)
-    qkv, dw, proj = block.UNITS
-    p = dw.forward(block, qkv.forward(block, x))
+    p = unit_forward(block.dw, unit_forward(block.qkv, x))
     q, k, v = (t.reshape(n, c, h * w) for t in ops.split_channels(p, [c, c, c]))
     m = ops.softmax(ops.matmul(q, k.swapaxes(1, 2)) / float(np.sqrt(c)), axis=2)
-    return x + proj.forward(block, ops.matmul(m, v).reshape(n, c, h, w))
+    return x + unit_forward(block.proj, ops.matmul(m, v).reshape(n, c, h, w))
 
 
 def mdta_block_forward(block: MDTABlock, x):
@@ -337,30 +285,24 @@ def mdta_block_forward(block: MDTABlock, x):
     return x + ffn_forward(block.ffn, x)
 
 
-def units(block) -> Iterator[tuple[str, object, Unit]]:
+def units(block) -> Iterator[tuple[str, object, tuple[str, str]]]:
     """Yield (unit name, owner, row) for each unit of ``block`` in execution
-    order; ``row.spec(owner)`` is the unit's weights.  A feed-forward's
-    units follow the block's own as ``ffn.<row name>``.
+    order, where ``row`` is the owner's (name, field) ``UNITS`` row.  A
+    feed-forward's units follow the block's own as ``ffn.<row name>``.
     """
     for row in block.UNITS:
-        yield row.name, block, row
+        yield row[0], block, row
     if hasattr(block, "ffn"):
         for row in FFNBlock.UNITS:
-            yield f"ffn.{row.name}", block.ffn, row
+            yield f"ffn.{row[0]}", block.ffn, row
 
 
 def deployed(block, fold=fuse):
     """A copy of ``block`` that holds each unit as ``fold`` of its weights
-    (by default the fused conv) and no batch norms; the train-form weights
-    are not kept."""
+    (by default the fused conv); the train-form weights are not kept."""
     if isinstance(block, MDTABlock):
         raise ValueError(f"{type(block).__name__} has no deploy form")
-    fused = {}
-    for row in block.UNITS:
-        fused[row.conv] = fold(row.spec(block))
-        if row.bn:
-            fused[row.bn] = None
+    fused = {field: fold(getattr(block, field)) for _, field in block.UNITS}
     if hasattr(block, "ffn"):
         fused["ffn"] = deployed(block.ffn, fold)
     return replace(block, **fused)
-

@@ -8,7 +8,8 @@ stderr.
 
 Exit codes:
     0  success / check passed
-    1  a numeric check failed or the operation is invalid for the input
+    1  a numeric check failed, a result is not finite, or the operation is
+       invalid for the input
     2  usage error (bad flags or argument values)
     3  a file could not be read or parsed
     4  invalid weight file, including a tensor holding NaN or infinity
@@ -92,10 +93,11 @@ def cmd_fuse(args) -> int:
     if model.mode == "deploy":
         raise CliError(EXIT_CHECK_FAILED, f"{args.in_path} is already in deploy form")
     try:
-        fused = deploy(model)
+        with np.errstate(all="ignore"):
+            fused = deploy(model)
+        weights.save(fused, args.out)
     except ValueError as exc:
         raise CliError(EXIT_CHECK_FAILED, str(exc)) from None
-    weights.save(fused, args.out)
     _emit(
         {
             "in": args.in_path,
@@ -118,11 +120,13 @@ def cmd_verify_fusion(args) -> int:
     blocks = []
     all_pass = True
     for name, spec in fusable_branches(model):
-        result = verify_equivalence(spec, samples=args.samples, tol=args.tol)
+        with np.errstate(all="ignore"):
+            result = verify_equivalence(spec, samples=args.samples, tol=args.tol)
+        diff = result["max_abs_diff"]
         blocks.append(
             {
                 "name": name,
-                "max_abs_diff": float(result["max_abs_diff"]),
+                "max_abs_diff": diff if np.isfinite(diff) else None,
                 "pass": bool(result["pass"]),
             }
         )
@@ -181,9 +185,12 @@ def cmd_infer(args) -> int:
         )
     x = raw.reshape(shape)
     try:
-        scores = forward(model, x)
+        with np.errstate(all="ignore"):
+            scores = forward(model, x)
     except ValueError as exc:
         raise CliError(EXIT_BAD_SHAPE, str(exc)) from None
+    if not np.isfinite(scores).all():
+        raise CliError(EXIT_CHECK_FAILED, "the model computed a NaN or infinite logit")
     k = min(args.topk, scores.shape[1])
     results = []
     for row in scores:

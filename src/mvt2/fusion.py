@@ -142,6 +142,10 @@ class RepBranchSpec:
         return self.main.out_channels
 
     @property
+    def kernel_size(self) -> tuple[int, int]:
+        return self.main.kernel_size
+
+    @property
     def stride(self) -> int:
         return self.main.stride
 
@@ -229,7 +233,7 @@ def verify_equivalence(
     """Evaluate train-form vs. fused-form on random inputs.
 
     Returns {"max_abs_diff": float, "pass": bool} with pass iff
-    max_abs_diff <= tol.
+    max_abs_diff <= tol; a NaN difference makes max_abs_diff NaN and fails.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -243,26 +247,8 @@ def verify_equivalence(
         a = rep_branch_forward(x, spec)
         b = conv2d(x, fused)
         diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-        worst = max(worst, diff)
+        worst = float(np.maximum(worst, diff))
     return {"max_abs_diff": worst, "pass": worst <= tol}
-
-
-def conv_param_count(conv: ConvSpec) -> int:
-    return conv.kernel.size + conv.bias.size
-
-
-def bn_param_count(bn: BNSpec) -> int:
-    # gamma, beta, running mean, running var
-    return 4 * bn.channels
-
-
-def train_param_count(spec: RepBranchSpec) -> int:
-    n = conv_param_count(spec.main) + bn_param_count(spec.main_bn)
-    if spec.scale is not None:
-        n += conv_param_count(spec.scale) + bn_param_count(spec.scale_bn)
-    if spec.identity_bn is not None:
-        n += bn_param_count(spec.identity_bn)
-    return n
 
 
 def random_rep_branch_spec(

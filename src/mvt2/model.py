@@ -161,6 +161,13 @@ def _bn(rng, c: int, dtype, var_range=(0.8, 1.25)) -> BNSpec:
     )
 
 
+def _conv_bn(rng, in_c: int, out_c: int, k: int, groups: int, dtype,
+             gain: float = 1.0) -> RepBranchSpec:
+    """A one-branch unit: a stride-1, grid-preserving conv and its batch norm."""
+    return RepBranchSpec(_conv(rng, in_c, out_c, k, 1, k // 2, groups, dtype, gain),
+                         _bn(rng, out_c, dtype))
+
+
 def init_rep_embed(rng, in_c: int, out_c: int, stride: int, dtype=np.float32) -> RepEmbedBlock:
     branch = RepBranchSpec(
         main=_conv(rng, in_c, out_c, 3, stride, 1, 1, dtype),
@@ -184,10 +191,8 @@ def init_dw_mixer(rng, c: int, dtype=np.float32) -> RepBranchSpec:
 
 def init_ffn(rng, c: int, ratio: int, dtype=np.float32) -> FFNBlock:
     return FFNBlock(
-        expand=_conv(rng, c, ratio * c, 1, 1, 0, 1, dtype),
-        expand_bn=_bn(rng, ratio * c, dtype),
-        project=_conv(rng, ratio * c, c, 1, 1, 0, 1, dtype, gain=RESIDUAL_DAMP),
-        project_bn=_bn(rng, c, dtype),
+        expand=_conv_bn(rng, c, ratio * c, 1, 1, dtype),
+        project=_conv_bn(rng, ratio * c, c, 1, 1, dtype, gain=RESIDUAL_DAMP),
     )
 
 
@@ -199,22 +204,17 @@ def init_rep_dw_block(rng, c: int, ratio: int, dtype=np.float32) -> RepDWBlock:
 def init_sdta_block(rng, c: int, ratio: int, dtype=np.float32) -> SDTABlock:
     return SDTABlock(
         pre_mixer=init_dw_mixer(rng, c, dtype),
-        proj_p=_conv(rng, c, c + 2 * QK_DIM, 1, 1, 0, 1, dtype),
-        proj_p_bn=_bn(rng, c + 2 * QK_DIM, dtype),
-        proj_o=_conv(rng, c, c, 1, 1, 0, 1, dtype, gain=RESIDUAL_DAMP),
-        proj_o_bn=_bn(rng, c, dtype),
+        proj_p=_conv_bn(rng, c, c + 2 * QK_DIM, 1, 1, dtype),
+        proj_o=_conv_bn(rng, c, c, 1, 1, dtype, gain=RESIDUAL_DAMP),
         ffn=init_ffn(rng, c, ratio, dtype),
     )
 
 
 def init_mdta_block(rng, c: int, ratio: int, dtype=np.float32) -> MDTABlock:
     return MDTABlock(
-        qkv=_conv(rng, c, 3 * c, 1, 1, 0, 1, dtype),
-        qkv_bn=_bn(rng, 3 * c, dtype),
-        dw=_conv(rng, 3 * c, 3 * c, 3, 1, 1, 3 * c, dtype),
-        dw_bn=_bn(rng, 3 * c, dtype),
-        proj=_conv(rng, c, c, 1, 1, 0, 1, dtype, gain=RESIDUAL_DAMP),
-        proj_bn=_bn(rng, c, dtype),
+        qkv=_conv_bn(rng, c, 3 * c, 1, 1, dtype),
+        dw=_conv_bn(rng, 3 * c, 3 * c, 3, 3 * c, dtype),
+        proj=_conv_bn(rng, c, c, 1, 1, dtype, gain=RESIDUAL_DAMP),
         ffn=init_ffn(rng, c, ratio, dtype),
     )
 
@@ -362,9 +362,8 @@ def bn_cost(c: int, hw: int) -> tuple[int, int]:
 
 def _unit_cost(spec: Union[RepBranchSpec, ConvSpec], in_res: int,
                mode: str) -> tuple[int, int, int]:
-    """Returns (params, macs, out_res) for a branch group, a conv+BN unit,
-    or a folded conv; a train-form unit in deploy mode is charged the
-    conv it would fold to."""
+    """Returns (params, macs, out_res) for a branch group or a folded conv;
+    a train-form unit in deploy mode is charged the conv it would fold to."""
     if mode == "deploy" and isinstance(spec, RepBranchSpec):
         spec = fused_skeleton(spec)
     conv = spec.main if isinstance(spec, RepBranchSpec) else spec
@@ -411,7 +410,7 @@ def count(model_or_config: Union[Model, ModelConfig],
             # the attention contractions run just before the output projection
             for kind, macs in owner.attention_macs(res * res).items():
                 report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
-        p, m, res = _unit_cost(row.spec(owner), res, mode)
+        p, m, res = _unit_cost(getattr(owner, row[1]), res, mode)
         # a feed-forward's two units share one entry, "<block>.ffn"
         key = f"{name}.{unit.split('.')[0]}" if unit else name
         if report.entries and report.entries[-1].name == key:
@@ -441,14 +440,14 @@ def named_tensors(model: Model):
     """Yield (name, array) pairs for the tensors the model's mode executes,
     in execution order.  The arrays are the live model arrays; the names
     follow the rule in the README's "Weight files" section."""
-    for name, _, _, owner, row in _walk(model):
-        prefix = f"{name}.{row.name}" if row.name else name
-        spec = getattr(owner, row.conv)
+    for name, _, _, owner, (part, field) in _walk(model):
+        prefix = f"{name}.{part}" if part else name
+        spec = getattr(owner, field)
         if model.mode == "deploy":
-            fused = f"{prefix}_fused" if row.name else f"{prefix}.fused"
+            fused = f"{prefix}_fused" if part else f"{prefix}.fused"
             yield from _conv_bn_tensors(fused, spec)
-        elif row.bn is not None:
-            yield from _conv_bn_tensors(prefix, spec, getattr(owner, row.bn))
+        elif spec.scale is None and spec.identity_bn is None:
+            yield from _conv_bn_tensors(prefix, spec.main, spec.main_bn)
         else:
             yield from _conv_bn_tensors(f"{prefix}.main", spec.main, spec.main_bn)
             yield from _conv_bn_tensors(f"{prefix}.scale", spec.scale, spec.scale_bn)
@@ -461,13 +460,13 @@ def fusable_branches(model: Model) -> list[tuple[str, RepBranchSpec]]:
     """(name, RepBranchSpec) for every unit deploy() folds to one conv, in
     execution order.
 
-    Plain conv+BN pairs (FFN layers, attention projections) ride along as
-    single-branch specs so one verifier covers everything fusion touches.
+    One-branch units (FFN layers, attention projections) are listed too,
+    so one verifier covers everything fusion touches.
     Nothing is listed for the ablation attention blocks because they are
     never deployed, and a deploy-form model has nothing left to fuse.
     """
     if model.mode == "deploy":
         raise ValueError("a deploy-form model has no branches left to fuse")
-    return [(f"{name}.{unit}" if unit else name, row.spec(owner))
-            for name, block, unit, owner, row in _walk(model)
+    return [(f"{name}.{unit}" if unit else name, getattr(owner, field))
+            for name, block, unit, owner, (_, field) in _walk(model)
             if not isinstance(block, MDTABlock)]

@@ -14,10 +14,13 @@ tensor: {"name", "dtype": "f32", "shape", "byte_offset", "byte_len"} with
 offsets relative to the start of the payload.  Tensor names are the dotted
 paths produced by ``model.named_tensors``, derived from each block's
 ``UNITS`` table in ``blocks``; every parameter appears exactly once.  Data
-is float32 regardless of platform endianness.  A deploy file holds only
-the folded convs and the classifier.  Every fault in a file raises a
-``WeightFileError`` subclass; a tensor holding a NaN or an infinity is a
-``FormatError``.
+is float32 regardless of platform endianness.  A train file holds each
+conv unit as a branch group (a one-branch group is named like a plain
+conv with its batch norm); a deploy file holds only the folded convs and
+the classifier.  Every fault in a file raises a ``WeightFileError``
+subclass; a tensor holding a NaN or an infinity, or a batch-norm
+variance below zero, is a ``FormatError``.  ``save`` refuses to write a
+non-finite tensor.
 """
 
 import dataclasses
@@ -80,7 +83,10 @@ def _aligned(offset: int) -> int:
 
 
 def save(model: Model, path) -> None:
-    """Write the model's parameters to ``path``, one tensor at a time."""
+    """Write the model's parameters to ``path``, one tensor at a time.
+
+    Raises ValueError, before anything is written, if a tensor holds a NaN
+    or an infinity: ``load`` would reject the file."""
     if model.dtype != np.float32:
         raise ValueError("weight files store float32; convert the model first")
 
@@ -88,6 +94,8 @@ def save(model: Model, path) -> None:
     entries = []
     end = 0
     for name, arr in tensors:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name!r} holds a NaN or infinite value; nothing written")
         offset = _aligned(end)
         end = offset + 4 * arr.size
         entries.append(
@@ -202,8 +210,8 @@ def load(path) -> Model:
     folded conv; nothing is drawn or fused.  Each tensor is then read from
     the payload straight into its skeleton array, so the result is
     bit-identical to the model that was saved and no copy of the file or
-    of a tensor is held.  Each tensor is checked for non-finite values as
-    it is read.
+    of a tensor is held.  Each tensor is checked for non-finite values, and
+    each batch-norm variance for negative ones, as it is read.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -236,6 +244,8 @@ def load(path) -> Model:
                 arr.byteswap(inplace=True)
             if not np.isfinite(arr).all():
                 raise FormatError(f"tensor {name!r} holds a NaN or infinite value")
+            if name.endswith("_bn.var") and (arr < 0).any():
+                raise FormatError(f"tensor {name!r} holds a negative batch-norm variance")
     if by_name:
         raise FormatError(f"file contains unknown tensors: {sorted(by_name)}")
     return model

@@ -205,7 +205,7 @@ class TestRunBench:
 
     def test_deterministic_runs_agree_on_outputs(self):
         model = build(TINY, seed=0)
-        cfg = BenchConfig(iters=2, deterministic=True)
+        cfg = BenchConfig(iters=2)
         a = run_bench(model, cfg, PowerProvider.constant(5.0))
         b = run_bench(model, cfg, PowerProvider.constant(5.0))
         assert a.metadata["output_digest"] == b.metadata["output_digest"]

@@ -47,10 +47,8 @@ def zero_conv(in_c, out_c, k, stride=1, padding=None, groups=1, dtype=np.float32
 
 def zero_ffn(c, ratio=2):
     return FFNBlock(
-        expand=zero_conv(c, ratio * c, 1),
-        expand_bn=BNSpec.identity(ratio * c),
-        project=zero_conv(ratio * c, c, 1),
-        project_bn=BNSpec.identity(c),
+        expand=RepBranchSpec(zero_conv(c, ratio * c, 1), BNSpec.identity(ratio * c)),
+        project=RepBranchSpec(zero_conv(ratio * c, c, 1), BNSpec.identity(c)),
     )
 
 
@@ -104,8 +102,7 @@ def sdta_block_ref64(block, x):
     n, c, h, w = x.shape
     hw = h * w
     t = branch_ref64(x, block.pre_mixer)
-    p = bn_ref64(conv_ref64(t, block.proj_p.kernel, block.proj_p.bias, 1, 0, 1),
-                 block.proj_p_bn)
+    p = branch_ref64(t, block.proj_p)
     q, k = p[:, :QK_DIM], p[:, QK_DIM:2 * QK_DIM]
     v, u = p[:, 2 * QK_DIM:2 * QK_DIM + c // 4], p[:, 2 * QK_DIM + c // 4:]
     att = np.empty_like(v)
@@ -116,14 +113,11 @@ def sdta_block_ref64(block, x):
         att[b] = (v[b].reshape(c // 4, hw) @ m).reshape(c // 4, h, w)
     gate = 1.0 / (1.0 + np.exp(-u))
     cat = np.concatenate([att, gate], axis=1)
-    y = bn_ref64(conv_ref64(cat, block.proj_o.kernel, block.proj_o.bias, 1, 0, 1),
-                 block.proj_o_bn)
+    y = branch_ref64(cat, block.proj_o)
     x1 = x + y
-    hmid = bn_ref64(conv_ref64(x1, block.ffn.expand.kernel, block.ffn.expand.bias,
-                               1, 0, 1), block.ffn.expand_bn)
+    hmid = branch_ref64(x1, block.ffn.expand)
     act = 0.5 * hmid * (1.0 + erf(hmid / np.sqrt(2.0)))
-    y2 = bn_ref64(conv_ref64(act, block.ffn.project.kernel, block.ffn.project.bias,
-                             1, 0, 1), block.ffn.project_bn)
+    y2 = branch_ref64(act, block.ffn.project)
     return x1 + y2
 
 
@@ -207,10 +201,8 @@ class TestFFN:
     def test_integral_ratio_enforced(self):
         with pytest.raises(ValueError):
             FFNBlock(
-                expand=zero_conv(4, 6, 1),
-                expand_bn=BNSpec.identity(6),
-                project=zero_conv(6, 4, 1),
-                project_bn=BNSpec.identity(4),
+                expand=RepBranchSpec(zero_conv(4, 6, 1), BNSpec.identity(6)),
+                project=RepBranchSpec(zero_conv(6, 4, 1), BNSpec.identity(4)),
             )
 
     def test_ratio_property(self):
@@ -236,7 +228,7 @@ class TestSDTA:
         # recompute the map from the block's own projections at scale 4
         from mvt2.fusion import rep_branch_forward
         t = rep_branch_forward(x, block.pre_mixer)
-        p = batchnorm_infer(conv2d(t, block.proj_p), block.proj_p_bn)
+        p = batchnorm_infer(conv2d(t, block.proj_p.main), block.proj_p.main_bn)
         q = p[0, :QK_DIM].reshape(QK_DIM, 9)
         k = p[0, QK_DIM:2 * QK_DIM].reshape(QK_DIM, 9)
         scores = (q.T @ k).astype(np.float64) / 4.0
@@ -262,11 +254,11 @@ class TestSDTA:
         # to projecting concat(V, sigmoid(U)) and adding the residual
         from mvt2.fusion import rep_branch_forward
         t = rep_branch_forward(x, block.pre_mixer)
-        p = batchnorm_infer(conv2d(t, block.proj_p), block.proj_p_bn)
+        p = batchnorm_infer(conv2d(t, block.proj_p.main), block.proj_p.main_bn)
         v = p[:, 2 * QK_DIM:2 * QK_DIM + 2]
         u = p[:, 2 * QK_DIM + 2:]
         cat = np.concatenate([v, sigmoid(u)], axis=1)
-        want = x + batchnorm_infer(conv2d(cat, block.proj_o), block.proj_o_bn)
+        want = x + batchnorm_infer(conv2d(cat, block.proj_o.main), block.proj_o.main_bn)
         got = sdta_forward(block, x)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -306,10 +298,8 @@ class TestSDTA:
         with pytest.raises(ValueError):
             SDTABlock(
                 pre_mixer=block.pre_mixer,
-                proj_p=zero_conv(8, 8 + 31, 1),
-                proj_p_bn=BNSpec.identity(8 + 31),
+                proj_p=RepBranchSpec(zero_conv(8, 8 + 31, 1), BNSpec.identity(8 + 31)),
                 proj_o=block.proj_o,
-                proj_o_bn=block.proj_o_bn,
                 ffn=block.ffn,
             )
 
@@ -328,13 +318,12 @@ class TestMDTA:
         proj_kernel[0, 0, 0, 0] = 1.0
         proj_kernel[1, 1, 0, 0] = 1.0
         block = MDTABlock(
-            qkv=ConvSpec(qkv_kernel, np.zeros(6, dtype=np.float32)),
-            qkv_bn=BNSpec.identity(6),
-            dw=ConvSpec(dw_kernel, np.zeros(6, dtype=np.float32),
-                        padding=1, groups=6),
-            dw_bn=BNSpec.identity(6),
-            proj=ConvSpec(proj_kernel, np.zeros(2, dtype=np.float32)),
-            proj_bn=BNSpec.identity(2),
+            qkv=RepBranchSpec(ConvSpec(qkv_kernel, np.zeros(6, dtype=np.float32)),
+                              BNSpec.identity(6)),
+            dw=RepBranchSpec(ConvSpec(dw_kernel, np.zeros(6, dtype=np.float32),
+                                      padding=1, groups=6), BNSpec.identity(6)),
+            proj=RepBranchSpec(ConvSpec(proj_kernel, np.zeros(2, dtype=np.float32)),
+                               BNSpec.identity(2)),
             ffn=zero_ffn(2),
         )
         x = np.array([1.0, 2.0], dtype=np.float32).reshape(1, 2, 1, 1)
@@ -363,13 +352,12 @@ class TestMDTA:
         for i in range(c):
             proj_kernel[i, i, 0, 0] = 1.0
         block = MDTABlock(
-            qkv=ConvSpec(qkv_kernel, np.zeros(12, dtype=np.float32)),
-            qkv_bn=BNSpec.identity(12),
-            dw=ConvSpec(dw_kernel, np.zeros(12, dtype=np.float32),
-                        padding=1, groups=12),
-            dw_bn=BNSpec.identity(12),
-            proj=ConvSpec(proj_kernel, np.zeros(c, dtype=np.float32)),
-            proj_bn=BNSpec.identity(c),
+            qkv=RepBranchSpec(ConvSpec(qkv_kernel, np.zeros(12, dtype=np.float32)),
+                              BNSpec.identity(12)),
+            dw=RepBranchSpec(ConvSpec(dw_kernel, np.zeros(12, dtype=np.float32),
+                                      padding=1, groups=12), BNSpec.identity(12)),
+            proj=RepBranchSpec(ConvSpec(proj_kernel, np.zeros(c, dtype=np.float32)),
+                               BNSpec.identity(c)),
             ffn=zero_ffn(c),
         )
         x = np.full((1, c, 1, 1), 3.0, dtype=np.float32)
@@ -392,19 +380,13 @@ class TestMDTA:
         sdta = init_sdta_block(rng, c, 2)
         mdta = init_mdta_block(rng, c, 2)
 
-        def block_params(block, names):
-            total = 0
-            for name in names:
-                f = getattr(block, name)
-                if isinstance(f, ConvSpec):
-                    total += f.kernel.size + f.bias.size
-                elif isinstance(f, BNSpec):
-                    total += 4 * f.channels
-            return total
+        def unit_params(units):
+            # conv kernel and bias, plus the batch norm's four vectors
+            return sum(u.main.kernel.size + u.main.bias.size + 4 * u.main_bn.channels
+                       for u in units)
 
-        sdta_attn = block_params(sdta, ["proj_p", "proj_p_bn", "proj_o", "proj_o_bn"])
-        mdta_attn = block_params(mdta, ["qkv", "qkv_bn", "dw", "dw_bn",
-                                        "proj", "proj_bn"])
+        sdta_attn = unit_params([sdta.proj_p, sdta.proj_o])
+        mdta_attn = unit_params([mdta.qkv, mdta.dw, mdta.proj])
         # 4 C^2 dominates 2 C^2 + 32 C
         assert mdta_attn > sdta_attn
 
@@ -415,17 +397,18 @@ class TestConverter:
         for block in (init_rep_embed(rng, 8, 16, 2), init_rep_dw_block(rng, 8, 2),
                       init_sdta_block(rng, 8, 2)):
             converted = deployed(block)
-            for (_, owner, row), (_, new_owner, _) in zip(units(block), units(converted)):
-                got = getattr(new_owner, row.conv)
-                want = fuse(row.spec(owner))
-                assert np.array_equal(got.kernel, want.kernel), row.name
-                assert np.array_equal(got.bias, want.bias), row.name
-                assert row.bn is None or getattr(new_owner, row.bn) is None, row.name
+            for (unit, owner, (_, field)), (_, new_owner, _) in zip(units(block),
+                                                                    units(converted)):
+                got = getattr(new_owner, field)
+                want = fuse(getattr(owner, field))
+                assert isinstance(got, ConvSpec), unit
+                assert np.array_equal(got.kernel, want.kernel), unit
+                assert np.array_equal(got.bias, want.bias), unit
 
     def test_single_branch_fuse_is_fold_bn(self):
         ffn = init_ffn(np.random.default_rng(31), 8, 2)
         got = deployed(ffn).expand
-        want = fold_bn(ffn.expand, ffn.expand_bn)
+        want = fold_bn(ffn.expand.main, ffn.expand.main_bn)
         assert np.array_equal(got.kernel, want.kernel)
         assert np.array_equal(got.bias, want.bias)
 

@@ -10,7 +10,6 @@ from mvt2.fusion import (
     pad_1x1_to_3x3,
     random_rep_branch_spec,
     rep_branch_forward,
-    train_param_count,
     verify_equivalence,
 )
 from mvt2.tensor import BNSpec, ConvSpec, batchnorm_infer, conv2d
@@ -18,6 +17,14 @@ from mvt2.tensor import BNSpec, ConvSpec, batchnorm_infer, conv2d
 
 def conv_param_total(conv):
     return conv.kernel.size + conv.bias.size
+
+
+def train_param_total(spec):
+    """Stored train-form elements: each conv's kernel and bias, and four
+    vectors per batch norm."""
+    convs = [c for c in (spec.main, spec.scale) if c is not None]
+    bns = [b for b in (spec.main_bn, spec.scale_bn, spec.identity_bn) if b is not None]
+    return sum(conv_param_total(c) for c in convs) + sum(4 * b.channels for b in bns)
 
 
 class TestFoldBN:
@@ -282,7 +289,7 @@ class TestFuse:
                  with_identity=False),
         ):
             spec = random_rep_branch_spec(rng=rng, **kw)
-            assert conv_param_total(fuse(spec)) <= train_param_count(spec)
+            assert conv_param_total(fuse(spec)) <= train_param_total(spec)
 
 
 class TestVerifyEquivalence:
@@ -328,3 +335,28 @@ class TestVerifyEquivalence:
         spec = random_rep_branch_spec(4, 4)
         with pytest.raises(ValueError):
             verify_equivalence(spec, samples=0)
+
+    def test_overflowing_unit_fails(self):
+        spec = random_rep_branch_spec(4, 4, rng=np.random.default_rng(12))
+        spec.main.kernel[...] = np.finfo(np.float32).max
+        with np.errstate(all="ignore"):
+            report = verify_equivalence(spec, samples=3)
+        assert not report["max_abs_diff"] <= 1e-4
+        assert report["pass"] is False
+
+    def test_nan_in_any_sample_fails(self, monkeypatch):
+        from mvt2 import fusion
+
+        spec = random_rep_branch_spec(4, 4, rng=np.random.default_rng(13))
+        calls = []
+
+        def nan_on_second_sample(x, s):
+            calls.append(None)
+            out = rep_branch_forward(x, s)
+            return np.full_like(out, np.nan) if len(calls) == 2 else out
+
+        monkeypatch.setattr(fusion, "rep_branch_forward", nan_on_second_sample)
+        report = verify_equivalence(spec, samples=3)
+        assert len(calls) == 3
+        assert np.isnan(report["max_abs_diff"])
+        assert report["pass"] is False

@@ -1,4 +1,5 @@
-"""Property tests of whole-network contracts over randomly drawn configs.
+"""Property tests of fusion and whole-network contracts over randomly
+drawn branch groups and configs.
 
 Derandomized and with no example database, so a run is reproducible and
 leaves nothing behind."""
@@ -7,7 +8,44 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvt2.fusion import fuse, fused_skeleton, random_rep_branch_spec, verify_equivalence
 from mvt2.model import ModelConfig, build, deploy, forward
+
+
+@st.composite
+def branch_specs(draw):
+    """The ``RepBranchSpec`` space: a 1x1 or 3x3 main conv at stride 1 or 2,
+    dense, 2-group or depthwise, with or without the scale and the identity
+    branch (one-branch groups included), in float32 or float64."""
+    kind = draw(st.sampled_from(["dense", "grouped", "depthwise"]))
+    stride = draw(st.sampled_from([1, 2]))
+    unit = 2 if kind == "grouped" else 1
+    in_c = unit * draw(st.integers(1, 4))
+    if kind == "depthwise":
+        out_c, groups = in_c, in_c
+    else:
+        out_c, groups = unit * draw(st.integers(1, 4)), unit
+    identity = stride == 1 and in_c == out_c and draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return random_rep_branch_spec(
+        in_c, out_c, kernel_size=draw(st.sampled_from([1, 3])), stride=stride,
+        groups=groups, with_scale=draw(st.booleans()), with_identity=identity, dtype=dtype,
+        rng=np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=branch_specs(), batch=st.integers(1, 4), hw=st.integers(1, 9),
+       seed=st.integers(0, 2**16))
+def test_fusion_is_equivalent_and_skeleton_matches(spec, batch, hw, seed):
+    tol = 1e-4 if spec.dtype == np.float32 else 1e-10
+    report = verify_equivalence(spec, samples=2, tol=tol, input_hw=hw, batch=batch, seed=seed)
+    assert report["pass"], report
+    want, got = fuse(spec), fused_skeleton(spec)
+    assert (got.kernel.shape, got.kernel.dtype, got.bias.shape, got.bias.dtype,
+            got.stride, got.padding, got.groups) == (
+        want.kernel.shape, want.kernel.dtype, want.bias.shape, want.bias.dtype,
+        want.stride, want.padding, want.groups)
+    assert not got.kernel.any() and not got.bias.any()
 
 
 @st.composite

@@ -74,3 +74,24 @@ def test_attention_spans_per_forward_do_not_grow_with_batch(tracer_module):
         counts.append(sum(span[tracer_module.NAME] == "tensor.attention"
                           for span in tracer.spans))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("form", ["train", "deploy"])
+def test_one_branch_group_span_per_fusable_unit(tracer_module, form):
+    """Every train-form conv unit, one-branch units included, runs through
+    ``fusion.rep_branch_forward``; a deployed unit runs none."""
+    model = build(TINY, seed=0)
+    want = len(mvt2_model.fusable_branches(model))
+    # 4 stem embeddings, 3 units per stage-1/2 block, 2 downsamplings, 5 in the SDTA block
+    assert want == 17
+    if form == "deploy":
+        model, want = deploy(model), 0
+    x = np.random.default_rng(3).standard_normal((1, 3, 32, 32)).astype(np.float32)
+    tracer = tracer_module.Tracer()
+    tracer.start()
+    try:
+        mvt2_model.forward(model, x)
+    finally:
+        tracer.stop()
+    spans = sum(span[tracer_module.NAME] == "fusion.rep_branch_forward" for span in tracer.spans)
+    assert spans == want

@@ -385,3 +385,86 @@ class TestNonFinitePayload:
         loaded = dict(named_tensors(weights.load(path)))
         assert np.all(loaded[name] == np.float32(big))
 
+
+
+def run_cli(capsys, args):
+    rc = cli.main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+class TestNegativeVariance:
+    # one tensor of a multi-branch group and one of a one-branch unit
+    @pytest.mark.parametrize("name", ["stage1.0.mixer.main_bn.var", "stage3.0.proj_p_bn.var"])
+    def test_rejected_with_exit_4_naming_the_tensor(self, tmp_path, capsys, name):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        patch_payload(path, name, 0, -5.0)
+        with pytest.raises(weights.FormatError, match=f"tensor '{name}' holds a negative"):
+            weights.load(path)
+        raw = tmp_path / "x.raw"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(raw)
+        for args in (["infer", "--model", path, "--input", raw, "--shape", "1,3,32,32"],
+                     ["fuse", "--in", path, "--out", tmp_path / "d.mvt2"]):
+            rc, out, err = run_cli(capsys, args)
+            assert rc == 4 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert not (tmp_path / "d.mvt2").exists()
+
+    def test_zero_variance_loads(self, tmp_path):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        patch_payload(path, "stage1.0.mixer.main_bn.var", 0, 0.0)
+        assert dict(named_tensors(weights.load(path)))["stage1.0.mixer.main_bn.var"][0] == 0
+
+
+class TestNonFiniteResults:
+    """A file that loads (float32 max is finite) but whose forward and
+    fusion overflow: every command that computes from it fails loudly."""
+
+    @pytest.fixture()
+    def big_file(self, tmp_path):
+        path = tmp_path / "big.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        for i in range(8 * 9):
+            patch_payload(path, "stage1.0.mixer.main.kernel", i, float(np.finfo(np.float32).max))
+        weights.load(path)
+        return path
+
+    def test_infer_exits_1_with_one_error_line(self, tmp_path, capsys, big_file):
+        raw = tmp_path / "x.raw"
+        np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype("<f4").tofile(raw)
+        rc, out, err = run_cli(capsys, ["infer", "--model", big_file, "--input", raw,
+                                        "--shape", "1,3,32,32"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "NaN or infinite" in err
+
+    def test_fuse_exits_1_and_writes_nothing(self, tmp_path, capsys, big_file):
+        out_path = tmp_path / "d.mvt2"
+        rc, out, err = run_cli(capsys, ["fuse", "--in", big_file, "--out", out_path])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stage1.0.mixer_fused" in err
+        assert not out_path.exists()
+
+    def test_verify_fusion_fails_the_unit(self, capsys, big_file):
+        rc, out, err = run_cli(capsys, ["verify-fusion", "--in", big_file, "--samples", "2"])
+        assert rc == 1 and err == ""
+
+        def strict(constant):
+            raise AssertionError(f"stdout holds {constant}, which is not JSON")
+
+        report = json.loads(out, parse_constant=strict)
+        by_name = {b["name"]: b for b in report["blocks"]}
+        assert by_name["stage1.0.mixer"] == {"name": "stage1.0.mixer",
+                                             "max_abs_diff": None, "pass": False}
+        assert by_name["stage1.0.ffn.expand"]["pass"]
+        assert report["all_pass"] is False
+
+    def test_save_refuses_before_writing(self, tmp_path):
+        model = build(TINY, seed=0)
+        model.stage2[0].ffn.project.main_bn.beta[1] = np.nan
+        path = tmp_path / "m.mvt2"
+        with pytest.raises(ValueError, match="'stage2.0.project_bn.beta' holds a NaN"):
+            weights.save(model, path)
+        assert not path.exists()
