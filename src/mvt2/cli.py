@@ -171,6 +171,8 @@ def _parse_shape(text: str) -> tuple:
 
 
 def cmd_infer(args) -> int:
+    if args.topk < 1:
+        raise CliError(EXIT_USAGE, f"--topk must be at least 1, got {args.topk}")
     model = _load_model(args.model)
     shape = _parse_shape(args.shape)
     try:
@@ -243,6 +245,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--channels", args.channels), ("--hw", args.hw)):
+        if value < 1:
+            raise CliError(EXIT_USAGE, f"{flag} must be at least 1, got {value}")
     rng = np.random.default_rng(0)
     try:
         if args.block == "repdw":

@@ -11,13 +11,16 @@ Dense ``conv2d`` lowers each sample and group to one im2col GEMM
 reproducible for a fixed build, so repeated evaluation on identical
 input is bit-identical.  The GEMM never spans samples, so each batch row
 takes the same arithmetic path at any batch size and is bit-identical to
-a batch-1 run of that row.  A stacked ``matmul`` runs one GEMM per
-matrix, the same GEMM a single matrix gets, so a batch of attention
-products keeps its rows independent the same way; ``softmax`` reduces
-along one axis of each matrix only.  ``linear`` runs row by row, because
-one GEMM over the rows is not row-identical, and the elementwise kernels
-apply one formula to every element.  Concurrent calls on shared
-immutable inputs are safe.
+a batch-1 run of that row.  Depthwise ``conv2d`` uses no BLAS: it runs
+its taps channels-last on an internal padded copy, one elementwise
+multiply-add per tap in row-major tap order, so every output element
+gets the same additions in the same order and rows stay bit-identical.
+A stacked ``matmul`` runs one GEMM per matrix, the same GEMM a single
+matrix gets, so a batch of attention products keeps its rows
+independent the same way; ``softmax`` reduces along one axis of each
+matrix only.  ``linear`` runs row by row, because one GEMM over the rows
+is not row-identical, and the elementwise kernels apply one formula to
+every element.  Concurrent calls on shared immutable inputs are safe.
 """
 
 from __future__ import annotations
@@ -177,8 +180,11 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     NCHW output (for 1x1 stride-1 kernels the columns are a view of the
     input).  A GEMM's shape depends only on the spec and the image size,
     never on the batch size, so each batch row is bit-identical to a
-    batch-1 run of that row.  Depthwise convolutions accumulate the kh*kw
-    taps elementwise in row-major order, without BLAS.
+    batch-1 run of that row.  Depthwise convolutions use no BLAS: they
+    run channels-last on an internal padded (N, H, W, C) copy, adding the
+    kh*kw taps elementwise in row-major order (0 + tap 0 + tap 1 + ...,
+    then the bias), so each row is bit-identical too; input and output
+    stay NCHW.
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
@@ -192,19 +198,22 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     if ho < 1 or wo < 1:
         raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{w} with padding {p}")
 
-    if p > 0:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    else:
-        xp = x
-
     if spec.is_depthwise:
-        # One tap per channel: elementwise multiply-add, no BLAS involved.
-        out = np.zeros((n, spec.out_channels, ho, wo), dtype=x.dtype)
+        # One padded NHWC copy; each tap is a multiply-add over rows of c
+        # contiguous floats, into one accumulator, in row-major tap order.
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        taps = np.ascontiguousarray(spec.kernel[:, 0].transpose(1, 2, 0))
+        acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
+        tmp = np.empty_like(acc)
         for i in range(kh):
             for j in range(kw):
-                win = xp[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-                out += win * spec.kernel[:, 0, i, j][None, :, None, None]
+                win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+                acc += np.multiply(win, taps[i, j], out=tmp)
+        out = np.empty((n, c, ho, wo), dtype=x.dtype)
+        np.add(acc.transpose(0, 3, 1, 2), spec.bias[None, :, None, None], out=out)
     else:
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p > 0 else x
         icg = c // g
         ocg = spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
@@ -221,8 +230,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
                     cols = win.transpose(0, 3, 4, 1, 2).reshape(icg * kh * kw, ho * wo)
                 np.matmul(weights[gi], cols, out=out[b, gi])
         out = out.reshape(n, spec.out_channels, ho, wo)
-
-    out += spec.bias[None, :, None, None]
+        out += spec.bias[None, :, None, None]
     return out
 
 

@@ -135,6 +135,19 @@ class TestOutOfRangeFlags:
         assert stderr.count("\n") == 1
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("topk", ["0", "-1", "-998"])
+    def test_infer_topk_below_one_is_usage_error(self, capsys, tiny_files, topk):
+        data = tiny_files["root"] / "topk_input.bin"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(data)
+        rc, stdout, stderr = run(capsys, [
+            "infer", "--model", tiny_files["deploy"], "--input", str(data),
+            "--shape", "1,3,32,32", "--topk", topk,
+        ])
+        assert rc == 2
+        assert stdout == ""
+        assert stderr.startswith("error: --topk")
+        assert stderr.count("\n") == 1
+
 
 class TestCount:
     def test_s1_near_published_budget(self, capsys):
@@ -328,3 +341,21 @@ class TestGradcheck:
     def test_invalid_channel_count_is_usage_error(self, capsys):
         rc, _, _ = run(capsys, ["gradcheck", "--block", "sdta", "--channels", "6"])
         assert rc == 2
+
+    @pytest.mark.parametrize("block", ["repdw", "sdta", "mdta"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--channels", "0"), ("--channels", "-1"), ("--hw", "0"), ("--hw", "-2"),
+    ])
+    def test_non_positive_size_is_usage_error_before_build(
+        self, capsys, monkeypatch, block, flag, value,
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a block was built before the flags were checked")
+
+        for name in ("init_rep_dw_block", "init_sdta_block", "init_mdta_block"):
+            monkeypatch.setattr(cli, name, no_build)
+        rc, stdout, stderr = run(capsys, ["gradcheck", "--block", block, flag, value])
+        assert rc == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {flag} ")
+        assert stderr.count("\n") == 1

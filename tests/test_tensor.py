@@ -432,3 +432,55 @@ class TestConv2dProperties:
                 assert np.max(np.abs(got - exact)) <= 1e-5 * scale
             for b in range(n):
                 assert np.array_equal(got[b:b + 1], conv2d(xd[b:b + 1], spec))
+
+
+def depthwise_tap_reference(x, kernel, bias, stride, padding):
+    """NCHW depthwise convolution summing the taps in row-major order:
+    0 + x*k[0, 0] + x*k[0, 1] + ... + x*k[kh-1, kw-1], then + bias."""
+    n, c, h, w = x.shape
+    kh, kw = kernel.shape[2:]
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            out += win * kernel[:, 0, i, j][None, :, None, None]
+    return out + bias[None, :, None, None]
+
+
+@st.composite
+def depthwise_cases(draw):
+    k = draw(st.sampled_from([1, 3, 5]))
+    padding = draw(st.sampled_from([0, 1, 2]))
+    smallest = max(1, k - 2 * padding)
+    return dict(
+        k=k, stride=draw(st.sampled_from([1, 2])), padding=padding,
+        n=draw(st.integers(1, 4)), c=draw(st.integers(1, 6)),
+        h=draw(st.integers(smallest, 9)), w=draw(st.integers(smallest, 9)),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        transposed=draw(st.booleans()), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestDepthwiseTapOrder:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(depthwise_cases())
+    def test_bit_identical_to_row_major_nchw_taps(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, c, h, w, k, dtype = (case[key] for key in ("n", "c", "h", "w", "k", "dtype"))
+        if case["transposed"]:
+            x = rng.standard_normal((n, c, w, h)).astype(dtype).swapaxes(2, 3)
+        else:
+            x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        kernel = rng.standard_normal((c, 1, k, k)).astype(dtype)
+        bias = rng.standard_normal(c).astype(dtype)
+        spec = ConvSpec(kernel, bias, case["stride"], case["padding"], groups=c)
+        assert spec.is_depthwise
+
+        got = conv2d(x, spec)
+        want = depthwise_tap_reference(x, kernel, bias, case["stride"], case["padding"])
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)

@@ -11,6 +11,7 @@ import pytest
 from mvt2 import blocks
 from mvt2 import model as mvt2_model
 from mvt2.model import ModelConfig, build, deploy, forward
+from mvt2.tensor import ConvSpec
 
 TINY = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), num_classes=10, input_resolution=32)
 
@@ -94,4 +95,36 @@ def test_one_branch_group_span_per_fusable_unit(tracer_module, form):
     finally:
         tracer.stop()
     spans = sum(span[tracer_module.NAME] == "fusion.rep_branch_forward" for span in tracer.spans)
+    assert spans == want
+
+
+def depthwise_convs(model) -> int:
+    """The depthwise convs one forward runs, read off the model's conv units."""
+    total = 0
+    for *_, owner, (_, field) in mvt2_model._walk(model):
+        unit = getattr(owner, field)
+        convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
+        total += sum(conv is not None and conv.is_depthwise for conv in convs)
+    return total
+
+
+@pytest.mark.parametrize("form", ["train", "deploy"])
+def test_one_depthwise_conv_span_per_depthwise_conv(tracer_module, form):
+    """Depthwise time stays inside the traced ``conv2d``: one
+    ``tensor.conv2d.depthwise`` span per depthwise conv, that is each block's
+    token mixer, plus its 1x1 scale branch in train form."""
+    model = build(TINY, seed=0)
+    if form == "deploy":
+        model = deploy(model)
+    want = depthwise_convs(model)
+    # one mixer per block (two RepDW blocks, one SDTA block), main + scale in train form
+    assert want == (6 if form == "train" else 3)
+    x = np.random.default_rng(4).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    tracer = tracer_module.Tracer()
+    tracer.start()
+    try:
+        mvt2_model.forward(model, x)
+    finally:
+        tracer.stop()
+    spans = sum(span[tracer_module.NAME] == "tensor.conv2d.depthwise" for span in tracer.spans)
     assert spans == want
