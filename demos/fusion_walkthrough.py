@@ -13,18 +13,18 @@ import numpy as np
 from mvt2.fusion import (
     fold_bn,
     fuse,
-    identity_to_conv,
-    pad_1x1_to_3x3,
+    fused_skeleton,
     random_rep_branch_spec,
     rep_branch_forward,
 )
-from mvt2.tensor import conv2d
+from mvt2.tensor import ConvSpec, conv2d
 
 rng = np.random.default_rng(0)
 
 # a depthwise unit over 8 channels with all three branches present
 spec = random_rep_branch_spec(8, 8, kernel_size=3, groups=8, rng=rng)
 print("branches: 3x3 main, 1x1 scale, identity")
+x = rng.standard_normal((1, 8, 5, 5)).astype(np.float32)
 
 # step 1: batch norm is an affine map per channel, so it folds into the
 # convolution that feeds it -- rescale the kernel, shift the bias
@@ -32,13 +32,23 @@ folded_main = fold_bn(spec.main, spec.main_bn)
 print("main kernel before/after fold:",
       float(spec.main.kernel[0, 0, 1, 1]), "->", float(folded_main.kernel[0, 0, 1, 1]))
 
-# step 2: a 1x1 kernel is a 3x3 kernel that is zero off-center
-folded_scale = pad_1x1_to_3x3(fold_bn(spec.scale, spec.scale_bn))
-print("padded scale kernel shape:", folded_scale.kernel.shape)
+# step 2: the fused conv has the geometry fused_skeleton gives: here the
+# main conv's 3x3 grid, stride, padding and groups.  A 1x1 kernel is a
+# 3x3 kernel that is zero off-centre, so the folded scale kernel is
+# placed on the centre tap, one pixel more padding keeping its output grid
+grid = fused_skeleton(spec)
+print("fused geometry: kernel", grid.kernel.shape, "stride", grid.stride,
+      "padding", grid.padding, "groups", grid.groups)
+folded_scale = fold_bn(spec.scale, spec.scale_bn)
+centred = grid.kernel.copy()
+centred[:, :, 1:2, 1:2] = folded_scale.kernel
+lifted = ConvSpec(centred, folded_scale.bias, padding=grid.padding, groups=grid.groups)
+print("1x1 vs centred 3x3 max deviation:",
+      float(np.max(np.abs(conv2d(x, folded_scale) - conv2d(x, lifted)))))
 
-# step 3: the identity branch is a convolution too -- a one-hot kernel
-eye = identity_to_conv(8, groups=8)
-x = rng.standard_normal((1, 8, 5, 5)).astype(np.float32)
+# step 3: the identity branch is a convolution too -- a one-hot 1x1
+# kernel (a 1 on each channel's own input slot), centred the same way
+eye = ConvSpec(np.ones((8, 1, 1, 1), np.float32), np.zeros(8, np.float32), groups=8)
 print("identity-as-conv max deviation:", float(np.max(np.abs(conv2d(x, eye) - x))))
 
 # step 4: convolution is linear in its weights, so summing the branches

@@ -234,30 +234,34 @@ def run_bench(model: Model, config: BenchConfig, power: PowerProvider) -> BenchR
     Input is synthetic standard-normal data shaped by the model's expected
     resolution, seeded 0 so repeated runs see identical data.  Warmup
     iterations run first and are not timed.  The power provider is
-    averaged over the total measured time.
+    averaged over the total measured time.  Raises ValueError if the last
+    output holds a NaN or an infinity.
     """
     res = model.config.input_resolution
     x = np.random.default_rng(0).standard_normal(
         (config.batch_size, 3, res, res)).astype(model.dtype)
 
-    for _ in range(config.warmup):
-        forward(model, x)
+    with np.errstate(all="ignore"):
+        for _ in range(config.warmup):
+            forward(model, x)
 
-    latencies = []
-    out = None
-    if config.iters is not None:
-        for _ in range(config.iters):
-            t0 = time.perf_counter()
-            out = forward(model, x)
-            latencies.append(time.perf_counter() - t0)
-    else:
-        deadline = time.perf_counter() + config.duration_s
-        while True:
-            t0 = time.perf_counter()
-            out = forward(model, x)
-            latencies.append(time.perf_counter() - t0)
-            if time.perf_counter() >= deadline:
-                break
+        latencies = []
+        out = None
+        if config.iters is not None:
+            for _ in range(config.iters):
+                t0 = time.perf_counter()
+                out = forward(model, x)
+                latencies.append(time.perf_counter() - t0)
+        else:
+            deadline = time.perf_counter() + config.duration_s
+            while True:
+                t0 = time.perf_counter()
+                out = forward(model, x)
+                latencies.append(time.perf_counter() - t0)
+                if time.perf_counter() >= deadline:
+                    break
+    if not np.isfinite(out).all():
+        raise ValueError("the model computed a NaN or infinite logit")
 
     window = sum(latencies)
     mean_power, replayed = power.mean_over(window)

@@ -9,8 +9,8 @@ Four block families:
 - ``SDTABlock``: depthwise mixer, then a split-projection transposed
   attention with fixed 16-channel query/key heads and a sigmoid-gated
   local path, then feed-forward, each wrapped in a residual.
-- ``MDTABlock``: a per-channel transposed-attention variant kept only
-  to compare cost against ``SDTABlock``; train form only.
+- ``MDTABlock``: a per-channel transposed-attention variant kept to
+  compare cost and behaviour against ``SDTABlock``.
 
 Each block class lists its conv units once, in execution order, in a
 ``UNITS`` table of (name, field) rows.  A unit's field holds its current
@@ -181,7 +181,7 @@ class SDTABlock:
 
 @dataclass
 class MDTABlock:
-    """Per-channel transposed attention, train form only.
+    """Per-channel transposed attention, the ablation of ``SDTABlock``.
 
     Q, K, V of C channels each come from a dense 1x1 conv to 3C followed
     by a depthwise 3x3; the C by C channel map softmax((Q Kt)/sqrt(C))
@@ -190,9 +190,9 @@ class MDTABlock:
 
     UNITS: ClassVar[Rows] = (("qkv", "qkv"), ("dw", "dw"), ("proj", "proj"))
 
-    qkv: RepBranchSpec
-    dw: RepBranchSpec
-    proj: RepBranchSpec
+    qkv: UnitSpec
+    dw: UnitSpec
+    proj: UnitSpec
     ffn: FFNBlock
 
     def __post_init__(self):
@@ -200,8 +200,8 @@ class MDTABlock:
         _require(self.qkv.kernel_size == (1, 1) and self.qkv.groups == 1,
                  "qkv projection must be a dense 1x1 conv")
         _require(self.qkv.out_channels == 3 * c, "qkv projection must emit 3C channels")
-        dw = self.dw.main
-        _require(dw.is_depthwise and dw.in_channels == 3 * c,
+        dw = self.dw
+        _require(dw.groups == dw.in_channels == dw.out_channels == 3 * c,
                  "depthwise conv must cover all 3C qkv channels")
         _require(dw.stride == 1 and dw.padding == dw.kernel_size[0] // 2,
                  "depthwise conv must preserve the grid")
@@ -300,8 +300,6 @@ def units(block) -> Iterator[tuple[str, object, tuple[str, str]]]:
 def deployed(block, fold=fuse):
     """A copy of ``block`` that holds each unit as ``fold`` of its weights
     (by default the fused conv); the train-form weights are not kept."""
-    if isinstance(block, MDTABlock):
-        raise ValueError(f"{type(block).__name__} has no deploy form")
     fused = {field: fold(getattr(block, field)) for _, field in block.UNITS}
     if hasattr(block, "ffn"):
         fused["ffn"] = deployed(block.ffn, fold)

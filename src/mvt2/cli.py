@@ -235,7 +235,10 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
-    report = run_bench(model, config, power)
+    try:
+        report = run_bench(model, config, power)
+    except ValueError as exc:
+        raise CliError(EXIT_CHECK_FAILED, str(exc)) from None
     text = report.to_json()
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

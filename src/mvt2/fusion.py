@@ -4,8 +4,10 @@ A train-form branch group runs up to three parallel paths, each ending in
 batch norm: a k by k convolution (k in {1, 3}), an optional 1 by 1 "scale"
 convolution, and an optional identity path.  At deployment the group is
 replaced by a single convolution that computes the same function: fold
-each BN into its convolution, lift 1 by 1 and identity kernels onto the
-3 by 3 grid, and sum kernels and biases.
+each BN into its convolution (the identity path as a one-hot 1 by 1
+conv), centre each folded kernel on the grid ``fused_skeleton`` gives,
+and sum kernels and biases.  A one-branch group, a plain conv and its
+batch norm, folds the same way.
 
 All fusion arithmetic runs in float64 and is cast back to the branch's
 own dtype, so a float32 branch loses at most one rounding step per
@@ -47,39 +49,6 @@ def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
         w_f.astype(dtype), b_f.astype(dtype),
         stride=conv.stride, padding=conv.padding, groups=conv.groups,
     )
-
-
-def pad_1x1_to_3x3(conv: ConvSpec) -> ConvSpec:
-    """Embed a 1 by 1 kernel at the center of a zero 3 by 3 kernel.
-
-    Padding grows by 1 so the output grid is unchanged at any stride.
-    """
-    if conv.kernel_size != (1, 1):
-        raise ValueError(f"expected a 1x1 kernel, got {conv.kernel_size}")
-    oc, icg = conv.kernel.shape[:2]
-    k = np.zeros((oc, icg, 3, 3), dtype=conv.dtype)
-    k[:, :, 1, 1] = conv.kernel[:, :, 0, 0]
-    return ConvSpec(
-        k, conv.bias.copy(),
-        stride=conv.stride, padding=conv.padding + 1, groups=conv.groups,
-    )
-
-
-def identity_to_conv(channels: int, groups: int, dtype=np.float32) -> ConvSpec:
-    """A 3 by 3 stride-1 convolution whose action is the identity map.
-
-    Center tap 1 on each channel's own input slot within its group,
-    zero elsewhere.  Only meaningful at stride 1 with matching channel
-    counts, which is the only place an identity branch is legal.
-    """
-    if channels < 1 or groups < 1 or channels % groups != 0:
-        raise ValueError(f"channels {channels} not divisible by groups {groups}")
-    input_dim = channels // groups
-    kernel = np.zeros((channels, input_dim, 3, 3), dtype=dtype)
-    for i in range(channels):
-        kernel[i, i % input_dim, 1, 1] = 1.0
-    return ConvSpec(kernel, np.zeros(channels, dtype=dtype),
-                    stride=1, padding=1, groups=groups)
 
 
 @dataclass
@@ -150,6 +119,10 @@ class RepBranchSpec:
         return self.main.stride
 
     @property
+    def padding(self) -> int:
+        return self.main.padding
+
+    @property
     def groups(self) -> int:
         return self.main.groups
 
@@ -179,42 +152,41 @@ def rep_branch_forward(x, spec: RepBranchSpec):
 
 
 def fuse(spec: RepBranchSpec) -> ConvSpec:
-    """Collapse the branch group into one convolution.
+    """Collapse the branch group into one convolution on the grid of
+    ``fused_skeleton(spec)``.
 
-    When the main kernel is 3x3, the scale and identity kernels are
-    lifted onto the 3x3 grid.  A 1x1 main with an identity branch is
-    lifted to 3x3 as well; a 1x1 main with only a scale branch stays
-    1x1.
+    Each branch is folded with its batch norm, the identity branch as a
+    one-hot 1x1 conv.  The folded kernels, centred on the skeleton's
+    kernel, and their biases are summed in float64 (main, scale, identity)
+    and written into the skeleton in its dtype.  A one-branch group is its
+    folded conv.
     """
     folded = [fold_bn(spec.main, spec.main_bn)]
+    if spec.scale is None and spec.identity_bn is None:
+        return folded[0]
     if spec.scale is not None:
         folded.append(fold_bn(spec.scale, spec.scale_bn))
     if spec.identity_bn is not None:
-        ident = identity_to_conv(spec.out_channels, spec.groups, dtype=spec.dtype)
-        folded.append(fold_bn(ident, spec.identity_bn))
-
-    k = spec.main.kernel_size[0]
-    target_3x3 = k == 3 or spec.identity_bn is not None
-    if target_3x3:
-        folded = [pad_1x1_to_3x3(c) if c.kernel_size == (1, 1) else c for c in folded]
-
-    base = folded[0]
-    if len(folded) == 1:
-        return base
-    kernel = base.kernel.astype(np.float64)
-    bias = base.bias.astype(np.float64)
-    for c in folded[1:]:
-        kernel = kernel + c.kernel.astype(np.float64)
-        bias = bias + c.bias.astype(np.float64)
-    return ConvSpec(
-        kernel.astype(spec.dtype), bias.astype(spec.dtype),
-        stride=base.stride, padding=base.padding, groups=base.groups,
-    )
+        c, per_group = spec.out_channels, spec.in_channels // spec.groups
+        one_hot = np.zeros((c, per_group, 1, 1), spec.dtype)
+        one_hot[np.arange(c), np.arange(c) % per_group] = 1
+        folded.append(fold_bn(ConvSpec(one_hot, np.zeros(c, spec.dtype), groups=spec.groups),
+                              spec.identity_bn))
+    out = fused_skeleton(spec)
+    kernel, bias = np.zeros(out.kernel.shape), np.zeros(out.bias.shape)
+    k = kernel.shape[-1]
+    for conv in folded:
+        lo = (k - conv.kernel_size[0]) // 2
+        kernel[:, :, lo:k - lo, lo:k - lo] += conv.kernel
+        bias += conv.bias
+    out.kernel[...], out.bias[...] = kernel, bias
+    return out
 
 
 def fused_skeleton(spec: RepBranchSpec) -> ConvSpec:
-    """A zero conv with the kernel shape, stride, padding, groups and dtype
-    that ``fuse(spec)`` returns, made without any arithmetic."""
+    """A zero conv with the geometry of ``fuse(spec)``: 3x3 when the main
+    conv is 3x3 or an identity branch needs a centre tap, else 1x1, padded
+    to keep the main conv's output grid, with its stride, groups and dtype."""
     m = spec.main
     k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
     return ConvSpec(np.zeros((m.out_channels, m.in_channels // m.groups, k, k), m.dtype),
@@ -262,7 +234,7 @@ def random_rep_branch_spec(
     dtype=np.float32,
     rng: Optional[np.random.Generator] = None,
 ) -> RepBranchSpec:
-    """A randomized valid branch group, for tests and the CLI verifier.
+    """A randomized valid branch group, for tests.
 
     Batch-norm statistics are drawn near (0, 1) so folding stays well
     conditioned.  Identity is dropped automatically when illegal.

@@ -280,8 +280,8 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def _walk(model: Model):
-    """Yield (block name, block, unit name, owner, row) for every conv unit
-    of the network in execution order; see :func:`blocks.units`."""
+    """Yield (block name, unit name, owner, row) for every conv unit of the
+    network in execution order; see :func:`blocks.units`."""
     for f in BLOCK_FIELDS:
         value = getattr(model, f)
         if isinstance(value, list):
@@ -290,7 +290,7 @@ def _walk(model: Model):
             named = [(f, value)]
         for name, block in named:
             for unit, owner, row in units(block):
-                yield name, block, unit, owner, row
+                yield name, unit, owner, row
 
 
 def deploy(model: Model, fold=fuse) -> Model:
@@ -300,8 +300,6 @@ def deploy(model: Model, fold=fuse) -> Model:
     zero skeleton of the same geometry."""
     if model.mode == "deploy":
         raise ValueError("model is already in deploy form")
-    if model.config.attention != "sdta":
-        raise ValueError("the ablation attention variant has no deploy form")
     converted = {}
     for f in BLOCK_FIELDS:
         value = getattr(model, f)
@@ -360,12 +358,8 @@ def bn_cost(c: int, hw: int) -> tuple[int, int]:
     return 4 * c, c * hw
 
 
-def _unit_cost(spec: Union[RepBranchSpec, ConvSpec], in_res: int,
-               mode: str) -> tuple[int, int, int]:
-    """Returns (params, macs, out_res) for a branch group or a folded conv;
-    a train-form unit in deploy mode is charged the conv it would fold to."""
-    if mode == "deploy" and isinstance(spec, RepBranchSpec):
-        spec = fused_skeleton(spec)
+def _unit_cost(spec: Union[RepBranchSpec, ConvSpec], in_res: int) -> tuple[int, int, int]:
+    """Returns (params, macs, out_res) for a branch group or a folded conv."""
     conv = spec.main if isinstance(spec, RepBranchSpec) else spec
     k = conv.kernel_size[0]
     out_res, _ = conv_output_hw(in_res, in_res, k, k, conv.stride, conv.padding)
@@ -389,9 +383,10 @@ def count(model_or_config: Union[Model, ModelConfig],
 
     Accepts a built model (defaulting to its own mode) or a config
     (defaulting to deploy form); a config is counted on an unseeded
-    ``build``, so no weights are drawn.  A deploy-form model has no
-    train-form cost.  The ablation attention variant is countable in
-    deploy form even though it only executes in train form.
+    ``build``, so no weights are drawn.  A train-form model counted in
+    deploy form is charged on ``deploy(model, fold=fused_skeleton)``, the
+    skeleton ``weights.load`` fills; a deploy-form model has no train-form
+    cost.
     """
     if isinstance(model_or_config, Model):
         model = model_or_config
@@ -403,14 +398,16 @@ def count(model_or_config: Union[Model, ModelConfig],
         raise ValueError(f"mode must be train or deploy, got {mode!r}")
     if model.mode == "deploy" and mode == "train":
         raise ValueError("a deploy-form model holds no train-form weights to count")
+    if model.mode != mode:
+        model = deploy(model, fold=fused_skeleton)
     report = CostReport()
     res = model.config.input_resolution
-    for name, _, unit, owner, row in _walk(model):
+    for name, unit, owner, row in _walk(model):
         if hasattr(owner, "attention_macs") and row is owner.UNITS[-1]:
             # the attention contractions run just before the output projection
             for kind, macs in owner.attention_macs(res * res).items():
                 report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
-        p, m, res = _unit_cost(getattr(owner, row[1]), res, mode)
+        p, m, res = _unit_cost(getattr(owner, row[1]), res)
         # a feed-forward's two units share one entry, "<block>.ffn"
         key = f"{name}.{unit.split('.')[0]}" if unit else name
         if report.entries and report.entries[-1].name == key:
@@ -440,7 +437,7 @@ def named_tensors(model: Model):
     """Yield (name, array) pairs for the tensors the model's mode executes,
     in execution order.  The arrays are the live model arrays; the names
     follow the rule in the README's "Weight files" section."""
-    for name, _, _, owner, (part, field) in _walk(model):
+    for name, _, owner, (part, field) in _walk(model):
         prefix = f"{name}.{part}" if part else name
         spec = getattr(owner, field)
         if model.mode == "deploy":
@@ -461,12 +458,10 @@ def fusable_branches(model: Model) -> list[tuple[str, RepBranchSpec]]:
     execution order.
 
     One-branch units (FFN layers, attention projections) are listed too,
-    so one verifier covers everything fusion touches.
-    Nothing is listed for the ablation attention blocks because they are
-    never deployed, and a deploy-form model has nothing left to fuse.
+    so one verifier covers everything fusion touches.  A deploy-form model
+    has nothing left to fuse.
     """
     if model.mode == "deploy":
         raise ValueError("a deploy-form model has no branches left to fuse")
     return [(f"{name}.{unit}" if unit else name, getattr(owner, field))
-            for name, block, unit, owner, (_, field) in _walk(model)
-            if not isinstance(block, MDTABlock)]
+            for name, unit, owner, (_, field) in _walk(model)]

@@ -12,6 +12,7 @@ from mvt2.blocks import (
     RepEmbedBlock,
     SDTABlock,
     deployed,
+    mdta_block_forward,
     mdta_forward,
     rep_dw_block_forward,
     rep_embed_forward,
@@ -22,9 +23,6 @@ from mvt2.blocks import (
 )
 from mvt2.fusion import RepBranchSpec, fold_bn, fuse
 from mvt2.model import (
-    ModelConfig,
-    build,
-    fusable_branches,
     init_dw_mixer,
     init_ffn,
     init_mdta_block,
@@ -412,13 +410,14 @@ class TestConverter:
         assert np.array_equal(got.kernel, want.kernel)
         assert np.array_equal(got.bias, want.bias)
 
-    def test_ablation_block_has_no_deploy_form(self):
-        with pytest.raises(ValueError, match="no deploy form"):
-            deployed(init_mdta_block(np.random.default_rng(32), 8, 2))
-
-    def test_ablation_feed_forward_is_never_deployed(self):
-        config = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), num_classes=10,
-                             input_resolution=32, attention="mdta")
-        names = [name for name, _ in fusable_branches(build(config, seed=33))]
-        assert "stage2.0.ffn.expand" in names
-        assert not any(name.startswith("stage3.") for name in names)
+    def test_ablation_block_deploys_to_its_folded_units(self):
+        block = init_mdta_block(np.random.default_rng(32), 8, 2, dtype=np.float64)
+        converted = deployed(block)
+        for (unit, owner, (_, field)), (_, new_owner, _) in zip(units(block),
+                                                                units(converted)):
+            got, want = getattr(new_owner, field), fuse(getattr(owner, field))
+            assert np.array_equal(got.kernel, want.kernel), unit
+            assert np.array_equal(got.bias, want.bias), unit
+        x = np.random.default_rng(33).standard_normal((2, 8, 4, 4))
+        assert np.max(np.abs(mdta_block_forward(block, x)
+                             - mdta_block_forward(converted, x))) < 1e-10

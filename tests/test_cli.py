@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,17 @@ class TestFuse:
         x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
         diff = np.max(np.abs(forward(fused, x) - forward(tiny_files["model"], x)))
         assert diff < 1e-3
+
+    def test_ablation_variant_fuses_and_verifies(self, capsys, tmp_path):
+        train, out = str(tmp_path / "mdta.mvt2"), str(tmp_path / "mdta_deploy.mvt2")
+        weights.save(build(dataclasses.replace(TINY, attention="mdta"), seed=0), train)
+        rc, stdout, _ = run(capsys, ["fuse", "--in", train, "--out", out])
+        assert rc == 0 and json.loads(stdout)["mode"] == "deploy"
+        assert weights.load(out).mode == "deploy"
+        rc, stdout, _ = run(capsys, ["verify-fusion", "--in", train, "--samples", "3"])
+        assert rc == 0
+        names = [b["name"] for b in json.loads(stdout)["blocks"]]
+        assert {"stage3.0.qkv", "stage3.0.dw", "stage3.0.proj"} <= set(names)
 
     def test_fuse_already_deployed_fails_cleanly(self, capsys, tiny_files, tmp_path):
         out = str(tmp_path / "x.mvt2")
@@ -290,6 +303,23 @@ class TestBench:
         report = json.loads(stdout)
         assert report["mean_power_w"] == pytest.approx(10.0)
         assert report["eta_pct_per_mj"] is None
+
+    def test_non_finite_logits_fail_with_one_error_line(self, capsys, tmp_path):
+        model = build(TINY, seed=0)
+        model.stage1[0].mixer.main.kernel[...] = np.finfo(np.float32).max
+        path = str(tmp_path / "huge.mvt2")
+        weights.save(model, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, stderr = run(
+                capsys,
+                ["bench", "--model", path, "--iters", "1", "--warmup", "0",
+                 "--power", "constant:5"],
+            )
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "NaN or infinite" in stderr
 
     def test_iters_and_duration_conflict(self, capsys, tiny_files):
         rc, _, _ = run(

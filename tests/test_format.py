@@ -280,7 +280,10 @@ def test_fusable_unit_names(tiny):
     assert set(names) == FUSABLE_UNITS
 
 
-def test_ablation_attention_blocks_have_no_fusable_units():
+def test_ablation_attention_units_are_fusable():
     ablation = build(dataclasses.replace(TINY, attention="mdta"), seed=0)
     names = [n for n, _ in fusable_branches(ablation)]
-    assert names and not any(n.startswith("stage3.") for n in names)
+    assert [n for n in names if n.startswith("stage3.")] == [
+        "stage3.0.qkv", "stage3.0.dw", "stage3.0.proj",
+        "stage3.0.ffn.expand", "stage3.0.ffn.project"]
+    assert len(names) == 17

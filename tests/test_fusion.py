@@ -6,8 +6,6 @@ from mvt2.fusion import (
     fold_bn,
     fuse,
     fused_skeleton,
-    identity_to_conv,
-    pad_1x1_to_3x3,
     random_rep_branch_spec,
     rep_branch_forward,
     verify_equivalence,
@@ -87,73 +85,98 @@ class TestFoldBN:
             fold_bn(conv, BNSpec.identity(3))
 
 
+def exact_bn(c, gamma=None):
+    """A float64 batch norm that folds to scale 1 and shift 0 exactly
+    (gamma is sqrt(var + eps) as ``fold_bn`` computes it), or to scale 0
+    when ``gamma`` is 0."""
+    eps = 1e-5
+    return BNSpec(
+        gamma=np.full(c, np.sqrt(1.0 + eps) if gamma is None else gamma),
+        beta=np.zeros(c), running_mean=np.zeros(c), running_var=np.ones(c), epsilon=eps,
+    )
+
+
+def conv64(kernel, **kw):
+    kernel = np.asarray(kernel, dtype=np.float64)
+    return ConvSpec(kernel, np.zeros(kernel.shape[0]), **kw)
+
+
 class TestPad1x1:
+    """``fuse`` centres a 1x1 kernel on the 3x3 grid of a 3x3 main conv or
+    of an identity branch, at one more pixel of padding."""
+
     def test_center_embedding(self):
-        w = np.array([[[[2.5]]]], dtype=np.float32)
-        conv = ConvSpec(w, np.zeros(1, dtype=np.float32))
-        out = pad_1x1_to_3x3(conv)
+        main = conv64(np.zeros((1, 1, 3, 3)), padding=1)
+        spec = RepBranchSpec(main, exact_bn(1), conv64([[[[2.5]]]]), exact_bn(1))
+        out = fuse(spec)
         assert out.kernel.shape == (1, 1, 3, 3)
         assert out.kernel[0, 0, 1, 1] == 2.5
         assert np.count_nonzero(out.kernel) == 1
         assert out.padding == 1
 
     def test_zero_kernel_stays_zero(self):
-        conv = ConvSpec(np.zeros((3, 2, 1, 1), dtype=np.float32),
-                        np.zeros(3, dtype=np.float32))
-        assert not np.any(pad_1x1_to_3x3(conv).kernel)
+        main = conv64(np.zeros((3, 2, 3, 3)), padding=1)
+        spec = RepBranchSpec(main, exact_bn(3), conv64(np.zeros((3, 2, 1, 1))), exact_bn(3))
+        assert not np.any(fuse(spec).kernel)
 
     def test_functional_equivalence_stride1(self):
-        np.random.seed(2)
-        conv = ConvSpec(
-            np.random.randn(5, 3, 1, 1).astype(np.float32),
-            np.random.randn(5).astype(np.float32),
-        )
-        lifted = pad_1x1_to_3x3(conv)
-        x = np.random.randn(2, 3, 6, 6).astype(np.float32)
-        assert np.max(np.abs(conv2d(x, conv) - conv2d(x, lifted))) < 1e-6
+        # an identity branch of scale 0 lifts a 1x1 main to 3x3 and adds nothing
+        rng = np.random.default_rng(2)
+        main = conv64(rng.standard_normal((5, 5, 1, 1)))
+        lifted = fuse(RepBranchSpec(main, exact_bn(5), identity_bn=exact_bn(5, gamma=0.0)))
+        assert lifted.kernel_size == (3, 3) and lifted.padding == 1
+        x = rng.standard_normal((2, 5, 6, 6))
+        assert np.max(np.abs(conv2d(x, main) - conv2d(x, lifted))) < 1e-12
 
     def test_functional_equivalence_stride2(self):
-        np.random.seed(3)
-        conv = ConvSpec(
-            np.random.randn(4, 3, 1, 1).astype(np.float32),
-            np.random.randn(4).astype(np.float32),
-            stride=2,
-        )
-        lifted = pad_1x1_to_3x3(conv)
-        x = np.random.randn(1, 3, 8, 8).astype(np.float32)
-        assert conv2d(x, conv).shape == conv2d(x, lifted).shape
-        assert np.max(np.abs(conv2d(x, conv) - conv2d(x, lifted))) < 1e-6
+        rng = np.random.default_rng(3)
+        main = conv64(np.zeros((4, 3, 3, 3)), stride=2, padding=1)
+        scale = conv64(rng.standard_normal((4, 3, 1, 1)), stride=2)
+        lifted = fuse(RepBranchSpec(main, exact_bn(4), scale, exact_bn(4)))
+        x = rng.standard_normal((1, 3, 8, 8))
+        assert conv2d(x, scale).shape == conv2d(x, lifted).shape
+        assert np.max(np.abs(conv2d(x, scale) - conv2d(x, lifted))) < 1e-12
 
     def test_rejects_3x3(self):
-        conv = ConvSpec(np.zeros((1, 1, 3, 3), dtype=np.float32),
-                        np.zeros(1, dtype=np.float32))
+        # only a 1x1 side branch is lifted; a 3x3 one is refused up front
+        main = conv64(np.zeros((1, 1, 3, 3)), padding=1)
         with pytest.raises(ValueError):
-            pad_1x1_to_3x3(conv)
+            RepBranchSpec(main, exact_bn(1), conv64(np.zeros((1, 1, 3, 3)), padding=1),
+                          exact_bn(1))
 
 
 class TestIdentityConv:
+    """``fuse`` folds an identity branch as a one-hot centre tap on each
+    channel's own input slot within its group."""
+
+    @staticmethod
+    def identity_only(channels, groups, k=1):
+        main = conv64(np.zeros((channels, channels // groups, k, k)), padding=k // 2,
+                      groups=groups)
+        return fuse(RepBranchSpec(main, exact_bn(channels), identity_bn=exact_bn(channels)))
+
     def test_depthwise_center_taps(self):
-        spec = identity_to_conv(4, 4)
+        spec = self.identity_only(4, 4)
         assert spec.kernel.shape == (4, 1, 3, 3)
         for i in range(4):
             assert spec.kernel[i, 0, 1, 1] == 1.0
         assert np.count_nonzero(spec.kernel) == 4
 
     def test_dense_center_slice_is_identity(self):
-        spec = identity_to_conv(4, 1)
+        spec = self.identity_only(4, 1, k=3)
         assert spec.kernel.shape == (4, 4, 3, 3)
-        assert np.array_equal(spec.kernel[:, :, 1, 1], np.eye(4, dtype=np.float32))
+        assert np.array_equal(spec.kernel[:, :, 1, 1], np.eye(4))
 
     def test_acts_as_identity_bit_exact(self):
-        np.random.seed(4)
-        x = np.random.randint(-8, 8, size=(2, 4, 5, 5)).astype(np.float32)
+        rng = np.random.default_rng(4)
+        x = rng.integers(-8, 8, size=(2, 4, 5, 5)).astype(np.float64)
         for groups in (1, 2, 4):
-            spec = identity_to_conv(4, groups)
-            assert np.array_equal(conv2d(x, spec), x)
+            for k in (1, 3):
+                assert np.array_equal(conv2d(x, self.identity_only(4, groups, k)), x)
 
     def test_rejects_bad_groups(self):
         with pytest.raises(ValueError):
-            identity_to_conv(4, 3)
+            self.identity_only(4, 3)
 
 
 class TestRepBranchSpec:

@@ -150,11 +150,14 @@ class TestDeploy:
         with pytest.raises(ValueError):
             deploy(model)
 
-    def test_mdta_deploy_raises(self):
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-3)],
+                             ids=["float64", "float32"])
+    def test_mdta_deploy_matches_train(self, dtype, tol):
         cfg = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), num_classes=10,
                           input_resolution=32, attention="mdta")
-        with pytest.raises(ValueError):
-            deploy(build(cfg, seed=0))
+        model = build(cfg, seed=0, dtype=dtype)
+        x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(dtype)
+        assert np.max(np.abs(forward(model, x) - forward(deploy(model), x))) < tol
 
     def test_deploy_form_has_no_train_cost_or_branches(self):
         model = deploy(build(TINY, seed=0))

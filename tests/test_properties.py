@@ -67,7 +67,7 @@ def small_configs(draw):
 @given(config=small_configs(), batch=st.integers(1, 8), seed=st.integers(0, 2**16))
 def test_batch_rows_are_bit_identical_to_batch_one_runs(config, batch, seed):
     model = build(config, seed=seed)
-    models = [model, deploy(model)] if config.attention == "sdta" else [model]
+    models = [model, deploy(model)]
     r = config.input_resolution
     x = np.random.default_rng(seed).standard_normal((batch, 3, r, r)).astype(np.float32)
     for m in models:

@@ -1,9 +1,16 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvt2 import cli, weights
 from mvt2.model import ModelConfig, build, deploy, forward, named_tensors
@@ -93,6 +100,20 @@ class TestRoundTrip:
         saved = dict(named_tensors(model))
         for name, arr in named_tensors(loaded):
             assert arr.tobytes() == saved[name].tobytes(), name
+
+    def test_mdta_deploy_round_trip(self, tmp_path):
+        model = deploy(build(dataclasses.replace(TINY, attention="mdta"), seed=2))
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        loaded = weights.load(path)
+        assert (loaded.mode, loaded.config.attention) == ("deploy", "mdta")
+        saved = list(named_tensors(model))
+        got = list(named_tensors(loaded))
+        assert [n for n, _ in got] == [n for n, _ in saved]
+        for (name, a), (_, b) in zip(got, saved):
+            assert a.tobytes() == b.tobytes(), name
+        x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        assert forward(loaded, x).tobytes() == forward(model, x).tobytes()
 
     def test_same_seed_saves_identical_files(self, tmp_path):
         a = tmp_path / "a.mvt2"
@@ -314,7 +335,7 @@ HOSTILE_HEADERS = [
     pytest.param(lambda h: h["tensors"][0].update(byte_offset="0"), id="offset-a-string"),
     pytest.param(lambda h: h["tensors"][0].update(byte_offset=-64), id="offset-negative"),
     pytest.param(lambda h: h.update(mode="deploy", config={**h["config"], "attention": "mdta"}),
-                 id="deploy-form-of-the-ablation-variant"),
+                 id="ablation-deploy-header-over-train-tensors"),
 ]
 
 
@@ -468,3 +489,59 @@ class TestNonFiniteResults:
         with pytest.raises(ValueError, match="'stage2.0.project_bn.beta' holds a NaN"):
             weights.save(model, path)
         assert not path.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def tiny_file_bytes(mode):
+    """The bytes of a TINY weight file in ``mode``; TINY keeps every
+    mutated skeleton small."""
+    model = build(TINY, seed=0)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "m.mvt2")
+        weights.save(deploy(model) if mode == "deploy" else model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@st.composite
+def mutated_files(draw):
+    """A TINY train or deploy file with one mutation: a single-bit flip in
+    the header (fixed part or JSON) or in the payload, a truncation at any
+    offset, or 1-200 appended bytes."""
+    data = bytearray(tiny_file_bytes(draw(st.sampled_from(["train", "deploy"]))))
+    header_end = FIXED.size + FIXED.unpack_from(data)[2]
+    kind = draw(st.sampled_from(["header-bit", "payload-bit", "truncate", "append"]))
+    if kind == "truncate":
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    if kind == "append":
+        return bytes(data) + draw(st.binary(min_size=1, max_size=200))
+    lo, hi = (0, header_end) if kind == "header-bit" else (header_end, len(data))
+    data[draw(st.integers(lo, hi - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=mutated_files())
+def test_mutated_file_is_rejected_or_runs(data):
+    """Every mutation either raises a ``WeightFileError`` subclass (``infer``
+    exits 4 or 3) or loads a model that ``infer`` runs (exit 0, or 1 on a
+    non-finite logit); a failure is one ``error:`` line, never a traceback."""
+    with tempfile.TemporaryDirectory() as root:
+        path, raw = os.path.join(root, "m.mvt2"), os.path.join(root, "x.raw")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype("<f4").tofile(raw)
+        try:
+            weights.load(path)
+            allowed = (0, 1)
+        except weights.WeightFileError:
+            allowed = (3, 4)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["infer", "--model", path, "--input", raw, "--shape", "1,3,32,32"])
+    assert rc in allowed, (rc, err.getvalue())
+    if rc == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
