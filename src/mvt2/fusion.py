@@ -141,13 +141,15 @@ class RepBranchSpec:
 
 def rep_branch_forward(x, spec: RepBranchSpec):
     """Train-form forward: sum of per-branch BN'd outputs.  ``x`` is an
-    ndarray or an ``autodiff.Var``; see ``autodiff.kernels``."""
+    ndarray or an ``autodiff.Var``; see ``autodiff.kernels``.  The sum
+    accumulates into the main branch's fresh output (``Var`` has no
+    in-place add, so for it ``+=`` makes a new node)."""
     ops = kernels(x)
     out = ops.batchnorm_infer(ops.conv2d(x, spec.main), spec.main_bn)
     if spec.scale is not None:
-        out = out + ops.batchnorm_infer(ops.conv2d(x, spec.scale), spec.scale_bn)
+        out += ops.batchnorm_infer(ops.conv2d(x, spec.scale), spec.scale_bn)
     if spec.identity_bn is not None:
-        out = out + ops.batchnorm_infer(x, spec.identity_bn)
+        out += ops.batchnorm_infer(x, spec.identity_bn)
     return out
 
 

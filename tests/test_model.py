@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from mvt2 import blocks, fusion, model as model_module, tensor
 from mvt2.model import (
     VARIANTS,
     CostEntry,
@@ -124,6 +127,60 @@ class TestForward:
         x[1, 2, 5, 7] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             forward(model, x)
+
+
+# Every kernel and block forward a forward pass reaches, by module.
+FORWARD_CALLEES = {
+    tensor: ("gelu", "batchnorm_infer", "conv2d"),
+    fusion: ("rep_branch_forward",),
+    blocks: ("rep_branch_forward", "unit_forward", "ffn_forward", "rep_embed_forward",
+             "rep_dw_block_forward", "sdta_forward", "sdta_block_forward",
+             "mdta_forward", "mdta_block_forward"),
+    model_module: ("gelu", "rep_embed_forward", "rep_dw_block_forward",
+                   "sdta_block_forward", "mdta_block_forward"),
+}
+
+
+class TestInputsUntouched:
+    @pytest.mark.parametrize("attention", ["sdta", "mdta"])
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    def test_no_kernel_or_forward_writes_into_its_input(self, monkeypatch, form, attention):
+        # Outputs are summed and rescaled in place; this pins that the
+        # buffers written are always the callee's own, never an argument.
+        calls = Counter()
+
+        def untouched(name, fn):
+            def wrapped(*args):
+                before = [(a, a.tobytes()) for a in args if isinstance(a, np.ndarray)]
+                out = fn(*args)
+                for a, raw in before:
+                    assert a.tobytes() == raw, f"{name} wrote into its input"
+                calls[name] += 1
+                spec = args[-1]
+                if name == "conv2d" and spec.is_depthwise and spec.kernel_size == (1, 1):
+                    calls["one-tap depthwise conv2d"] += 1
+                return out
+            return wrapped
+
+        for module, names in FORWARD_CALLEES.items():
+            for name in names:
+                monkeypatch.setattr(module, name, untouched(name, getattr(module, name)))
+        config = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), ffn_ratio=2, num_classes=10,
+                             input_resolution=32, attention=attention)
+        net = build(config, seed=0)
+        if form == "deploy":
+            net = deploy(net)
+        weights_before = {k: v.tobytes() for k, v in named_tensors(net)}
+        x = np.random.default_rng(9).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        raw = x.tobytes()
+        forward(net, x)
+        assert x.tobytes() == raw
+        assert {k: v.tobytes() for k, v in named_tensors(net)} == weights_before
+        want = {"gelu", "conv2d", "unit_forward", "ffn_forward", "rep_embed_forward",
+                "rep_dw_block_forward", f"{attention}_forward", f"{attention}_block_forward"}
+        if form == "train":
+            want |= {"batchnorm_infer", "rep_branch_forward", "one-tap depthwise conv2d"}
+        assert set(calls) == want
 
 
 class TestS1FullResolution:

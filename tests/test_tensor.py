@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from mvt2.blocks import rep_embed_forward
+from mvt2.model import VARIANTS, build
 from mvt2.tensor import (
     BNSpec,
     ConvSpec,
@@ -388,6 +390,51 @@ class TestGelu:
         full = gelu(x)
         for b in range(x.shape[0]):
             assert np.array_equal(full[b:b + 1], gelu(x[b:b + 1]))
+
+    def test_results_do_not_depend_on_block_layout(self):
+        # Compared as bits, so -0.0 against 0.0 or a NaN payload would show.
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.uint32)
+
+        rng = np.random.default_rng(5)
+        # Odd, and more than three 32768-element blocks.
+        x = rng.normal(scale=4.0, size=3 * 32768 + 4321).astype(np.float32)
+        x[::997] = [np.inf, -np.inf, np.nan, -0.0, 0.0, -20.0] * 17 + [1e-30]
+        full = gelu(x)
+        # Each element alone (0-d), around every block edge and at random.
+        edges = np.concatenate([np.arange(k * 32768 - 9, k * 32768 + 9) for k in (1, 2, 3)])
+        for i in np.concatenate([edges, rng.choice(x.size, 300, replace=False)]):
+            alone = gelu(x[i][()])
+            assert alone.shape == () and bits(alone) == bits(full[i])
+        # Every element moved to another block and another vector lane.
+        perm = rng.permutation(x.size)
+        assert np.array_equal(bits(gelu(x[perm])), bits(full[perm]))
+        assert np.array_equal(bits(gelu(x[1:])), bits(full[1:]))
+        # Non-contiguous views give the bits of their contiguous copies.
+        for view in (x[:-1].reshape(4, -1).T, x[::3], x[5::7][::-1]):
+            assert not view.flags.c_contiguous
+            got = gelu(view)
+            assert got.shape == view.shape
+            assert np.array_equal(bits(got), bits(gelu(np.ascontiguousarray(view))))
+
+    def test_float32_emits_no_subnormals(self):
+        # A result below float32's smallest normal that is not 0 would
+        # reach the next GEMM as a subnormal, which runs many times slower.
+        tiny = np.finfo(np.float32).tiny
+
+        def subnormals(y):
+            return int(np.count_nonzero((y != 0) & (np.abs(y) < tiny)))
+
+        grid = np.linspace(-1e4, 1e4, 4_000_001, dtype=np.float32)
+        assert subnormals(gelu(grid)) == 0
+        # Where exp(-x^2 / 2) leaves the normal range, densely.
+        assert subnormals(gelu(np.linspace(-30.0, -9.0, 1_000_001, dtype=np.float32))) == 0
+
+        model = build(VARIANTS["s1"], seed=0)
+        x = np.random.default_rng(6).standard_normal((1, 3, 224, 224)).astype(np.float32)
+        for emb in model.stem[:-1]:
+            x = gelu(rep_embed_forward(emb, x))
+            assert subnormals(x) == 0
 
 
 @st.composite
