@@ -4,9 +4,11 @@ Verifying analytic gradients against finite differences
 
 Each block forward in ``mvt2.blocks`` is written once and runs on either an
 ndarray or a traced ``autodiff.Var``: given a ``Var`` it records a
-reverse-mode tape.  The checker compares the tape's gradient with central
-finite differences coordinate by coordinate and reports the worst relative
-error.
+reverse-mode tape of the same ``tensor`` kernel calls, so the traced
+values are the engine's own, bit for bit.  The tape holds the gradient
+with respect to the block's input only; weights are constants.  The
+checker compares that gradient with central finite differences
+coordinate by coordinate and reports the worst relative error.
 """
 
 import numpy as np

@@ -4,8 +4,9 @@ reparameterizable vision transformer family.
 Submodules:
 
 - ``tensor``: NCHW kernels (convolution, batch norm, softmax, ...)
-- ``autodiff``: reverse-mode tape, the traced counterparts of the
-  ``tensor`` kernels, and a finite-difference gradient checker
+- ``autodiff``: reverse-mode tape through the ``tensor`` kernels (each
+  traced value is the kernel's own output; gradients are with respect to
+  the input only) and a finite-difference gradient checker
 - ``fusion``: multi-branch to single-convolution reparameterization
 - ``blocks``: the network's building blocks in train and deploy form;
   each forward runs on arrays or on traced ``autodiff.Var`` values

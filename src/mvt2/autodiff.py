@@ -1,37 +1,43 @@
-"""Minimal reverse-mode differentiation over the numeric kernels, plus a
-central-difference verifier.
+"""Minimal reverse-mode differentiation through the ``tensor`` kernels,
+plus a central-difference verifier.
 
-A :class:`Var` wraps an ndarray and remembers how it was produced; the
-traced operations here mirror the kernels in ``tensor`` and record one
-vector-Jacobian closure per input.  :func:`backward` walks the recorded
-graph once and leaves ``.grad`` on every node.  :func:`check_gradient`
-compares the reverse-mode gradient of a scalar-valued function against
-central differences coordinate by coordinate.
+A :class:`Var` wraps an ndarray and remembers how it was produced.  Each
+traced kernel here (``conv2d``, ``batchnorm_infer``, ``gelu``,
+``sigmoid``, ``softmax``, ``matmul``, ``split_channels``,
+``concat_channels``) takes the name and signature of its ``tensor``
+counterpart and gets its value by calling that kernel, so a traced
+forward computes the engine's arrays bit for bit, in float32 and
+float64.  Each records the vector-Jacobian product of its input only:
+weights, batch-norm parameters and running statistics come in as
+``ConvSpec`` and ``BNSpec`` constants and get no gradient.
+:func:`backward` walks the recorded graph once and leaves ``.grad`` on
+every node.  :func:`check_gradient` compares the reverse-mode gradient
+of a scalar-valued function with respect to its input against central
+differences coordinate by coordinate.
 
-This module holds no network blocks.  It supplies ``traced``, the
-kernels a block forward calls under the names and ``(x, spec)``
-signatures of ``tensor``, and :func:`kernels`, which picks ``tensor``
-for an ndarray and ``traced`` for a ``Var``; so the one forward of each
-block in ``blocks`` and ``fusion`` runs on arrays or records a graph.
-A ``Var`` offers the array methods those forwards use (``+``, division
-by a scalar, ``reshape``, ``swapaxes``); ``matmul`` and ``softmax``
-take stacks of matrices, so attention is traced for the whole batch.
+This module holds no network blocks.  :func:`kernels` returns this
+module for a ``Var`` and ``tensor`` for an ndarray, so the one forward
+of each block in ``blocks`` and ``fusion`` runs on arrays or records a
+graph.  A ``Var`` offers the array methods those forwards use (``+``,
+division by a scalar, ``reshape``, ``swapaxes``); ``matmul`` and
+``softmax`` take stacks of matrices, so attention is traced for the
+whole batch.  ``add``, ``mul`` and ``vsum`` build the scalar losses.
 
 There is no optimizer and no training loop; batch norm is differentiated
-in inference mode only (running statistics held fixed).  A graph of Vars
-is single-owner: do not share one across concurrent evaluations.
-Distinct graphs are independent.
+in inference mode only.  A graph of Vars is single-owner: do not share
+one across concurrent evaluations.  Distinct graphs are independent.
 
 Verification runs in float64; traced values are whatever dtype flows in.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import math
+import sys
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 from . import tensor as T
 
@@ -72,16 +78,13 @@ def _as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(x)
 
 
-def conv2d(x: Var, kernel: Var, bias: Var, stride: int = 1, padding: int = 0,
-           groups: int = 1) -> Var:
-    x, kernel, bias = _as_var(x), _as_var(kernel), _as_var(bias)
-    spec = T.ConvSpec(kernel.value, bias.value, stride=stride,
-                      padding=padding, groups=groups)
+def conv2d(x: Var, spec: T.ConvSpec) -> Var:
+    x = _as_var(x)
     out = T.conv2d(x.value, spec)
     n, c, h, w = x.value.shape
     kh, kw = spec.kernel_size
     ho, wo = out.shape[2], out.shape[3]
-    s, p, g = stride, padding, groups
+    s, p, g = spec.stride, spec.padding, spec.groups
     icg = c // g
     ocg = spec.out_channels // g
 
@@ -89,7 +92,7 @@ def conv2d(x: Var, kernel: Var, bias: Var, stride: int = 1, padding: int = 0,
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad.dtype)
         for gi in range(g):
             gg = grad[:, gi * ocg:(gi + 1) * ocg]
-            wg = kernel.value[gi * ocg:(gi + 1) * ocg]
+            wg = spec.kernel[gi * ocg:(gi + 1) * ocg]
             for i in range(kh):
                 for j in range(kw):
                     contrib = np.tensordot(gg, wg[:, :, i, j], axes=([1], [0]))
@@ -100,45 +103,13 @@ def conv2d(x: Var, kernel: Var, bias: Var, stride: int = 1, padding: int = 0,
             return dxp[:, :, p:-p, p:-p]
         return dxp
 
-    def dkernel(grad):
-        if p > 0:
-            xp = np.pad(x.value, ((0, 0), (0, 0), (p, p), (p, p)))
-        else:
-            xp = x.value
-        dk = np.zeros_like(kernel.value)
-        for gi in range(g):
-            gg = grad[:, gi * ocg:(gi + 1) * ocg]
-            xg = xp[:, gi * icg:(gi + 1) * icg]
-            for i in range(kh):
-                for j in range(kw):
-                    win = xg[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-                    dk[gi * ocg:(gi + 1) * ocg, :, i, j] = np.tensordot(
-                        gg, win, axes=([0, 2, 3], [0, 2, 3]))
-        return dk
-
-    def dbias(grad):
-        return grad.sum(axis=(0, 2, 3))
-
-    return Var(out, (x, kernel, bias), (dx, dkernel, dbias))
+    return Var(out, (x,), (dx,))
 
 
-def batchnorm_infer(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-                    running_var: np.ndarray, epsilon: float = 1e-5) -> Var:
-    x, gamma, beta = _as_var(x), _as_var(gamma), _as_var(beta)
-    inv = 1.0 / np.sqrt(running_var + epsilon)
-    xhat = (x.value - running_mean[None, :, None, None]) * inv[None, :, None, None]
-    out = xhat * gamma.value[None, :, None, None] + beta.value[None, :, None, None]
-
-    def dx(grad):
-        return grad * (gamma.value * inv)[None, :, None, None]
-
-    def dgamma(grad):
-        return (grad * xhat).sum(axis=(0, 2, 3))
-
-    def dbeta(grad):
-        return grad.sum(axis=(0, 2, 3))
-
-    return Var(out, (x, gamma, beta), (dx, dgamma, dbeta))
+def batchnorm_infer(x: Var, bn: T.BNSpec) -> Var:
+    x = _as_var(x)
+    scale = (bn.gamma / np.sqrt(bn.running_var + bn.epsilon))[None, :, None, None]
+    return Var(T.batchnorm_infer(x.value, bn), (x,), (lambda g: g * scale,))
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -147,15 +118,6 @@ def matmul(a: Var, b: Var) -> Var:
     return Var(out, (a, b),
                (lambda g: g @ b.value.swapaxes(-1, -2),
                 lambda g: a.value.swapaxes(-1, -2) @ g))
-
-
-def linear(x: Var, weight: Var, bias: Var) -> Var:
-    x, weight, bias = _as_var(x), _as_var(weight), _as_var(bias)
-    out = x.value @ weight.value.T + bias.value
-    return Var(out, (x, weight, bias),
-               (lambda g: g @ weight.value,
-                lambda g: g.T @ x.value,
-                lambda g: g.sum(axis=0)))
 
 
 def softmax(x: Var, axis: int) -> Var:
@@ -170,21 +132,21 @@ def softmax(x: Var, axis: int) -> Var:
 
 def sigmoid(x: Var) -> Var:
     x = _as_var(x)
-    y = expit(x.value)
+    y = T.sigmoid(x.value)
     return Var(y, (x,), (lambda g: g * y * (1.0 - y),))
 
 
 def gelu(x: Var) -> Var:
     x = _as_var(x)
     v = x.value
-    phi_cdf = 0.5 * (1.0 + erf(v / np.sqrt(2.0)))
-    out = v * phi_cdf
 
     def dx(grad):
-        pdf = np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
-        return grad * (phi_cdf + v * pdf)
+        # Python-float constants keep a float32 input's dtype.
+        cdf = 0.5 * (1.0 + erf(v / math.sqrt(2.0)))
+        pdf = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+        return grad * (cdf + v * pdf)
 
-    return Var(out, (x,), (dx,))
+    return Var(T.gelu(v), (x,), (dx,))
 
 
 def add(a: Var, b: Var) -> Var:
@@ -200,13 +162,6 @@ def mul(a: Var, b: Var) -> Var:
         raise ValueError(f"mul requires equal shapes, got {a.shape} and {b.shape}")
     return Var(a.value * b.value, (a, b),
                (lambda g: g * b.value, lambda g: g * a.value))
-
-
-def cmul(x: Var, c) -> Var:
-    """Multiply by a constant scalar or array (not differentiated)."""
-    x = _as_var(x)
-    c = np.asarray(c)
-    return Var(x.value * c, (x,), (lambda g: g * c,))
 
 
 def vsum(x: Var) -> Var:
@@ -253,18 +208,6 @@ def split_channels(x: Var, sizes: Sequence[int]) -> list[Var]:
 
         out.append(Var(part, (x,), (vjp,)))
     return out
-
-
-def global_avg_pool(x: Var) -> Var:
-    x = _as_var(x)
-    n, c, h, w = x.value.shape
-    out = T.global_avg_pool(x.value)
-
-    def dx(grad):
-        return np.broadcast_to(grad[:, :, None, None] / (h * w),
-                               x.value.shape).copy()
-
-    return Var(out, (x,), (dx,))
 
 
 def backward(loss: Var):
@@ -339,23 +282,7 @@ def check_gradient(f, x: np.ndarray, eps: float = 1e-5) -> float:
     return worst
 
 
-# The tensor kernels the block forwards call, traced.  Weights are
-# recorded as constant leaves; batch norm keeps its running statistics.
-traced = SimpleNamespace(
-    conv2d=lambda x, spec: conv2d(x, Var(spec.kernel), Var(spec.bias), spec.stride,
-                                  spec.padding, spec.groups),
-    batchnorm_infer=lambda x, bn: batchnorm_infer(x, Var(bn.gamma), Var(bn.beta),
-                                                  bn.running_mean, bn.running_var,
-                                                  bn.epsilon),
-    gelu=gelu,
-    sigmoid=sigmoid,
-    softmax=softmax,
-    matmul=matmul,
-    concat_channels=concat_channels,
-    split_channels=split_channels,
-)
-
-
 def kernels(x):
-    """The kernel namespace for ``x``: ``traced`` for a ``Var``, else ``tensor``."""
-    return traced if isinstance(x, Var) else T
+    """The kernels for ``x``: this module for a ``Var``, else the ``tensor``
+    module itself, whose attributes are looked up at each call."""
+    return sys.modules[__name__] if isinstance(x, Var) else T

@@ -20,8 +20,11 @@ norm is a one-branch spec), in deploy form the one folded conv.
 forward serves both forms, and ``deployed`` returns a copy of a block
 that keeps only its folded convs.  Each forward is written once and
 takes an ndarray or an ``autodiff.Var``: ``autodiff.kernels`` picks the
-``tensor`` kernels or their traced counterparts from the input, so the
-gradient checker differentiates the code the engine runs.  Blocks are
+``tensor`` module or ``autodiff`` from the input.  The traced kernels get
+every value from the ``tensor`` kernel of the same name and record the
+gradient with respect to the input only (weights are constants), so a
+traced forward matches the engine's bit for bit and the gradient
+checker differentiates the code the engine runs.  Blocks are
 immutable after construction and forwards are pure, so shared blocks are
 safe to use concurrently.
 """

@@ -11,7 +11,7 @@ Exit codes:
     1  a numeric check failed, a result is not finite, or the operation is
        invalid for the input
     2  usage error (bad flags or argument values)
-    3  a file could not be read or parsed
+    3  a file could not be read, written or parsed
     4  invalid weight file, including a tensor holding NaN or infinity
     5  invalid input tensor: wrong shape, or a NaN or infinite value
 """
@@ -67,8 +67,8 @@ def _diag(message: str) -> None:
 def _load_model(path):
     try:
         return weights.load(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_UNREADABLE, f"cannot read {path}") from None
+    except OSError as exc:
+        raise CliError(EXIT_UNREADABLE, f"cannot read {path}: {exc.strerror}") from None
     except weights.WeightFileError as exc:
         raise CliError(EXIT_BAD_WEIGHTS, f"{path}: {exc}") from None
 
@@ -214,8 +214,9 @@ def _parse_power(text: str) -> PowerProvider:
     if kind == "trace":
         try:
             return load_power_trace(rest)
-        except FileNotFoundError:
-            raise CliError(EXIT_UNREADABLE, f"cannot read power trace {rest}") from None
+        except OSError as exc:
+            raise CliError(EXIT_UNREADABLE,
+                           f"cannot read power trace {rest}: {exc.strerror}") from None
         except ValueError as exc:
             raise CliError(EXIT_UNREADABLE, str(exc)) from None
     raise CliError(EXIT_USAGE, f"unknown power kind {kind!r}")
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         _diag(f"error: {exc}")
         return exc.code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _diag(f"error: {exc}")
         return EXIT_UNREADABLE
     except weights.WeightFileError as exc:

@@ -141,9 +141,11 @@ class RepBranchSpec:
 
 def rep_branch_forward(x, spec: RepBranchSpec):
     """Train-form forward: sum of per-branch BN'd outputs.  ``x`` is an
-    ndarray or an ``autodiff.Var``; see ``autodiff.kernels``.  The sum
-    accumulates into the main branch's fresh output (``Var`` has no
-    in-place add, so for it ``+=`` makes a new node)."""
+    ndarray or an ``autodiff.Var``; see ``autodiff.kernels``.  Traced, every
+    value comes from the same ``tensor`` kernels, so the result is the
+    same bits, and the gradient is taken with respect to ``x`` only.  The
+    sum accumulates into the main branch's fresh output (``Var`` has no
+    in-place add, so for it ``+=`` makes a new node with the same sum)."""
     ops = kernels(x)
     out = ops.batchnorm_infer(ops.conv2d(x, spec.main), spec.main_bn)
     if spec.scale is not None:

@@ -107,17 +107,6 @@ VARIANTS = {
 }
 
 
-def stage_resolutions(config: ModelConfig) -> tuple[int, int, int]:
-    """Feature-map side length at entry to each stage."""
-    h = config.input_resolution
-    for _ in range(4):
-        h, _ = conv_output_hw(h, h, 3, 3, 2, 1)
-    r1 = h
-    r2, _ = conv_output_hw(r1, r1, 3, 3, 2, 1)
-    r3, _ = conv_output_hw(r2, r2, 3, 3, 2, 1)
-    return (r1, r2, r3)
-
-
 @dataclass
 class Model:
     """A built network.  Immutable once constructed; forwards are pure."""

@@ -162,6 +162,31 @@ class TestOutOfRangeFlags:
         assert stderr.count("\n") == 1
 
 
+class TestUnopenablePaths:
+    """A path that exists but cannot be opened (here a directory) is exit 3."""
+
+    @pytest.mark.parametrize("flags", [
+        ["infer", "--model", "{dir}", "--input", "{input}", "--shape", "1,3,32,32"],
+        ["bench", "--model", "{dir}", "--iters", "1", "--power", "constant:10"],
+        ["bench", "--model", "{deploy}", "--iters", "1", "--power", "trace:{dir}"],
+        ["fuse", "--in", "{dir}", "--out", "{out}"],
+        ["verify-fusion", "--in", "{dir}"],
+        ["fuse", "--in", "{train}", "--out", "{dir}"],
+        ["build", "--variant", "s1", "--out", "{dir}"],
+    ], ids=["infer-model", "bench-model", "bench-power-trace", "fuse-in",
+            "verify-fusion-in", "fuse-out", "build-out"])
+    def test_directory_is_unreadable_with_one_line(self, capsys, tiny_files, tmp_path, flags):
+        data = tmp_path / "input.bin"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(data)
+        paths = {"dir": tmp_path, "input": data, "out": tmp_path / "out.mvt2",
+                 "train": tiny_files["train"], "deploy": tiny_files["deploy"]}
+        rc, stdout, stderr = run(capsys, [f.format(**paths) for f in flags])
+        assert rc == 3
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
+
 class TestCount:
     def test_s1_near_published_budget(self, capsys):
         rc, stdout, _ = run(capsys, ["count", "--variant", "s1"])

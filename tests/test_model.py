@@ -16,7 +16,6 @@ from mvt2.model import (
     forward,
     fusable_branches,
     named_tensors,
-    stage_resolutions,
 )
 from mvt2.tensor import ConvSpec
 
@@ -49,12 +48,6 @@ class TestConfig:
     def test_rejects_unknown_attention(self):
         with pytest.raises(ValueError):
             ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), attention="esha")
-
-    def test_stage_resolutions_224(self):
-        assert stage_resolutions(VARIANTS["s1"]) == (14, 7, 4)
-
-    def test_stage_resolutions_tiny(self):
-        assert stage_resolutions(TINY) == (2, 1, 1)
 
 
 class TestBuild:
