@@ -3,23 +3,22 @@ plus a central-difference verifier.
 
 A :class:`Var` wraps an ndarray and remembers how it was produced.  Each
 traced kernel here (``conv2d``, ``batchnorm_infer``, ``gelu``,
-``sigmoid``, ``softmax``, ``matmul``, ``split_channels``,
-``concat_channels``) takes the name and signature of its ``tensor``
-counterpart and gets its value by calling that kernel, so a traced
-forward computes the engine's arrays bit for bit, in float32 and
-float64.  Each records the vector-Jacobian product of its input only:
-weights, batch-norm parameters and running statistics come in as
-``ConvSpec`` and ``BNSpec`` constants and get no gradient.
-:func:`backward` walks the recorded graph once and leaves ``.grad`` on
-every node.  :func:`check_gradient` compares the reverse-mode gradient
-of a scalar-valued function with respect to its input against central
-differences coordinate by coordinate.
+``sigmoid``, ``softmax``, ``matmul``, ``concat_channels``) takes the
+name and signature of its ``tensor`` counterpart and gets its value by
+calling that kernel, so a traced forward computes the engine's arrays
+bit for bit, in float32 and float64.  Each records the vector-Jacobian
+product of its input only: weights, batch-norm parameters and running
+statistics come in as ``ConvSpec`` and ``BNSpec`` constants and get no
+gradient.  :func:`backward` walks the recorded graph once and leaves
+``.grad`` on every node.  :func:`check_gradient` compares the
+reverse-mode gradient of a scalar-valued function with respect to its
+input against central differences coordinate by coordinate.
 
 This module holds no network blocks.  :func:`kernels` returns this
 module for a ``Var`` and ``tensor`` for an ndarray, so the one forward
 of each block in ``blocks`` and ``fusion`` runs on arrays or records a
 graph.  A ``Var`` offers the array methods those forwards use (``+``,
-division by a scalar, ``reshape``, ``swapaxes``); ``matmul`` and
+division by a scalar, slicing, ``reshape``, ``swapaxes``); ``matmul`` and
 ``softmax`` take stacks of matrices, so attention is traced for the
 whole batch.  ``add``, ``mul`` and ``vsum`` build the scalar losses.
 
@@ -67,6 +66,15 @@ class Var:
         """Divide by a constant scalar (not differentiated)."""
         return Var(self.value / c, (self,), (lambda g: g / c,))
 
+    def __getitem__(self, index) -> "Var":
+        """A basic slice of the value; the VJP scatters the gradient into zeros."""
+        def vjp(g):
+            full = np.zeros_like(self.value)
+            full[index] = g
+            return full
+
+        return Var(self.value[index], (self,), (vjp,))
+
     def reshape(self, *shape) -> "Var":
         return reshape(self, shape)
 
@@ -85,30 +93,24 @@ def conv2d(x: Var, spec: T.ConvSpec) -> Var:
     kh, kw = spec.kernel_size
     ho, wo = out.shape[2], out.shape[3]
     s, p, g = spec.stride, spec.padding, spec.groups
-    icg = c // g
-    ocg = spec.out_channels // g
+    # per tap, (g, in/g, out/g): the transposed kernel matrix of each group
+    taps = spec.kernel.reshape(g, -1, *spec.kernel.shape[1:]).transpose(3, 4, 0, 2, 1)
 
     def dx(grad):
+        gg = grad.reshape(n, g, -1, ho * wo)
         dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad.dtype)
-        for gi in range(g):
-            gg = grad[:, gi * ocg:(gi + 1) * ocg]
-            wg = spec.kernel[gi * ocg:(gi + 1) * ocg]
-            for i in range(kh):
-                for j in range(kw):
-                    contrib = np.tensordot(gg, wg[:, :, i, j], axes=([1], [0]))
-                    dxp[:, gi * icg:(gi + 1) * icg,
-                        i:i + s * (ho - 1) + 1:s,
-                        j:j + s * (wo - 1) + 1:s] += contrib.transpose(0, 3, 1, 2)
-        if p > 0:
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        for i in range(kh):
+            for j in range(kw):
+                contrib = np.matmul(taps[i, j], gg).reshape(n, c, ho, wo)
+                dxp[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s] += contrib
+        return dxp[:, :, p:p + h, p:p + w]
 
     return Var(out, (x,), (dx,))
 
 
 def batchnorm_infer(x: Var, bn: T.BNSpec) -> Var:
     x = _as_var(x)
-    scale = (bn.gamma / np.sqrt(bn.running_var + bn.epsilon))[None, :, None, None]
+    scale = (bn.gamma / np.sqrt(bn.running_var + T.BN_EPS))[None, :, None, None]
     return Var(T.batchnorm_infer(x.value, bn), (x,), (lambda g: g * scale,))
 
 
@@ -191,23 +193,6 @@ def concat_channels(xs: Sequence[Var]) -> Var:
         return lambda g: g[:, offsets[i]:offsets[i + 1]].copy()
 
     return Var(out, tuple(xs), tuple(make_vjp(i) for i in range(len(xs))))
-
-
-def split_channels(x: Var, sizes: Sequence[int]) -> list[Var]:
-    x = _as_var(x)
-    parts = T.split_channels(x.value, list(sizes))
-    offsets = np.cumsum([0] + list(sizes))
-    out = []
-    for i, part in enumerate(parts):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-
-        def vjp(g, start=start, stop=stop):
-            full = np.zeros_like(x.value)
-            full[:, start:stop] = g
-            return full
-
-        out.append(Var(part, (x,), (vjp,)))
-    return out
 
 
 def backward(loss: Var):

@@ -237,15 +237,17 @@ def rep_dw_block_forward(block: RepDWBlock, x):
 
 
 def _sdta_attention(block: SDTABlock, x):
-    """Mixer, input projection split into Q, K, V and U, and the token
-    attention of the whole batch: returns Att = V M (N, C/4, HW), the
-    column-stochastic maps M (N, HW, HW) and U.  The stacked products run
-    one GEMM per sample, so each row matches a batch-1 run bit for bit."""
+    """Mixer, input projection, and the token attention of the whole
+    batch: Q, K, V and U are channel slices (views) of the projection.
+    Returns Att = V M (N, C/4, HW), the column-stochastic maps M (N, HW,
+    HW) and U.  The stacked products run one GEMM per sample, so each row
+    matches a batch-1 run bit for bit."""
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     ops = kernels(x)
     p = unit_forward(block.proj_p, unit_forward(block.pre_mixer, x))
-    q, k, v, u = ops.split_channels(p, [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
+    q, k = p[:, :QK_DIM], p[:, QK_DIM:2 * QK_DIM]
+    v, u = p[:, 2 * QK_DIM:2 * QK_DIM + c // 4], p[:, 2 * QK_DIM + c // 4:]
     q, k, v = (t.reshape(n, t.shape[1], h * w) for t in (q, k, v))
     m = ops.softmax(ops.matmul(q.swapaxes(1, 2), k) / float(np.sqrt(QK_DIM)), axis=1)
     return ops.matmul(v, m), m, u
@@ -278,7 +280,7 @@ def mdta_forward(block: MDTABlock, x):
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     ops = kernels(x)
     p = unit_forward(block.dw, unit_forward(block.qkv, x))
-    q, k, v = (t.reshape(n, c, h * w) for t in ops.split_channels(p, [c, c, c]))
+    q, k, v = (p[:, i * c:(i + 1) * c].reshape(n, c, h * w) for i in range(3))
     m = ops.softmax(ops.matmul(q, k.swapaxes(1, 2)) / float(np.sqrt(c)), axis=2)
     return x + unit_forward(block.proj, ops.matmul(m, v).reshape(n, c, h, w))
 

@@ -17,6 +17,7 @@ Exit codes:
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -236,13 +237,15 @@ def cmd_bench(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
-    try:
-        report = run_bench(model, config, power)
-    except ValueError as exc:
-        raise CliError(EXIT_CHECK_FAILED, str(exc)) from None
-    text = report.to_json()
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # opened before the timed run, so an unwritable --out fails at once
+    with (open(args.out, "w", encoding="utf-8") if args.out is not None
+          else contextlib.nullcontext()) as fh:
+        try:
+            report = run_bench(model, config, power)
+        except ValueError as exc:
+            raise CliError(EXIT_CHECK_FAILED, str(exc)) from None
+        text = report.to_json()
+        if fh is not None:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK

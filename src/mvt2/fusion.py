@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import kernels
-from .tensor import BNSpec, ConvSpec, conv2d
+from .tensor import BN_EPS, BNSpec, ConvSpec, conv2d
 
 
 def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
@@ -41,7 +41,7 @@ def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
     w = conv.kernel.astype(np.float64)
     b = conv.bias.astype(np.float64)
     scale = bn.gamma.astype(np.float64) / np.sqrt(
-        bn.running_var.astype(np.float64) + float(bn.epsilon)
+        bn.running_var.astype(np.float64) + BN_EPS
     )
     w_f = w * scale[:, None, None, None]
     b_f = bn.beta.astype(np.float64) + (b - bn.running_mean.astype(np.float64)) * scale

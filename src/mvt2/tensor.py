@@ -5,27 +5,30 @@ Tensors are plain ``numpy.ndarray`` values of rank 4 in NCHW layout
 engine path.  float64 is reserved for verification oracles and gradient
 checks.  :func:`as_nchw` validates the layout contract.
 
+The kernels are ``conv2d``, ``batchnorm_infer``, ``gelu``, ``sigmoid``,
+``softmax``, ``matmul``, ``global_avg_pool``, ``linear`` and
+``concat_channels``; a block takes channel slices of a tensor as views.
 All kernels are pure functions of their inputs and are deterministic.
-Dense ``conv2d`` lowers each sample and group to one im2col GEMM
-(Chellapilla et al., 2006) run by the platform BLAS, which is
-reproducible for a fixed build, so repeated evaluation on identical
-input is bit-identical.  The GEMM never spans samples, so each batch row
-takes the same arithmetic path at any batch size and is bit-identical to
-a batch-1 run of that row.  Depthwise ``conv2d`` uses no BLAS: it runs
-its taps channels-last on an internal padded copy, one elementwise
-multiply-add per tap in row-major tap order, so every output element
-gets the same additions in the same order and rows stay bit-identical.
-A stacked ``matmul`` runs one GEMM per matrix, the same GEMM a single
-matrix gets, so a batch of attention products keeps its rows
-independent the same way; ``softmax`` reduces along one axis of each
-matrix only.  ``linear`` runs row by row, because one GEMM over the rows
-is not row-identical.  The elementwise kernels apply one formula to every
-element: ``batchnorm_infer`` as one multiply and one add per element,
-float32 ``gelu`` in fixed-size blocks through block-sized scratch buffers,
-where an element's result depends on neither the block nor its place in
-it.  No kernel writes into its input; each returns a fresh array, which
-callers may update in place.  Concurrent calls on shared immutable inputs
-are safe.
+Dense ``conv2d`` lowers each sample to one stacked im2col GEMM
+(Chellapilla et al., 2006), one matrix per group, run by the platform
+BLAS, which is reproducible for a fixed build, so repeated evaluation on
+identical input is bit-identical.  The GEMM never spans samples, so each
+batch row takes the same arithmetic path at any batch size and is
+bit-identical to a batch-1 run of that row.  Depthwise ``conv2d`` uses
+no BLAS: it runs its taps channels-last on an internal padded copy, one
+elementwise multiply-add per tap in row-major tap order, so every output
+element gets the same additions in the same order and rows stay
+bit-identical.  A stacked ``matmul`` runs one GEMM per matrix, the same
+GEMM a single matrix gets, so a batch of attention products keeps its
+rows independent the same way; ``softmax`` reduces along one axis of
+each matrix only.  ``linear`` runs row by row, because one GEMM over the
+rows is not row-identical.  The elementwise kernels apply one formula to
+every element: ``batchnorm_infer`` as one multiply and one add per
+element, float32 ``gelu`` in fixed-size blocks through block-sized
+scratch buffers, where an element's result depends on neither the block
+nor its place in it.  No kernel writes into its input; each returns a
+fresh array, which callers may update in place.  Concurrent calls on
+shared immutable inputs are safe.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 FLOAT_DTYPES = (np.float32, np.float64)
+# Batch-norm epsilon of every BNSpec; weight files do not store it.
+BN_EPS = 1e-5
 
 
 def as_nchw(x: np.ndarray, name: str = "x") -> np.ndarray:
@@ -125,13 +130,13 @@ class ConvSpec:
 
 @dataclass
 class BNSpec:
-    """Batch-norm parameters and running statistics (inference mode only)."""
+    """Batch-norm parameters and running statistics (inference mode only);
+    every batch norm uses epsilon ``BN_EPS``."""
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
 
     def __post_init__(self):
         arrs = [np.asarray(a) for a in
@@ -142,8 +147,6 @@ class BNSpec:
             raise ValueError("batch-norm arrays must all be 1-D of equal length")
         if len({a.dtype for a in arrs}) != 1 or self.gamma.dtype not in FLOAT_DTYPES:
             raise ValueError("batch-norm arrays must share a float32/float64 dtype")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if np.any(self.running_var < 0):
             raise ValueError("running_var must be non-negative")
 
@@ -156,22 +159,20 @@ class BNSpec:
         return self.gamma.dtype
 
     @classmethod
-    def identity(cls, channels: int, epsilon: float = 1e-5, dtype=np.float32) -> "BNSpec":
+    def identity(cls, channels: int, dtype=np.float32) -> "BNSpec":
         """A batch-norm that maps x to x exactly (var = 1 - eps so var + eps = 1)."""
         one = np.ones(channels, dtype=dtype)
         return cls(
             gamma=one.copy(),
             beta=np.zeros(channels, dtype=dtype),
             running_mean=np.zeros(channels, dtype=dtype),
-            running_var=one - dtype(epsilon),
-            epsilon=epsilon,
+            running_var=one - dtype(BN_EPS),
         )
 
     def astype(self, dtype) -> "BNSpec":
         return BNSpec(
             self.gamma.astype(dtype), self.beta.astype(dtype),
             self.running_mean.astype(dtype), self.running_var.astype(dtype),
-            self.epsilon,
         )
 
 
@@ -179,18 +180,19 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped 2-D convolution (cross-correlation) with zero padding.
 
     Output shape is (N, out_channels, (H + 2p - kh) // s + 1,
-    (W + 2p - kw) // s + 1).  Dense convolutions run one GEMM per sample
-    and group: the (out/groups, in/groups*kh*kw) kernel matrix times the
-    (in/groups*kh*kw, Ho*Wo) im2col columns, written straight into the
-    NCHW output (for 1x1 stride-1 kernels the columns are a view of the
-    input).  A GEMM's shape depends only on the spec and the image size,
-    never on the batch size, so each batch row is bit-identical to a
-    batch-1 run of that row.  Depthwise convolutions use no BLAS: they
-    run channels-last on an internal padded (N, H, W, C) copy, adding the
-    kh*kw taps elementwise in row-major order (0 + tap 0 + tap 1 + ...,
-    then the bias), so each row is bit-identical too; input and output
-    stay NCHW.  An unpadded 1x1 depthwise conv, a single tap, is one
-    per-channel multiply and the bias add, in NCHW.
+    (W + 2p - kw) // s + 1).  Dense convolutions run one stacked GEMM per
+    sample: the (groups, out/groups, in/groups*kh*kw) kernel matrices
+    times the (groups, in/groups*kh*kw, Ho*Wo) im2col columns, one matrix
+    product per group, written straight into the NCHW output (for 1x1
+    stride-1 kernels the columns are a view of the input).  A GEMM's
+    shape depends only on the spec and the image size, never on the batch
+    size, so each batch row is bit-identical to a batch-1 run of that row.
+    Depthwise convolutions use no BLAS: they run channels-last on an
+    internal padded (N, H, W, C) copy, adding the kh*kw taps elementwise
+    in row-major order (0 + tap 0 + tap 1 + ..., then the bias), so each
+    row is bit-identical too; input and output stay NCHW.  An unpadded 1x1
+    depthwise conv, a single tap, is one per-channel multiply and the bias
+    add, in NCHW.
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
@@ -224,21 +226,19 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         np.add(acc.transpose(0, 3, 1, 2), spec.bias[None, :, None, None], out=out)
     else:
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p > 0 else x
-        icg = c // g
-        ocg = spec.out_channels // g
+        icg, ocg = c // g, spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
         out = np.empty((n, g, ocg, ho * wo), dtype=x.dtype)
         for b in range(n):
-            for gi in range(g):
-                xg = xp[b, gi * icg:(gi + 1) * icg]
-                if kh == kw == 1 and s == 1:
-                    cols = xg.reshape(icg, ho * wo)
-                else:
-                    # (icg, ho, wo, kh, kw) view -> one (icg*kh*kw, ho*wo) copy,
-                    # rows ordered like the flattened kernel.
-                    win = sliding_window_view(xg, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-                    cols = win.transpose(0, 3, 4, 1, 2).reshape(icg * kh * kw, ho * wo)
-                np.matmul(weights[gi], cols, out=out[b, gi])
+            if kh == kw == 1 and s == 1:
+                cols = xp[b].reshape(g, icg, ho * wo)
+            else:
+                # (c, ho, wo, kh, kw) view -> one (g, icg*kh*kw, ho*wo) copy,
+                # rows ordered like the flattened kernel.
+                win = sliding_window_view(xp[b], (kh, kw), axis=(1, 2))[:, ::s, ::s]
+                cols = win.reshape(g, icg, ho, wo, kh, kw).transpose(0, 1, 4, 5, 2, 3)
+                cols = cols.reshape(g, icg * kh * kw, ho * wo)
+            np.matmul(weights, cols, out=out[b])
         out = out.reshape(n, spec.out_channels, ho, wo)
         out += spec.bias[None, :, None, None]
     return out
@@ -247,7 +247,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 def batchnorm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
     """Per-channel normalization with fixed running statistics.
 
-    With ``scale = gamma / sqrt(var + eps)`` per channel, computes ``x *
+    With ``scale = gamma / sqrt(var + BN_EPS)`` per channel, computes ``x *
     scale + (beta - mean * scale)``: two passes over the tensor and no
     full-size array but the output.
     """
@@ -256,7 +256,7 @@ def batchnorm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
         raise ValueError(f"input dtype {x.dtype} does not match batch-norm dtype {bn.dtype}")
     if x.shape[1] != bn.channels:
         raise ValueError(f"input has {x.shape[1]} channels, batch-norm has {bn.channels}")
-    scale = bn.gamma / np.sqrt(bn.running_var + x.dtype.type(bn.epsilon))
+    scale = bn.gamma / np.sqrt(bn.running_var + x.dtype.type(BN_EPS))
     out = x * scale[None, :, None, None]
     out += (bn.beta - bn.running_mean * scale)[None, :, None, None]
     return out
@@ -369,30 +369,9 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
-    if not xs:
-        raise ValueError("concat_channels needs at least one tensor")
-    xs = [as_nchw(t, f"xs[{i}]") for i, t in enumerate(xs)]
-    base = xs[0]
-    for i, t in enumerate(xs[1:], start=1):
-        if t.shape[0] != base.shape[0] or t.shape[2:] != base.shape[2:]:
-            raise ValueError(
-                f"xs[{i}] shape {t.shape} not stackable with {base.shape} along channels"
-            )
-    return np.concatenate(xs, axis=1)
-
-
-def split_channels(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    x = as_nchw(x)
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"split sizes must be positive, got {sizes}")
-    if sum(sizes) != x.shape[1]:
-        raise ValueError(f"split sizes {sizes} do not sum to {x.shape[1]} channels")
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(np.ascontiguousarray(x[:, start:start + s]))
-        start += s
-    return out
+    """Stack NCHW tensors along channels; numpy rejects an empty list or a
+    batch or spatial mismatch with a ValueError."""
+    return np.concatenate([as_nchw(t, f"xs[{i}]") for i, t in enumerate(xs)], axis=1)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -211,7 +211,9 @@ def load(path) -> Model:
     the payload straight into its skeleton array, so the result is
     bit-identical to the model that was saved and no copy of the file or
     of a tensor is held.  Each tensor is checked for non-finite values, and
-    each batch-norm variance for negative ones, as it is read.
+    each batch-norm variance for negative ones, as it is read.  A config
+    with more stage blocks than the file lists tensors, or one whose
+    skeleton does not fit in memory, is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -221,11 +223,18 @@ def load(path) -> Model:
         if mode not in ("train", "deploy"):
             raise FormatError(f"unknown mode {mode!r}")
         try:
-            model = build(ModelConfig(**header["config"]))
+            config = ModelConfig(**header["config"])
+            # every stage block holds at least one tensor, in either form
+            listed = len(header["tensors"])
+            if sum(config.depths) > listed:
+                raise FormatError(f"model config needs more than the {listed} tensors listed")
+            model = build(config)
             if mode == "deploy":
                 model = deploy(model, fold=fused_skeleton)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"invalid model config in header: {exc}") from None
+        except MemoryError:
+            raise FormatError("model config in header needs more memory than there is") from None
 
         by_name = {e["name"]: e for e in header["tensors"]}
         for name, arr in named_tensors(model):

@@ -29,7 +29,7 @@ from mvt2.model import (
     init_sdta_block,
     named_tensors,
 )
-from mvt2.tensor import BNSpec, ConvSpec, batchnorm_infer, conv2d, softmax
+from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, softmax
 
 # published budget table: variant -> (params, macs); only s1 is asserted,
 # the other rows are printed as measured deviations
@@ -241,7 +241,7 @@ def test_criterion_7_kernel_reference_oracles():
     )
     x = rng.standard_normal((2, c, 3, 3))
     manual = (x - bn.running_mean[:, None, None]) / np.sqrt(
-        bn.running_var[:, None, None] + bn.epsilon
+        bn.running_var[:, None, None] + BN_EPS
     ) * bn.gamma[:, None, None] + bn.beta[:, None, None]
     assert float(np.max(np.abs(batchnorm_infer(x, bn) - manual))) < 1e-12
 

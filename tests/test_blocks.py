@@ -30,7 +30,7 @@ from mvt2.model import (
     init_rep_embed,
     init_sdta_block,
 )
-from mvt2.tensor import BNSpec, ConvSpec, batchnorm_infer, conv2d, sigmoid
+from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, sigmoid
 
 
 def zero_conv(in_c, out_c, k, stride=1, padding=None, groups=1, dtype=np.float32):
@@ -76,7 +76,7 @@ def conv_ref64(x, kernel, bias, stride, padding, groups):
 
 def bn_ref64(x, bn):
     s = bn.gamma.astype(np.float64) / np.sqrt(
-        bn.running_var.astype(np.float64) + bn.epsilon)
+        bn.running_var.astype(np.float64) + BN_EPS)
     return (x - bn.running_mean.astype(np.float64)[None, :, None, None]) \
         * s[None, :, None, None] + bn.beta.astype(np.float64)[None, :, None, None]
 

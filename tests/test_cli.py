@@ -346,6 +346,21 @@ class TestBench:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "NaN or infinite" in stderr
 
+    def test_unwritable_out_fails_before_the_timed_run(self, capsys, tiny_files, tmp_path,
+                                                       monkeypatch):
+        def no_run(*args):
+            raise AssertionError("run_bench reached with an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_bench", no_run)
+        rc, stdout, stderr = run(
+            capsys,
+            ["bench", "--model", tiny_files["deploy"], "--iters", "1",
+             "--power", "constant:10", "--out", str(tmp_path)],
+        )
+        assert rc == 3
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_iters_and_duration_conflict(self, capsys, tiny_files):
         rc, _, _ = run(
             capsys,

@@ -10,7 +10,7 @@ from mvt2.fusion import (
     rep_branch_forward,
     verify_equivalence,
 )
-from mvt2.tensor import BNSpec, ConvSpec, batchnorm_infer, conv2d
+from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
 
 
 def conv_param_total(conv):
@@ -44,13 +44,12 @@ class TestFoldBN:
             np.zeros(2, dtype=np.float32),
             padding=1,
         )
-        eps = 1e-5
+        eps = BN_EPS
         bn = BNSpec(
             gamma=np.full(2, 2.0, dtype=np.float32),
             beta=np.full(2, 3.0, dtype=np.float32),
             running_mean=np.zeros(2, dtype=np.float32),
             running_var=np.full(2, 1.0 - eps, dtype=np.float32),
-            epsilon=eps,
         )
         folded = fold_bn(conv, bn)
         assert np.allclose(folded.kernel, conv.kernel * 2.0, atol=1e-7)
@@ -89,10 +88,10 @@ def exact_bn(c, gamma=None):
     """A float64 batch norm that folds to scale 1 and shift 0 exactly
     (gamma is sqrt(var + eps) as ``fold_bn`` computes it), or to scale 0
     when ``gamma`` is 0."""
-    eps = 1e-5
+    eps = BN_EPS
     return BNSpec(
         gamma=np.full(c, np.sqrt(1.0 + eps) if gamma is None else gamma),
-        beta=np.zeros(c), running_mean=np.zeros(c), running_var=np.ones(c), epsilon=eps,
+        beta=np.zeros(c), running_mean=np.zeros(c), running_var=np.ones(c),
     )
 
 

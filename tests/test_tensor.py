@@ -5,20 +5,22 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from mvt2.blocks import rep_embed_forward
-from mvt2.model import VARIANTS, build
+from mvt2.fusion import fused_skeleton
+from mvt2.model import VARIANTS, _walk, build, deploy
 from mvt2.tensor import (
+    BN_EPS,
     BNSpec,
     ConvSpec,
     batchnorm_infer,
     concat_channels,
     conv2d,
+    conv_output_hw,
     gelu,
     global_avg_pool,
     linear,
     matmul,
     sigmoid,
     softmax,
-    split_channels,
 )
 
 
@@ -49,6 +51,26 @@ def conv2d_reference(x, kernel, bias, stride, padding, groups):
                                 )
                     out[b, o, y, xo] = acc + bias[o]
     return out
+
+
+def dense_conv_geometries():
+    """(kernel shape, stride, padding, groups, input resolution) of every
+    distinct dense conv of s1, s2 and s3 at 224, train and deploy form,
+    walked and resolved as ``model.count`` does."""
+    found = set()
+    for variant in ("s1", "s2", "s3"):
+        train = build(VARIANTS[variant])
+        for model in (train, deploy(train, fold=fused_skeleton)):
+            res = model.config.input_resolution
+            for *_, owner, (_, field) in _walk(model):
+                unit = getattr(owner, field)
+                convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
+                for conv in convs:
+                    if conv is not None and not conv.is_depthwise:
+                        found.add((conv.kernel.shape, conv.stride, conv.padding, conv.groups, res))
+                k, _ = convs[0].kernel_size
+                res, _ = conv_output_hw(res, res, k, k, convs[0].stride, convs[0].padding)
+    return sorted(found)
 
 
 class TestConv2d:
@@ -128,6 +150,21 @@ class TestConv2d:
             single = conv2d(x[b:b + 1], spec)
             assert np.array_equal(full[b:b + 1], single)
 
+    def test_batch_rows_bit_identical_at_network_shapes(self):
+        # The GEMM shapes the BLAS sees in the real networks: each row of a
+        # batch-8 call equals the batch-1 call on that row, bit for bit.
+        rng = np.random.default_rng(6)
+        geometries = dense_conv_geometries()
+        assert len(geometries) > 10
+        for kshape, stride, padding, groups, res in geometries:
+            spec = ConvSpec(rng.standard_normal(kshape).astype(np.float32),
+                            rng.standard_normal(kshape[0]).astype(np.float32),
+                            stride, padding, groups)
+            x = rng.standard_normal((8, spec.in_channels, res, res)).astype(np.float32)
+            full = conv2d(x, spec)
+            for b in range(8):
+                assert np.array_equal(full[b:b + 1], conv2d(x[b:b + 1], spec)), (kshape, res, b)
+
     def test_rejects_channel_mismatch(self):
         x = np.zeros((1, 3, 4, 4), dtype=np.float32)
         spec = ConvSpec(np.zeros((2, 4, 3, 3), dtype=np.float32),
@@ -188,7 +225,7 @@ class TestBatchNorm:
         want = np.empty_like(x, dtype=np.float64)
         for c in range(5):
             want[:, c] = (x[:, c].astype(np.float64) - bn.running_mean[c]) / np.sqrt(
-                np.float64(bn.running_var[c]) + bn.epsilon
+                np.float64(bn.running_var[c]) + BN_EPS
             ) * bn.gamma[c] + bn.beta[c]
         assert np.max(np.abs(got.astype(np.float64) - want)) < 1e-4
 
@@ -300,14 +337,9 @@ class TestShapeOps:
     def test_split_then_concat_roundtrip(self):
         np.random.seed(10)
         x = np.random.randn(2, 10, 3, 3).astype(np.float32)
-        parts = split_channels(x, [2, 3, 5])
+        parts = [x[:, :2], x[:, 2:5], x[:, 5:]]
         assert [p.shape[1] for p in parts] == [2, 3, 5]
         assert np.array_equal(concat_channels(parts), x)
-
-    def test_split_rejects_bad_sum(self):
-        x = np.zeros((1, 4, 2, 2), dtype=np.float32)
-        with pytest.raises(ValueError):
-            split_channels(x, [2, 3])
 
     def test_concat_rejects_spatial_mismatch(self):
         a = np.zeros((1, 2, 3, 3), dtype=np.float32)

@@ -361,6 +361,39 @@ class TestHostileHeader:
             weights.load(path)
 
 
+def build_raising(exc):
+    def fake_build(*args, **kwargs):
+        raise exc
+    return fake_build
+
+
+class TestConfigBeyondFile:
+    """A header config the file cannot hold is a format error, not a
+    traceback or a long build."""
+
+    @pytest.mark.parametrize("mutate, fake_build", [
+        # more stage blocks than listed tensors: rejected before anything is built
+        pytest.param(lambda h: h["config"].update(depths=[200000, 1, 1]),
+                     build_raising(AssertionError("built a skeleton the file cannot fill")),
+                     id="deeper-than-the-manifest"),
+        pytest.param(lambda h: h["config"].update(num_classes=10**12),
+                     build_raising(MemoryError()), id="skeleton-out-of-memory"),
+    ])
+    def test_rejected_with_exit_4(self, tmp_path, capsys, monkeypatch, mutate, fake_build):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        rewrite_header(path, mutate)
+        monkeypatch.setattr(weights, "build", fake_build)
+        with pytest.raises(weights.FormatError):
+            weights.load(path)
+        raw = tmp_path / "x.raw"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(raw)
+        rc = cli.main(["infer", "--model", str(path), "--input", str(raw), "--shape", "1,3,32,32"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def patch_payload(path, name, index, value):
     """Overwrite element ``index`` of tensor ``name`` in the payload."""
     data = bytearray(path.read_bytes())
