@@ -76,10 +76,11 @@ class Var:
         return Var(self.value[index], (self,), (vjp,))
 
     def reshape(self, *shape) -> "Var":
-        return reshape(self, shape)
+        orig = self.value.shape
+        return Var(self.value.reshape(shape), (self,), (lambda g: g.reshape(orig),))
 
     def swapaxes(self, a: int, b: int) -> "Var":
-        return swapaxes(self, a, b)
+        return Var(self.value.swapaxes(a, b), (self,), (lambda g: g.swapaxes(a, b),))
 
 
 def _as_var(x) -> Var:
@@ -170,17 +171,6 @@ def vsum(x: Var) -> Var:
     x = _as_var(x)
     return Var(np.asarray(x.value.sum()), (x,),
                (lambda g: np.broadcast_to(g, x.value.shape).copy(),))
-
-
-def reshape(x: Var, shape) -> Var:
-    x = _as_var(x)
-    orig = x.value.shape
-    return Var(x.value.reshape(shape), (x,), (lambda g: g.reshape(orig),))
-
-
-def swapaxes(x: Var, a: int, b: int) -> Var:
-    x = _as_var(x)
-    return Var(x.value.swapaxes(a, b), (x,), (lambda g: g.swapaxes(a, b),))
 
 
 def concat_channels(xs: Sequence[Var]) -> Var:

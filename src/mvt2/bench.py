@@ -17,6 +17,7 @@ from.
 import dataclasses
 import hashlib
 import json
+import math
 import statistics
 import time
 from typing import Optional
@@ -57,6 +58,8 @@ class PowerProvider:
                 raise ValueError("a power trace needs at least two samples")
             prev_t = None
             for t, w in self.samples:
+                if not np.isfinite(t):
+                    raise ValueError(f"trace timestamps must be finite, got {t!r}")
                 if prev_t is not None and t <= prev_t:
                     raise ValueError("trace timestamps must be strictly increasing")
                 _positive(w, "trace watts")
@@ -171,10 +174,6 @@ class BenchReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchReport":
-        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
-
 
 def compute_throughput(latencies_s, batch_size: int) -> float:
     """Images per second: N * B / total measured time."""
@@ -197,11 +196,6 @@ def energy_from_throughput(mean_power_w: float, throughput_img_s: float) -> floa
     _positive(mean_power_w, "mean_power_w")
     _positive(throughput_img_s, "throughput_img_s")
     return 1000.0 * mean_power_w / throughput_img_s
-
-
-def compute_energy(latencies_s, batch_size: int, mean_power_w: float) -> float:
-    """mJ per image for a list of per-iteration latencies."""
-    return energy_from_throughput(mean_power_w, compute_throughput(latencies_s, batch_size))
 
 
 def compute_eta(acc_percent: float, e_img_mj: float) -> float:
@@ -233,9 +227,11 @@ def run_bench(model: Model, config: BenchConfig, power: PowerProvider) -> BenchR
 
     Input is synthetic standard-normal data shaped by the model's expected
     resolution, seeded 0 so repeated runs see identical data.  Warmup
-    iterations run first and are not timed.  The power provider is
-    averaged over the total measured time.  Raises ValueError if the last
-    output holds a NaN or an infinity.
+    iterations run first and are not timed.  Timed passes stop after
+    ``iters`` calls, or else at the first one that ends past the
+    ``duration_s`` deadline.  The power provider is averaged over the total
+    measured time.  Raises ValueError if the last output holds a NaN or an
+    infinity.
     """
     res = model.config.input_resolution
     x = np.random.default_rng(0).standard_normal(
@@ -246,20 +242,13 @@ def run_bench(model: Model, config: BenchConfig, power: PowerProvider) -> BenchR
             forward(model, x)
 
         latencies = []
-        out = None
-        if config.iters is not None:
-            for _ in range(config.iters):
-                t0 = time.perf_counter()
-                out = forward(model, x)
-                latencies.append(time.perf_counter() - t0)
-        else:
-            deadline = time.perf_counter() + config.duration_s
-            while True:
-                t0 = time.perf_counter()
-                out = forward(model, x)
-                latencies.append(time.perf_counter() - t0)
-                if time.perf_counter() >= deadline:
-                    break
+        deadline = time.perf_counter() + (config.duration_s or math.inf)
+        while True:
+            t0 = time.perf_counter()
+            out = forward(model, x)
+            latencies.append(time.perf_counter() - t0)
+            if len(latencies) == config.iters or time.perf_counter() >= deadline:
+                break
     if not np.isfinite(out).all():
         raise ValueError("the model computed a NaN or infinite logit")
 

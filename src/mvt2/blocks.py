@@ -86,10 +86,6 @@ class FFNBlock:
     def channels(self) -> int:
         return self.expand.in_channels
 
-    @property
-    def ratio(self) -> int:
-        return self.expand.out_channels // self.expand.in_channels
-
 
 @dataclass
 class RepEmbedBlock:
@@ -102,18 +98,6 @@ class RepEmbedBlock:
     def __post_init__(self):
         _require(self.branch.groups == 1, "embedding branch must be dense")
         _require(self.branch.stride in (1, 2), "embedding stride must be 1 or 2")
-
-    @property
-    def in_channels(self) -> int:
-        return self.branch.in_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.branch.out_channels
-
-    @property
-    def stride(self) -> int:
-        return self.branch.stride
 
 
 @dataclass

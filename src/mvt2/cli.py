@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -180,7 +181,7 @@ def cmd_infer(args) -> int:
         raw = np.fromfile(args.input, dtype="<f4")
     except OSError as exc:
         raise CliError(EXIT_UNREADABLE, f"cannot read {args.input}: {exc}") from None
-    expected = int(np.prod(shape, dtype=np.int64))
+    expected = math.prod(shape)
     if raw.size != expected:
         raise CliError(
             EXIT_BAD_SHAPE,
@@ -255,17 +256,14 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--channels", args.channels), ("--hw", args.hw)):
         if value < 1:
             raise CliError(EXIT_USAGE, f"{flag} must be at least 1, got {value}")
+    init, block_forward = {
+        "repdw": (init_rep_dw_block, rep_dw_block_forward),
+        "sdta": (init_sdta_block, sdta_block_forward),
+        "mdta": (init_mdta_block, mdta_block_forward),
+    }[args.block]
     rng = np.random.default_rng(0)
     try:
-        if args.block == "repdw":
-            block = init_rep_dw_block(rng, args.channels, 2, dtype=np.float64)
-            block_forward = rep_dw_block_forward
-        elif args.block == "sdta":
-            block = init_sdta_block(rng, args.channels, 2, dtype=np.float64)
-            block_forward = sdta_block_forward
-        else:
-            block = init_mdta_block(rng, args.channels, 2, dtype=np.float64)
-            block_forward = mdta_block_forward
+        block = init(rng, args.channels, 2, dtype=np.float64)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"cannot build {args.block} block: {exc}") from None
     x = rng.standard_normal((1, args.channels, args.hw, args.hw))

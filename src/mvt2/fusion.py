@@ -9,10 +9,13 @@ conv), centre each folded kernel on the grid ``fused_skeleton`` gives,
 and sum kernels and biases.  A one-branch group, a plain conv and its
 batch norm, folds the same way.
 
-All fusion arithmetic runs in float64 and is cast back to the branch's
-own dtype, so a float32 branch loses at most one rounding step per
-weight.  Functions here are pure over immutable inputs and safe to call
-concurrently.
+All fusion arithmetic runs in float64.  ``fold_bn`` rounds each folded
+branch to the branch's own dtype, and ``fuse`` sums a group's rounded
+branches in float64 and rounds the sum again.  So a float32 one-branch
+unit is its float64 fold rounded once, but a multi-branch weight takes
+two rounding steps and may differ in its last bit from the float64 fold
+of the whole group rounded once.  Functions here are pure over immutable
+inputs and safe to call concurrently.
 """
 
 from __future__ import annotations

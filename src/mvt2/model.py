@@ -109,7 +109,11 @@ VARIANTS = {
 
 @dataclass
 class Model:
-    """A built network.  Immutable once constructed; forwards are pure."""
+    """A built network.  Immutable once constructed; forwards are pure.
+
+    The blocks are the only record of the network's form: ``mode`` is read
+    off the units, and each stage-3 block's forward off its type.
+    """
 
     config: ModelConfig
     stem: list[RepEmbedBlock]
@@ -120,11 +124,15 @@ class Model:
     stage3: list  # SDTABlock or MDTABlock
     head_weight: np.ndarray
     head_bias: np.ndarray
-    mode: str = "train"
 
     @property
     def dtype(self):
         return self.head_weight.dtype
+
+    @property
+    def mode(self) -> str:
+        """``"deploy"`` once the units hold folded convs, else ``"train"``."""
+        return "deploy" if isinstance(self.stem[0].branch, ConvSpec) else "train"
 
 
 def _conv(rng, in_c: int, out_c: int, k: int, stride: int, padding: int,
@@ -157,25 +165,25 @@ def _conv_bn(rng, in_c: int, out_c: int, k: int, groups: int, dtype,
                          _bn(rng, out_c, dtype))
 
 
-def init_rep_embed(rng, in_c: int, out_c: int, stride: int, dtype=np.float32) -> RepEmbedBlock:
-    branch = RepBranchSpec(
-        main=_conv(rng, in_c, out_c, 3, stride, 1, 1, dtype),
+def _branch_group(rng, in_c: int, out_c: int, stride: int, groups: int, dtype,
+                  gain: float = 1.0, identity: bool = False) -> RepBranchSpec:
+    """A 3x3 main and a 1x1 scale conv, each with its batch norm, and an
+    identity batch norm if asked; drawn in that order."""
+    return RepBranchSpec(
+        main=_conv(rng, in_c, out_c, 3, stride, 1, groups, dtype, gain),
         main_bn=_bn(rng, out_c, dtype),
-        scale=_conv(rng, in_c, out_c, 1, stride, 0, 1, dtype),
+        scale=_conv(rng, in_c, out_c, 1, stride, 0, groups, dtype, gain),
         scale_bn=_bn(rng, out_c, dtype),
-        identity_bn=None,
+        identity_bn=_bn(rng, out_c, dtype, IDENTITY_VAR_RANGE) if identity else None,
     )
-    return RepEmbedBlock(branch)
+
+
+def init_rep_embed(rng, in_c: int, out_c: int, stride: int, dtype=np.float32) -> RepEmbedBlock:
+    return RepEmbedBlock(_branch_group(rng, in_c, out_c, stride, 1, dtype))
 
 
 def init_dw_mixer(rng, c: int, dtype=np.float32) -> RepBranchSpec:
-    return RepBranchSpec(
-        main=_conv(rng, c, c, 3, 1, 1, c, dtype, gain=RESIDUAL_DAMP),
-        main_bn=_bn(rng, c, dtype),
-        scale=_conv(rng, c, c, 1, 1, 0, c, dtype, gain=RESIDUAL_DAMP),
-        scale_bn=_bn(rng, c, dtype),
-        identity_bn=_bn(rng, c, dtype, var_range=IDENTITY_VAR_RANGE),
-    )
+    return _branch_group(rng, c, c, 1, c, dtype, RESIDUAL_DAMP, identity=True)
 
 
 def init_ffn(rng, c: int, ratio: int, dtype=np.float32) -> FFNBlock:
@@ -233,8 +241,7 @@ def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> 
     head_weight = (np.zeros(head_shape, dtype) if rng is None
                    else (rng.standard_normal(head_shape) / np.sqrt(d3)).astype(dtype))
     head_bias = np.zeros(config.num_classes, dtype=dtype)
-    return Model(config, stem, stage1, down12, stage2, down23, stage3,
-                 head_weight, head_bias, mode="train")
+    return Model(config, stem, stage1, down12, stage2, down23, stage3, head_weight, head_bias)
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -261,10 +268,8 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
         x = rep_dw_block_forward(blk, x)
     x = rep_embed_forward(model.down23, x)
     for blk in model.stage3:
-        if model.config.attention == "sdta":
-            x = sdta_block_forward(blk, x)
-        else:
-            x = mdta_block_forward(blk, x)
+        # called by module-level name, which a tracer may rebind
+        x = (sdta_block_forward if isinstance(blk, SDTABlock) else mdta_block_forward)(blk, x)
     return linear(global_avg_pool(x), model.head_weight, model.head_bias)
 
 
@@ -294,7 +299,7 @@ def deploy(model: Model, fold=fuse) -> Model:
         value = getattr(model, f)
         converted[f] = ([deployed(b, fold) for b in value] if isinstance(value, list)
                         else deployed(value, fold))
-    return replace(model, mode="deploy", **converted)
+    return replace(model, **converted)
 
 
 @dataclass
@@ -332,9 +337,6 @@ class CostReport:
         p = sum(e.params for e in self.entries if e.name.startswith(prefix))
         m = sum(e.macs for e in self.entries if e.name.startswith(prefix))
         return p, m
-
-    def matching(self, suffix: str) -> list[CostEntry]:
-        return [e for e in self.entries if e.name.endswith(suffix)]
 
 
 def conv_cost(spec: ConvSpec, out_hw: int) -> tuple[int, int]:
@@ -423,13 +425,14 @@ def _conv_bn_tensors(prefix: str, conv: Optional[ConvSpec], bn: Optional[BNSpec]
 
 
 def named_tensors(model: Model):
-    """Yield (name, array) pairs for the tensors the model's mode executes,
-    in execution order.  The arrays are the live model arrays; the names
+    """Yield (name, array) pairs for the tensors the model executes, in
+    execution order: each unit's folded conv or its branch group, whichever
+    it holds.  The arrays are the live model arrays; the names
     follow the rule in the README's "Weight files" section."""
     for name, _, owner, (part, field) in _walk(model):
         prefix = f"{name}.{part}" if part else name
         spec = getattr(owner, field)
-        if model.mode == "deploy":
+        if isinstance(spec, ConvSpec):
             fused = f"{prefix}_fused" if part else f"{prefix}.fused"
             yield from _conv_bn_tensors(fused, spec)
         elif spec.scale is None and spec.identity_bn is None:

@@ -162,12 +162,12 @@ class TestPrimitives:
         x = rng.standard_normal((3, 4))
         loss_w = weighted_sum(rng, (4, 3))
         err = ad.check_gradient(
-            lambda v: loss_w(ad.swapaxes(ad.reshape(v, (3, 4)), 0, 1)), x)
+            lambda v: loss_w(v.reshape(3, 4).swapaxes(0, 1)), x)
         assert err < 1e-6
         x = rng.standard_normal((2, 12))
         loss_w = weighted_sum(rng, (2, 4, 3))
         err = ad.check_gradient(
-            lambda v: loss_w(ad.swapaxes(ad.reshape(v, (2, 3, 4)), 1, 2)), x)
+            lambda v: loss_w(v.reshape(2, 3, 4).swapaxes(1, 2)), x)
         assert err < 1e-6
 
 

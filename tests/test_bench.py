@@ -5,9 +5,7 @@ import pytest
 
 from mvt2.bench import (
     BenchConfig,
-    BenchReport,
     PowerProvider,
-    compute_energy,
     compute_eta,
     compute_throughput,
     energy_from_throughput,
@@ -70,6 +68,14 @@ class TestPowerProvider:
         with pytest.raises(ValueError):
             PowerProvider.trace([(1.0, 10.0), (0.5, 20.0)])
 
+    @pytest.mark.parametrize("samples", [
+        [(0.0, 10.0), (float("nan"), 20.0), (1.0, 30.0)],
+        [(0.0, 10.0), (1.0, 20.0), (float("inf"), 30.0)],
+    ], ids=["nan", "inf"])
+    def test_rejects_non_finite_timestamps(self, samples):
+        with pytest.raises(ValueError, match="finite"):
+            PowerProvider.trace(samples)
+
     def test_rejects_non_positive_watts(self):
         with pytest.raises(ValueError):
             PowerProvider.constant(0.0)
@@ -114,7 +120,7 @@ class TestTraceFile:
 
 class TestEnergyArithmetic:
     def test_one_second_one_watt_one_image_is_1000_mj(self):
-        assert compute_energy([1.0], 1, 1.0) == 1000.0
+        assert energy_from_throughput(1.0, compute_throughput([1.0], 1)) == 1000.0
 
     # Released measurement rows reproduced from their published wattage,
     # throughput, and accuracy; reported E and eta match within 1.5%.
@@ -141,11 +147,6 @@ class TestEnergyArithmetic:
 
     def test_throughput_counts_batch(self):
         assert compute_throughput([0.5, 0.5], 4) == 8.0
-
-    def test_compute_energy_matches_two_step_path(self):
-        lat = [0.011, 0.009, 0.0104]
-        thr = compute_throughput(lat, 2)
-        assert compute_energy(lat, 2, 17.5) == energy_from_throughput(17.5, thr)
 
     def test_empty_latencies_rejected(self):
         with pytest.raises(ValueError):
@@ -231,10 +232,7 @@ class TestRunBench:
     def test_report_json_round_trip(self):
         model = build(TINY, seed=0)
         report = run_bench(model, BenchConfig(iters=2), PowerProvider.constant(5.0))
-        parsed = BenchReport.from_dict(json.loads(report.to_json()))
-        assert parsed.e_img_mj == report.e_img_mj
-        assert parsed.latencies_s == report.latencies_s
-        assert parsed.metadata == report.metadata
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_speed_check_shape(self):
         model = build(TINY, seed=0)

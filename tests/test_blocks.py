@@ -205,7 +205,8 @@ class TestFFN:
 
     def test_ratio_property(self):
         rng = np.random.default_rng(9)
-        assert init_ffn(rng, 8, 2).ratio == 2
+        ffn = init_ffn(rng, 8, 2)
+        assert ffn.expand.out_channels == 2 * ffn.channels
 
 
 class TestSDTA:

@@ -280,6 +280,18 @@ class TestInfer:
         assert stdout == ""
         assert err == "error: input holds a NaN or infinite value\n"
 
+    def test_shape_whose_int64_product_wraps_is_shape_error(self, capsys, tiny_files, tmp_path):
+        # the four extents multiply to 3072 modulo 2**64
+        path, _ = self.write_input(tmp_path, (1, 3, 32, 32))
+        rc, stdout, stderr = run(
+            capsys,
+            ["infer", "--model", tiny_files["train"], "--input", path,
+             "--shape", "262145,68719214593,1,3072"],
+        )
+        assert rc == 5
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_malformed_shape_is_usage_error(self, capsys, tiny_files, tmp_path):
         path, _ = self.write_input(tmp_path, (1, 3, 32, 32))
         rc, _, _ = run(
@@ -356,6 +368,25 @@ class TestBench:
             capsys,
             ["bench", "--model", tiny_files["deploy"], "--iters", "1",
              "--power", "constant:10", "--out", str(tmp_path)],
+        )
+        assert rc == 3
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_non_finite_trace_timestamp_fails_before_the_timed_run(
+        self, capsys, tiny_files, tmp_path, monkeypatch, stamp,
+    ):
+        def no_run(*args):
+            raise AssertionError("run_bench reached with a malformed power trace")
+
+        monkeypatch.setattr(cli, "run_bench", no_run)
+        trace = tmp_path / "p.tsv"
+        trace.write_text(f"0.0\t10.0\n1.0\t10.0\n{stamp}\t10.0\n", encoding="utf-8")
+        rc, stdout, stderr = run(
+            capsys,
+            ["bench", "--model", tiny_files["deploy"], "--iters", "1",
+             "--power", f"trace:{trace}"],
         )
         assert rc == 3
         assert stdout == ""

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvt2 import cli, weights
+from mvt2.blocks import deployed
 from mvt2.model import ModelConfig, build, deploy, forward, named_tensors
 
 TINY = ModelConfig(
@@ -82,6 +83,30 @@ class TestRoundTrip:
         saved = dict(named_tensors(model))
         for name, arr in named_tensors(loaded):
             assert arr.tobytes() == saved[name].tobytes(), name
+
+    def test_form_follows_hand_deployed_blocks(self, tmp_path):
+        model = build(TINY, seed=4)
+        by_hand = dataclasses.replace(
+            model,
+            stem=[deployed(b) for b in model.stem],
+            stage1=[deployed(b) for b in model.stage1],
+            down12=deployed(model.down12),
+            stage2=[deployed(b) for b in model.stage2],
+            down23=deployed(model.down23),
+            stage3=[deployed(b) for b in model.stage3],
+        )
+        assert by_hand.mode == "deploy"
+        path, ref = tmp_path / "m.mvt2", tmp_path / "ref.mvt2"
+        weights.save(by_hand, path)
+        weights.save(deploy(model), ref)
+        assert path.read_bytes() == ref.read_bytes()
+        loaded = weights.load(path)
+        assert loaded.mode == "deploy"
+        saved = list(named_tensors(by_hand))
+        got = list(named_tensors(loaded))
+        assert [n for n, _ in got] == [n for n, _ in saved]
+        for (name, a), (_, b) in zip(got, saved):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_mdta_config_round_trip(self, tmp_path):
         cfg = ModelConfig(
