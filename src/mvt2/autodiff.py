@@ -9,10 +9,12 @@ calling that kernel, so a traced forward computes the engine's arrays
 bit for bit, in float32 and float64.  Each records the vector-Jacobian
 product of its input only: weights, batch-norm parameters and running
 statistics come in as ``ConvSpec`` and ``BNSpec`` constants and get no
-gradient.  :func:`backward` walks the recorded graph once and leaves
-``.grad`` on every node.  :func:`check_gradient` compares the
-reverse-mode gradient of a scalar-valued function with respect to its
-input against central differences coordinate by coordinate.
+gradient.  The VJP of ``conv2d`` runs through ``tensor.conv2d`` as well,
+so this module computes no convolution of its own.  :func:`backward`
+walks the recorded graph once and leaves ``.grad`` on every node.
+:func:`check_gradient` compares the reverse-mode gradient of a
+scalar-valued function with respect to its input against central
+differences coordinate by coordinate.
 
 This module holds no network blocks.  :func:`kernels` returns this
 module for a ``Var`` and ``tensor`` for an ndarray, so the one forward
@@ -88,23 +90,24 @@ def _as_var(x) -> Var:
 
 
 def conv2d(x: Var, spec: T.ConvSpec) -> Var:
+    """The input VJP is a transposed convolution run by ``tensor.conv2d``:
+    the gradient, zero-dilated by the stride and padded by k - 1, goes
+    through the flipped kernel with in and out channels swapped per group,
+    and is cropped to the input (Dumoulin & Visin, 2016)."""
     x = _as_var(x)
     out = T.conv2d(x.value, spec)
-    n, c, h, w = x.value.shape
-    kh, kw = spec.kernel_size
-    ho, wo = out.shape[2], out.shape[3]
-    s, p, g = spec.stride, spec.padding, spec.groups
-    # per tap, (g, in/g, out/g): the transposed kernel matrix of each group
-    taps = spec.kernel.reshape(g, -1, *spec.kernel.shape[1:]).transpose(3, 4, 0, 2, 1)
+    h, w = x.value.shape[2:]
+    (kh, kw), s, p, g = spec.kernel_size, spec.stride, spec.padding, spec.groups
+    o, icg = spec.kernel.shape[:2]
 
     def dx(grad):
-        gg = grad.reshape(n, g, -1, ho * wo)
-        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                contrib = np.matmul(taps[i, j], gg).reshape(n, c, ho, wo)
-                dxp[:, :, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s] += contrib
-        return dxp[:, :, p:p + h, p:p + w]
+        n, _, ho, wo = grad.shape
+        dilated = np.zeros((n, o, h + 2 * p + kh - 1, w + 2 * p + kw - 1), grad.dtype)
+        dilated[:, :, kh - 1:kh + s * (ho - 1):s, kw - 1:kw + s * (wo - 1):s] = grad
+        flipped = spec.kernel[..., ::-1, ::-1].reshape(g, o // g, icg, kh, kw).swapaxes(1, 2)
+        back = T.ConvSpec(flipped.reshape(g * icg, o // g, kh, kw).astype(grad.dtype),
+                          np.zeros(g * icg, grad.dtype), groups=g)
+        return T.conv2d(dilated, back)[:, :, p:p + h, p:p + w]
 
     return Var(out, (x,), (dx,))
 

@@ -76,6 +76,8 @@ def _load_model(path):
 
 
 def cmd_build(args) -> int:
+    if args.seed < 0:
+        raise CliError(EXIT_USAGE, f"--seed must be non-negative, got {args.seed}")
     model = build(VARIANTS[args.variant], seed=args.seed)
     weights.save(model, args.out)
     _emit(

@@ -133,14 +133,6 @@ class RepBranchSpec:
     def dtype(self):
         return self.main.dtype
 
-    def astype(self, dtype) -> "RepBranchSpec":
-        return RepBranchSpec(
-            self.main.astype(dtype), self.main_bn.astype(dtype),
-            None if self.scale is None else self.scale.astype(dtype),
-            None if self.scale_bn is None else self.scale_bn.astype(dtype),
-            None if self.identity_bn is None else self.identity_bn.astype(dtype),
-        )
-
 
 def rep_branch_forward(x, spec: RepBranchSpec):
     """Train-form forward: sum of per-branch BN'd outputs.  ``x`` is an

@@ -63,7 +63,9 @@ BLOCK_FIELDS = ("stem", "stage1", "down12", "stage2", "down23", "stage3")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters for one variant."""
+    """Architecture hyperparameters for one variant.  Every field but
+    ``attention`` takes integers: a Python or numpy integer, never a bool,
+    a float or a string, so a weight-file header cannot round a value."""
 
     depths: tuple[int, int, int]
     dims: tuple[int, int, int]
@@ -73,6 +75,11 @@ class ModelConfig:
     attention: str = "sdta"
 
     def __post_init__(self):
+        values = (*self.depths, *self.dims, self.ffn_ratio, self.num_classes,
+                  self.input_resolution)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+            raise ValueError("depths, dims, ffn_ratio, num_classes and input_resolution "
+                             "must be integers")
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.depths) != 3 or len(self.dims) != 3:
@@ -112,7 +119,8 @@ class Model:
     """A built network.  Immutable once constructed; forwards are pure.
 
     The blocks are the only record of the network's form: ``mode`` is read
-    off the units, and each stage-3 block's forward off its type.
+    off every unit, and each stage-3 block's forward off its type.  A model
+    deployed only in part still runs ``forward``, but has no ``mode``.
     """
 
     config: ModelConfig
@@ -131,8 +139,14 @@ class Model:
 
     @property
     def mode(self) -> str:
-        """``"deploy"`` once the units hold folded convs, else ``"train"``."""
-        return "deploy" if isinstance(self.stem[0].branch, ConvSpec) else "train"
+        """``"deploy"`` when every unit holds a folded conv, ``"train"`` when
+        every unit holds its branch group; units that mix the two forms raise
+        ``ValueError``, since no weight file or cost report describes them."""
+        forms = {isinstance(getattr(owner, field), ConvSpec)
+                 for _, _, owner, (_, field) in _walk(self)}
+        if len(forms) != 1:
+            raise ValueError("the model's units mix train and deploy forms")
+        return "deploy" if forms.pop() else "train"
 
 
 def _conv(rng, in_c: int, out_c: int, k: int, stride: int, padding: int,
@@ -345,27 +359,21 @@ def conv_cost(spec: ConvSpec, out_hw: int) -> tuple[int, int]:
     return params, macs
 
 
-def bn_cost(c: int, hw: int) -> tuple[int, int]:
-    return 4 * c, c * hw
-
-
 def _unit_cost(spec: Union[RepBranchSpec, ConvSpec], in_res: int) -> tuple[int, int, int]:
-    """Returns (params, macs, out_res) for a branch group or a folded conv."""
-    conv = spec.main if isinstance(spec, RepBranchSpec) else spec
-    k = conv.kernel_size[0]
-    out_res, _ = conv_output_hw(in_res, in_res, k, k, conv.stride, conv.padding)
+    """(params, macs, out_res) of a unit by one rule: a folded conv is one
+    conv and no batch norm, a branch group its main and scale convs and up
+    to three batch norms.  Each conv costs ``conv_cost``; each batch norm
+    4·C parameters and C·H·W multiply-adds."""
+    k = spec.kernel_size[0]
+    out_res, _ = conv_output_hw(in_res, in_res, k, k, spec.stride, spec.padding)
     hw = out_res * out_res
     if isinstance(spec, ConvSpec):
-        return (*conv_cost(spec, hw), out_res)
-    p, m = conv_cost(spec.main, hw)
-    pb, mb = bn_cost(spec.out_channels, hw)
-    p, m = p + pb, m + mb
-    if spec.scale is not None:
-        ps, ms = conv_cost(spec.scale, hw)
-        p, m = p + ps + pb, m + ms + mb
-    if spec.identity_bn is not None:
-        p, m = p + pb, m + mb
-    return p, m, out_res
+        convs, bns = [spec], []
+    else:
+        convs, bns = [spec.main, spec.scale], [spec.main_bn, spec.scale_bn, spec.identity_bn]
+    costs = [conv_cost(c, hw) for c in convs if c is not None]
+    costs += [(4 * b.channels, b.channels * hw) for b in bns if b is not None]
+    return sum(p for p, _ in costs), sum(m for _, m in costs), out_res
 
 
 def count(model_or_config: Union[Model, ModelConfig],
@@ -377,7 +385,8 @@ def count(model_or_config: Union[Model, ModelConfig],
     ``build``, so no weights are drawn.  A train-form model counted in
     deploy form is charged on ``deploy(model, fold=fused_skeleton)``, the
     skeleton ``weights.load`` fills; a deploy-form model has no train-form
-    cost.
+    cost, and a model whose units mix the forms has no cost at all.  Every
+    unit is charged by the one rule of ``_unit_cost``.
     """
     if isinstance(model_or_config, Model):
         model = model_or_config

@@ -121,12 +121,6 @@ class ConvSpec:
     def dtype(self):
         return self.kernel.dtype
 
-    def astype(self, dtype) -> "ConvSpec":
-        return ConvSpec(
-            self.kernel.astype(dtype), self.bias.astype(dtype),
-            self.stride, self.padding, self.groups,
-        )
-
 
 @dataclass
 class BNSpec:
@@ -167,12 +161,6 @@ class BNSpec:
             beta=np.zeros(channels, dtype=dtype),
             running_mean=np.zeros(channels, dtype=dtype),
             running_var=one - dtype(BN_EPS),
-        )
-
-    def astype(self, dtype) -> "BNSpec":
-        return BNSpec(
-            self.gamma.astype(dtype), self.beta.astype(dtype),
-            self.running_mean.astype(dtype), self.running_var.astype(dtype),
         )
 
 

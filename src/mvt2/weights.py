@@ -86,7 +86,8 @@ def save(model: Model, path) -> None:
     """Write the model's parameters to ``path``, one tensor at a time.
 
     Raises ValueError, before anything is written, if a tensor holds a NaN
-    or an infinity: ``load`` would reject the file."""
+    or an infinity, or if the model's units mix train and deploy forms:
+    ``load`` would reject the file."""
     if model.dtype != np.float32:
         raise ValueError("weight files store float32; convert the model first")
 

@@ -104,6 +104,50 @@ class TestPrimitives:
         err = ad.check_gradient(lambda v: loss_w(ad.conv2d(v, spec)), x)
         assert err < 1e-6
 
+    @staticmethod
+    def conv_vjp(x, spec, g):
+        """The traced conv's input VJP applied to the cotangent ``g``."""
+        leaf = ad.Var(x)
+        ad.backward(ad.vsum(ad.mul(ad.conv2d(leaf, spec), ad.Var(g))))
+        return leaf.grad
+
+    def test_conv2d_vjp_is_the_adjoint_across_geometries(self):
+        """<conv(x) - b, g> = <x, VJP(g)> in float64 for every geometry of
+        the grid: dense, grouped, depthwise and channel-changing convs,
+        with strides whose windows do not tile the padded input.  The gap
+        is taken relative to sum |conv(x) - b| |g|, the scale of a dot
+        product's rounding error, since the products may cancel."""
+        rng = np.random.default_rng(12)
+        for k in (1, 3):
+            for stride in (1, 2):
+                for padding in (0, 1, 2):
+                    for c, o, groups in ((4, 6, 1), (4, 6, 2), (6, 6, 6), (3, 8, 1)):
+                        spec = ConvSpec(rng.standard_normal((o, c // groups, k, k)),
+                                        rng.standard_normal(o), stride, padding, groups)
+                        for h in (5, 6, 7, 8):
+                            for w in (5, 8):
+                                x = rng.standard_normal((2, c, h, w))
+                                y = ad.conv2d(x, spec).value - spec.bias[:, None, None]
+                                g = rng.standard_normal(y.shape)
+                                lhs = float(np.vdot(y, g))
+                                rhs = float(np.vdot(x, self.conv_vjp(x, spec, g)))
+                                gap = abs(lhs - rhs) / float(np.vdot(np.abs(y), np.abs(g)))
+                                assert gap <= 1e-12, (k, stride, padding, c, o, groups, h, w)
+
+    def test_conv2d_vjp_keeps_a_float64_cotangent(self):
+        """A float32 conv fed a float64 cotangent returns the float64 VJP,
+        the same bits as the float64 conv with the same weights."""
+        rng = np.random.default_rng(13)
+        spec32 = ConvSpec(rng.standard_normal((6, 2, 3, 3)).astype(np.float32),
+                          np.zeros(6, np.float32), stride=2, padding=1, groups=2)
+        spec64 = ConvSpec(spec32.kernel.astype(np.float64), spec32.bias.astype(np.float64),
+                          stride=2, padding=1, groups=2)
+        x = rng.standard_normal((1, 4, 7, 7)).astype(np.float32)
+        g = rng.standard_normal((1, 6, 4, 4))
+        got = self.conv_vjp(x, spec32, g)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, self.conv_vjp(x.astype(np.float64), spec64, g))
+
     def test_batchnorm(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 4, 3, 3))

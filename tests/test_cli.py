@@ -46,6 +46,14 @@ class TestBuild:
         model = weights.load(out)
         assert model.config.dims == (128, 224, 320)
 
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "s1.mvt2"
+        rc, stdout, err = run(capsys, ["build", "--variant", "s1", "--seed", "-1",
+                                       "--out", str(out)])
+        assert rc == 2 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_variant_is_usage_error(self, capsys, tmp_path):
         rc, _, _ = run(capsys, ["build", "--variant", "s9", "--out", str(tmp_path / "x")])
         assert rc == 2

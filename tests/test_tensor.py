@@ -506,7 +506,9 @@ class TestConv2dProperties:
             if dtype == np.float64:
                 assert np.max(np.abs(got - want)) < 1e-10
             else:
-                exact = conv2d(xd.astype(np.float64), spec.astype(np.float64))
+                spec64 = ConvSpec(spec.kernel.astype(np.float64), spec.bias.astype(np.float64),
+                                  stride, padding, groups)
+                exact = conv2d(xd.astype(np.float64), spec64)
                 scale = max(1.0, float(np.max(np.abs(exact))))
                 assert np.max(np.abs(got - exact)) <= 1e-5 * scale
             for b in range(n):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mvt2 import cli, weights
 from mvt2.blocks import deployed
-from mvt2.model import ModelConfig, build, deploy, forward, named_tensors
+from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
 
 TINY = ModelConfig(
     depths=(1, 1, 1),
@@ -107,6 +107,23 @@ class TestRoundTrip:
         assert [n for n, _ in got] == [n for n, _ in saved]
         for (name, a), (_, b) in zip(got, saved):
             assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("part", ["stem", "stage1"])
+    def test_mixed_forms_are_refused(self, tmp_path, part):
+        """A model with only some blocks deployed has no one form: save
+        writes nothing, and deploy and count raise; forward still runs."""
+        model = build(TINY, seed=4)
+        mixed = dataclasses.replace(model, **{part: [deployed(b) for b in getattr(model, part)]})
+        path = tmp_path / "m.mvt2"
+        with pytest.raises(ValueError, match="mix"):
+            weights.save(mixed, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="mix"):
+            deploy(mixed)
+        with pytest.raises(ValueError, match="mix"):
+            count(mixed)
+        x = np.random.default_rng(5).standard_normal((1, 3, 32, 32)).astype(np.float32)
+        assert np.isfinite(forward(mixed, x)).all()
 
     def test_mdta_config_round_trip(self, tmp_path):
         cfg = ModelConfig(
@@ -361,6 +378,9 @@ HOSTILE_HEADERS = [
     pytest.param(lambda h: h["tensors"][0].update(byte_offset=-64), id="offset-negative"),
     pytest.param(lambda h: h.update(mode="deploy", config={**h["config"], "attention": "mdta"}),
                  id="ablation-deploy-header-over-train-tensors"),
+    pytest.param(lambda h: h["config"].update(input_resolution=32.0), id="resolution-a-float"),
+    pytest.param(lambda h: h["config"].update(depths=[1.5, 1, 1]), id="depth-a-float"),
+    pytest.param(lambda h: h["config"].update(num_classes=True), id="classes-a-bool"),
 ]
 
 
