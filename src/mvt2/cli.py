@@ -9,7 +9,7 @@ stderr.
 Exit codes:
     0  success / check passed
     1  a numeric check failed, a result is not finite, or the operation is
-       invalid for the input
+       invalid for the input or needs more memory than the machine has
     2  usage error (bad flags or argument values)
     3  a file could not be read, written or parsed
     4  invalid weight file, including a tensor holding NaN or infinity
@@ -62,15 +62,9 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _diag(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
 def _load_model(path):
     try:
         return weights.load(path)
-    except OSError as exc:
-        raise CliError(EXIT_UNREADABLE, f"cannot read {path}: {exc.strerror}") from None
     except weights.WeightFileError as exc:
         raise CliError(EXIT_BAD_WEIGHTS, f"{path}: {exc}") from None
 
@@ -93,15 +87,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    model = _load_model(args.in_path)
-    if model.mode == "deploy":
-        raise CliError(EXIT_CHECK_FAILED, f"{args.in_path} is already in deploy form")
-    try:
-        with np.errstate(all="ignore"):
-            fused = deploy(model)
-        weights.save(fused, args.out)
-    except ValueError as exc:
-        raise CliError(EXIT_CHECK_FAILED, str(exc)) from None
+    fused = deploy(_load_model(args.in_path))
+    weights.save(fused, args.out)
     _emit(
         {
             "in": args.in_path,
@@ -118,14 +105,10 @@ def cmd_verify_fusion(args) -> int:
         raise CliError(EXIT_USAGE, f"--samples must be at least 1, got {args.samples}")
     if not 0 <= args.tol < float("inf"):
         raise CliError(EXIT_USAGE, f"--tol must be finite and non-negative, got {args.tol}")
-    model = _load_model(args.in_path)
-    if model.mode == "deploy":
-        raise CliError(EXIT_CHECK_FAILED, f"{args.in_path} holds fused weights; nothing to verify")
     blocks = []
     all_pass = True
-    for name, spec in fusable_branches(model):
-        with np.errstate(all="ignore"):
-            result = verify_equivalence(spec, samples=args.samples, tol=args.tol)
+    for name, spec in fusable_branches(_load_model(args.in_path)):
+        result = verify_equivalence(spec, samples=args.samples, tol=args.tol)
         diff = result["max_abs_diff"]
         blocks.append(
             {
@@ -179,10 +162,7 @@ def cmd_infer(args) -> int:
         raise CliError(EXIT_USAGE, f"--topk must be at least 1, got {args.topk}")
     model = _load_model(args.model)
     shape = _parse_shape(args.shape)
-    try:
-        raw = np.fromfile(args.input, dtype="<f4")
-    except OSError as exc:
-        raise CliError(EXIT_UNREADABLE, f"cannot read {args.input}: {exc}") from None
+    raw = np.fromfile(args.input, dtype="<f4")
     expected = math.prod(shape)
     if raw.size != expected:
         raise CliError(
@@ -191,8 +171,7 @@ def cmd_infer(args) -> int:
         )
     x = raw.reshape(shape)
     try:
-        with np.errstate(all="ignore"):
-            scores = forward(model, x)
+        scores = forward(model, x)
     except ValueError as exc:
         raise CliError(EXIT_BAD_SHAPE, str(exc)) from None
     if not np.isfinite(scores).all():
@@ -218,9 +197,6 @@ def _parse_power(text: str) -> PowerProvider:
     if kind == "trace":
         try:
             return load_power_trace(rest)
-        except OSError as exc:
-            raise CliError(EXIT_UNREADABLE,
-                           f"cannot read power trace {rest}: {exc.strerror}") from None
         except ValueError as exc:
             raise CliError(EXIT_UNREADABLE, str(exc)) from None
     raise CliError(EXIT_USAGE, f"unknown power kind {kind!r}")
@@ -243,11 +219,7 @@ def cmd_bench(args) -> int:
     # opened before the timed run, so an unwritable --out fails at once
     with (open(args.out, "w", encoding="utf-8") if args.out is not None
           else contextlib.nullcontext()) as fh:
-        try:
-            report = run_bench(model, config, power)
-        except ValueError as exc:
-            raise CliError(EXIT_CHECK_FAILED, str(exc)) from None
-        text = report.to_json()
+        text = run_bench(model, config, power).to_json()
         if fh is not None:
             fh.write(text + "\n")
     print(text)
@@ -357,17 +329,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # the one place that maps a fault to its exit code; the commands check
+    # their results for non-finite values, so numpy's warnings are off
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as exc:
-        _diag(f"error: {exc}")
-        return exc.code
+        code, message = exc.code, str(exc)
     except OSError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_UNREADABLE
-    except weights.WeightFileError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_BAD_WEIGHTS
+        code, message = EXIT_UNREADABLE, str(exc)
+    except MemoryError:
+        code, message = EXIT_CHECK_FAILED, f"{args.command} needs more memory than there is"
+    except ValueError as exc:
+        code, message = EXIT_CHECK_FAILED, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -65,7 +65,8 @@ BLOCK_FIELDS = ("stem", "stage1", "down12", "stage2", "down23", "stage3")
 class ModelConfig:
     """Architecture hyperparameters for one variant.  Every field but
     ``attention`` takes integers: a Python or numpy integer, never a bool,
-    a float or a string, so a weight-file header cannot round a value."""
+    a float or a string, so a weight-file header cannot round a value.
+    Each is stored as a Python int."""
 
     depths: tuple[int, int, int]
     dims: tuple[int, int, int]
@@ -82,6 +83,8 @@ class ModelConfig:
                              "must be integers")
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        for name in ("ffn_ratio", "num_classes", "input_resolution"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if len(self.depths) != 3 or len(self.dims) != 3:
             raise ValueError("depths and dims must each have three entries")
         if min(self.depths) < 1 or min(self.dims) < 1:
@@ -382,24 +385,23 @@ def count(model_or_config: Union[Model, ModelConfig],
 
     Accepts a built model (defaulting to its own mode) or a config
     (defaulting to deploy form); a config is counted on an unseeded
-    ``build``, so no weights are drawn.  A train-form model counted in
-    deploy form is charged on ``deploy(model, fold=fused_skeleton)``, the
-    skeleton ``weights.load`` fills; a deploy-form model has no train-form
-    cost, and a model whose units mix the forms has no cost at all.  Every
-    unit is charged by the one rule of ``_unit_cost``.
+    ``build``, so no weights are drawn.  A train-form unit counted in
+    deploy form is charged on its ``fused_skeleton``, the conv
+    ``weights.load`` fills, so no deploy copy of the model is built; a
+    deploy-form model has no train-form cost, and a model whose units mix
+    the forms has no cost at all.  Every unit is charged by the one rule
+    of ``_unit_cost``.
     """
     if isinstance(model_or_config, Model):
-        model = model_or_config
-        mode = mode or model.mode
+        model, form = model_or_config, model_or_config.mode
+        mode = mode or form
     else:
-        model = build(model_or_config)
+        model, form = build(model_or_config), "train"
         mode = mode or "deploy"
     if mode not in ("train", "deploy"):
         raise ValueError(f"mode must be train or deploy, got {mode!r}")
-    if model.mode == "deploy" and mode == "train":
+    if form == "deploy" and mode == "train":
         raise ValueError("a deploy-form model holds no train-form weights to count")
-    if model.mode != mode:
-        model = deploy(model, fold=fused_skeleton)
     report = CostReport()
     res = model.config.input_resolution
     for name, unit, owner, row in _walk(model):
@@ -407,7 +409,8 @@ def count(model_or_config: Union[Model, ModelConfig],
             # the attention contractions run just before the output projection
             for kind, macs in owner.attention_macs(res * res).items():
                 report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
-        p, m, res = _unit_cost(getattr(owner, row[1]), res)
+        spec = getattr(owner, row[1])
+        p, m, res = _unit_cost(spec if mode == form else fused_skeleton(spec), res)
         # a feed-forward's two units share one entry, "<block>.ffn"
         key = f"{name}.{unit.split('.')[0]}" if unit else name
         if report.entries and report.entries[-1].name == key:

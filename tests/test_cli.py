@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ class TestVerifyFusion:
         rc, _, _ = run(capsys, ["verify-fusion", "--in", tiny_files["deploy"]])
         assert rc == 1
 
+    def test_deploy_file_error_names_the_form(self, capsys, tiny_files):
+        path = tiny_files["deploy"]
+        rc, stdout, stderr = run(capsys, ["verify-fusion", "--in", path])
+        assert rc == 1 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        # the message says why, not only which file: the path itself reads "deploy"
+        assert "deploy" in stderr.replace(path, "")
+
 
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize("flags", [
@@ -193,6 +202,33 @@ class TestUnopenablePaths:
         assert stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "Traceback" not in stderr
+
+
+class TestOutOfMemory:
+    """A command whose input needs more memory than any machine has exits 1
+    with one line.  Each request is at least 2 PiB, above the 128 TiB user
+    address space, so the allocation fails at once and touches no memory."""
+
+    @pytest.mark.parametrize("flags", [
+        ["gradcheck", "--block", "sdta", "--channels", "8", "--hw", "33554432"],
+        ["bench", "--model", "{deploy}", "--batch", "100000000000", "--iters", "1",
+         "--power", "constant:10"],
+        ["bench", "--model", "{huge_resolution}", "--iters", "1", "--power", "constant:10"],
+    ], ids=["gradcheck-hw", "bench-batch", "bench-header-resolution"])
+    def test_exit_1_with_one_line(self, capsys, tiny_files, tmp_path, flags):
+        huge = tmp_path / "huge_resolution.mvt2"
+        data = Path(tiny_files["deploy"]).read_bytes()
+        header_len = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16:16 + header_len])
+        header["config"]["input_resolution"] = 16777216
+        text = json.dumps(header).encode("utf-8")
+        huge.write_bytes(data[:8] + len(text).to_bytes(8, "little") + text
+                         + data[16 + header_len:])
+        paths = {"deploy": tiny_files["deploy"], "huge_resolution": huge}
+        rc, stdout, stderr = run(capsys, [f.format(**paths) for f in flags])
+        assert rc == 1
+        assert stdout == ""
+        assert stderr == f"error: {flags[0]} needs more memory than there is\n"
 
 
 class TestCount:

@@ -157,6 +157,19 @@ class TestRoundTrip:
         x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
         assert forward(loaded, x).tobytes() == forward(model, x).tobytes()
 
+    def test_numpy_integer_config_round_trip(self, tmp_path):
+        cfg = ModelConfig(depths=tuple(np.int64(d) for d in TINY.depths),
+                          dims=np.array(TINY.dims), ffn_ratio=np.int32(2),
+                          num_classes=np.int64(10), input_resolution=np.uint16(32))
+        assert cfg == TINY
+        path = tmp_path / "m.mvt2"
+        weights.save(build(cfg, seed=1), path)
+        header = weights.read_header(path)["config"]
+        for name in ("ffn_ratio", "num_classes", "input_resolution"):
+            assert type(header[name]) is int, name
+        assert all(type(v) is int for v in header["depths"] + header["dims"])
+        assert weights.load(path).config == TINY
+
     def test_same_seed_saves_identical_files(self, tmp_path):
         a = tmp_path / "a.mvt2"
         b = tmp_path / "b.mvt2"
