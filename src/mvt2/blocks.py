@@ -13,10 +13,13 @@ Four block families:
   compare cost and behaviour against ``SDTABlock``.
 
 Each block class lists its conv units once, in execution order, in a
-``UNITS`` table of (name, field) rows.  A unit's field holds its current
-weights: in train form a ``RepBranchSpec`` (a plain conv with its batch
-norm is a one-branch spec), in deploy form the one folded conv.
-``unit_forward`` runs a unit in whichever form it holds, so every block
+``UNITS`` table of (name, field) rows, and its ``geometry(*dims)`` gives
+each unit's ``Geometry`` row in the same order: ``model.build`` draws
+every unit from its row, and a block checks every unit against its row,
+in either form.  A unit's field holds its current weights: in train
+form a ``RepBranchSpec`` (a plain conv with its batch norm is a
+one-branch spec), in deploy form the one folded conv.  ``unit_forward``
+runs a unit in whichever form it holds, so every block
 forward serves both forms, and ``deployed`` returns a copy of a block
 that keeps only its folded convs.  Each forward is written once and
 takes an ndarray or an ``autodiff.Var``: ``autodiff.kernels`` picks the
@@ -32,7 +35,7 @@ safe to use concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, Union
+from typing import ClassVar, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -42,6 +45,8 @@ from .tensor import ConvSpec
 
 # Query/key head width; attention scores are divided by its square root (4).
 QK_DIM = 16
+# Init gain on convs that terminate a residual branch.
+RESIDUAL_DAMP = 0.2
 
 # A conv unit: a branch group in train form, its folded conv once deployed.
 UnitSpec = Union[RepBranchSpec, ConvSpec]
@@ -54,6 +59,23 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+class Geometry(NamedTuple):
+    """A conv unit's row: ``in_c`` to ``out_c`` channels through a k x k
+    conv with padding k // 2, ``stride`` and ``groups``, the same in both
+    forms, since every unit here folds to its main conv's kernel.  ``build``
+    draws a 1x1 ``scale`` branch and an ``identity`` batch norm beside the
+    main conv where the row says so, at init std scaled by ``gain``."""
+
+    in_c: int
+    out_c: int
+    k: int = 1
+    stride: int = 1
+    groups: int = 1
+    gain: float = 1.0
+    scale: bool = False
+    identity: bool = False
+
+
 def unit_forward(unit: UnitSpec, x):
     """Run a conv unit: its branch group in train form, its folded conv once deployed."""
     if isinstance(unit, RepBranchSpec):
@@ -61,8 +83,38 @@ def unit_forward(unit: UnitSpec, x):
     return kernels(x).conv2d(x, unit)
 
 
+class _Block:
+    """What the block classes share.  A block reads its ``dims`` off its
+    units, and constructing it checks each unit, in either form, against
+    the row ``geometry(*dims)`` gives it; a block's feed-forward is checked
+    against ``FFNBlock.geometry`` at the block's width."""
+
+    @property
+    def channels(self) -> int:
+        """The width of the block's input."""
+        return getattr(self, self.UNITS[0][1]).in_channels
+
+    @property
+    def dims(self) -> tuple:
+        return (self.channels,)
+
+    def __post_init__(self):
+        rows = self.geometry(*self.dims)
+        if hasattr(self, "ffn"):
+            rows += FFNBlock.geometry(self.channels, self.ffn.ratio)
+        for (name, owner, (_, field)), row in zip(units(self), rows):
+            spec = getattr(owner, field)
+            conv = spec.main if isinstance(spec, RepBranchSpec) else spec
+            got = (conv.kernel.shape, conv.stride, conv.padding, conv.groups)
+            want = ((row.out_c, row.in_c // row.groups, row.k, row.k), row.stride, row.k // 2,
+                    row.groups)
+            if got != want:
+                raise ValueError(f"{type(self).__name__} unit {name or field!r} has (kernel shape, "
+                                 f"stride, padding, groups) {got}, its geometry needs {want}")
+
+
 @dataclass
-class FFNBlock:
+class FFNBlock(_Block):
     """Two pointwise convolutions with an activation between them."""
 
     UNITS: ClassVar[Rows] = (("expand", "expand"), ("project", "project"))
@@ -70,38 +122,40 @@ class FFNBlock:
     expand: UnitSpec
     project: UnitSpec
 
-    def __post_init__(self):
-        _require(self.expand.kernel_size == (1, 1), "expand conv must be 1x1")
-        _require(self.project.kernel_size == (1, 1), "project conv must be 1x1")
-        _require(self.expand.groups == 1 and self.project.groups == 1,
-                 "feed-forward convs must be dense")
-        _require(self.project.out_channels == self.expand.in_channels,
-                 "feed-forward must map back to its input width")
-        _require(self.project.in_channels == self.expand.out_channels,
-                 "project input width must equal expand output width")
-        _require(self.expand.out_channels % self.expand.in_channels == 0,
-                 "expansion ratio must be integral")
+    @staticmethod
+    def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
+        return Geometry(c, ratio * c), Geometry(ratio * c, c, gain=RESIDUAL_DAMP)
 
     @property
-    def channels(self) -> int:
-        return self.expand.in_channels
+    def ratio(self) -> int:
+        """The expansion ratio; a non-integral one fails the row check."""
+        return self.expand.out_channels // self.expand.in_channels
+
+    @property
+    def dims(self) -> tuple:
+        return self.channels, self.ratio
 
 
 @dataclass
-class RepEmbedBlock:
+class RepEmbedBlock(_Block):
     """Dense multi-branch convolution; embeds patches or downsamples."""
 
     UNITS: ClassVar[Rows] = (("", "branch"),)
 
     branch: UnitSpec
 
-    def __post_init__(self):
-        _require(self.branch.groups == 1, "embedding branch must be dense")
-        _require(self.branch.stride in (1, 2), "embedding stride must be 1 or 2")
+    @staticmethod
+    def geometry(in_c: int, out_c: int, stride: int) -> tuple[Geometry, ...]:
+        _require(stride in (1, 2), "embedding stride must be 1 or 2")
+        return (Geometry(in_c, out_c, 3, stride, scale=True),)
+
+    @property
+    def dims(self) -> tuple:
+        return self.branch.in_channels, self.branch.out_channels, self.branch.stride
 
 
 @dataclass
-class RepDWBlock:
+class RepDWBlock(_Block):
     """Residual depthwise mixer followed by a residual feed-forward."""
 
     UNITS: ClassVar[Rows] = (("mixer", "mixer"),)
@@ -109,21 +163,13 @@ class RepDWBlock:
     mixer: UnitSpec
     ffn: FFNBlock
 
-    def __post_init__(self):
-        m = self.mixer
-        _require(m.groups == m.in_channels == m.out_channels,
-                 "mixer must be depthwise")
-        _require(m.stride == 1, "mixer must be stride 1")
-        _require(self.ffn.channels == m.out_channels,
-                 "feed-forward width must match mixer width")
-
-    @property
-    def channels(self) -> int:
-        return self.mixer.out_channels
+    @staticmethod
+    def geometry(c: int) -> tuple[Geometry, ...]:
+        return (Geometry(c, c, 3, groups=c, gain=RESIDUAL_DAMP, scale=True, identity=True),)
 
 
 @dataclass
-class SDTABlock:
+class SDTABlock(_Block):
     """Split-projection transposed attention with a gated local path.
 
     ``proj_p`` emits C + 2 * QK_DIM channels, split into Q (QK_DIM),
@@ -139,27 +185,11 @@ class SDTABlock:
     proj_o: UnitSpec
     ffn: FFNBlock
 
-    def __post_init__(self):
-        m = self.pre_mixer
-        _require(m.groups == m.in_channels == m.out_channels,
-                 "pre-mixer must be depthwise")
-        _require(m.stride == 1, "pre-mixer must be stride 1")
-        c = m.out_channels
+    @staticmethod
+    def geometry(c: int) -> tuple[Geometry, ...]:
         _require(c % 4 == 0, f"channel count {c} must be divisible by 4")
-        _require(self.proj_p.kernel_size == (1, 1) and self.proj_p.groups == 1,
-                 "input projection must be a dense 1x1 conv")
-        _require(self.proj_p.in_channels == c, "input projection width mismatch")
-        _require(self.proj_p.out_channels == c + 2 * QK_DIM,
-                 f"input projection must emit {c + 2 * QK_DIM} channels")
-        _require(self.proj_o.kernel_size == (1, 1) and self.proj_o.groups == 1,
-                 "output projection must be a dense 1x1 conv")
-        _require(self.proj_o.in_channels == c and self.proj_o.out_channels == c,
-                 "output projection must map C to C")
-        _require(self.ffn.channels == c, "feed-forward width must match block width")
-
-    @property
-    def channels(self) -> int:
-        return self.pre_mixer.out_channels
+        return RepDWBlock.geometry(c) + (Geometry(c, c + 2 * QK_DIM),
+                                         Geometry(c, c, gain=RESIDUAL_DAMP))
 
     def attention_macs(self, hw: int) -> dict:
         """MACs of the two token contractions over ``hw`` positions."""
@@ -167,7 +197,7 @@ class SDTABlock:
 
 
 @dataclass
-class MDTABlock:
+class MDTABlock(_Block):
     """Per-channel transposed attention, the ablation of ``SDTABlock``.
 
     Q, K, V of C channels each come from a dense 1x1 conv to 3C followed
@@ -182,24 +212,10 @@ class MDTABlock:
     proj: UnitSpec
     ffn: FFNBlock
 
-    def __post_init__(self):
-        c = self.qkv.in_channels
-        _require(self.qkv.kernel_size == (1, 1) and self.qkv.groups == 1,
-                 "qkv projection must be a dense 1x1 conv")
-        _require(self.qkv.out_channels == 3 * c, "qkv projection must emit 3C channels")
-        dw = self.dw
-        _require(dw.groups == dw.in_channels == dw.out_channels == 3 * c,
-                 "depthwise conv must cover all 3C qkv channels")
-        _require(dw.stride == 1 and dw.padding == dw.kernel_size[0] // 2,
-                 "depthwise conv must preserve the grid")
-        _require(self.proj.kernel_size == (1, 1) and self.proj.groups == 1
-                 and self.proj.in_channels == c and self.proj.out_channels == c,
-                 "output projection must be a dense 1x1 C to C conv")
-        _require(self.ffn.channels == c, "feed-forward width must match block width")
-
-    @property
-    def channels(self) -> int:
-        return self.qkv.in_channels
+    @staticmethod
+    def geometry(c: int) -> tuple[Geometry, ...]:
+        return (Geometry(c, 3 * c), Geometry(3 * c, 3 * c, 3, groups=3 * c),
+                Geometry(c, c, gain=RESIDUAL_DAMP))
 
     def attention_macs(self, hw: int) -> dict:
         """MACs of the two channel contractions over ``hw`` positions."""

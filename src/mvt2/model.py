@@ -7,16 +7,18 @@ embeddings sit between stages; stage 3 stacks transposed-attention
 blocks; a global average pool and linear classifier finish the network.
 At 224 input the stages run at 14, 7 and 4 pixels per side.
 
-Initialization scheme (``build``): conv weights are drawn fan-in scaled,
-std = gain / sqrt(in_channels_per_group * k * k), with gain 1 except on
+Initialization scheme (``build``): every unit is drawn from its
+geometry row (``blocks.Geometry``), block by block in execution order.
+Conv weights are drawn fan-in scaled, std = gain / sqrt(in_channels_per_group
+* k * k), with the row's gain: 1, except ``blocks.RESIDUAL_DAMP`` = 0.2 on
 residual-terminal convs (mixer branches, feed-forward project, attention
-output projections) which use gain 0.2 to keep activations O(1) through
-depth.  Conv biases start at zero.  Batch norms start at scale 1, shift
-0, running mean drawn from N(0, 0.1^2) and running variance from
-U(0.8, 1.25), except identity-branch batch norms whose variance is drawn
-from U(20, 30) so the branch sum stays O(1) under the residual.  The
-classifier weight is fan-in scaled with zero bias.  Everything is a pure
-function of (config, seed).
+output projections) to keep activations O(1) through depth.  Conv biases
+start at zero.  Batch norms start at scale 1, shift 0, running mean
+drawn from N(0, 0.1^2) and running variance from U(0.8, 1.25), except
+identity-branch batch norms whose variance is drawn from U(20, 30) so
+the branch sum stays O(1) under the residual.  The classifier weight is
+fan-in scaled with zero bias.  Everything is a pure function of (config,
+seed).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .blocks import (
-    QK_DIM,
     FFNBlock,
+    Geometry,
     MDTABlock,
     RepDWBlock,
     RepEmbedBlock,
@@ -53,8 +55,6 @@ from .tensor import (
 
 ATTENTION_KINDS = ("sdta", "mdta")
 
-# Init gain on convs that terminate a residual branch.
-RESIDUAL_DAMP = 0.2
 # Running-variance range for identity-branch batch norms (see module docstring).
 IDENTITY_VAR_RANGE = (20.0, 30.0)
 # Model fields holding blocks, in execution order.
@@ -152,16 +152,6 @@ class Model:
         return "deploy" if forms.pop() else "train"
 
 
-def _conv(rng, in_c: int, out_c: int, k: int, stride: int, padding: int,
-          groups: int, dtype, gain: float = 1.0) -> ConvSpec:
-    shape = (out_c, in_c // groups, k, k)
-    std = gain / np.sqrt(shape[1] * k * k)
-    kernel = (np.zeros(shape, dtype) if rng is None
-              else (rng.standard_normal(shape) * std).astype(dtype))
-    return ConvSpec(kernel, np.zeros(out_c, dtype=dtype),
-                    stride=stride, padding=padding, groups=groups)
-
-
 def _bn(rng, c: int, dtype, var_range=(0.8, 1.25)) -> BNSpec:
     if rng is None:
         mean = var = np.zeros(c)
@@ -175,62 +165,58 @@ def _bn(rng, c: int, dtype, var_range=(0.8, 1.25)) -> BNSpec:
     )
 
 
-def _conv_bn(rng, in_c: int, out_c: int, k: int, groups: int, dtype,
-             gain: float = 1.0) -> RepBranchSpec:
-    """A one-branch unit: a stride-1, grid-preserving conv and its batch norm."""
-    return RepBranchSpec(_conv(rng, in_c, out_c, k, 1, k // 2, groups, dtype, gain),
-                         _bn(rng, out_c, dtype))
+def _unit(rng, row: Geometry, dtype) -> RepBranchSpec:
+    """Draw one unit from its geometry row: the main conv and its batch
+    norm, then the 1x1 scale conv and its batch norm and the identity batch
+    norm where the row has them, in that order."""
+    def conv(k):
+        shape = (row.out_c, row.in_c // row.groups, k, k)
+        std = row.gain / np.sqrt(shape[1] * k * k)
+        kernel = (np.zeros(shape, dtype) if rng is None
+                  else (rng.standard_normal(shape) * std).astype(dtype))
+        return ConvSpec(kernel, np.zeros(row.out_c, dtype=dtype),
+                        stride=row.stride, padding=k // 2, groups=row.groups)
+
+    branches = {"main": conv(row.k), "main_bn": _bn(rng, row.out_c, dtype)}
+    if row.scale:
+        branches |= {"scale": conv(1), "scale_bn": _bn(rng, row.out_c, dtype)}
+    if row.identity:
+        branches["identity_bn"] = _bn(rng, row.out_c, dtype, IDENTITY_VAR_RANGE)
+    return RepBranchSpec(**branches)
 
 
-def _branch_group(rng, in_c: int, out_c: int, stride: int, groups: int, dtype,
-                  gain: float = 1.0, identity: bool = False) -> RepBranchSpec:
-    """A 3x3 main and a 1x1 scale conv, each with its batch norm, and an
-    identity batch norm if asked; drawn in that order."""
-    return RepBranchSpec(
-        main=_conv(rng, in_c, out_c, 3, stride, 1, groups, dtype, gain),
-        main_bn=_bn(rng, out_c, dtype),
-        scale=_conv(rng, in_c, out_c, 1, stride, 0, groups, dtype, gain),
-        scale_bn=_bn(rng, out_c, dtype),
-        identity_bn=_bn(rng, out_c, dtype, IDENTITY_VAR_RANGE) if identity else None,
-    )
+def _init(cls, rng, dtype, *dims, ratio: Optional[int] = None):
+    """Draw a ``cls`` block's units from ``cls.geometry(*dims)`` in execution
+    order, then, given a ``ratio``, its feed-forward."""
+    drawn = {field: _unit(rng, row, dtype)
+             for (_, field), row in zip(cls.UNITS, cls.geometry(*dims))}
+    if ratio is not None:
+        drawn["ffn"] = init_ffn(rng, dims[0], ratio, dtype)
+    return cls(**drawn)
 
 
 def init_rep_embed(rng, in_c: int, out_c: int, stride: int, dtype=np.float32) -> RepEmbedBlock:
-    return RepEmbedBlock(_branch_group(rng, in_c, out_c, stride, 1, dtype))
+    return _init(RepEmbedBlock, rng, dtype, in_c, out_c, stride)
 
 
 def init_dw_mixer(rng, c: int, dtype=np.float32) -> RepBranchSpec:
-    return _branch_group(rng, c, c, 1, c, dtype, RESIDUAL_DAMP, identity=True)
+    return _unit(rng, RepDWBlock.geometry(c)[0], dtype)
 
 
 def init_ffn(rng, c: int, ratio: int, dtype=np.float32) -> FFNBlock:
-    return FFNBlock(
-        expand=_conv_bn(rng, c, ratio * c, 1, 1, dtype),
-        project=_conv_bn(rng, ratio * c, c, 1, 1, dtype, gain=RESIDUAL_DAMP),
-    )
+    return _init(FFNBlock, rng, dtype, c, ratio)
 
 
 def init_rep_dw_block(rng, c: int, ratio: int, dtype=np.float32) -> RepDWBlock:
-    return RepDWBlock(mixer=init_dw_mixer(rng, c, dtype),
-                      ffn=init_ffn(rng, c, ratio, dtype))
+    return _init(RepDWBlock, rng, dtype, c, ratio=ratio)
 
 
 def init_sdta_block(rng, c: int, ratio: int, dtype=np.float32) -> SDTABlock:
-    return SDTABlock(
-        pre_mixer=init_dw_mixer(rng, c, dtype),
-        proj_p=_conv_bn(rng, c, c + 2 * QK_DIM, 1, 1, dtype),
-        proj_o=_conv_bn(rng, c, c, 1, 1, dtype, gain=RESIDUAL_DAMP),
-        ffn=init_ffn(rng, c, ratio, dtype),
-    )
+    return _init(SDTABlock, rng, dtype, c, ratio=ratio)
 
 
 def init_mdta_block(rng, c: int, ratio: int, dtype=np.float32) -> MDTABlock:
-    return MDTABlock(
-        qkv=_conv_bn(rng, c, 3 * c, 1, 1, dtype),
-        dw=_conv_bn(rng, 3 * c, 3 * c, 3, 3 * c, dtype),
-        proj=_conv_bn(rng, c, c, 1, 1, dtype, gain=RESIDUAL_DAMP),
-        ffn=init_ffn(rng, c, ratio, dtype),
-    )
+    return _init(MDTABlock, rng, dtype, c, ratio=ratio)
 
 
 def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> Model:
@@ -240,19 +226,14 @@ def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> 
     d1, d2, d3 = config.dims
     r = config.ffn_ratio
 
-    stem = []
     chans = (3,) + config.stem_channels
-    for i in range(4):
-        stem.append(init_rep_embed(rng, chans[i], chans[i + 1], 2, dtype))
-
+    stem = [init_rep_embed(rng, chans[i], chans[i + 1], 2, dtype) for i in range(4)]
     stage1 = [init_rep_dw_block(rng, d1, r, dtype) for _ in range(config.depths[0])]
     down12 = init_rep_embed(rng, d1, d2, 2, dtype)
     stage2 = [init_rep_dw_block(rng, d2, r, dtype) for _ in range(config.depths[1])]
     down23 = init_rep_embed(rng, d2, d3, 2, dtype)
-    if config.attention == "sdta":
-        stage3 = [init_sdta_block(rng, d3, r, dtype) for _ in range(config.depths[2])]
-    else:
-        stage3 = [init_mdta_block(rng, d3, r, dtype) for _ in range(config.depths[2])]
+    attention = SDTABlock if config.attention == "sdta" else MDTABlock
+    stage3 = [_init(attention, rng, dtype, d3, ratio=r) for _ in range(config.depths[2])]
 
     head_shape = (config.num_classes, d3)
     head_weight = (np.zeros(head_shape, dtype) if rng is None

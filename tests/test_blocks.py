@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -422,3 +423,45 @@ class TestConverter:
         x = np.random.default_rng(33).standard_normal((2, 8, 4, 4))
         assert np.max(np.abs(mdta_block_forward(block, x)
                              - mdta_block_forward(converted, x))) < 1e-10
+
+
+def wrong_geometries(spec, kernels):
+    """(what, (in, out, k, stride, groups)) for geometries that differ from
+    ``spec``'s in exactly one of the five and still make a valid conv."""
+    in_c, out_c, (k, _), stride, g = (spec.in_channels, spec.out_channels,
+                                      spec.kernel_size, spec.stride, spec.groups)
+    yield "in", (in_c + g, out_c, k, stride, g)
+    yield "out", (in_c, out_c + g, k, stride, g)
+    for other in kernels:
+        if other != k:
+            yield "kernel", (in_c, out_c, other, stride, g)
+    yield "stride", (in_c, out_c, k, stride + 2, g)
+    yield "groups", (in_c, out_c, k, stride, 1 if g > 1 else 2)
+
+
+class TestGeometryRows:
+    @pytest.mark.parametrize("init", [
+        lambda rng: init_rep_embed(rng, 8, 16, 2),
+        lambda rng: init_ffn(rng, 8, 2),
+        lambda rng: init_rep_dw_block(rng, 8, 2),
+        lambda rng: init_sdta_block(rng, 8, 2),
+        lambda rng: init_mdta_block(rng, 8, 2),
+    ], ids=["embed", "ffn", "repdw", "sdta", "mdta"])
+    def test_every_unit_is_checked_against_its_row_in_both_forms(self, init):
+        """A unit with a wrong in/out width, kernel, stride or groups is
+        refused, as a branch group and as a folded conv.  The bad unit is a
+        valid conv, so only the block can refuse it."""
+        block = init(np.random.default_rng(40))
+        for form, kernels in ((block, (1, 3)), (deployed(block), (1, 3, 5))):
+            for unit, owner, (_, field) in units(form):
+                replace(owner, **{field: getattr(owner, field)})  # the unit as built passes
+                for what, (in_c, out_c, k, stride, g) in wrong_geometries(
+                        getattr(owner, field), kernels):
+                    if isinstance(owner, RepEmbedBlock) and what in ("in", "out"):
+                        continue  # an embedding's widths are its own dims
+                    bad = zero_conv(in_c, out_c, k, stride, groups=g)
+                    if form is block:
+                        bad = RepBranchSpec(bad, BNSpec.identity(out_c))
+                    with pytest.raises(ValueError):
+                        replace(owner, **{field: bad})
+                        pytest.fail(f"{unit or field} accepted a wrong {what}")

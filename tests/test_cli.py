@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvt2 import cli, weights
 from mvt2.model import ModelConfig, build, deploy, forward
@@ -504,3 +508,86 @@ class TestGradcheck:
         assert stdout == ""
         assert stderr.startswith(f"error: {flag} ")
         assert stderr.count("\n") == 1
+
+
+# For each flag of each subcommand, (common values, rare values).  Common
+# values are valid; rare ones are out of range, malformed or, for
+# --duration, exclusive with --iters.  Paths are placeholders for the
+# files of ``fuzz_paths``.
+MODELS = ["{train}", "{deploy}"]
+OTHER_FILES = ["{raw}", "{short}", "{trace}", "{dir}", "{missing}"]
+WRITE = (["{root}/out.mvt2"], ["{dir}", "{missing}/out.mvt2"])
+FUZZ_FLAGS = {
+    "build": {"--variant": (["s1"], ["s9"]), "--seed": (["0", "3"], ["-1", "x"]),
+              "--out": WRITE},
+    "fuse": {"--in": (MODELS, OTHER_FILES), "--out": WRITE},
+    "verify-fusion": {"--in": (MODELS, OTHER_FILES),
+                      "--samples": (["1", "2"], ["0", "-3", "x"]),
+                      "--tol": (["1e-4", "0"], ["-1", "nan", "inf", "x"])},
+    "count": {"--variant": (["s1", "s2", "s3"], ["s9"]),
+              "--resolution": (["32", "224", "4096"], ["0", "-16", "17", "x"]),
+              "--mode": (["train", "deploy"], ["both"]),
+              "--attention": (["sdta", "mdta"], ["x"])},
+    "infer": {"--model": (MODELS, OTHER_FILES), "--input": (["{raw}"], MODELS + OTHER_FILES),
+              "--shape": (["1,3,32,32"], ["1,3,16,16", "2,3,32,32", "1,3,32", "0,3,32,32",
+                                          "a,b,c,d", "-1,3,32,32", "1,3,99999999999,9"]),
+              "--topk": (["1", "5", "20"], ["0", "-2", "x"])},
+    "bench": {"--model": (MODELS, OTHER_FILES), "--batch": (["1", "2"], ["0", "-1", "x"]),
+              "--iters": (["1", "2"], ["0", "-1"]),
+              "--duration": ([], ["0.01", "0", "-1", "nan", "inf"]),
+              "--power": (["constant:10", "trace:{trace}"],
+                          ["constant:-1", "constant:nan", "trace:{bad_trace}",
+                           "trace:{missing}", "trace:{dir}", "joules:3"]),
+              "--warmup": (["0", "1"], ["-1"]), "--acc": (["50"], ["150", "nan"]),
+              "--acc-source": (["paper"], []), "--out": WRITE},
+    "gradcheck": {"--block": (["repdw", "sdta", "mdta"], ["dense"]),
+                  "--channels": (["4", "8"], ["6", "0", "-1"]),
+                  "--hw": (["1", "2", "3"], ["0"]),
+                  "--eps": (["1e-5", "1e-3"], ["0", "1", "nan", "-1e-5"])},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tiny_files):
+    root = tiny_files["root"]
+    np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype("<f4").tofile(root / "x.f32")
+    (root / "short.f32").write_bytes(bytes(12))
+    (root / "power.tsv").write_text("0\t10\n1\t12\n")
+    (root / "bad_power.tsv").write_text("0\tnan\nx\n")
+    (root / "a_dir").mkdir(exist_ok=True)
+    return {"root": root, "train": tiny_files["train"], "deploy": tiny_files["deploy"],
+            "raw": root / "x.f32", "short": root / "short.f32", "trace": root / "power.tsv",
+            "bad_trace": root / "bad_power.tsv", "dir": root / "a_dir",
+            "missing": root / "no_such_dir"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with each of its flags absent (one time in eight), set
+    to a rare value (two in eight) or to a common one; a flag with no
+    values of the drawn kind is left out."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    for flag, (common, rare) in FUZZ_FLAGS[command].items():
+        kind = draw(st.integers(0, 7))
+        values = common if kind > 2 else rare
+        if kind > 0 and values:
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argvs())
+def test_random_flags_end_in_a_documented_exit_code(fuzz_paths, argv):
+    """Whatever the flags, ``main`` returns an exit code of 0-5 and lets no
+    exception escape, stdout is empty or one JSON document, and a failing
+    run says why: on stderr, or in a failing verify-fusion report."""
+    argv = [a.format(**fuzz_paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in range(6), (argv, rc, err.getvalue())
+    if out.getvalue():
+        json.loads(out.getvalue())
+    if rc != 0:
+        assert err.getvalue() or (argv[0], rc) == ("verify-fusion", 1), argv

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -183,6 +184,23 @@ class TestRoundTrip:
         weights.save(build(TINY, seed=11), a)
         weights.save(build(TINY, seed=12), b)
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("attention,mode,digest", [
+        ("sdta", "train", "cc221f73eb4adea210b80f5de0d0ad1ad644f86fa4fb2121f9ffe68c7f23416f"),
+        ("sdta", "deploy", "c6aab24181fe9c27508af261380da0487b4dce0b6d7d4c7d8d9bb95d76371165"),
+        ("mdta", "train", "e3e8a33be47849136d627e208fdb043b6c4f2fe6aac0709cc33382ab9f3c8917"),
+        ("mdta", "deploy", "608ecd2194b1b3cf153e3cbfa1fb8b76c09d5817635361eac7c717c7d6ce84d4"),
+    ])
+    def test_seeded_file_bytes_are_pinned(self, tmp_path, attention, mode, digest):
+        """The draw order of ``build`` and the layout of the file, pinned: a
+        change to either changes these digests."""
+        model = build(dataclasses.replace(TINY, attention=attention), seed=1)
+        path = tmp_path / "m.mvt2"
+        weights.save(model if mode == "train" else deploy(model), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        again = tmp_path / "again.mvt2"
+        weights.save(weights.load(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestFileLayout:
