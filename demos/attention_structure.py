@@ -11,12 +11,12 @@ input positions.
 
 import numpy as np
 
-from mvt2.blocks import QK_DIM, sdta_attention_map, sdta_block_forward
-from mvt2.model import init_sdta_block
+from mvt2.blocks import QK_DIM, SDTABlock, sdta_attention_map, sdta_block_forward
+from mvt2.model import init_block
 
 rng = np.random.default_rng(0)
 c = 64
-block = init_sdta_block(rng, c, 2)
+block = init_block(SDTABlock, rng, c, ratio=2)
 
 # the projection widens by exactly 2 * 16 = 32 channels
 print("projection:", c, "->", block.proj_p.out_channels, "channels")

@@ -14,8 +14,8 @@ coordinate by coordinate and reports the worst relative error.
 import numpy as np
 
 from mvt2 import autodiff as ad
-from mvt2.blocks import mdta_block_forward, rep_dw_block_forward, sdta_block_forward
-from mvt2.model import init_mdta_block, init_rep_dw_block, init_sdta_block
+from mvt2.blocks import MDTABlock, RepDWBlock, SDTABlock, block_forward, sdta_block_forward
+from mvt2.model import init_block
 
 rng = np.random.default_rng(0)
 
@@ -23,14 +23,10 @@ rng = np.random.default_rng(0)
 x = rng.standard_normal((1, 8, 4, 4))
 loss_w = ad.Var(rng.standard_normal(x.shape))
 
-for label, init, block_forward in (
-    ("repdw", init_rep_dw_block, rep_dw_block_forward),
-    ("sdta", init_sdta_block, sdta_block_forward),
-    ("mdta", init_mdta_block, mdta_block_forward),
-):
-    block = init(rng, 8, 2, dtype=np.float64)
+for label, cls in (("repdw", RepDWBlock), ("sdta", SDTABlock), ("mdta", MDTABlock)):
+    block = init_block(cls, rng, 8, ratio=2, dtype=np.float64)
 
-    def f(v, block_forward=block_forward, block=block):
+    def f(v, block=block):
         return ad.vsum(ad.mul(block_forward(block, v), loss_w))
 
     err = ad.check_gradient(f, x, eps=1e-5)
@@ -38,7 +34,7 @@ for label, init, block_forward in (
 
 # the same forward records a tape at any batch size
 spec_x = ad.Var(rng.standard_normal((2, 8, 4, 4)))
-block = init_sdta_block(rng, 8, 2, dtype=np.float64)
+block = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
 loss = ad.vsum(sdta_block_forward(block, spec_x))
 ad.backward(loss)
 print("input gradient shape:", spec_x.grad.shape)

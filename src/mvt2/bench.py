@@ -77,7 +77,8 @@ class PowerProvider:
         """Mean power over a window of ``duration`` seconds.
 
         Returns (mean_watts, replayed) where replayed is True when a trace
-        was shorter than the window and wrapped around.
+        was shorter than the window and wrapped around.  Raises ValueError
+        when the trace is too short to count its replays in the window.
         """
         _positive(duration, "duration")
         if self.kind == "constant":
@@ -86,8 +87,12 @@ class PowerProvider:
         ws = np.array([w for _, w in self.samples], dtype=np.float64)
         span = float(ts[-1] - ts[0])
         whole = float(np.trapezoid(ws, ts))
+        if not math.isfinite(duration / span):
+            raise ValueError(f"a power trace spanning {span!r} s cannot tile a "
+                             f"{duration!r} s window")
         cycles = int(duration // span)
-        rest = duration - cycles * span
+        # rounding can leave the remainder just outside [0, span]
+        rest = min(max(duration - cycles * span, 0.0), span)
         total = cycles * whole + self._partial_integral(ts, ws, float(ts[0]) + rest)
         return total / duration, duration > span
 
@@ -191,11 +196,16 @@ def energy_from_throughput(mean_power_w: float, throughput_img_s: float) -> floa
 
     This is the single arithmetic path for the energy figure, so a report's
     stored e_img_mj always equals this function applied to the report's own
-    mean_power_w and throughput_img_s fields.
+    mean_power_w and throughput_img_s fields.  Raises ValueError when the
+    figure is not finite, since a report must stay valid JSON.
     """
     _positive(mean_power_w, "mean_power_w")
     _positive(throughput_img_s, "throughput_img_s")
-    return 1000.0 * mean_power_w / throughput_img_s
+    e_img = 1000.0 * mean_power_w / throughput_img_s
+    if not math.isfinite(e_img):
+        raise ValueError(f"the energy per image is not finite: {mean_power_w!r} W at "
+                         f"{throughput_img_s!r} img/s")
+    return e_img
 
 
 def compute_eta(acc_percent: float, e_img_mj: float) -> float:

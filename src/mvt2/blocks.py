@@ -14,22 +14,23 @@ Four block families:
 
 Each block class lists its conv units once, in execution order, in a
 ``UNITS`` table of (name, field) rows, and its ``geometry(*dims)`` gives
-each unit's ``Geometry`` row in the same order: ``model.build`` draws
-every unit from its row, and a block checks every unit against its row,
-in either form.  A unit's field holds its current weights: in train
-form a ``RepBranchSpec`` (a plain conv with its batch norm is a
-one-branch spec), in deploy form the one folded conv.  ``unit_forward``
-runs a unit in whichever form it holds, so every block
-forward serves both forms, and ``deployed`` returns a copy of a block
-that keeps only its folded convs.  Each forward is written once and
-takes an ndarray or an ``autodiff.Var``: ``autodiff.kernels`` picks the
-``tensor`` module or ``autodiff`` from the input.  The traced kernels get
-every value from the ``tensor`` kernel of the same name and record the
-gradient with respect to the input only (weights are constants), so a
-traced forward matches the engine's bit for bit and the gradient
-checker differentiates the code the engine runs.  Blocks are
-immutable after construction and forwards are pure, so shared blocks are
-safe to use concurrently.
+each unit's ``Geometry`` row in the same order: ``model.init_unit``
+draws a unit from its row, ``model.init_block`` draws a block's units
+from its rows, and a block checks every unit against its row, in either
+form.  A unit's field holds its current weights: in train form a
+``RepBranchSpec`` (a plain conv with its batch norm is a one-branch
+spec), in deploy form the one folded conv.  ``unit_forward`` runs a unit
+in whichever form it holds, so every block forward serves both forms;
+``block_forward`` runs a block by the forward of its type, and
+``deployed`` returns a copy of a block that keeps only its folded convs.
+Each forward is written once and takes an ndarray or an
+``autodiff.Var``: ``autodiff.kernels`` picks the ``tensor`` module or
+``autodiff`` from the input.  The traced kernels get every value from
+the ``tensor`` kernel of the same name and record the gradient with
+respect to the input only (weights are constants), so a traced forward
+matches the engine's bit for bit and the gradient checker differentiates
+the code the engine runs.  Blocks are immutable after construction and
+forwards are pure, so shared blocks are safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -288,6 +289,18 @@ def mdta_forward(block: MDTABlock, x):
 def mdta_block_forward(block: MDTABlock, x):
     x = mdta_forward(block, x)
     return x + ffn_forward(block.ffn, x)
+
+
+# Each block kind's forward, by its module-level name.
+_FORWARDS = {RepEmbedBlock: "rep_embed_forward", RepDWBlock: "rep_dw_block_forward",
+             SDTABlock: "sdta_block_forward", MDTABlock: "mdta_block_forward"}
+
+
+def block_forward(block, x):
+    """Run ``block`` by the forward of its type.  The forward is looked up by
+    name at each call, so a rebinding of that name (a tracer's wrapper, a
+    test's patch) takes effect."""
+    return globals()[_FORWARDS[type(block)]](block, x)
 
 
 def units(block) -> Iterator[tuple[str, object, tuple[str, str]]]:

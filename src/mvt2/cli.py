@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import weights
 from .bench import BenchConfig, PowerProvider, load_power_trace, run_bench
-from .blocks import mdta_block_forward, rep_dw_block_forward, sdta_block_forward
+from .blocks import MDTABlock, RepDWBlock, SDTABlock, block_forward
 from .fusion import verify_equivalence
 from .model import (
     VARIANTS,
@@ -37,9 +37,7 @@ from .model import (
     deploy,
     forward,
     fusable_branches,
-    init_mdta_block,
-    init_rep_dw_block,
-    init_sdta_block,
+    init_block,
 )
 
 EXIT_OK = 0
@@ -230,14 +228,10 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--channels", args.channels), ("--hw", args.hw)):
         if value < 1:
             raise CliError(EXIT_USAGE, f"{flag} must be at least 1, got {value}")
-    init, block_forward = {
-        "repdw": (init_rep_dw_block, rep_dw_block_forward),
-        "sdta": (init_sdta_block, sdta_block_forward),
-        "mdta": (init_mdta_block, mdta_block_forward),
-    }[args.block]
+    cls = {"repdw": RepDWBlock, "sdta": SDTABlock, "mdta": MDTABlock}[args.block]
     rng = np.random.default_rng(0)
     try:
-        block = init(rng, args.channels, 2, dtype=np.float64)
+        block = init_block(cls, rng, args.channels, ratio=2, dtype=np.float64)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"cannot build {args.block} block: {exc}") from None
     x = rng.standard_normal((1, args.channels, args.hw, args.hw))

@@ -7,8 +7,9 @@ embeddings sit between stages; stage 3 stacks transposed-attention
 blocks; a global average pool and linear classifier finish the network.
 At 224 input the stages run at 14, 7 and 4 pixels per side.
 
-Initialization scheme (``build``): every unit is drawn from its
-geometry row (``blocks.Geometry``), block by block in execution order.
+Initialization scheme (``build``): ``init_block`` draws each block, in
+execution order, and ``init_unit`` each of its units from the unit's
+geometry row (``blocks.Geometry``).
 Conv weights are drawn fan-in scaled, std = gain / sqrt(in_channels_per_group
 * k * k), with the row's gain: 1, except ``blocks.RESIDUAL_DAMP`` = 0.2 on
 residual-terminal convs (mixer branches, feed-forward project, attention
@@ -35,11 +36,8 @@ from .blocks import (
     RepDWBlock,
     RepEmbedBlock,
     SDTABlock,
+    block_forward,
     deployed,
-    mdta_block_forward,
-    rep_dw_block_forward,
-    rep_embed_forward,
-    sdta_block_forward,
     units,
 )
 from .fusion import RepBranchSpec, fuse, fused_skeleton
@@ -122,8 +120,9 @@ class Model:
     """A built network.  Immutable once constructed; forwards are pure.
 
     The blocks are the only record of the network's form: ``mode`` is read
-    off every unit, and each stage-3 block's forward off its type.  A model
-    deployed only in part still runs ``forward``, but has no ``mode``.
+    off every unit, and each block's forward is chosen by its type through
+    ``blocks.block_forward``.  A model deployed only in part still runs
+    ``forward``, but has no ``mode``.
     """
 
     config: ModelConfig
@@ -165,10 +164,11 @@ def _bn(rng, c: int, dtype, var_range=(0.8, 1.25)) -> BNSpec:
     )
 
 
-def _unit(rng, row: Geometry, dtype) -> RepBranchSpec:
+def init_unit(rng, row: Geometry, dtype=np.float32) -> RepBranchSpec:
     """Draw one unit from its geometry row: the main conv and its batch
     norm, then the 1x1 scale conv and its batch norm and the identity batch
-    norm where the row has them, in that order."""
+    norm where the row has them, in that order.  With ``rng`` None nothing
+    is drawn and the drawn arrays are zero."""
     def conv(k):
         shape = (row.out_c, row.in_c // row.groups, k, k)
         std = row.gain / np.sqrt(shape[1] * k * k)
@@ -185,38 +185,14 @@ def _unit(rng, row: Geometry, dtype) -> RepBranchSpec:
     return RepBranchSpec(**branches)
 
 
-def _init(cls, rng, dtype, *dims, ratio: Optional[int] = None):
+def init_block(cls, rng, *dims, ratio: Optional[int] = None, dtype=np.float32):
     """Draw a ``cls`` block's units from ``cls.geometry(*dims)`` in execution
     order, then, given a ``ratio``, its feed-forward."""
-    drawn = {field: _unit(rng, row, dtype)
+    drawn = {field: init_unit(rng, row, dtype)
              for (_, field), row in zip(cls.UNITS, cls.geometry(*dims))}
     if ratio is not None:
-        drawn["ffn"] = init_ffn(rng, dims[0], ratio, dtype)
+        drawn["ffn"] = init_block(FFNBlock, rng, dims[0], ratio, dtype=dtype)
     return cls(**drawn)
-
-
-def init_rep_embed(rng, in_c: int, out_c: int, stride: int, dtype=np.float32) -> RepEmbedBlock:
-    return _init(RepEmbedBlock, rng, dtype, in_c, out_c, stride)
-
-
-def init_dw_mixer(rng, c: int, dtype=np.float32) -> RepBranchSpec:
-    return _unit(rng, RepDWBlock.geometry(c)[0], dtype)
-
-
-def init_ffn(rng, c: int, ratio: int, dtype=np.float32) -> FFNBlock:
-    return _init(FFNBlock, rng, dtype, c, ratio)
-
-
-def init_rep_dw_block(rng, c: int, ratio: int, dtype=np.float32) -> RepDWBlock:
-    return _init(RepDWBlock, rng, dtype, c, ratio=ratio)
-
-
-def init_sdta_block(rng, c: int, ratio: int, dtype=np.float32) -> SDTABlock:
-    return _init(SDTABlock, rng, dtype, c, ratio=ratio)
-
-
-def init_mdta_block(rng, c: int, ratio: int, dtype=np.float32) -> MDTABlock:
-    return _init(MDTABlock, rng, dtype, c, ratio=ratio)
 
 
 def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> Model:
@@ -227,13 +203,17 @@ def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> 
     r = config.ffn_ratio
 
     chans = (3,) + config.stem_channels
-    stem = [init_rep_embed(rng, chans[i], chans[i + 1], 2, dtype) for i in range(4)]
-    stage1 = [init_rep_dw_block(rng, d1, r, dtype) for _ in range(config.depths[0])]
-    down12 = init_rep_embed(rng, d1, d2, 2, dtype)
-    stage2 = [init_rep_dw_block(rng, d2, r, dtype) for _ in range(config.depths[1])]
-    down23 = init_rep_embed(rng, d2, d3, 2, dtype)
+    stem = [init_block(RepEmbedBlock, rng, chans[i], chans[i + 1], 2, dtype=dtype)
+            for i in range(4)]
+    stage1 = [init_block(RepDWBlock, rng, d1, ratio=r, dtype=dtype)
+              for _ in range(config.depths[0])]
+    down12 = init_block(RepEmbedBlock, rng, d1, d2, 2, dtype=dtype)
+    stage2 = [init_block(RepDWBlock, rng, d2, ratio=r, dtype=dtype)
+              for _ in range(config.depths[1])]
+    down23 = init_block(RepEmbedBlock, rng, d2, d3, 2, dtype=dtype)
     attention = SDTABlock if config.attention == "sdta" else MDTABlock
-    stage3 = [_init(attention, rng, dtype, d3, ratio=r) for _ in range(config.depths[2])]
+    stage3 = [init_block(attention, rng, d3, ratio=r, dtype=dtype)
+              for _ in range(config.depths[2])]
 
     head_shape = (config.num_classes, d3)
     head_weight = (np.zeros(head_shape, dtype) if rng is None
@@ -255,34 +235,31 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"input dtype {x.dtype} does not match model dtype {model.dtype}")
     if not np.isfinite(x).all():
         raise ValueError("input holds a NaN or infinite value")
-    for i, emb in enumerate(model.stem):
-        x = rep_embed_forward(emb, x)
-        if i < len(model.stem) - 1:
+    for name, block in _blocks(model):
+        # GELU runs between the stem embeddings, not after the last one
+        if name.startswith("stem.") and name != "stem.0":
             x = gelu(x)
-    for blk in model.stage1:
-        x = rep_dw_block_forward(blk, x)
-    x = rep_embed_forward(model.down12, x)
-    for blk in model.stage2:
-        x = rep_dw_block_forward(blk, x)
-    x = rep_embed_forward(model.down23, x)
-    for blk in model.stage3:
-        # called by module-level name, which a tracer may rebind
-        x = (sdta_block_forward if isinstance(blk, SDTABlock) else mdta_block_forward)(blk, x)
+        x = block_forward(block, x)
     return linear(global_avg_pool(x), model.head_weight, model.head_bias)
+
+
+def _blocks(model: Model):
+    """Yield (block name, block) for every block of the network in execution
+    order: ``stem.0`` ... ``down12`` ... ``stage3.<i>``."""
+    for f in BLOCK_FIELDS:
+        value = getattr(model, f)
+        if isinstance(value, list):
+            yield from ((f"{f}.{i}", b) for i, b in enumerate(value))
+        else:
+            yield f, value
 
 
 def _walk(model: Model):
     """Yield (block name, unit name, owner, row) for every conv unit of the
     network in execution order; see :func:`blocks.units`."""
-    for f in BLOCK_FIELDS:
-        value = getattr(model, f)
-        if isinstance(value, list):
-            named = [(f"{f}.{i}", b) for i, b in enumerate(value)]
-        else:
-            named = [(f, value)]
-        for name, block in named:
-            for unit, owner, row in units(block):
-                yield name, unit, owner, row
+    for name, block in _blocks(model):
+        for unit, owner, row in units(block):
+            yield name, unit, owner, row
 
 
 def deploy(model: Model, fold=fuse) -> Model:

@@ -26,8 +26,7 @@ from mvt2.model import (
     count,
     deploy,
     forward,
-    init_rep_dw_block,
-    init_sdta_block,
+    init_block,
     named_tensors,
 )
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, softmax
@@ -145,7 +144,7 @@ def test_criterion_4_energy_metric_reproduces_published_rows():
 def test_criterion_5_attention_structure():
     rng = np.random.default_rng(3)
     for c in (320, 448):
-        block = init_sdta_block(rng, c, 2)
+        block = init_block(blocks.SDTABlock, rng, c, ratio=2)
         assert block.proj_p.out_channels == c + 32
         x = rng.standard_normal((2, c, 4, 4)).astype(np.float32)
         maps = blocks.sdta_attention_map(block, x)
@@ -172,11 +171,11 @@ def test_criterion_6_gradient_checks_for_core_blocks():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 8, 4, 4))
     loss_w = ad.Var(rng.standard_normal(x.shape))
-    for label, init, block_forward in (
-        ("repdw", init_rep_dw_block, blocks.rep_dw_block_forward),
-        ("sdta", init_sdta_block, blocks.sdta_block_forward),
+    for label, cls, block_forward in (
+        ("repdw", blocks.RepDWBlock, blocks.rep_dw_block_forward),
+        ("sdta", blocks.SDTABlock, blocks.sdta_block_forward),
     ):
-        block = init(rng, 8, 2, dtype=np.float64)
+        block = init_block(cls, rng, 8, ratio=2, dtype=np.float64)
 
         def f(v, block_forward=block_forward, block=block):
             return ad.vsum(ad.mul(block_forward(block, v), loss_w))

@@ -86,6 +86,13 @@ class TestPowerProvider:
         with pytest.raises(ValueError):
             PowerProvider(kind="battery", watts=10.0)
 
+    @pytest.mark.parametrize("span", [1e-200, 1e-9])
+    def test_mean_over_a_trace_far_shorter_than_the_window(self, span):
+        p = PowerProvider.trace([(0.0, 2.0), (span, 2.0)])
+        for duration in (1e-5, 1e-3, 0.0123, 0.7, 2.5):
+            mean, replayed = p.mean_over(duration)
+            assert mean == pytest.approx(2.0) and replayed, duration
+
     def test_mean_over_rejects_non_positive_window(self):
         p = PowerProvider.constant(5.0)
         with pytest.raises(ValueError):
@@ -144,6 +151,10 @@ class TestEnergyArithmetic:
     def test_homogeneity_in_throughput(self):
         base = energy_from_throughput(10.0, 500.0)
         assert energy_from_throughput(10.0, 1000.0) == pytest.approx(base / 2, rel=1e-12)
+
+    def test_non_finite_energy_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            energy_from_throughput(1e308, 1.0)
 
     def test_throughput_counts_batch(self):
         assert compute_throughput([0.5, 0.5], 4) == 8.0

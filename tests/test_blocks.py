@@ -23,14 +23,7 @@ from mvt2.blocks import (
     units,
 )
 from mvt2.fusion import RepBranchSpec, fold_bn, fuse
-from mvt2.model import (
-    init_dw_mixer,
-    init_ffn,
-    init_mdta_block,
-    init_rep_dw_block,
-    init_rep_embed,
-    init_sdta_block,
-)
+from mvt2.model import init_block, init_unit
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, sigmoid
 
 
@@ -137,13 +130,13 @@ class TestRepEmbed:
 
     def test_stride2_output_shape(self):
         rng = np.random.default_rng(0)
-        block = init_rep_embed(rng, 3, 16, stride=2)
+        block = init_block(RepEmbedBlock, rng, 3, 16, 2)
         x = rng.standard_normal((1, 3, 224, 224)).astype(np.float32)
         assert rep_embed_forward(block, x).shape == (1, 16, 112, 112)
 
     def test_train_vs_deploy(self):
         rng = np.random.default_rng(1)
-        block = init_rep_embed(rng, 8, 12, stride=2)
+        block = init_block(RepEmbedBlock, rng, 8, 12, 2)
         x = rng.standard_normal((2, 8, 14, 14)).astype(np.float32)
         a = rep_embed_forward(block, x)
         b = rep_embed_forward(deployed(block), x)
@@ -152,7 +145,7 @@ class TestRepEmbed:
     def test_rejects_grouped_branch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            RepEmbedBlock(init_dw_mixer(rng, 8))
+            RepEmbedBlock(init_unit(rng, RepDWBlock.geometry(8)[0]))
 
 
 class TestRepDWBlock:
@@ -171,14 +164,14 @@ class TestRepDWBlock:
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(5)
-        block = init_rep_dw_block(rng, 128, 2)
+        block = init_block(RepDWBlock, rng, 128, ratio=2)
         x = rng.standard_normal((2, 128, 14, 14)).astype(np.float32)
         assert rep_dw_block_forward(block, x).shape == (2, 128, 14, 14)
 
     def test_train_vs_deploy_all_variant_widths(self):
         rng = np.random.default_rng(6)
         for c in (128, 224, 384, 448):
-            block = init_rep_dw_block(rng, c, 2)
+            block = init_block(RepDWBlock, rng, c, ratio=2)
             x = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
             a = rep_dw_block_forward(block, x)
             b = rep_dw_block_forward(deployed(block), x)
@@ -186,14 +179,14 @@ class TestRepDWBlock:
 
     def test_rejects_dense_mixer(self):
         rng = np.random.default_rng(7)
-        dense = init_rep_embed(rng, 8, 8, stride=1).branch
+        dense = init_block(RepEmbedBlock, rng, 8, 8, 1).branch
         with pytest.raises(ValueError):
             RepDWBlock(mixer=dense, ffn=zero_ffn(8))
 
     def test_rejects_ffn_width_mismatch(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            RepDWBlock(mixer=init_dw_mixer(rng, 8), ffn=zero_ffn(6))
+            RepDWBlock(mixer=init_unit(rng, RepDWBlock.geometry(8)[0]), ffn=zero_ffn(6))
 
 
 class TestFFN:
@@ -206,14 +199,14 @@ class TestFFN:
 
     def test_ratio_property(self):
         rng = np.random.default_rng(9)
-        ffn = init_ffn(rng, 8, 2)
+        ffn = init_block(FFNBlock, rng, 8, 2)
         assert ffn.expand.out_channels == 2 * ffn.channels
 
 
 class TestSDTA:
     def test_c320_projection_split(self):
         rng = np.random.default_rng(11)
-        block = init_sdta_block(rng, 320, 2)
+        block = init_block(SDTABlock, rng, 320, ratio=2)
         assert block.proj_p.out_channels == 352
         x = rng.standard_normal((1, 320, 4, 4)).astype(np.float32)
         out = sdta_block_forward(block, x)
@@ -222,7 +215,7 @@ class TestSDTA:
     def test_attention_scale_is_four(self):
         assert float(np.sqrt(QK_DIM)) == 4.0
         rng = np.random.default_rng(12)
-        block = init_sdta_block(rng, 8, 2)
+        block = init_block(SDTABlock, rng, 8, ratio=2)
         x = rng.standard_normal((1, 8, 3, 3)).astype(np.float32)
         maps = sdta_attention_map(block, x)
         # recompute the map from the block's own projections at scale 4
@@ -238,7 +231,7 @@ class TestSDTA:
 
     def test_attention_map_column_stochastic(self):
         rng = np.random.default_rng(13)
-        block = init_sdta_block(rng, 16, 2)
+        block = init_block(SDTABlock, rng, 16, ratio=2)
         x = rng.standard_normal((2, 16, 4, 4)).astype(np.float32)
         maps = sdta_attention_map(block, x)
         assert maps.shape == (2, 16, 16)
@@ -246,7 +239,7 @@ class TestSDTA:
 
     def test_single_position_attention_is_identity(self):
         rng = np.random.default_rng(14)
-        block = init_sdta_block(rng, 8, 2)
+        block = init_block(SDTABlock, rng, 8, ratio=2)
         x = rng.standard_normal((1, 8, 1, 1)).astype(np.float32)
         maps = sdta_attention_map(block, x)
         assert np.array_equal(maps, np.ones((1, 1, 1), dtype=np.float32))
@@ -264,7 +257,7 @@ class TestSDTA:
 
     def test_against_float64_reference(self):
         rng = np.random.default_rng(15)
-        block = init_sdta_block(rng, 8, 2, dtype=np.float64)
+        block = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         got = sdta_block_forward(block, x)
         want = sdta_block_ref64(block, x)
@@ -273,7 +266,7 @@ class TestSDTA:
     def test_train_vs_deploy_all_variant_widths(self):
         rng = np.random.default_rng(16)
         for c in (320, 448):
-            block = init_sdta_block(rng, c, 2)
+            block = init_block(SDTABlock, rng, c, ratio=2)
             x = rng.standard_normal((1, c, 4, 4)).astype(np.float32)
             a = sdta_block_forward(block, x)
             b = sdta_block_forward(deployed(block), x)
@@ -281,7 +274,7 @@ class TestSDTA:
 
     def test_attention_map_agrees_across_forms(self):
         rng = np.random.default_rng(20)
-        block = init_sdta_block(rng, 8, 2)
+        block = init_block(SDTABlock, rng, 8, ratio=2)
         x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
         a = sdta_attention_map(block, x)
         b = sdta_attention_map(deployed(block), x)
@@ -290,11 +283,11 @@ class TestSDTA:
     def test_rejects_indivisible_channels(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            init_sdta_block(rng, 6, 2)
+            init_block(SDTABlock, rng, 6, ratio=2)
 
     def test_rejects_wrong_projection_width(self):
         rng = np.random.default_rng(18)
-        block = init_sdta_block(rng, 8, 2)
+        block = init_block(SDTABlock, rng, 8, ratio=2)
         with pytest.raises(ValueError):
             SDTABlock(
                 pre_mixer=block.pre_mixer,
@@ -367,7 +360,7 @@ class TestMDTA:
 
     def test_output_finite(self):
         rng = np.random.default_rng(19)
-        block = init_mdta_block(rng, 8, 2)
+        block = init_block(MDTABlock, rng, 8, ratio=2)
         x = rng.standard_normal((1, 8, 4, 4)).astype(np.float32)
         from mvt2.blocks import mdta_block_forward
         out = mdta_block_forward(block, x)
@@ -377,8 +370,8 @@ class TestMDTA:
     def test_param_count_exceeds_sdta_at_equal_width(self):
         rng = np.random.default_rng(20)
         c = 64
-        sdta = init_sdta_block(rng, c, 2)
-        mdta = init_mdta_block(rng, c, 2)
+        sdta = init_block(SDTABlock, rng, c, ratio=2)
+        mdta = init_block(MDTABlock, rng, c, ratio=2)
 
         def unit_params(units):
             # conv kernel and bias, plus the batch norm's four vectors
@@ -394,8 +387,9 @@ class TestMDTA:
 class TestConverter:
     def test_fills_every_deploy_field_with_the_fused_unit(self):
         rng = np.random.default_rng(30)
-        for block in (init_rep_embed(rng, 8, 16, 2), init_rep_dw_block(rng, 8, 2),
-                      init_sdta_block(rng, 8, 2)):
+        for block in (init_block(RepEmbedBlock, rng, 8, 16, 2),
+                      init_block(RepDWBlock, rng, 8, ratio=2),
+                      init_block(SDTABlock, rng, 8, ratio=2)):
             converted = deployed(block)
             for (unit, owner, (_, field)), (_, new_owner, _) in zip(units(block),
                                                                     units(converted)):
@@ -406,14 +400,14 @@ class TestConverter:
                 assert np.array_equal(got.bias, want.bias), unit
 
     def test_single_branch_fuse_is_fold_bn(self):
-        ffn = init_ffn(np.random.default_rng(31), 8, 2)
+        ffn = init_block(FFNBlock, np.random.default_rng(31), 8, 2)
         got = deployed(ffn).expand
         want = fold_bn(ffn.expand.main, ffn.expand.main_bn)
         assert np.array_equal(got.kernel, want.kernel)
         assert np.array_equal(got.bias, want.bias)
 
     def test_ablation_block_deploys_to_its_folded_units(self):
-        block = init_mdta_block(np.random.default_rng(32), 8, 2, dtype=np.float64)
+        block = init_block(MDTABlock, np.random.default_rng(32), 8, ratio=2, dtype=np.float64)
         converted = deployed(block)
         for (unit, owner, (_, field)), (_, new_owner, _) in zip(units(block),
                                                                 units(converted)):
@@ -441,11 +435,11 @@ def wrong_geometries(spec, kernels):
 
 class TestGeometryRows:
     @pytest.mark.parametrize("init", [
-        lambda rng: init_rep_embed(rng, 8, 16, 2),
-        lambda rng: init_ffn(rng, 8, 2),
-        lambda rng: init_rep_dw_block(rng, 8, 2),
-        lambda rng: init_sdta_block(rng, 8, 2),
-        lambda rng: init_mdta_block(rng, 8, 2),
+        lambda rng: init_block(RepEmbedBlock, rng, 8, 16, 2),
+        lambda rng: init_block(FFNBlock, rng, 8, 2),
+        lambda rng: init_block(RepDWBlock, rng, 8, ratio=2),
+        lambda rng: init_block(SDTABlock, rng, 8, ratio=2),
+        lambda rng: init_block(MDTABlock, rng, 8, ratio=2),
     ], ids=["embed", "ffn", "repdw", "sdta", "mdta"])
     def test_every_unit_is_checked_against_its_row_in_both_forms(self, init):
         """A unit with a wrong in/out width, kernel, stride or groups is

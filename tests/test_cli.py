@@ -440,6 +440,23 @@ class TestBench:
         assert stdout == ""
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("power", ["constant:1e308", "trace:{short_trace}"])
+    def test_non_finite_energy_fails_with_one_error_line(self, capsys, tiny_files, tmp_path,
+                                                         power):
+        """A power draw too large, or a trace too short to tile the measured
+        window, leaves no finite energy figure: the run fails and prints no
+        report, since stdout must stay JSON."""
+        short_trace = tmp_path / "p.tsv"
+        short_trace.write_text("0\t1\n5e-324\t1\n", encoding="utf-8")
+        rc, stdout, stderr = run(
+            capsys,
+            ["bench", "--model", tiny_files["deploy"], "--iters", "1",
+             "--power", power.format(short_trace=short_trace)],
+        )
+        assert rc == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     def test_iters_and_duration_conflict(self, capsys, tiny_files):
         rc, _, _ = run(
             capsys,
@@ -501,8 +518,7 @@ class TestGradcheck:
         def no_build(*args, **kwargs):
             raise AssertionError("a block was built before the flags were checked")
 
-        for name in ("init_rep_dw_block", "init_sdta_block", "init_mdta_block"):
-            monkeypatch.setattr(cli, name, no_build)
+        monkeypatch.setattr(cli, "init_block", no_build)
         rc, stdout, stderr = run(capsys, ["gradcheck", "--block", block, flag, value])
         assert rc == 2
         assert stdout == ""
@@ -536,8 +552,9 @@ FUZZ_FLAGS = {
               "--iters": (["1", "2"], ["0", "-1"]),
               "--duration": ([], ["0.01", "0", "-1", "nan", "inf"]),
               "--power": (["constant:10", "trace:{trace}"],
-                          ["constant:-1", "constant:nan", "trace:{bad_trace}",
-                           "trace:{missing}", "trace:{dir}", "joules:3"]),
+                          ["constant:-1", "constant:nan", "constant:1e308",
+                           "trace:{bad_trace}", "trace:{short_trace}", "trace:{missing}",
+                           "trace:{dir}", "joules:3"]),
               "--warmup": (["0", "1"], ["-1"]), "--acc": (["50"], ["150", "nan"]),
               "--acc-source": (["paper"], []), "--out": WRITE},
     "gradcheck": {"--block": (["repdw", "sdta", "mdta"], ["dense"]),
@@ -554,11 +571,12 @@ def fuzz_paths(tiny_files):
     (root / "short.f32").write_bytes(bytes(12))
     (root / "power.tsv").write_text("0\t10\n1\t12\n")
     (root / "bad_power.tsv").write_text("0\tnan\nx\n")
+    (root / "short_power.tsv").write_text("0\t1\n5e-324\t1\n")
     (root / "a_dir").mkdir(exist_ok=True)
     return {"root": root, "train": tiny_files["train"], "deploy": tiny_files["deploy"],
             "raw": root / "x.f32", "short": root / "short.f32", "trace": root / "power.tsv",
-            "bad_trace": root / "bad_power.tsv", "dir": root / "a_dir",
-            "missing": root / "no_such_dir"}
+            "bad_trace": root / "bad_power.tsv", "short_trace": root / "short_power.tsv",
+            "dir": root / "a_dir", "missing": root / "no_such_dir"}
 
 
 @st.composite
@@ -576,18 +594,23 @@ def cli_argvs(draw):
     return argv
 
 
+def not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(argv=cli_argvs())
 def test_random_flags_end_in_a_documented_exit_code(fuzz_paths, argv):
     """Whatever the flags, ``main`` returns an exit code of 0-5 and lets no
-    exception escape, stdout is empty or one JSON document, and a failing
-    run says why: on stderr, or in a failing verify-fusion report."""
+    exception escape, stdout is empty or one strict JSON document (no NaN
+    or Infinity), and a failing run says why: on stderr, or in a failing
+    verify-fusion report."""
     argv = [a.format(**fuzz_paths) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     assert rc in range(6), (argv, rc, err.getvalue())
     if out.getvalue():
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=not_json)
     if rc != 0:
         assert err.getvalue() or (argv[0], rc) == ("verify-fusion", 1), argv

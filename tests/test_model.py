@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +83,37 @@ class TestBuild:
         assert forward(model, x).shape == (1, 10)
 
 
+def reference_forward(model, x):
+    """The network's walk written out by hand: four stem embeddings with
+    GELU between them, stage 1, ``down12``, stage 2, ``down23``, stage 3 by
+    block type, then pool and linear."""
+    for i, emb in enumerate(model.stem):
+        x = blocks.rep_embed_forward(emb, x)
+        if i < len(model.stem) - 1:
+            x = tensor.gelu(x)
+    for blk in model.stage1:
+        x = blocks.rep_dw_block_forward(blk, x)
+    x = blocks.rep_embed_forward(model.down12, x)
+    for blk in model.stage2:
+        x = blocks.rep_dw_block_forward(blk, x)
+    x = blocks.rep_embed_forward(model.down23, x)
+    for blk in model.stage3:
+        attend = (blocks.sdta_block_forward if isinstance(blk, blocks.SDTABlock)
+                  else blocks.mdta_block_forward)
+        x = attend(blk, x)
+    return tensor.linear(tensor.global_avg_pool(x), model.head_weight, model.head_bias)
+
+
 class TestForward:
+    @pytest.mark.parametrize("attention", ["sdta", "mdta"])
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    def test_equals_the_hand_written_walk(self, form, attention):
+        model = build(replace(TINY, attention=attention), seed=1)
+        if form == "deploy":
+            model = deploy(model)
+        x = np.random.default_rng(4).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        assert forward(model, x).tobytes() == reference_forward(model, x).tobytes()
+
     def test_tiny_shapes_and_finiteness(self):
         model = build(TINY, seed=0)
         rng = np.random.default_rng(1)
@@ -129,8 +160,7 @@ FORWARD_CALLEES = {
     blocks: ("rep_branch_forward", "unit_forward", "ffn_forward", "rep_embed_forward",
              "rep_dw_block_forward", "sdta_forward", "sdta_block_forward",
              "mdta_forward", "mdta_block_forward"),
-    model_module: ("gelu", "rep_embed_forward", "rep_dw_block_forward",
-                   "sdta_block_forward", "mdta_block_forward"),
+    model_module: ("gelu", "block_forward"),
 }
 
 
@@ -169,8 +199,9 @@ class TestInputsUntouched:
         forward(net, x)
         assert x.tobytes() == raw
         assert {k: v.tobytes() for k, v in named_tensors(net)} == weights_before
-        want = {"gelu", "conv2d", "unit_forward", "ffn_forward", "rep_embed_forward",
-                "rep_dw_block_forward", f"{attention}_forward", f"{attention}_block_forward"}
+        want = {"gelu", "conv2d", "block_forward", "unit_forward", "ffn_forward",
+                "rep_embed_forward", "rep_dw_block_forward", f"{attention}_forward",
+                f"{attention}_block_forward"}
         if form == "train":
             want |= {"batchnorm_infer", "rep_branch_forward", "one-tap depthwise conv2d"}
         assert set(calls) == want
