@@ -16,7 +16,7 @@ from mvt2.model import init_block
 
 rng = np.random.default_rng(0)
 c = 64
-block = init_block(SDTABlock, rng, c, ratio=2)
+block = init_block(SDTABlock, rng, c, 2)
 
 # the projection widens by exactly 2 * 16 = 32 channels
 print("projection:", c, "->", block.proj_p.out_channels, "channels")

@@ -24,7 +24,7 @@ x = rng.standard_normal((1, 8, 4, 4))
 loss_w = ad.Var(rng.standard_normal(x.shape))
 
 for label, cls in (("repdw", RepDWBlock), ("sdta", SDTABlock), ("mdta", MDTABlock)):
-    block = init_block(cls, rng, 8, ratio=2, dtype=np.float64)
+    block = init_block(cls, rng, 8, 2, dtype=np.float64)
 
     def f(v, block=block):
         return ad.vsum(ad.mul(block_forward(block, v), loss_w))
@@ -34,7 +34,7 @@ for label, cls in (("repdw", RepDWBlock), ("sdta", SDTABlock), ("mdta", MDTABloc
 
 # the same forward records a tape at any batch size
 spec_x = ad.Var(rng.standard_normal((2, 8, 4, 4)))
-block = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
+block = init_block(SDTABlock, rng, 8, 2, dtype=np.float64)
 loss = ad.vsum(sdta_block_forward(block, spec_x))
 ad.backward(loss)
 print("input gradient shape:", spec_x.grad.shape)

@@ -292,13 +292,3 @@ def run_bench(model: Model, config: BenchConfig, power: PowerProvider) -> BenchR
         eta_pct_per_mj=eta,
         metadata=metadata,
     )
-
-
-def speed_check(train_report: BenchReport, deploy_report: BenchReport) -> dict:
-    """Soft comparison: fused models should not run slower than train form."""
-    ok = deploy_report.throughput_img_s >= train_report.throughput_img_s
-    return {
-        "train_throughput_img_s": train_report.throughput_img_s,
-        "deploy_throughput_img_s": deploy_report.throughput_img_s,
-        "deploy_not_slower": ok,
-    }

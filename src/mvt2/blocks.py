@@ -12,8 +12,11 @@ Four block families:
 - ``MDTABlock``: a per-channel transposed-attention variant kept to
   compare cost and behaviour against ``SDTABlock``.
 
-Each block class lists its conv units once, in execution order, in a
-``UNITS`` table of (name, field) rows, and its ``geometry(*dims)`` gives
+The last three end in a feed-forward: two pointwise units, ``expand``
+to ``ratio`` times the width and ``project`` back, with a GELU between.
+Each block class lists all of its conv units once, in execution order,
+in a ``UNITS`` table of (name, field) rows, the feed-forward's last as
+``ffn.expand`` and ``ffn.project``, and its ``geometry(*dims)`` gives
 each unit's ``Geometry`` row in the same order: ``model.init_unit``
 draws a unit from its row, ``model.init_block`` draws a block's units
 from its rows, and a block checks every unit against its row, in either
@@ -36,7 +39,7 @@ forwards are pure, so shared blocks are safe to use concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator, NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -51,8 +54,10 @@ RESIDUAL_DAMP = 0.2
 
 # A conv unit: a branch group in train form, its folded conv once deployed.
 UnitSpec = Union[RepBranchSpec, ConvSpec]
-# A unit table row: (the unit's part of its tensor names, its field).
+# A unit table row: (the unit's name, its field).
 Rows = tuple[tuple[str, str], ...]
+# The feed-forward's rows, which end every table but an embedding's.
+_FFN_UNITS: Rows = (("ffn.expand", "expand"), ("ffn.project", "project"))
 
 
 def _require(cond: bool, msg: str):
@@ -84,11 +89,14 @@ def unit_forward(unit: UnitSpec, x):
     return kernels(x).conv2d(x, unit)
 
 
+def _ffn_geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
+    return Geometry(c, ratio * c), Geometry(ratio * c, c, gain=RESIDUAL_DAMP)
+
+
 class _Block:
     """What the block classes share.  A block reads its ``dims`` off its
     units, and constructing it checks each unit, in either form, against
-    the row ``geometry(*dims)`` gives it; a block's feed-forward is checked
-    against ``FFNBlock.geometry`` at the block's width."""
+    the row ``geometry(*dims)`` gives it."""
 
     @property
     def channels(self) -> int:
@@ -97,14 +105,13 @@ class _Block:
 
     @property
     def dims(self) -> tuple:
-        return (self.channels,)
+        """The width and the feed-forward's expansion ratio; a non-integral
+        ratio fails the row check."""
+        return self.channels, self.expand.out_channels // self.expand.in_channels
 
     def __post_init__(self):
-        rows = self.geometry(*self.dims)
-        if hasattr(self, "ffn"):
-            rows += FFNBlock.geometry(self.channels, self.ffn.ratio)
-        for (name, owner, (_, field)), row in zip(units(self), rows):
-            spec = getattr(owner, field)
+        for (name, field), row in zip(self.UNITS, self.geometry(*self.dims), strict=True):
+            spec = getattr(self, field)
             conv = spec.main if isinstance(spec, RepBranchSpec) else spec
             got = (conv.kernel.shape, conv.stride, conv.padding, conv.groups)
             want = ((row.out_c, row.in_c // row.groups, row.k, row.k), row.stride, row.k // 2,
@@ -112,29 +119,6 @@ class _Block:
             if got != want:
                 raise ValueError(f"{type(self).__name__} unit {name or field!r} has (kernel shape, "
                                  f"stride, padding, groups) {got}, its geometry needs {want}")
-
-
-@dataclass
-class FFNBlock(_Block):
-    """Two pointwise convolutions with an activation between them."""
-
-    UNITS: ClassVar[Rows] = (("expand", "expand"), ("project", "project"))
-
-    expand: UnitSpec
-    project: UnitSpec
-
-    @staticmethod
-    def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
-        return Geometry(c, ratio * c), Geometry(ratio * c, c, gain=RESIDUAL_DAMP)
-
-    @property
-    def ratio(self) -> int:
-        """The expansion ratio; a non-integral one fails the row check."""
-        return self.expand.out_channels // self.expand.in_channels
-
-    @property
-    def dims(self) -> tuple:
-        return self.channels, self.ratio
 
 
 @dataclass
@@ -159,14 +143,16 @@ class RepEmbedBlock(_Block):
 class RepDWBlock(_Block):
     """Residual depthwise mixer followed by a residual feed-forward."""
 
-    UNITS: ClassVar[Rows] = (("mixer", "mixer"),)
+    UNITS: ClassVar[Rows] = (("mixer", "mixer"),) + _FFN_UNITS
 
     mixer: UnitSpec
-    ffn: FFNBlock
+    expand: UnitSpec
+    project: UnitSpec
 
     @staticmethod
-    def geometry(c: int) -> tuple[Geometry, ...]:
-        return (Geometry(c, c, 3, groups=c, gain=RESIDUAL_DAMP, scale=True, identity=True),)
+    def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
+        return (Geometry(c, c, 3, groups=c, gain=RESIDUAL_DAMP, scale=True, identity=True),
+                *_ffn_geometry(c, ratio))
 
 
 @dataclass
@@ -179,18 +165,20 @@ class SDTABlock(_Block):
     maps the concatenation back to C channels.
     """
 
-    UNITS: ClassVar[Rows] = (("mixer", "pre_mixer"), ("proj_p", "proj_p"), ("proj_o", "proj_o"))
+    UNITS: ClassVar[Rows] = (("mixer", "pre_mixer"), ("proj_p", "proj_p"),
+                             ("proj_o", "proj_o")) + _FFN_UNITS
 
     pre_mixer: UnitSpec
     proj_p: UnitSpec
     proj_o: UnitSpec
-    ffn: FFNBlock
+    expand: UnitSpec
+    project: UnitSpec
 
     @staticmethod
-    def geometry(c: int) -> tuple[Geometry, ...]:
+    def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
         _require(c % 4 == 0, f"channel count {c} must be divisible by 4")
-        return RepDWBlock.geometry(c) + (Geometry(c, c + 2 * QK_DIM),
-                                         Geometry(c, c, gain=RESIDUAL_DAMP))
+        return (RepDWBlock.geometry(c, ratio)[0], Geometry(c, c + 2 * QK_DIM),
+                Geometry(c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
 
     def attention_macs(self, hw: int) -> dict:
         """MACs of the two token contractions over ``hw`` positions."""
@@ -206,17 +194,18 @@ class MDTABlock(_Block):
     is row-stochastic and mixes value channels.
     """
 
-    UNITS: ClassVar[Rows] = (("qkv", "qkv"), ("dw", "dw"), ("proj", "proj"))
+    UNITS: ClassVar[Rows] = (("qkv", "qkv"), ("dw", "dw"), ("proj", "proj")) + _FFN_UNITS
 
     qkv: UnitSpec
     dw: UnitSpec
     proj: UnitSpec
-    ffn: FFNBlock
+    expand: UnitSpec
+    project: UnitSpec
 
     @staticmethod
-    def geometry(c: int) -> tuple[Geometry, ...]:
+    def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
         return (Geometry(c, 3 * c), Geometry(3 * c, 3 * c, 3, groups=3 * c),
-                Geometry(c, c, gain=RESIDUAL_DAMP))
+                Geometry(c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
 
     def attention_macs(self, hw: int) -> dict:
         """MACs of the two channel contractions over ``hw`` positions."""
@@ -224,8 +213,9 @@ class MDTABlock(_Block):
         return {"attn_qk": c * c * hw, "attn_av": c * c * hw}
 
 
-def ffn_forward(ffn: FFNBlock, x):
-    return unit_forward(ffn.project, kernels(x).gelu(unit_forward(ffn.expand, x)))
+def ffn_forward(block, x):
+    """The feed-forward of ``block``, without its residual."""
+    return unit_forward(block.project, kernels(x).gelu(unit_forward(block.expand, x)))
 
 
 def rep_embed_forward(block: RepEmbedBlock, x):
@@ -234,7 +224,7 @@ def rep_embed_forward(block: RepEmbedBlock, x):
 
 def rep_dw_block_forward(block: RepDWBlock, x):
     x = x + unit_forward(block.mixer, x)
-    return x + ffn_forward(block.ffn, x)
+    return x + ffn_forward(block, x)
 
 
 def _sdta_attention(block: SDTABlock, x):
@@ -267,7 +257,7 @@ def sdta_forward(block: SDTABlock, x):
 
 def sdta_block_forward(block: SDTABlock, x):
     x = sdta_forward(block, x)
-    return x + ffn_forward(block.ffn, x)
+    return x + ffn_forward(block, x)
 
 
 def sdta_attention_map(block: SDTABlock, x: np.ndarray) -> np.ndarray:
@@ -288,7 +278,7 @@ def mdta_forward(block: MDTABlock, x):
 
 def mdta_block_forward(block: MDTABlock, x):
     x = mdta_forward(block, x)
-    return x + ffn_forward(block.ffn, x)
+    return x + ffn_forward(block, x)
 
 
 # Each block kind's forward, by its module-level name.
@@ -303,22 +293,7 @@ def block_forward(block, x):
     return globals()[_FORWARDS[type(block)]](block, x)
 
 
-def units(block) -> Iterator[tuple[str, object, tuple[str, str]]]:
-    """Yield (unit name, owner, row) for each unit of ``block`` in execution
-    order, where ``row`` is the owner's (name, field) ``UNITS`` row.  A
-    feed-forward's units follow the block's own as ``ffn.<row name>``.
-    """
-    for row in block.UNITS:
-        yield row[0], block, row
-    if hasattr(block, "ffn"):
-        for row in FFNBlock.UNITS:
-            yield f"ffn.{row[0]}", block.ffn, row
-
-
 def deployed(block, fold=fuse):
     """A copy of ``block`` that holds each unit as ``fold`` of its weights
     (by default the fused conv); the train-form weights are not kept."""
-    fused = {field: fold(getattr(block, field)) for _, field in block.UNITS}
-    if hasattr(block, "ffn"):
-        fused["ffn"] = deployed(block.ffn, fold)
-    return replace(block, **fused)
+    return replace(block, **{field: fold(getattr(block, field)) for _, field in block.UNITS})

@@ -231,7 +231,7 @@ def cmd_gradcheck(args) -> int:
     cls = {"repdw": RepDWBlock, "sdta": SDTABlock, "mdta": MDTABlock}[args.block]
     rng = np.random.default_rng(0)
     try:
-        block = init_block(cls, rng, args.channels, ratio=2, dtype=np.float64)
+        block = init_block(cls, rng, args.channels, 2, dtype=np.float64)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"cannot build {args.block} block: {exc}") from None
     x = rng.standard_normal((1, args.channels, args.hw, args.hw))

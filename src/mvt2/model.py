@@ -8,8 +8,8 @@ blocks; a global average pool and linear classifier finish the network.
 At 224 input the stages run at 14, 7 and 4 pixels per side.
 
 Initialization scheme (``build``): ``init_block`` draws each block, in
-execution order, and ``init_unit`` each of its units from the unit's
-geometry row (``blocks.Geometry``).
+execution order, and ``init_unit`` each of its units, feed-forward ones
+included, from the unit's geometry row (``blocks.Geometry``).
 Conv weights are drawn fan-in scaled, std = gain / sqrt(in_channels_per_group
 * k * k), with the row's gain: 1, except ``blocks.RESIDUAL_DAMP`` = 0.2 on
 residual-terminal convs (mixer branches, feed-forward project, attention
@@ -30,7 +30,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .blocks import (
-    FFNBlock,
     Geometry,
     MDTABlock,
     RepDWBlock,
@@ -38,7 +37,6 @@ from .blocks import (
     SDTABlock,
     block_forward,
     deployed,
-    units,
 )
 from .fusion import RepBranchSpec, fuse, fused_skeleton
 from .tensor import (
@@ -144,8 +142,8 @@ class Model:
         """``"deploy"`` when every unit holds a folded conv, ``"train"`` when
         every unit holds its branch group; units that mix the two forms raise
         ``ValueError``, since no weight file or cost report describes them."""
-        forms = {isinstance(getattr(owner, field), ConvSpec)
-                 for _, _, owner, (_, field) in _walk(self)}
+        forms = {isinstance(getattr(block, field), ConvSpec)
+                 for _, _, block, field in _walk(self)}
         if len(forms) != 1:
             raise ValueError("the model's units mix train and deploy forms")
         return "deploy" if forms.pop() else "train"
@@ -185,14 +183,10 @@ def init_unit(rng, row: Geometry, dtype=np.float32) -> RepBranchSpec:
     return RepBranchSpec(**branches)
 
 
-def init_block(cls, rng, *dims, ratio: Optional[int] = None, dtype=np.float32):
-    """Draw a ``cls`` block's units from ``cls.geometry(*dims)`` in execution
-    order, then, given a ``ratio``, its feed-forward."""
-    drawn = {field: init_unit(rng, row, dtype)
-             for (_, field), row in zip(cls.UNITS, cls.geometry(*dims))}
-    if ratio is not None:
-        drawn["ffn"] = init_block(FFNBlock, rng, dims[0], ratio, dtype=dtype)
-    return cls(**drawn)
+def init_block(cls, rng, *dims, dtype=np.float32):
+    """Draw a ``cls`` block's units from ``cls.geometry(*dims)`` in execution order."""
+    return cls(**{field: init_unit(rng, row, dtype)
+                  for (_, field), row in zip(cls.UNITS, cls.geometry(*dims), strict=True)})
 
 
 def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> Model:
@@ -205,14 +199,14 @@ def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> 
     chans = (3,) + config.stem_channels
     stem = [init_block(RepEmbedBlock, rng, chans[i], chans[i + 1], 2, dtype=dtype)
             for i in range(4)]
-    stage1 = [init_block(RepDWBlock, rng, d1, ratio=r, dtype=dtype)
+    stage1 = [init_block(RepDWBlock, rng, d1, r, dtype=dtype)
               for _ in range(config.depths[0])]
     down12 = init_block(RepEmbedBlock, rng, d1, d2, 2, dtype=dtype)
-    stage2 = [init_block(RepDWBlock, rng, d2, ratio=r, dtype=dtype)
+    stage2 = [init_block(RepDWBlock, rng, d2, r, dtype=dtype)
               for _ in range(config.depths[1])]
     down23 = init_block(RepEmbedBlock, rng, d2, d3, 2, dtype=dtype)
     attention = SDTABlock if config.attention == "sdta" else MDTABlock
-    stage3 = [init_block(attention, rng, d3, ratio=r, dtype=dtype)
+    stage3 = [init_block(attention, rng, d3, r, dtype=dtype)
               for _ in range(config.depths[2])]
 
     head_shape = (config.num_classes, d3)
@@ -255,11 +249,11 @@ def _blocks(model: Model):
 
 
 def _walk(model: Model):
-    """Yield (block name, unit name, owner, row) for every conv unit of the
-    network in execution order; see :func:`blocks.units`."""
+    """Yield (block name, unit name, block, field) for every conv unit of the
+    network in execution order, by each block's ``UNITS`` table."""
     for name, block in _blocks(model):
-        for unit, owner, row in units(block):
-            yield name, unit, owner, row
+        for unit, field in block.UNITS:
+            yield name, unit, block, field
 
 
 def deploy(model: Model, fold=fuse) -> Model:
@@ -362,12 +356,13 @@ def count(model_or_config: Union[Model, ModelConfig],
         raise ValueError("a deploy-form model holds no train-form weights to count")
     report = CostReport()
     res = model.config.input_resolution
-    for name, unit, owner, row in _walk(model):
-        if hasattr(owner, "attention_macs") and row is owner.UNITS[-1]:
-            # the attention contractions run just before the output projection
-            for kind, macs in owner.attention_macs(res * res).items():
+    for name, unit, block, field in _walk(model):
+        if hasattr(block, "attention_macs") and field == block.UNITS[-3][1]:
+            # the attention contractions run just before the output
+            # projection, the last unit ahead of the feed-forward's two
+            for kind, macs in block.attention_macs(res * res).items():
                 report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
-        spec = getattr(owner, row[1])
+        spec = getattr(block, field)
         p, m, res = _unit_cost(spec if mode == form else fused_skeleton(spec), res)
         # a feed-forward's two units share one entry, "<block>.ffn"
         key = f"{name}.{unit.split('.')[0]}" if unit else name
@@ -399,9 +394,11 @@ def named_tensors(model: Model):
     execution order: each unit's folded conv or its branch group, whichever
     it holds.  The arrays are the live model arrays; the names
     follow the rule in the README's "Weight files" section."""
-    for name, _, owner, (part, field) in _walk(model):
+    for name, unit, block, field in _walk(model):
+        # a feed-forward unit's names drop its "ffn." segment
+        part = unit.removeprefix("ffn.")
         prefix = f"{name}.{part}" if part else name
-        spec = getattr(owner, field)
+        spec = getattr(block, field)
         if isinstance(spec, ConvSpec):
             fused = f"{prefix}_fused" if part else f"{prefix}.fused"
             yield from _conv_bn_tensors(fused, spec)
@@ -425,5 +422,5 @@ def fusable_branches(model: Model) -> list[tuple[str, RepBranchSpec]]:
     """
     if model.mode == "deploy":
         raise ValueError("a deploy-form model has no branches left to fuse")
-    return [(f"{name}.{unit}" if unit else name, getattr(owner, field))
-            for name, unit, owner, (_, field) in _walk(model)]
+    return [(f"{name}.{unit}" if unit else name, getattr(block, field))
+            for name, unit, block, field in _walk(model)]

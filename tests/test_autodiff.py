@@ -218,7 +218,7 @@ class TestBlockGradients:
 
     def test_rep_branch(self):
         rng = np.random.default_rng(17)
-        spec = init_unit(rng, RepDWBlock.geometry(6)[0], dtype=np.float64)
+        spec = init_unit(rng, RepDWBlock.geometry(6, 2)[0], dtype=np.float64)
         x = rng.standard_normal((1, 6, 4, 4))
         loss_w = weighted_sum(rng, (1, 6, 4, 4))
         err = ad.check_gradient(lambda v: loss_w(rep_branch_forward(v, spec)), x)
@@ -234,7 +234,7 @@ class TestBlockGradients:
 
     def test_rep_dw_block(self):
         rng = np.random.default_rng(19)
-        block = init_block(RepDWBlock, rng, 8, ratio=2, dtype=np.float64)
+        block = init_block(RepDWBlock, rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         loss_w = weighted_sum(rng, (1, 8, 4, 4))
         err = ad.check_gradient(lambda v: loss_w(rep_dw_block_forward(block, v)), x)
@@ -242,7 +242,7 @@ class TestBlockGradients:
 
     def test_sdta_block(self):
         rng = np.random.default_rng(20)
-        block = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
+        block = init_block(SDTABlock, rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         loss_w = weighted_sum(rng, (1, 8, 4, 4))
         err = ad.check_gradient(lambda v: loss_w(sdta_block_forward(block, v)), x)
@@ -250,15 +250,15 @@ class TestBlockGradients:
 
     @pytest.mark.parametrize("n", [1, 2], ids=["n1", "n2"])
     @pytest.mark.parametrize("init, run", [
-        pytest.param(lambda rng, c, dtype: init_unit(rng, RepDWBlock.geometry(c)[0], dtype),
+        pytest.param(lambda rng, c, dtype: init_unit(rng, RepDWBlock.geometry(c, 2)[0], dtype),
                      lambda spec, x: rep_branch_forward(x, spec), id="rep_branch_forward"),
         pytest.param(lambda rng, c, dtype: init_block(RepEmbedBlock, rng, c, c, 1, dtype=dtype),
                      rep_embed_forward, id="rep_embed_forward"),
-        pytest.param(lambda rng, c, dtype: init_block(RepDWBlock, rng, c, ratio=2, dtype=dtype),
+        pytest.param(lambda rng, c, dtype: init_block(RepDWBlock, rng, c, 2, dtype=dtype),
                      rep_dw_block_forward, id="rep_dw_block_forward"),
-        pytest.param(lambda rng, c, dtype: init_block(SDTABlock, rng, c, ratio=2, dtype=dtype),
+        pytest.param(lambda rng, c, dtype: init_block(SDTABlock, rng, c, 2, dtype=dtype),
                      sdta_block_forward, id="sdta_block_forward"),
-        pytest.param(lambda rng, c, dtype: init_block(MDTABlock, rng, c, ratio=2, dtype=dtype),
+        pytest.param(lambda rng, c, dtype: init_block(MDTABlock, rng, c, 2, dtype=dtype),
                      mdta_block_forward, id="mdta_block_forward"),
     ])
     def test_traced_matches_plain_forward(self, init, run, n):
@@ -278,7 +278,7 @@ class TestBlockGradients:
 
     def test_mdta_block(self):
         rng = np.random.default_rng(23)
-        block = init_block(MDTABlock, rng, 8, ratio=2, dtype=np.float64)
+        block = init_block(MDTABlock, rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         loss_w = weighted_sum(rng, (1, 8, 4, 4))
         err = ad.check_gradient(lambda v: loss_w(mdta_block_forward(block, v)), x)
@@ -286,7 +286,7 @@ class TestBlockGradients:
 
     def test_batched_traced_attention_gives_finite_input_gradients(self):
         rng = np.random.default_rng(25)
-        block = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
+        block = init_block(SDTABlock, rng, 8, 2, dtype=np.float64)
         x = ad.Var(rng.standard_normal((2, 8, 4, 4)))
         ad.backward(ad.vsum(sdta_block_forward(block, x)))
         assert x.grad.shape == (2, 8, 4, 4)
@@ -294,8 +294,8 @@ class TestBlockGradients:
 
     def test_block_gradients_finite_for_normal_inputs(self):
         rng = np.random.default_rng(22)
-        dw = init_block(RepDWBlock, rng, 8, ratio=2, dtype=np.float64)
-        sd = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
+        dw = init_block(RepDWBlock, rng, 8, 2, dtype=np.float64)
+        sd = init_block(SDTABlock, rng, 8, 2, dtype=np.float64)
         for _ in range(3):
             x = ad.Var(rng.standard_normal((1, 8, 4, 4)))
             loss = ad.vsum(rep_dw_block_forward(dw, x))

@@ -11,7 +11,6 @@ from mvt2.bench import (
     energy_from_throughput,
     load_power_trace,
     run_bench,
-    speed_check,
     variant_name,
 )
 from mvt2.model import ModelConfig, VARIANTS, build, deploy
@@ -244,18 +243,6 @@ class TestRunBench:
         model = build(TINY, seed=0)
         report = run_bench(model, BenchConfig(iters=2), PowerProvider.constant(5.0))
         assert json.loads(report.to_json()) == report.to_dict()
-
-    def test_speed_check_shape(self):
-        model = build(TINY, seed=0)
-        r1 = run_bench(model, BenchConfig(iters=2), PowerProvider.constant(5.0))
-        r2 = run_bench(model, BenchConfig(iters=2), PowerProvider.constant(5.0))
-        result = speed_check(r1, r2)
-        assert set(result) == {
-            "train_throughput_img_s",
-            "deploy_throughput_img_s",
-            "deploy_not_slower",
-        }
-        assert isinstance(result["deploy_not_slower"], bool)
 
 
 class TestBenchConfig:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from scipy.special import erf
 
 from mvt2.blocks import (
     QK_DIM,
-    FFNBlock,
     MDTABlock,
     RepDWBlock,
     RepEmbedBlock,
@@ -20,7 +19,6 @@ from mvt2.blocks import (
     sdta_attention_map,
     sdta_block_forward,
     sdta_forward,
-    units,
 )
 from mvt2.fusion import RepBranchSpec, fold_bn, fuse
 from mvt2.model import init_block, init_unit
@@ -38,10 +36,11 @@ def zero_conv(in_c, out_c, k, stride=1, padding=None, groups=1, dtype=np.float32
 
 
 def zero_ffn(c, ratio=2):
-    return FFNBlock(
-        expand=RepBranchSpec(zero_conv(c, ratio * c, 1), BNSpec.identity(ratio * c)),
-        project=RepBranchSpec(zero_conv(ratio * c, c, 1), BNSpec.identity(c)),
-    )
+    """The ``expand`` and ``project`` fields of a zero feed-forward."""
+    return {
+        "expand": RepBranchSpec(zero_conv(c, ratio * c, 1), BNSpec.identity(ratio * c)),
+        "project": RepBranchSpec(zero_conv(ratio * c, c, 1), BNSpec.identity(c)),
+    }
 
 
 def conv_ref64(x, kernel, bias, stride, padding, groups):
@@ -107,9 +106,9 @@ def sdta_block_ref64(block, x):
     cat = np.concatenate([att, gate], axis=1)
     y = branch_ref64(cat, block.proj_o)
     x1 = x + y
-    hmid = branch_ref64(x1, block.ffn.expand)
+    hmid = branch_ref64(x1, block.expand)
     act = 0.5 * hmid * (1.0 + erf(hmid / np.sqrt(2.0)))
-    y2 = branch_ref64(act, block.ffn.project)
+    y2 = branch_ref64(act, block.project)
     return x1 + y2
 
 
@@ -145,7 +144,7 @@ class TestRepEmbed:
     def test_rejects_grouped_branch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            RepEmbedBlock(init_unit(rng, RepDWBlock.geometry(8)[0]))
+            RepEmbedBlock(init_unit(rng, RepDWBlock.geometry(8, 2)[0]))
 
 
 class TestRepDWBlock:
@@ -157,21 +156,21 @@ class TestRepDWBlock:
             scale=zero_conv(c, c, 1, groups=c),
             scale_bn=BNSpec.identity(c),
         )
-        block = RepDWBlock(mixer=mixer, ffn=zero_ffn(c))
+        block = RepDWBlock(mixer=mixer, **zero_ffn(c))
         np.random.seed(0)
         x = np.random.randn(1, c, 4, 4).astype(np.float32)
         assert np.array_equal(rep_dw_block_forward(block, x), x)
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(5)
-        block = init_block(RepDWBlock, rng, 128, ratio=2)
+        block = init_block(RepDWBlock, rng, 128, 2)
         x = rng.standard_normal((2, 128, 14, 14)).astype(np.float32)
         assert rep_dw_block_forward(block, x).shape == (2, 128, 14, 14)
 
     def test_train_vs_deploy_all_variant_widths(self):
         rng = np.random.default_rng(6)
         for c in (128, 224, 384, 448):
-            block = init_block(RepDWBlock, rng, c, ratio=2)
+            block = init_block(RepDWBlock, rng, c, 2)
             x = rng.standard_normal((1, c, 7, 7)).astype(np.float32)
             a = rep_dw_block_forward(block, x)
             b = rep_dw_block_forward(deployed(block), x)
@@ -181,32 +180,36 @@ class TestRepDWBlock:
         rng = np.random.default_rng(7)
         dense = init_block(RepEmbedBlock, rng, 8, 8, 1).branch
         with pytest.raises(ValueError):
-            RepDWBlock(mixer=dense, ffn=zero_ffn(8))
+            RepDWBlock(mixer=dense, **zero_ffn(8))
 
     def test_rejects_ffn_width_mismatch(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            RepDWBlock(mixer=init_unit(rng, RepDWBlock.geometry(8)[0]), ffn=zero_ffn(6))
+            RepDWBlock(mixer=init_unit(rng, RepDWBlock.geometry(8, 2)[0]), **zero_ffn(6))
 
 
 class TestFFN:
     def test_integral_ratio_enforced(self):
+        mixer = init_unit(np.random.default_rng(9), RepDWBlock.geometry(4, 2)[0])
         with pytest.raises(ValueError):
-            FFNBlock(
+            RepDWBlock(
+                mixer=mixer,
                 expand=RepBranchSpec(zero_conv(4, 6, 1), BNSpec.identity(6)),
                 project=RepBranchSpec(zero_conv(6, 4, 1), BNSpec.identity(4)),
             )
 
     def test_ratio_property(self):
         rng = np.random.default_rng(9)
-        ffn = init_block(FFNBlock, rng, 8, 2)
-        assert ffn.expand.out_channels == 2 * ffn.channels
+        for cls in (RepDWBlock, SDTABlock, MDTABlock):
+            block = init_block(cls, rng, 8, 3)
+            assert block.dims == (8, 3), cls.__name__
+            assert block.expand.out_channels == 3 * block.channels, cls.__name__
 
 
 class TestSDTA:
     def test_c320_projection_split(self):
         rng = np.random.default_rng(11)
-        block = init_block(SDTABlock, rng, 320, ratio=2)
+        block = init_block(SDTABlock, rng, 320, 2)
         assert block.proj_p.out_channels == 352
         x = rng.standard_normal((1, 320, 4, 4)).astype(np.float32)
         out = sdta_block_forward(block, x)
@@ -215,7 +218,7 @@ class TestSDTA:
     def test_attention_scale_is_four(self):
         assert float(np.sqrt(QK_DIM)) == 4.0
         rng = np.random.default_rng(12)
-        block = init_block(SDTABlock, rng, 8, ratio=2)
+        block = init_block(SDTABlock, rng, 8, 2)
         x = rng.standard_normal((1, 8, 3, 3)).astype(np.float32)
         maps = sdta_attention_map(block, x)
         # recompute the map from the block's own projections at scale 4
@@ -231,7 +234,7 @@ class TestSDTA:
 
     def test_attention_map_column_stochastic(self):
         rng = np.random.default_rng(13)
-        block = init_block(SDTABlock, rng, 16, ratio=2)
+        block = init_block(SDTABlock, rng, 16, 2)
         x = rng.standard_normal((2, 16, 4, 4)).astype(np.float32)
         maps = sdta_attention_map(block, x)
         assert maps.shape == (2, 16, 16)
@@ -239,7 +242,7 @@ class TestSDTA:
 
     def test_single_position_attention_is_identity(self):
         rng = np.random.default_rng(14)
-        block = init_block(SDTABlock, rng, 8, ratio=2)
+        block = init_block(SDTABlock, rng, 8, 2)
         x = rng.standard_normal((1, 8, 1, 1)).astype(np.float32)
         maps = sdta_attention_map(block, x)
         assert np.array_equal(maps, np.ones((1, 1, 1), dtype=np.float32))
@@ -257,7 +260,7 @@ class TestSDTA:
 
     def test_against_float64_reference(self):
         rng = np.random.default_rng(15)
-        block = init_block(SDTABlock, rng, 8, ratio=2, dtype=np.float64)
+        block = init_block(SDTABlock, rng, 8, 2, dtype=np.float64)
         x = rng.standard_normal((1, 8, 4, 4))
         got = sdta_block_forward(block, x)
         want = sdta_block_ref64(block, x)
@@ -266,7 +269,7 @@ class TestSDTA:
     def test_train_vs_deploy_all_variant_widths(self):
         rng = np.random.default_rng(16)
         for c in (320, 448):
-            block = init_block(SDTABlock, rng, c, ratio=2)
+            block = init_block(SDTABlock, rng, c, 2)
             x = rng.standard_normal((1, c, 4, 4)).astype(np.float32)
             a = sdta_block_forward(block, x)
             b = sdta_block_forward(deployed(block), x)
@@ -274,7 +277,7 @@ class TestSDTA:
 
     def test_attention_map_agrees_across_forms(self):
         rng = np.random.default_rng(20)
-        block = init_block(SDTABlock, rng, 8, ratio=2)
+        block = init_block(SDTABlock, rng, 8, 2)
         x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
         a = sdta_attention_map(block, x)
         b = sdta_attention_map(deployed(block), x)
@@ -283,17 +286,18 @@ class TestSDTA:
     def test_rejects_indivisible_channels(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            init_block(SDTABlock, rng, 6, ratio=2)
+            init_block(SDTABlock, rng, 6, 2)
 
     def test_rejects_wrong_projection_width(self):
         rng = np.random.default_rng(18)
-        block = init_block(SDTABlock, rng, 8, ratio=2)
+        block = init_block(SDTABlock, rng, 8, 2)
         with pytest.raises(ValueError):
             SDTABlock(
                 pre_mixer=block.pre_mixer,
                 proj_p=RepBranchSpec(zero_conv(8, 8 + 31, 1), BNSpec.identity(8 + 31)),
                 proj_o=block.proj_o,
-                ffn=block.ffn,
+                expand=block.expand,
+                project=block.project,
             )
 
 
@@ -317,7 +321,7 @@ class TestMDTA:
                                       padding=1, groups=6), BNSpec.identity(6)),
             proj=RepBranchSpec(ConvSpec(proj_kernel, np.zeros(2, dtype=np.float32)),
                                BNSpec.identity(2)),
-            ffn=zero_ffn(2),
+            **zero_ffn(2),
         )
         x = np.array([1.0, 2.0], dtype=np.float32).reshape(1, 2, 1, 1)
         got = mdta_forward(block, x)
@@ -351,7 +355,7 @@ class TestMDTA:
                                       padding=1, groups=12), BNSpec.identity(12)),
             proj=RepBranchSpec(ConvSpec(proj_kernel, np.zeros(c, dtype=np.float32)),
                                BNSpec.identity(c)),
-            ffn=zero_ffn(c),
+            **zero_ffn(c),
         )
         x = np.full((1, c, 1, 1), 3.0, dtype=np.float32)
         got = mdta_forward(block, x)
@@ -360,7 +364,7 @@ class TestMDTA:
 
     def test_output_finite(self):
         rng = np.random.default_rng(19)
-        block = init_block(MDTABlock, rng, 8, ratio=2)
+        block = init_block(MDTABlock, rng, 8, 2)
         x = rng.standard_normal((1, 8, 4, 4)).astype(np.float32)
         from mvt2.blocks import mdta_block_forward
         out = mdta_block_forward(block, x)
@@ -370,8 +374,8 @@ class TestMDTA:
     def test_param_count_exceeds_sdta_at_equal_width(self):
         rng = np.random.default_rng(20)
         c = 64
-        sdta = init_block(SDTABlock, rng, c, ratio=2)
-        mdta = init_block(MDTABlock, rng, c, ratio=2)
+        sdta = init_block(SDTABlock, rng, c, 2)
+        mdta = init_block(MDTABlock, rng, c, 2)
 
         def unit_params(units):
             # conv kernel and bias, plus the batch norm's four vectors
@@ -388,30 +392,28 @@ class TestConverter:
     def test_fills_every_deploy_field_with_the_fused_unit(self):
         rng = np.random.default_rng(30)
         for block in (init_block(RepEmbedBlock, rng, 8, 16, 2),
-                      init_block(RepDWBlock, rng, 8, ratio=2),
-                      init_block(SDTABlock, rng, 8, ratio=2)):
+                      init_block(RepDWBlock, rng, 8, 2),
+                      init_block(SDTABlock, rng, 8, 2)):
             converted = deployed(block)
-            for (unit, owner, (_, field)), (_, new_owner, _) in zip(units(block),
-                                                                    units(converted)):
-                got = getattr(new_owner, field)
-                want = fuse(getattr(owner, field))
+            for unit, field in block.UNITS:
+                got = getattr(converted, field)
+                want = fuse(getattr(block, field))
                 assert isinstance(got, ConvSpec), unit
                 assert np.array_equal(got.kernel, want.kernel), unit
                 assert np.array_equal(got.bias, want.bias), unit
 
     def test_single_branch_fuse_is_fold_bn(self):
-        ffn = init_block(FFNBlock, np.random.default_rng(31), 8, 2)
-        got = deployed(ffn).expand
-        want = fold_bn(ffn.expand.main, ffn.expand.main_bn)
+        block = init_block(RepDWBlock, np.random.default_rng(31), 8, 2)
+        got = deployed(block).expand
+        want = fold_bn(block.expand.main, block.expand.main_bn)
         assert np.array_equal(got.kernel, want.kernel)
         assert np.array_equal(got.bias, want.bias)
 
     def test_ablation_block_deploys_to_its_folded_units(self):
-        block = init_block(MDTABlock, np.random.default_rng(32), 8, ratio=2, dtype=np.float64)
+        block = init_block(MDTABlock, np.random.default_rng(32), 8, 2, dtype=np.float64)
         converted = deployed(block)
-        for (unit, owner, (_, field)), (_, new_owner, _) in zip(units(block),
-                                                                units(converted)):
-            got, want = getattr(new_owner, field), fuse(getattr(owner, field))
+        for unit, field in block.UNITS:
+            got, want = getattr(converted, field), fuse(getattr(block, field))
             assert np.array_equal(got.kernel, want.kernel), unit
             assert np.array_equal(got.bias, want.bias), unit
         x = np.random.default_rng(33).standard_normal((2, 8, 4, 4))
@@ -436,10 +438,10 @@ def wrong_geometries(spec, kernels):
 class TestGeometryRows:
     @pytest.mark.parametrize("init", [
         lambda rng: init_block(RepEmbedBlock, rng, 8, 16, 2),
-        lambda rng: init_block(FFNBlock, rng, 8, 2),
-        lambda rng: init_block(RepDWBlock, rng, 8, ratio=2),
-        lambda rng: init_block(SDTABlock, rng, 8, ratio=2),
-        lambda rng: init_block(MDTABlock, rng, 8, ratio=2),
+        lambda rng: init_block(RepDWBlock, rng, 8, 3),
+        lambda rng: init_block(RepDWBlock, rng, 8, 2),
+        lambda rng: init_block(SDTABlock, rng, 8, 2),
+        lambda rng: init_block(MDTABlock, rng, 8, 2),
     ], ids=["embed", "ffn", "repdw", "sdta", "mdta"])
     def test_every_unit_is_checked_against_its_row_in_both_forms(self, init):
         """A unit with a wrong in/out width, kernel, stride or groups is
@@ -447,15 +449,32 @@ class TestGeometryRows:
         valid conv, so only the block can refuse it."""
         block = init(np.random.default_rng(40))
         for form, kernels in ((block, (1, 3)), (deployed(block), (1, 3, 5))):
-            for unit, owner, (_, field) in units(form):
-                replace(owner, **{field: getattr(owner, field)})  # the unit as built passes
+            for unit, field in form.UNITS:
+                replace(form, **{field: getattr(form, field)})  # the unit as built passes
                 for what, (in_c, out_c, k, stride, g) in wrong_geometries(
-                        getattr(owner, field), kernels):
-                    if isinstance(owner, RepEmbedBlock) and what in ("in", "out"):
+                        getattr(form, field), kernels):
+                    if isinstance(form, RepEmbedBlock) and what in ("in", "out"):
                         continue  # an embedding's widths are its own dims
                     bad = zero_conv(in_c, out_c, k, stride, groups=g)
                     if form is block:
                         bad = RepBranchSpec(bad, BNSpec.identity(out_c))
                     with pytest.raises(ValueError):
-                        replace(owner, **{field: bad})
+                        replace(form, **{field: bad})
                         pytest.fail(f"{unit or field} accepted a wrong {what}")
+
+    @pytest.mark.parametrize("cls", [RepEmbedBlock, RepDWBlock, SDTABlock, MDTABlock],
+                             ids=lambda cls: cls.__name__)
+    def test_the_unit_table_lists_every_field_in_order(self, cls):
+        """The table is the one record of a block's units that deploy,
+        the model walk, the cost model, file names and init read."""
+        assert [f.name for f in fields(cls)] == [field for _, field in cls.UNITS]
+
+    def test_a_geometry_a_row_short_raises(self, monkeypatch):
+        """A unit without a row is neither drawn unchecked nor left unchecked."""
+        block = init_block(RepDWBlock, np.random.default_rng(41), 8, 2)
+        full = RepDWBlock.geometry
+        monkeypatch.setattr(RepDWBlock, "geometry", staticmethod(lambda c, r: full(c, r)[:-1]))
+        with pytest.raises(ValueError):
+            init_block(RepDWBlock, np.random.default_rng(41), 8, 2)
+        with pytest.raises(ValueError):
+            replace(block)

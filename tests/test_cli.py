@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import warnings
@@ -262,6 +263,31 @@ class TestCount:
         rc, dep_out, _ = run(capsys, ["count", "--variant", "s1", "--mode", "deploy"])
         rc, train_out, _ = run(capsys, ["count", "--variant", "s1", "--mode", "train"])
         assert json.loads(train_out)["total_params"] > json.loads(dep_out)["total_params"]
+
+    # sha256 of the whole stdout of each variant, mode and attention; any
+    # change to an entry's name, order, parameters or MACs changes it
+    PINNED = {
+        ("s1", "train", "sdta"): "7c98cef4f1548c128d1803d38474d0bec77ab697cd16d173ea799bfbe6f057b1",
+        ("s1", "train", "mdta"): "d089b7bcaceb3819e5cd3628dff56ef5e0c7b259a097cd61bd4f7f3a1f1cdcaa",
+        ("s1", "deploy", "sdta"): "d498af26063e6215f5a15e725dd2a4546274a59554523ddbc98b65ad167a9d03",
+        ("s1", "deploy", "mdta"): "4469ec9eace7955b5656f865ca18ea8436d334f4b9f898eaaafab9c7667af1d3",
+        ("s2", "train", "sdta"): "49ae47e532d4ff00f21b1ae2c42be9e2979d4e4e0ff508b9a65149a3ef4f755e",
+        ("s2", "train", "mdta"): "6b735e5b9d6ce2c68c6fae0ad08a09ad8d641572b41b2ad90873304aaead3645",
+        ("s2", "deploy", "sdta"): "4e46be72eacf42a7a7f3f2e20884de7454452e221fcc34d3b87ff269eb62627c",
+        ("s2", "deploy", "mdta"): "62b04f7512038097e8162b044dd1b0029ed99a1591ddcdeeac55ec6a75152419",
+        ("s3", "train", "sdta"): "3b21a8b4975741cd9ddcc589732e8deabf72100eff3973d206b978224c3b028c",
+        ("s3", "train", "mdta"): "dee33b42608d2384a5672aa48d66a78bcb945c2535108309545787ef7efa13f9",
+        ("s3", "deploy", "sdta"): "6023153418a33bc6a162c7bcc0fe8cf3a105b91e6d8cfaf1988400c227af54a2",
+        ("s3", "deploy", "mdta"): "9ee7576eac7ebe8abac6b4ba06eb887409fb816dbe976708110a42be0bc9d2da",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids="-".join)
+    def test_stdout_is_pinned(self, capsys, case):
+        variant, mode, attention = case
+        rc, stdout, _ = run(capsys, ["count", "--variant", variant, "--mode", mode,
+                                     "--attention", attention])
+        assert rc == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.PINNED[case]
 
 
 class TestInfer:

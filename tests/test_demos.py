@@ -17,7 +17,12 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
+    """A demo runs in its own interpreter, out of reach of the suite's
+    warning filters, so it turns RuntimeWarnings into errors itself and
+    must write nothing to stderr."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=600)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""

@@ -62,8 +62,8 @@ def dense_conv_geometries():
         train = build(VARIANTS[variant])
         for model in (train, deploy(train, fold=fused_skeleton)):
             res = model.config.input_resolution
-            for *_, owner, (_, field) in _walk(model):
-                unit = getattr(owner, field)
+            for *_, block, field in _walk(model):
+                unit = getattr(block, field)
                 convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
                 for conv in convs:
                     if conv is not None and not conv.is_depthwise:

@@ -101,8 +101,8 @@ def test_one_branch_group_span_per_fusable_unit(tracer_module, form):
 def depthwise_convs(model) -> int:
     """The depthwise convs one forward runs, read off the model's conv units."""
     total = 0
-    for *_, owner, (_, field) in mvt2_model._walk(model):
-        unit = getattr(owner, field)
+    for *_, block, field in mvt2_model._walk(model):
+        unit = getattr(block, field)
         convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
         total += sum(conv is not None and conv.is_depthwise for conv in convs)
     return total

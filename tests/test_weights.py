@@ -593,7 +593,7 @@ class TestNonFiniteResults:
 
     def test_save_refuses_before_writing(self, tmp_path):
         model = build(TINY, seed=0)
-        model.stage2[0].ffn.project.main_bn.beta[1] = np.nan
+        model.stage2[0].project.main_bn.beta[1] = np.nan
         path = tmp_path / "m.mvt2"
         with pytest.raises(ValueError, match="'stage2.0.project_bn.beta' holds a NaN"):
             weights.save(model, path)
