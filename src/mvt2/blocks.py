@@ -293,7 +293,7 @@ def block_forward(block, x):
     return globals()[_FORWARDS[type(block)]](block, x)
 
 
-def deployed(block, fold=fuse):
-    """A copy of ``block`` that holds each unit as ``fold`` of its weights
-    (by default the fused conv); the train-form weights are not kept."""
-    return replace(block, **{field: fold(getattr(block, field)) for _, field in block.UNITS})
+def deployed(block):
+    """A copy of ``block`` that holds each unit as its fused conv; the
+    train-form weights are not kept."""
+    return replace(block, **{field: fuse(getattr(block, field)) for _, field in block.UNITS})

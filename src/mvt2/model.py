@@ -7,11 +7,17 @@ embeddings sit between stages; stage 3 stacks transposed-attention
 blocks; a global average pool and linear classifier finish the network.
 At 224 input the stages run at 14, 7 and 4 pixels per side.
 
-Initialization scheme (``build``): ``init_block`` draws each block, in
-execution order, and ``init_unit`` each of its units, feed-forward ones
-included, from the unit's geometry row (``blocks.Geometry``).
-Conv weights are drawn fan-in scaled, std = gain / sqrt(in_channels_per_group
-* k * k), with the row's gain: 1, except ``blocks.RESIDUAL_DAMP`` = 0.2 on
+Construction: ``_layout`` lists every block once, in execution order,
+with its class and dims, and ``_assemble`` walks it, making each unit,
+feed-forward ones included, from its geometry row (``blocks.Geometry``).
+``build`` draws each unit through ``init_unit``; ``from_tensors`` makes
+either form around given arrays, named by ``_tensor_name``, the one rule
+``named_tensors`` also names by (``weights.load`` passes views of the
+file's buffer, ``count`` zero views).
+
+Initialization scheme (``build``): conv weights are drawn fan-in
+scaled, std = gain / sqrt(in_channels_per_group * k * k), with the row's
+gain: 1, except ``blocks.RESIDUAL_DAMP`` = 0.2 on
 residual-terminal convs (mixer branches, feed-forward project, attention
 output projections) to keep activations O(1) through depth.  Conv biases
 start at zero.  Batch norms start at scale 1, shift 0, running mean
@@ -24,6 +30,7 @@ seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -38,7 +45,7 @@ from .blocks import (
     block_forward,
     deployed,
 )
-from .fusion import RepBranchSpec, fuse, fused_skeleton
+from .fusion import RepBranchSpec, fused_skeleton
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -149,71 +156,133 @@ class Model:
         return "deploy" if forms.pop() else "train"
 
 
-def _bn(rng, c: int, dtype, var_range=(0.8, 1.25)) -> BNSpec:
-    if rng is None:
-        mean = var = np.zeros(c)
-    else:
-        mean, var = rng.standard_normal(c) * 0.1, rng.uniform(*var_range, c)
-    return BNSpec(
-        gamma=np.ones(c, dtype=dtype),
-        beta=np.zeros(c, dtype=dtype),
-        running_mean=mean.astype(dtype),
-        running_var=var.astype(dtype),
-    )
+# A batch norm's four arrays, by the names a weight file stores them under.
+BN_FIELDS = ("gamma", "beta", "mean", "var")
+
+
+def _unit(row: Geometry, tensor, folded: bool = False) -> Union[RepBranchSpec, ConvSpec]:
+    """One unit of geometry ``row``: its folded conv when ``folded``, else
+    its main conv and batch norm, then the 1x1 scale conv and its batch
+    norm and the identity batch norm where the row has them, in that
+    order.  ``tensor(branch, field, shape)`` gives each array, ``branch``
+    being "fused", "main", "scale" or "identity" and ``field`` "kernel",
+    "bias" or one of ``BN_FIELDS``."""
+    def conv(branch, k):
+        shape = (row.out_c, row.in_c // row.groups, k, k)
+        return ConvSpec(tensor(branch, "kernel", shape), tensor(branch, "bias", shape[:1]),
+                        stride=row.stride, padding=k // 2, groups=row.groups)
+
+    def bn(branch):
+        return BNSpec(*(tensor(branch, f, (row.out_c,)) for f in BN_FIELDS))
+
+    if folded:
+        return conv("fused", row.k)
+    branches = {"main": conv("main", row.k), "main_bn": bn("main")}
+    if row.scale:
+        branches |= {"scale": conv("scale", 1), "scale_bn": bn("scale")}
+    if row.identity:
+        branches["identity_bn"] = bn("identity")
+    return RepBranchSpec(**branches)
 
 
 def init_unit(rng, row: Geometry, dtype=np.float32) -> RepBranchSpec:
-    """Draw one unit from its geometry row: the main conv and its batch
-    norm, then the 1x1 scale conv and its batch norm and the identity batch
-    norm where the row has them, in that order.  With ``rng`` None nothing
-    is drawn and the drawn arrays are zero."""
-    def conv(k):
-        shape = (row.out_c, row.in_c // row.groups, k, k)
-        std = row.gain / np.sqrt(shape[1] * k * k)
-        kernel = (np.zeros(shape, dtype) if rng is None
-                  else (rng.standard_normal(shape) * std).astype(dtype))
-        return ConvSpec(kernel, np.zeros(row.out_c, dtype=dtype),
-                        stride=row.stride, padding=k // 2, groups=row.groups)
+    """Draw one train-form unit from its geometry row, its arrays in
+    ``_unit``'s order.  With ``rng`` None nothing is drawn and the drawn
+    arrays are zero."""
+    def draw(branch, field, shape):
+        if field == "gamma":
+            a = np.ones(shape)
+        elif rng is None or field in ("bias", "beta"):
+            a = np.zeros(shape)
+        elif field == "kernel":
+            a = rng.standard_normal(shape) * (row.gain / np.sqrt(math.prod(shape[1:])))
+        elif field == "mean":
+            a = rng.standard_normal(shape) * 0.1
+        else:
+            a = rng.uniform(*(IDENTITY_VAR_RANGE if branch == "identity" else (0.8, 1.25)), shape)
+        return a.astype(dtype)
 
-    branches = {"main": conv(row.k), "main_bn": _bn(rng, row.out_c, dtype)}
-    if row.scale:
-        branches |= {"scale": conv(1), "scale_bn": _bn(rng, row.out_c, dtype)}
-    if row.identity:
-        branches["identity_bn"] = _bn(rng, row.out_c, dtype, IDENTITY_VAR_RANGE)
-    return RepBranchSpec(**branches)
+    return _unit(row, draw)
+
+
+def _block(cls, dims, unit):
+    """A ``cls`` block whose units are ``unit(unit name, row)`` over the rows
+    of ``cls.geometry(*dims)``."""
+    return cls(**{field: unit(name, row)
+                  for (name, field), row in zip(cls.UNITS, cls.geometry(*dims), strict=True)})
 
 
 def init_block(cls, rng, *dims, dtype=np.float32):
     """Draw a ``cls`` block's units from ``cls.geometry(*dims)`` in execution order."""
-    return cls(**{field: init_unit(rng, row, dtype)
-                  for (_, field), row in zip(cls.UNITS, cls.geometry(*dims), strict=True)})
+    return _block(cls, dims, lambda _, row: init_unit(rng, row, dtype))
+
+
+def _layout(config: ModelConfig):
+    """Yield (block name, block class, dims) for every block of the network
+    in execution order: ``stem.0`` ... ``down12`` ... ``stage3.<i>``."""
+    d1, d2, d3 = config.dims
+    r = config.ffn_ratio
+    chans = (3,) + config.stem_channels
+    for i in range(4):
+        yield f"stem.{i}", RepEmbedBlock, (chans[i], chans[i + 1], 2)
+    yield from ((f"stage1.{i}", RepDWBlock, (d1, r)) for i in range(config.depths[0]))
+    yield "down12", RepEmbedBlock, (d1, d2, 2)
+    yield from ((f"stage2.{i}", RepDWBlock, (d2, r)) for i in range(config.depths[1]))
+    yield "down23", RepEmbedBlock, (d2, d3, 2)
+    attention = SDTABlock if config.attention == "sdta" else MDTABlock
+    yield from ((f"stage3.{i}", attention, (d3, r)) for i in range(config.depths[2]))
+
+
+def _fields(named_blocks) -> dict:
+    """``Model`` block fields from (block name, block) pairs in execution
+    order: ``stage1.<i>`` goes to the list ``stage1``, ``down12`` alone."""
+    fields = {}
+    for name, block in named_blocks:
+        f, indexed, _ = name.partition(".")
+        if indexed:
+            fields.setdefault(f, []).append(block)
+        else:
+            fields[f] = block
+    return fields
+
+
+def _assemble(config: ModelConfig, unit, head) -> Model:
+    """The network of ``config``: each unit is ``unit(block name, unit name,
+    row)``, walked in execution order, then the classifier's arrays are
+    ``head(name, shape)`` for ``head.weight`` and ``head.bias``."""
+    fields = _fields((name, _block(cls, dims, lambda u, row: unit(name, u, row)))
+                     for name, cls, dims in _layout(config))
+    shape = (config.num_classes, config.dims[2])
+    return Model(config, **fields, head_weight=head("head.weight", shape),
+                 head_bias=head("head.bias", shape[:1]))
 
 
 def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> Model:
     """Construct a train-form model; deterministic in (config, seed).
     Without a seed nothing is drawn and the drawn arrays are zero."""
     rng = None if seed is None else np.random.default_rng(seed)
-    d1, d2, d3 = config.dims
-    r = config.ffn_ratio
 
-    chans = (3,) + config.stem_channels
-    stem = [init_block(RepEmbedBlock, rng, chans[i], chans[i + 1], 2, dtype=dtype)
-            for i in range(4)]
-    stage1 = [init_block(RepDWBlock, rng, d1, r, dtype=dtype)
-              for _ in range(config.depths[0])]
-    down12 = init_block(RepEmbedBlock, rng, d1, d2, 2, dtype=dtype)
-    stage2 = [init_block(RepDWBlock, rng, d2, r, dtype=dtype)
-              for _ in range(config.depths[1])]
-    down23 = init_block(RepEmbedBlock, rng, d2, d3, 2, dtype=dtype)
-    attention = SDTABlock if config.attention == "sdta" else MDTABlock
-    stage3 = [init_block(attention, rng, d3, r, dtype=dtype)
-              for _ in range(config.depths[2])]
+    def head(name, shape):
+        if rng is None or name == "head.bias":
+            return np.zeros(shape, dtype)
+        return (rng.standard_normal(shape) / np.sqrt(shape[1])).astype(dtype)
 
-    head_shape = (config.num_classes, d3)
-    head_weight = (np.zeros(head_shape, dtype) if rng is None
-                   else (rng.standard_normal(head_shape) / np.sqrt(d3)).astype(dtype))
-    head_bias = np.zeros(config.num_classes, dtype=dtype)
-    return Model(config, stem, stage1, down12, stage2, down23, stage3, head_weight, head_bias)
+    return _assemble(config, lambda _, __, row: init_unit(rng, row, dtype), head)
+
+
+def from_tensors(config: ModelConfig, mode: str, tensor) -> Model:
+    """The ``mode`` form of ``config`` ("train" or "deploy") around given
+    arrays: ``tensor(name, shape)`` gives the array ``named_tensors`` would
+    name ``name``, and is asked for each in that order.  Nothing is drawn,
+    fused or copied."""
+    folded = mode == "deploy"
+
+    def unit(block, name, row):
+        branched = row.scale or row.identity
+        return _unit(row, lambda branch, f, shape: tensor(
+            _tensor_name(block, name, branch, f, branched), shape), folded)
+
+    return _assemble(config, unit, tensor)
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -256,19 +325,12 @@ def _walk(model: Model):
             yield name, unit, block, field
 
 
-def deploy(model: Model, fold=fuse) -> Model:
+def deploy(model: Model) -> Model:
     """Fuse every branch group and fold every batch norm; returns a new
-    model that holds only the folded convs and the classifier.  ``fold``
-    maps a unit's weights to its conv; ``fusion.fused_skeleton`` gives a
-    zero skeleton of the same geometry."""
+    model that holds only the folded convs and the classifier."""
     if model.mode == "deploy":
         raise ValueError("model is already in deploy form")
-    converted = {}
-    for f in BLOCK_FIELDS:
-        value = getattr(model, f)
-        converted[f] = ([deployed(b, fold) for b in value] if isinstance(value, list)
-                        else deployed(value, fold))
-    return replace(model, **converted)
+    return replace(model, **_fields((name, deployed(b)) for name, b in _blocks(model)))
 
 
 @dataclass
@@ -336,22 +398,24 @@ def count(model_or_config: Union[Model, ModelConfig],
     """Analytic cost report; per-image, input-resolution-dependent.
 
     Accepts a built model (defaulting to its own mode) or a config
-    (defaulting to deploy form); a config is counted on an unseeded
-    ``build``, so no weights are drawn.  A train-form unit counted in
-    deploy form is charged on its ``fused_skeleton``, the conv
-    ``weights.load`` fills, so no deploy copy of the model is built; a
-    deploy-form model has no train-form cost, and a model whose units mix
-    the forms has no cost at all.  Every unit is charged by the one rule
-    of ``_unit_cost``.
+    (defaulting to deploy form); a config is counted on ``from_tensors``
+    of that form over zero-stride views of one zero, so no weights are
+    drawn or allocated.  A train-form unit counted in deploy form is
+    charged on its ``fused_skeleton``, so no deploy copy of the model is
+    built; a deploy-form model has no train-form cost, and a model whose
+    units mix the forms has no cost at all.  Every unit is charged by the
+    one rule of ``_unit_cost``.
     """
-    if isinstance(model_or_config, Model):
-        model, form = model_or_config, model_or_config.mode
-        mode = mode or form
-    else:
-        model, form = build(model_or_config), "train"
-        mode = mode or "deploy"
+    is_model = isinstance(model_or_config, Model)
+    mode = mode or (model_or_config.mode if is_model else "deploy")
     if mode not in ("train", "deploy"):
         raise ValueError(f"mode must be train or deploy, got {mode!r}")
+    if is_model:
+        model, form = model_or_config, model_or_config.mode
+    else:
+        zero = np.zeros((), np.float32)
+        model = from_tensors(model_or_config, mode, lambda _, shape: np.broadcast_to(zero, shape))
+        form = mode
     if form == "deploy" and mode == "train":
         raise ValueError("a deploy-form model holds no train-form weights to count")
     report = CostReport()
@@ -378,36 +442,47 @@ def count(model_or_config: Union[Model, ModelConfig],
     return report
 
 
-def _conv_bn_tensors(prefix: str, conv: Optional[ConvSpec], bn: Optional[BNSpec] = None):
-    if conv is not None:
-        yield f"{prefix}.kernel", conv.kernel
-        yield f"{prefix}.bias", conv.bias
-    if bn is not None:
-        yield f"{prefix}_bn.gamma", bn.gamma
-        yield f"{prefix}_bn.beta", bn.beta
-        yield f"{prefix}_bn.mean", bn.running_mean
-        yield f"{prefix}_bn.var", bn.running_var
+def _tensor_name(block: str, unit: str, branch: str, field: str, branched: bool) -> str:
+    """The name of one array of a unit, by the rule in the README's "Weight
+    files" section: a folded conv is ``<unit>_fused`` (``<block>.fused`` for
+    an embedding), a branch of a group that has more than its main branch
+    is ``<unit>.<branch>``, and a one-branch group is ``<unit>`` itself; a
+    batch norm's arrays add ``_bn`` to its branch.  A feed-forward unit's
+    names drop its "ffn." segment."""
+    part = unit.removeprefix("ffn.")
+    prefix = f"{block}.{part}" if part else block
+    if branch == "fused":
+        prefix = f"{prefix}_fused" if part else f"{prefix}.fused"
+    elif branched:
+        prefix = f"{prefix}.{branch}"
+    return f"{prefix}_bn.{field}" if field in BN_FIELDS else f"{prefix}.{field}"
+
+
+def _unit_arrays(spec: Union[RepBranchSpec, ConvSpec]):
+    """Yield (branch, field, array) for every array of a unit, in ``_unit``'s order."""
+    if isinstance(spec, ConvSpec):
+        yield from (("fused", "kernel", spec.kernel), ("fused", "bias", spec.bias))
+        return
+    for branch in ("main", "scale", "identity"):
+        conv, bn = getattr(spec, branch, None), getattr(spec, f"{branch}_bn")
+        if conv is not None:
+            yield from ((branch, "kernel", conv.kernel), (branch, "bias", conv.bias))
+        if bn is not None:
+            arrays = (bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+            yield from ((branch, f, a) for f, a in zip(BN_FIELDS, arrays))
 
 
 def named_tensors(model: Model):
     """Yield (name, array) pairs for the tensors the model executes, in
     execution order: each unit's folded conv or its branch group, whichever
-    it holds.  The arrays are the live model arrays; the names
-    follow the rule in the README's "Weight files" section."""
+    it holds, named by ``_tensor_name``.  The arrays are the live model
+    arrays."""
     for name, unit, block, field in _walk(model):
-        # a feed-forward unit's names drop its "ffn." segment
-        part = unit.removeprefix("ffn.")
-        prefix = f"{name}.{part}" if part else name
         spec = getattr(block, field)
-        if isinstance(spec, ConvSpec):
-            fused = f"{prefix}_fused" if part else f"{prefix}.fused"
-            yield from _conv_bn_tensors(fused, spec)
-        elif spec.scale is None and spec.identity_bn is None:
-            yield from _conv_bn_tensors(prefix, spec.main, spec.main_bn)
-        else:
-            yield from _conv_bn_tensors(f"{prefix}.main", spec.main, spec.main_bn)
-            yield from _conv_bn_tensors(f"{prefix}.scale", spec.scale, spec.scale_bn)
-            yield from _conv_bn_tensors(f"{prefix}.identity", None, spec.identity_bn)
+        branched = isinstance(spec, RepBranchSpec) and (
+            spec.scale is not None or spec.identity_bn is not None)
+        for branch, f, arr in _unit_arrays(spec):
+            yield _tensor_name(name, unit, branch, f, branched), arr
     yield "head.weight", model.head_weight
     yield "head.bias", model.head_bias
 

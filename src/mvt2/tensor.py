@@ -12,9 +12,11 @@ All kernels are pure functions of their inputs and are deterministic.
 Dense ``conv2d`` lowers each sample to one stacked im2col GEMM
 (Chellapilla et al., 2006), one matrix per group, run by the platform
 BLAS, which is reproducible for a fixed build, so repeated evaluation on
-identical input is bit-identical.  The GEMM never spans samples, so each
-batch row takes the same arithmetic path at any batch size and is
-bit-identical to a batch-1 run of that row.  Depthwise ``conv2d`` uses
+identical input is bit-identical.  Its columns are filled straight from
+the unpadded input into one buffer per call; no padded copy is made.
+The GEMM never spans samples, so each batch row takes the same
+arithmetic path at any batch size and is bit-identical to a batch-1 run
+of that row.  Depthwise ``conv2d`` uses
 no BLAS: it runs its taps channels-last on an internal padded copy, one
 elementwise multiply-add per tap in row-major tap order, so every output
 element gets the same additions in the same order and rows stay
@@ -26,8 +28,9 @@ rows is not row-identical.  The elementwise kernels apply one formula to
 every element: ``batchnorm_infer`` as one multiply and one add per
 element, float32 ``gelu`` in fixed-size blocks through block-sized
 scratch buffers, where an element's result depends on neither the block
-nor its place in it.  No kernel writes into its input; each returns a
-fresh array, which callers may update in place.  Concurrent calls on
+nor its place in it.  No kernel writes into its input or its weights,
+which may be read-only views (``weights.load`` gives such); each
+returns a fresh array, which callers may update in place.  Concurrent calls on
 shared immutable inputs are safe.
 """
 
@@ -36,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, expit
 
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -164,6 +166,14 @@ class BNSpec:
         )
 
 
+def _tap_span(i: int, p: int, s: int, size: int, out: int) -> tuple[int, int]:
+    """The output positions [lo, hi) at which kernel tap ``i`` reads inside
+    an input of ``size``, at padding ``p`` and stride ``s``; lo == hi when
+    the tap lies wholly in the padding."""
+    lo = min(out, max(0, -((i - p) // s)))
+    return lo, max(lo, min(out, (size - 1 + p - i) // s + 1))
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Grouped 2-D convolution (cross-correlation) with zero padding.
 
@@ -171,8 +181,13 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     (W + 2p - kw) // s + 1).  Dense convolutions run one stacked GEMM per
     sample: the (groups, out/groups, in/groups*kh*kw) kernel matrices
     times the (groups, in/groups*kh*kw, Ho*Wo) im2col columns, one matrix
-    product per group, written straight into the NCHW output (for 1x1
-    stride-1 kernels the columns are a view of the input).  A GEMM's
+    product per group, written straight into the NCHW output.  For an
+    unpadded 1x1 stride-1 kernel the columns are a view of the input.
+    Otherwise every sample's columns go through one (C, kh, kw, Ho, Wo)
+    buffer per call, with no padded copy of the input: each tap's strided
+    window of the unpadded input is copied in per sample, and the strips
+    of a tap that fall in the padding (all of a tap that lies wholly in
+    it) are zeroed once per call.  A GEMM's
     shape depends only on the spec and the image size, never on the batch
     size, so each batch row is bit-identical to a batch-1 run of that row.
     Depthwise convolutions use no BLAS: they run channels-last on an
@@ -213,20 +228,33 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         out = np.empty((n, c, ho, wo), dtype=x.dtype)
         np.add(acc.transpose(0, 3, 1, 2), spec.bias[None, :, None, None], out=out)
     else:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p > 0 else x
         icg, ocg = c // g, spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
         out = np.empty((n, g, ocg, ho * wo), dtype=x.dtype)
-        for b in range(n):
-            if kh == kw == 1 and s == 1:
-                cols = xp[b].reshape(g, icg, ho * wo)
-            else:
-                # (c, ho, wo, kh, kw) view -> one (g, icg*kh*kw, ho*wo) copy,
-                # rows ordered like the flattened kernel.
-                win = sliding_window_view(xp[b], (kh, kw), axis=(1, 2))[:, ::s, ::s]
-                cols = win.reshape(g, icg, ho, wo, kh, kw).transpose(0, 1, 4, 5, 2, 3)
-                cols = cols.reshape(g, icg * kh * kw, ho * wo)
-            np.matmul(weights, cols, out=out[b])
+        if kh == kw == 1 and s == 1 and p == 0:
+            for b in range(n):
+                np.matmul(weights, x[b].reshape(g, icg, ho * wo), out=out[b])
+        else:
+            # One (c, kh, kw, ho, wo) column buffer, rows ordered like the
+            # flattened kernel.  A tap's strips that fall in the padding are
+            # zeroed once; each sample overwrites only the rest.
+            cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
+            taps = []
+            for i in range(kh):
+                y0, y1 = _tap_span(i, p, s, h, ho)
+                for j in range(kw):
+                    x0, x1 = _tap_span(j, p, s, w, wo)
+                    tap = cols[:, i, j]
+                    tap[:, :y0] = tap[:, y1:] = 0
+                    tap[:, y0:y1, :x0] = tap[:, y0:y1, x1:] = 0
+                    if y0 < y1 and x0 < x1:
+                        src = (slice(None), slice(y0 * s + i - p, (y1 - 1) * s + i - p + 1, s),
+                               slice(x0 * s + j - p, (x1 - 1) * s + j - p + 1, s))
+                        taps.append((tap[:, y0:y1, x0:x1], src))
+            for b in range(n):
+                for dst, src in taps:
+                    dst[...] = x[b][src]
+                np.matmul(weights, cols.reshape(g, icg * kh * kw, ho * wo), out=out[b])
         out = out.reshape(n, spec.out_channels, ho, wo)
         out += spec.bias[None, :, None, None]
     return out
@@ -281,7 +309,6 @@ _GELU_H = tuple(np.float32(a / 2 * float(_GELU_C) ** i) for i, a in enumerate(_A
 _GELU_CLAMP = np.float32(9.0)
 # Three float32 scratch blocks of 128 KiB each, which stay in L2.
 _GELU_BLOCK = 1 << 15
-_SIGN32 = np.uint32(0x80000000)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -303,8 +330,8 @@ def gelu(x: np.ndarray) -> np.ndarray:
     1e4`` (it stays normal up to ``|x|`` ~ 1e21), where an unclamped
     ``exp(-x^2 / 2)`` sinks into float32 subnormals, which are slow in the
     GEMMs that read them.  Past 9 the result is within 1e-18 of the exact
-    one.  ``x``'s sign bit is OR'ed into the result through ``uint32``
-    views, so -0.0, -inf and a tail that underflows to 0 give -0.0 as in
+    one.  The result takes ``x``'s sign by ``np.copysign`` in one pass,
+    so -0.0, -inf and a tail that underflows to 0 give -0.0 as in
     float64.  Against the float64 GELU on a dense grid over [-10, 10] the
     float32 result is within 3.4e-7 absolute.
 
@@ -324,7 +351,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
         return 0.5 * np.maximum(x, lowest) * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
     out = np.empty(x.shape, dtype=np.float32)
     xs, ys = np.ascontiguousarray(x).reshape(-1), out.reshape(-1)
-    xbits, ybits = xs.view(np.uint32), ys.view(np.uint32)
     size = min(xs.size, _GELU_BLOCK)
     a_buf, u_buf, q_buf = (np.empty(size, dtype=np.float32) for _ in range(3))
     for lo in range(0, xs.size, _GELU_BLOCK):
@@ -346,7 +372,7 @@ def gelu(x: np.ndarray) -> np.ndarray:
         q *= a
         y = np.maximum(xs[lo:hi], np.float32(0.0), out=ys[lo:hi])
         y -= q
-        ybits[lo:hi] |= np.bitwise_and(xbits[lo:hi], _SIGN32, out=a.view(np.uint32))
+        np.copysign(y, xs[lo:hi], out=y)
     return out
 
 

@@ -20,7 +20,11 @@ conv with its batch norm); a deploy file holds only the folded convs and
 the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
 variance below zero, is a ``FormatError``.  ``save`` refuses to write a
-non-finite tensor.
+non-finite tensor.  ``load`` reads the payload in one call into one
+read-only buffer, and a loaded model's tensors are views into it: an
+in-place write into one raises ``ValueError``.  The buffer is read, not
+memory-mapped, so a file truncated or rewritten after the load cannot
+change or fault a live model.
 """
 
 import dataclasses
@@ -32,8 +36,7 @@ import sys
 
 import numpy as np
 
-from .fusion import fused_skeleton
-from .model import Model, ModelConfig, build, deploy, named_tensors
+from .model import Model, ModelConfig, from_tensors, named_tensors
 
 MAGIC = b"MVT2"
 VERSION = 1
@@ -206,56 +209,64 @@ def _validate_manifest(entries, payload_len: int):
 def load(path) -> Model:
     """Reconstruct a model from ``path``.
 
-    An unseeded ``build`` of the stored configuration gives a weight-free
-    skeleton, and for a deploy file ``fused_skeleton`` gives each unit's
-    folded conv; nothing is drawn or fused.  Each tensor is then read from
-    the payload straight into its skeleton array, so the result is
-    bit-identical to the model that was saved and no copy of the file or
-    of a tensor is held.  Each tensor is checked for non-finite values, and
-    each batch-norm variance for negative ones, as it is read.  A config
-    with more stage blocks than the file lists tensors, or one whose
-    skeleton does not fit in memory, is a ``FormatError``.
+    After the header and the manifest are checked, the payload the manifest
+    covers is read in one call into one 64-byte-aligned buffer, which is
+    then made read-only; each tensor is a view into it at its offset, so
+    the result is bit-identical to the model that was saved, and no other
+    copy of the file or of a tensor is held.  ``model.from_tensors`` builds
+    the stored form straight around those views: nothing is drawn, fused
+    or built and thrown away.  Each tensor is checked, in execution order,
+    for its name and shape, for non-finite values and, for a batch-norm
+    variance, for negative ones.  A config with more stage blocks than the
+    file lists tensors, or a payload that does not fit in memory, is a
+    ``FormatError``.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
-        payload_start = fh.tell()
-        _validate_manifest(header["tensors"], payload_len)
+        entries = header["tensors"]
+        _validate_manifest(entries, payload_len)
         mode = header["mode"]
         if mode not in ("train", "deploy"):
             raise FormatError(f"unknown mode {mode!r}")
         try:
             config = ModelConfig(**header["config"])
-            # every stage block holds at least one tensor, in either form
-            listed = len(header["tensors"])
-            if sum(config.depths) > listed:
-                raise FormatError(f"model config needs more than the {listed} tensors listed")
-            model = build(config)
-            if mode == "deploy":
-                model = deploy(model, fold=fused_skeleton)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"invalid model config in header: {exc}") from None
+        # every stage block holds at least one tensor, in either form
+        if sum(config.depths) > len(entries):
+            raise FormatError(f"model config needs more than the {len(entries)} tensors listed")
+        extent = max(e["byte_offset"] + e["byte_len"] for e in entries)
+        try:
+            raw = np.empty(extent + ALIGNMENT, dtype=np.uint8)
         except MemoryError:
-            raise FormatError("model config in header needs more memory than there is") from None
+            raise FormatError("payload needs more memory than there is") from None
+        start = -raw.ctypes.data % ALIGNMENT
+        floats = raw[start:start + extent].view(np.float32)
+        if fh.readinto(floats) != extent:
+            raise TruncatedPayloadError("payload ends inside a tensor")
+    if sys.byteorder == "big":
+        floats.byteswap(inplace=True)
+    floats.flags.writeable = raw.flags.writeable = False
 
-        by_name = {e["name"]: e for e in header["tensors"]}
-        for name, arr in named_tensors(model):
-            entry = by_name.pop(name, None)
-            if entry is None:
-                raise FormatError(f"file has no tensor {name!r} required by the model")
-            if tuple(entry["shape"]) != arr.shape:
-                raise ShapeError(
-                    f"tensor {name!r}: file shape {tuple(entry['shape'])}, "
-                    f"model expects {arr.shape}"
-                )
-            fh.seek(payload_start + entry["byte_offset"])
-            if fh.readinto(memoryview(arr).cast("B")) != entry["byte_len"]:
-                raise TruncatedPayloadError(f"payload ends inside tensor {name!r}")
-            if sys.byteorder == "big":
-                arr.byteswap(inplace=True)
-            if not np.isfinite(arr).all():
-                raise FormatError(f"tensor {name!r} holds a NaN or infinite value")
-            if name.endswith("_bn.var") and (arr < 0).any():
-                raise FormatError(f"tensor {name!r} holds a negative batch-norm variance")
+    by_name = {e["name"]: e for e in entries}
+
+    def tensor(name, shape):
+        entry = by_name.pop(name, None)
+        if entry is None:
+            raise FormatError(f"file has no tensor {name!r} required by the model")
+        if tuple(entry["shape"]) != shape:
+            raise ShapeError(
+                f"tensor {name!r}: file shape {tuple(entry['shape'])}, model expects {shape}"
+            )
+        first = entry["byte_offset"] // 4
+        arr = floats[first:first + entry["byte_len"] // 4].reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"tensor {name!r} holds a NaN or infinite value")
+        if name.endswith("_bn.var") and (arr < 0).any():
+            raise FormatError(f"tensor {name!r} holds a negative batch-norm variance")
+        return arr
+
+    model = from_tensors(config, mode, tensor)
     if by_name:
         raise FormatError(f"file contains unknown tensors: {sorted(by_name)}")
     return model

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from mvt2.blocks import rep_embed_forward
-from mvt2.fusion import fused_skeleton
 from mvt2.model import VARIANTS, _walk, build, deploy
 from mvt2.tensor import (
     BN_EPS,
@@ -60,7 +59,7 @@ def dense_conv_geometries():
     found = set()
     for variant in ("s1", "s2", "s3"):
         train = build(VARIANTS[variant])
-        for model in (train, deploy(train, fold=fused_skeleton)):
+        for model in (train, deploy(train)):
             res = model.config.input_resolution
             for *_, block, field in _walk(model):
                 unit = getattr(block, field)
@@ -473,7 +472,7 @@ class TestGelu:
 def conv_cases(draw):
     k = draw(st.sampled_from([1, 3]))
     stride = draw(st.sampled_from([1, 2]))
-    padding = draw(st.sampled_from([0, 1]))
+    padding = draw(st.sampled_from([0, 1, 2]))
     kind = draw(st.sampled_from(["dense", "grouped", "depthwise"]))
     n = draw(st.integers(1, 4))
     if kind == "depthwise":

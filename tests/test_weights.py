@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from mvt2 import cli, weights
 from mvt2.blocks import deployed
+from mvt2.fusion import RepBranchSpec
 from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
 
 TINY = ModelConfig(
@@ -399,6 +400,47 @@ class TestSkeleton:
         for (name, a), (_, b) in zip(got, saved):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
+    def test_deploy_load_constructs_no_branch_group(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.mvt2"
+        weights.save(deploy(build(TINY, seed=7)), path)
+
+        def refuse(self):
+            raise AssertionError("a deploy load constructed a RepBranchSpec")
+
+        monkeypatch.setattr(RepBranchSpec, "__post_init__", refuse)
+        assert weights.load(path).mode == "deploy"
+
+
+def saved_and_loaded(tmp_path, form):
+    model = build(TINY, seed=8)
+    if form == "deploy":
+        model = deploy(model)
+    path = tmp_path / "m.mvt2"
+    weights.save(model, path)
+    return model, weights.load(path)
+
+
+class TestReadOnlyViews:
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    def test_every_tensor_is_a_read_only_view_of_one_buffer(self, tmp_path, form):
+        _, loaded = saved_and_loaded(tmp_path, form)
+        arrays = [a for _, a in named_tensors(loaded)]
+        buffer = arrays[0].base
+        assert buffer is not None and not buffer.flags.writeable
+        for a in arrays:
+            assert a.base is buffer and not a.flags.writeable
+            assert np.shares_memory(a, buffer)
+
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    def test_in_place_writes_raise(self, tmp_path, form):
+        model, loaded = saved_and_loaded(tmp_path, form)
+        for (name, a), (_, b) in zip(named_tensors(loaded), named_tensors(model)):
+            with pytest.raises(ValueError):
+                a += 1
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+            assert a.tobytes() == b.tobytes(), name
+
 
 HOSTILE_HEADERS = [
     pytest.param(lambda h: h.update(tensors=5), id="tensors-not-a-list"),
@@ -437,30 +479,23 @@ class TestHostileHeader:
             weights.load(path)
 
 
-def build_raising(exc):
-    def fake_build(*args, **kwargs):
-        raise exc
-    return fake_build
-
-
 class TestConfigBeyondFile:
-    """A header config the file cannot hold is a format error, not a
+    """A header config the file cannot hold is a weight-file error, not a
     traceback or a long build."""
 
-    @pytest.mark.parametrize("mutate, fake_build", [
-        # more stage blocks than listed tensors: rejected before anything is built
+    @pytest.mark.parametrize("mutate", [
+        # more stage blocks than listed tensors: rejected before the walk
         pytest.param(lambda h: h["config"].update(depths=[200000, 1, 1]),
-                     build_raising(AssertionError("built a skeleton the file cannot fill")),
                      id="deeper-than-the-manifest"),
+        # a head far larger than memory: its file shape is refused, nothing allocated
         pytest.param(lambda h: h["config"].update(num_classes=10**12),
-                     build_raising(MemoryError()), id="skeleton-out-of-memory"),
+                     id="skeleton-out-of-memory"),
     ])
-    def test_rejected_with_exit_4(self, tmp_path, capsys, monkeypatch, mutate, fake_build):
+    def test_rejected_with_exit_4(self, tmp_path, capsys, mutate):
         path = tmp_path / "m.mvt2"
         weights.save(build(TINY, seed=0), path)
         rewrite_header(path, mutate)
-        monkeypatch.setattr(weights, "build", fake_build)
-        with pytest.raises(weights.FormatError):
+        with pytest.raises(weights.WeightFileError):
             weights.load(path)
         raw = tmp_path / "x.raw"
         np.zeros((1, 3, 32, 32), dtype="<f4").tofile(raw)
