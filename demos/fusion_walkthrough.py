@@ -13,7 +13,6 @@ import numpy as np
 from mvt2.fusion import (
     fold_bn,
     fuse,
-    fused_skeleton,
     random_rep_branch_spec,
     rep_branch_forward,
 )
@@ -32,17 +31,17 @@ folded_main = fold_bn(spec.main, spec.main_bn)
 print("main kernel before/after fold:",
       float(spec.main.kernel[0, 0, 1, 1]), "->", float(folded_main.kernel[0, 0, 1, 1]))
 
-# step 2: the fused conv has the geometry fused_skeleton gives: here the
-# main conv's 3x3 grid, stride, padding and groups.  A 1x1 kernel is a
-# 3x3 kernel that is zero off-centre, so the folded scale kernel is
-# placed on the centre tap, one pixel more padding keeping its output grid
-grid = fused_skeleton(spec)
-print("fused geometry: kernel", grid.kernel.shape, "stride", grid.stride,
-      "padding", grid.padding, "groups", grid.groups)
+# step 2: the fused conv keeps the main conv's 3x3 grid, stride, padding
+# and groups, as fuse(spec) shows.  A 1x1 kernel is a 3x3 kernel that is
+# zero off-centre, so the folded scale kernel is placed on the centre tap,
+# one pixel more padding keeping its output grid
+fused = fuse(spec)
+print("fused geometry: kernel", fused.kernel.shape, "stride", fused.stride,
+      "padding", fused.padding, "groups", fused.groups)
 folded_scale = fold_bn(spec.scale, spec.scale_bn)
-centred = grid.kernel.copy()
+centred = np.zeros_like(fused.kernel)
 centred[:, :, 1:2, 1:2] = folded_scale.kernel
-lifted = ConvSpec(centred, folded_scale.bias, padding=grid.padding, groups=grid.groups)
+lifted = ConvSpec(centred, folded_scale.bias, padding=fused.padding, groups=fused.groups)
 print("1x1 vs centred 3x3 max deviation:",
       float(np.max(np.abs(conv2d(x, folded_scale) - conv2d(x, lifted)))))
 
@@ -52,8 +51,7 @@ eye = ConvSpec(np.ones((8, 1, 1, 1), np.float32), np.zeros(8, np.float32), group
 print("identity-as-conv max deviation:", float(np.max(np.abs(conv2d(x, eye) - x))))
 
 # step 4: convolution is linear in its weights, so summing the branches
-# means summing their kernels and biases
-fused = fuse(spec)
+# means summing their kernels and biases, which is what fuse did
 train_out = rep_branch_forward(x, spec)
 fused_out = conv2d(x, fused)
 print("train vs fused max abs diff:", float(np.max(np.abs(train_out - fused_out))))

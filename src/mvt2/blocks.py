@@ -19,13 +19,14 @@ in a ``UNITS`` table of (name, field) rows, the feed-forward's last as
 ``ffn.expand`` and ``ffn.project``, and its ``geometry(*dims)`` gives
 each unit's ``Geometry`` row in the same order: ``model.init_unit``
 draws a unit from its row, ``model.init_block`` draws a block's units
-from its rows, and a block checks every unit against its row, in either
-form.  A unit's field holds its current weights: in train form a
-``RepBranchSpec`` (a plain conv with its batch norm is a one-branch
-spec), in deploy form the one folded conv.  ``unit_forward`` runs a unit
-in whichever form it holds, so every block forward serves both forms;
-``block_forward`` runs a block by the forward of its type, and
-``deployed`` returns a copy of a block that keeps only its folded convs.
+from its rows, a block checks every unit against its row, in either
+form, and ``model.count`` charges each unit by its row alone.  A unit's
+field holds its current weights: in train form a ``RepBranchSpec`` (a
+plain conv with its batch norm is a one-branch spec), in deploy form the
+one folded conv.  ``unit_forward`` runs a unit in whichever form it
+holds, so every block forward serves both forms; ``block_forward`` runs
+a block by the forward of its type, and ``deployed`` returns a copy of a
+block that keeps only its folded convs.
 Each forward is written once and takes an ndarray or an
 ``autodiff.Var``: ``autodiff.kernels`` picks the ``tensor`` module or
 ``autodiff`` from the input.  The traced kernels get every value from
@@ -180,9 +181,10 @@ class SDTABlock(_Block):
         return (RepDWBlock.geometry(c, ratio)[0], Geometry(c, c + 2 * QK_DIM),
                 Geometry(c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
 
-    def attention_macs(self, hw: int) -> dict:
-        """MACs of the two token contractions over ``hw`` positions."""
-        return {"attn_qk": QK_DIM * hw * hw, "attn_av": self.channels // 4 * hw * hw}
+    @staticmethod
+    def attention_macs(c: int, hw: int) -> dict:
+        """MACs of the two token contractions of width ``c`` over ``hw`` positions."""
+        return {"attn_qk": QK_DIM * hw * hw, "attn_av": c // 4 * hw * hw}
 
 
 @dataclass
@@ -207,9 +209,9 @@ class MDTABlock(_Block):
         return (Geometry(c, 3 * c), Geometry(3 * c, 3 * c, 3, groups=3 * c),
                 Geometry(c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
 
-    def attention_macs(self, hw: int) -> dict:
-        """MACs of the two channel contractions over ``hw`` positions."""
-        c = self.channels
+    @staticmethod
+    def attention_macs(c: int, hw: int) -> dict:
+        """MACs of the two channel contractions of width ``c`` over ``hw`` positions."""
         return {"attn_qk": c * c * hw, "attn_av": c * c * hw}
 
 

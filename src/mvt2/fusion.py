@@ -5,9 +5,11 @@ batch norm: a k by k convolution (k in {1, 3}), an optional 1 by 1 "scale"
 convolution, and an optional identity path.  At deployment the group is
 replaced by a single convolution that computes the same function: fold
 each BN into its convolution (the identity path as a one-hot 1 by 1
-conv), centre each folded kernel on the grid ``fused_skeleton`` gives,
-and sum kernels and biases.  A one-branch group, a plain conv and its
-batch norm, folds the same way.
+conv), centre each folded kernel on one grid, and sum kernels and
+biases.  The grid is RepVGG's (Ding et al., CVPR 2021): 3 by 3 when the
+main conv is 3 by 3 or an identity path needs a centre tap, else 1 by 1,
+padded to keep the main conv's output grid.  A one-branch group, a plain
+conv and its batch norm, folds the same way.
 
 All fusion arithmetic runs in float64.  ``fold_bn`` rounds each folded
 branch to the branch's own dtype, and ``fuse`` sums a group's rounded
@@ -151,16 +153,18 @@ def rep_branch_forward(x, spec: RepBranchSpec):
 
 
 def fuse(spec: RepBranchSpec) -> ConvSpec:
-    """Collapse the branch group into one convolution on the grid of
-    ``fused_skeleton(spec)``.
+    """Collapse the branch group into one convolution with the main conv's
+    stride, groups and dtype, on the grid rule of the module docstring:
+    k = 3 when the main conv is 3x3 or there is an identity branch, else
+    1, and padding ``main.padding + (k - main_k) // 2``.
 
     Each branch is folded with its batch norm, the identity branch as a
-    one-hot 1x1 conv.  The folded kernels, centred on the skeleton's
-    kernel, and their biases are summed in float64 (main, scale, identity)
-    and written into the skeleton in its dtype.  A one-branch group is its
-    folded conv.
+    one-hot 1x1 conv.  The folded kernels, centred on the k x k grid, and
+    their biases are summed in float64 (main, scale, identity) and
+    rounded to the group's dtype.  A one-branch group is its folded conv.
     """
-    folded = [fold_bn(spec.main, spec.main_bn)]
+    m = spec.main
+    folded = [fold_bn(m, spec.main_bn)]
     if spec.scale is None and spec.identity_bn is None:
         return folded[0]
     if spec.scale is not None:
@@ -171,25 +175,14 @@ def fuse(spec: RepBranchSpec) -> ConvSpec:
         one_hot[np.arange(c), np.arange(c) % per_group] = 1
         folded.append(fold_bn(ConvSpec(one_hot, np.zeros(c, spec.dtype), groups=spec.groups),
                               spec.identity_bn))
-    out = fused_skeleton(spec)
-    kernel, bias = np.zeros(out.kernel.shape), np.zeros(out.bias.shape)
-    k = kernel.shape[-1]
+    k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
+    kernel = np.zeros((m.out_channels, m.in_channels // m.groups, k, k))
+    bias = np.zeros(m.out_channels)
     for conv in folded:
         lo = (k - conv.kernel_size[0]) // 2
         kernel[:, :, lo:k - lo, lo:k - lo] += conv.kernel
         bias += conv.bias
-    out.kernel[...], out.bias[...] = kernel, bias
-    return out
-
-
-def fused_skeleton(spec: RepBranchSpec) -> ConvSpec:
-    """A zero conv with the geometry of ``fuse(spec)``: 3x3 when the main
-    conv is 3x3 or an identity branch needs a centre tap, else 1x1, padded
-    to keep the main conv's output grid, with its stride, groups and dtype."""
-    m = spec.main
-    k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
-    return ConvSpec(np.zeros((m.out_channels, m.in_channels // m.groups, k, k), m.dtype),
-                    np.zeros(m.out_channels, m.dtype), stride=m.stride,
+    return ConvSpec(kernel.astype(m.dtype), bias.astype(m.dtype), stride=m.stride,
                     padding=m.padding + (k - m.kernel_size[0]) // 2, groups=m.groups)
 
 

@@ -13,7 +13,9 @@ feed-forward ones included, from its geometry row (``blocks.Geometry``).
 ``build`` draws each unit through ``init_unit``; ``from_tensors`` makes
 either form around given arrays, named by ``_tensor_name``, the one rule
 ``named_tensors`` also names by (``weights.load`` passes views of the
-file's buffer, ``count`` zero views).
+file's buffer).  A ``Model`` checks its blocks against the layout when
+it is constructed, so ``count`` reads every cost off the same rows and
+builds nothing.
 
 Initialization scheme (``build``): conv weights are drawn fan-in
 scaled, std = gain / sqrt(in_channels_per_group * k * k), with the row's
@@ -45,7 +47,7 @@ from .blocks import (
     block_forward,
     deployed,
 )
-from .fusion import RepBranchSpec, fused_skeleton
+from .fusion import RepBranchSpec
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -127,7 +129,9 @@ class Model:
     The blocks are the only record of the network's form: ``mode`` is read
     off every unit, and each block's forward is chosen by its type through
     ``blocks.block_forward``.  A model deployed only in part still runs
-    ``forward``, but has no ``mode``.
+    ``forward``, but has no ``mode``.  Constructing one whose blocks or
+    classifier are not its config's layout raises ``ValueError`` (see
+    ``_layout_faults``).
     """
 
     config: ModelConfig
@@ -139,6 +143,11 @@ class Model:
     stage3: list  # SDTABlock or MDTABlock
     head_weight: np.ndarray
     head_bias: np.ndarray
+
+    def __post_init__(self):
+        fault = next(_layout_faults(self), None)
+        if fault is not None:
+            raise ValueError(f"the blocks are not the config's layout: {fault}")
 
     @property
     def dtype(self):
@@ -154,6 +163,29 @@ class Model:
         if len(forms) != 1:
             raise ValueError("the model's units mix train and deploy forms")
         return "deploy" if forms.pop() else "train"
+
+
+def _layout_faults(model: Model):
+    """Yield what in ``model`` is not ``_layout(model.config)``: a block count,
+    a block of another type or dims, a train-form unit without the scale or
+    identity branch its row has or with one it has not (a folded unit has
+    none to check), or a classifier not (num_classes, dims[2]).  Blocks may
+    mix the forms."""
+    layout, blocks = list(_layout(model.config)), list(_blocks(model))
+    if len(blocks) != len(layout):
+        yield f"{len(blocks)} blocks, where it lays out {len(layout)}"
+    for (name, block), (_, cls, dims) in zip(blocks, layout):
+        if type(block) is not cls or block.dims != dims:
+            yield f"{name} is not a {cls.__name__} of dims {dims}"
+            continue
+        for (unit, field), row in zip(cls.UNITS, cls.geometry(*dims)):
+            spec = getattr(block, field)
+            if isinstance(spec, RepBranchSpec) and (row.scale, row.identity) != (
+                    spec.scale is not None, spec.identity_bn is not None):
+                yield f"{name} unit {unit or field!r} does not have its row's branches"
+    shape = (model.config.num_classes, model.config.dims[2])
+    if (model.head_weight.shape, model.head_bias.shape) != (shape, shape[:1]):
+        yield f"the classifier is not {shape}"
 
 
 # A batch norm's four arrays, by the names a weight file stores them under.
@@ -186,13 +218,12 @@ def _unit(row: Geometry, tensor, folded: bool = False) -> Union[RepBranchSpec, C
 
 
 def init_unit(rng, row: Geometry, dtype=np.float32) -> RepBranchSpec:
-    """Draw one train-form unit from its geometry row, its arrays in
-    ``_unit``'s order.  With ``rng`` None nothing is drawn and the drawn
-    arrays are zero."""
+    """Draw one train-form unit from its geometry row with ``rng``, its
+    arrays in ``_unit``'s order."""
     def draw(branch, field, shape):
         if field == "gamma":
             a = np.ones(shape)
-        elif rng is None or field in ("bias", "beta"):
+        elif field in ("bias", "beta"):
             a = np.zeros(shape)
         elif field == "kernel":
             a = rng.standard_normal(shape) * (row.gain / np.sqrt(math.prod(shape[1:])))
@@ -257,13 +288,12 @@ def _assemble(config: ModelConfig, unit, head) -> Model:
                  head_bias=head("head.bias", shape[:1]))
 
 
-def build(config: ModelConfig, seed: Optional[int] = None, dtype=np.float32) -> Model:
-    """Construct a train-form model; deterministic in (config, seed).
-    Without a seed nothing is drawn and the drawn arrays are zero."""
-    rng = None if seed is None else np.random.default_rng(seed)
+def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
+    """Construct a train-form model; deterministic in (config, seed)."""
+    rng = np.random.default_rng(seed)
 
     def head(name, shape):
-        if rng is None or name == "head.bias":
+        if name == "head.bias":
             return np.zeros(shape, dtype)
         return (rng.standard_normal(shape) / np.sqrt(shape[1])).astype(dtype)
 
@@ -365,32 +395,28 @@ class CostReport:
         return sum(e.macs for e in self.entries)
 
     def subtotal(self, prefix: str) -> tuple[int, int]:
-        p = sum(e.params for e in self.entries if e.name.startswith(prefix))
-        m = sum(e.macs for e in self.entries if e.name.startswith(prefix))
-        return p, m
+        """Parameters and MACs of the entries named ``prefix`` or under it,
+        by whole dotted segments: ``stage3.1`` takes in ``stage3.1.ffn``
+        but not ``stage3.10``."""
+        hits = [e for e in self.entries if e.name == prefix or e.name.startswith(prefix + ".")]
+        return sum(e.params for e in hits), sum(e.macs for e in hits)
 
 
-def conv_cost(spec: ConvSpec, out_hw: int) -> tuple[int, int]:
-    params = spec.kernel.size + spec.bias.size
-    macs = spec.kernel.size * out_hw
-    return params, macs
-
-
-def _unit_cost(spec: Union[RepBranchSpec, ConvSpec], in_res: int) -> tuple[int, int, int]:
-    """(params, macs, out_res) of a unit by one rule: a folded conv is one
-    conv and no batch norm, a branch group its main and scale convs and up
-    to three batch norms.  Each conv costs ``conv_cost``; each batch norm
-    4·C parameters and C·H·W multiply-adds."""
-    k = spec.kernel_size[0]
-    out_res, _ = conv_output_hw(in_res, in_res, k, k, spec.stride, spec.padding)
+def _row_cost(row: Geometry, form: str, in_res: int) -> tuple[int, int, int]:
+    """(params, macs, out_res) of the unit of geometry ``row`` in ``form`` on
+    an ``in_res`` square input.  In deploy form the unit is the row's one
+    k x k conv; in train form it is the main conv and batch norm, plus the
+    1x1 scale conv and its batch norm and the identity batch norm where the
+    row has them.  A conv costs its kernel and bias elements and a
+    multiply-add per kernel element and output position; a batch norm 4·C
+    parameters and one multiply-add per output element."""
+    out_res, _ = conv_output_hw(in_res, in_res, row.k, row.k, row.stride, row.k // 2)
     hw = out_res * out_res
-    if isinstance(spec, ConvSpec):
-        convs, bns = [spec], []
-    else:
-        convs, bns = [spec.main, spec.scale], [spec.main_bn, spec.scale_bn, spec.identity_bn]
-    costs = [conv_cost(c, hw) for c in convs if c is not None]
-    costs += [(4 * b.channels, b.channels * hw) for b in bns if b is not None]
-    return sum(p for p, _ in costs), sum(m for _, m in costs), out_res
+    sizes = (row.k,) + ((1,) if form == "train" and row.scale else ())
+    bns = 0 if form == "deploy" else 1 + row.scale + row.identity
+    weights = sum(row.out_c * row.in_c // row.groups * k * k for k in sizes)
+    params = weights + (len(sizes) + 4 * bns) * row.out_c
+    return params, (weights + bns * row.out_c) * hw, out_res
 
 
 def count(model_or_config: Union[Model, ModelConfig],
@@ -398,47 +424,42 @@ def count(model_or_config: Union[Model, ModelConfig],
     """Analytic cost report; per-image, input-resolution-dependent.
 
     Accepts a built model (defaulting to its own mode) or a config
-    (defaulting to deploy form); a config is counted on ``from_tensors``
-    of that form over zero-stride views of one zero, so no weights are
-    drawn or allocated.  A train-form unit counted in deploy form is
-    charged on its ``fused_skeleton``, so no deploy copy of the model is
-    built; a deploy-form model has no train-form cost, and a model whose
-    units mix the forms has no cost at all.  Every unit is charged by the
-    one rule of ``_unit_cost``.
+    (defaulting to deploy form).  Either is counted by its config and
+    the form asked for, so nothing is built, drawn or fused: the walk is
+    ``_layout`` and each block class's ``UNITS`` and ``geometry`` rows,
+    and every unit is charged by the one rule of ``_row_cost``.  A
+    model's own blocks are its layout (``Model`` checks so), and its form
+    is read once: a deploy-form model has no train-form cost, and a model
+    whose units mix the forms has no cost at all.
     """
     is_model = isinstance(model_or_config, Model)
-    mode = mode or (model_or_config.mode if is_model else "deploy")
+    form = model_or_config.mode if is_model else None
+    mode = mode or form or "deploy"
     if mode not in ("train", "deploy"):
         raise ValueError(f"mode must be train or deploy, got {mode!r}")
-    if is_model:
-        model, form = model_or_config, model_or_config.mode
-    else:
-        zero = np.zeros((), np.float32)
-        model = from_tensors(model_or_config, mode, lambda _, shape: np.broadcast_to(zero, shape))
-        form = mode
     if form == "deploy" and mode == "train":
         raise ValueError("a deploy-form model holds no train-form weights to count")
+    config = model_or_config.config if is_model else model_or_config
     report = CostReport()
-    res = model.config.input_resolution
-    for name, unit, block, field in _walk(model):
-        if hasattr(block, "attention_macs") and field == block.UNITS[-3][1]:
-            # the attention contractions run just before the output
-            # projection, the last unit ahead of the feed-forward's two
-            for kind, macs in block.attention_macs(res * res).items():
-                report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
-        spec = getattr(block, field)
-        p, m, res = _unit_cost(spec if mode == form else fused_skeleton(spec), res)
-        # a feed-forward's two units share one entry, "<block>.ffn"
-        key = f"{name}.{unit.split('.')[0]}" if unit else name
-        if report.entries and report.entries[-1].name == key:
-            report.entries[-1].params += p
-            report.entries[-1].macs += m
-        else:
-            report.entries.append(CostEntry(key, p, m))
+    res = config.input_resolution
+    for name, cls, dims in _layout(config):
+        for (unit, _), row in zip(cls.UNITS, cls.geometry(*dims), strict=True):
+            if hasattr(cls, "attention_macs") and unit == cls.UNITS[-3][0]:
+                # the attention contractions run just before the output
+                # projection, the last unit ahead of the feed-forward's two
+                for kind, macs in cls.attention_macs(dims[0], res * res).items():
+                    report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
+            p, m, res = _row_cost(row, mode, res)
+            # a feed-forward's two units share one entry, "<block>.ffn"
+            key = f"{name}.{unit.split('.')[0]}" if unit else name
+            if report.entries and report.entries[-1].name == key:
+                report.entries[-1].params += p
+                report.entries[-1].macs += m
+            else:
+                report.entries.append(CostEntry(key, p, m))
 
-    head_params = model.head_weight.size + model.head_bias.size
-    head_macs = model.head_weight.size
-    report.entries.append(CostEntry("head", head_params, head_macs))
+    head = config.num_classes * config.dims[2]
+    report.entries.append(CostEntry("head", head + config.num_classes, head))
     return report
 
 

@@ -5,7 +5,6 @@ from mvt2.fusion import (
     RepBranchSpec,
     fold_bn,
     fuse,
-    fused_skeleton,
     random_rep_branch_spec,
     rep_branch_forward,
     verify_equivalence,
@@ -277,7 +276,10 @@ class TestFuse:
                 report = verify_equivalence(spec, samples=20, tol=tol, input_hw=8)
                 assert report["pass"], (kw, dtype, report)
 
-    def test_fused_skeleton_has_the_geometry_of_fuse(self):
+    def test_fuse_has_the_geometry_of_the_grid_rule(self):
+        # 3x3 when the main conv is 3x3 or there is an identity branch, else
+        # 1x1, padded to keep the main conv's output grid, in its stride,
+        # groups and dtype
         rng = np.random.default_rng(11)
         cases = [
             dict(in_channels=4, out_channels=4, groups=1, stride=1),
@@ -294,12 +296,13 @@ class TestFuse:
         for kw in cases:
             for dtype in (np.float32, np.float64):
                 spec = random_rep_branch_spec(dtype=dtype, rng=rng, **kw)
-                want, got = fuse(spec), fused_skeleton(spec)
+                m, got = spec.main, fuse(spec)
+                k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
                 assert (got.kernel.shape, got.kernel.dtype, got.bias.shape, got.bias.dtype,
                         got.stride, got.padding, got.groups) == (
-                    want.kernel.shape, want.kernel.dtype, want.bias.shape, want.bias.dtype,
-                    want.stride, want.padding, want.groups), (kw, dtype)
-                assert not got.kernel.any() and not got.bias.any()
+                    (m.out_channels, m.in_channels // m.groups, k, k), dtype,
+                    (m.out_channels,), dtype, m.stride,
+                    m.padding + (k - m.kernel_size[0]) // 2, m.groups), (kw, dtype)
 
     def test_fused_param_count_never_exceeds_train_form(self):
         rng = np.random.default_rng(10)

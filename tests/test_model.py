@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from mvt2 import blocks, fusion, model as model_module, tensor
+from mvt2.blocks import Geometry, RepEmbedBlock
 from mvt2.model import (
     VARIANTS,
     CostEntry,
     Model,
     ModelConfig,
+    _row_cost,
     build,
-    conv_cost,
     count,
     deploy,
     forward,
@@ -102,6 +103,37 @@ def reference_forward(model, x):
                   else blocks.mdta_block_forward)
         x = attend(blk, x)
     return tensor.linear(tensor.global_avg_pool(x), model.head_weight, model.head_bias)
+
+
+class TestLayoutCheck:
+    """A ``Model`` whose blocks or classifier are not its config's layout
+    raises when it is constructed, so no such model is saved or counted."""
+
+    CFG = ModelConfig(depths=(1, 1, 2), dims=(8, 8, 8), num_classes=10, input_resolution=32)
+
+    def test_a_block_short_raises(self):
+        model = build(self.CFG, seed=0)
+        with pytest.raises(ValueError, match="layout"):
+            replace(model, stage3=model.stage3[:1])
+
+    def test_blocks_of_other_dims_raise(self):
+        model = build(self.CFG, seed=0)
+        other = build(replace(self.CFG, dims=(8, 8, 16)), seed=0)
+        with pytest.raises(ValueError, match="layout"):
+            replace(model, stage3=other.stage3, head_weight=other.head_weight,
+                    head_bias=other.head_bias)
+
+    def test_a_unit_without_its_rows_branch_raises(self):
+        model = build(self.CFG, seed=0)
+        unit = model.stem[0].branch
+        bare = RepEmbedBlock(fusion.RepBranchSpec(unit.main, unit.main_bn))
+        with pytest.raises(ValueError, match="layout"):
+            replace(model, stem=[bare, *model.stem[1:]])
+
+    def test_a_classifier_of_another_shape_raises(self):
+        model = build(self.CFG, seed=0)
+        with pytest.raises(ValueError, match="layout"):
+            replace(model, head_bias=model.head_bias[:-1])
 
 
 class TestForward:
@@ -279,11 +311,33 @@ class TestDeploy:
 
 class TestCount:
     def test_pointwise_conv_closed_form(self):
-        spec = ConvSpec(np.zeros((2, 2, 1, 1), dtype=np.float32),
-                        np.zeros(2, dtype=np.float32))
-        params, macs = conv_cost(spec, out_hw=1)
-        assert params == 6
-        assert macs == 4
+        # a 2 -> 2 pointwise conv at 1x1: 4 weights and 2 biases, 4 MACs
+        assert _row_cost(Geometry(2, 2), "deploy", 1) == (6, 4, 1)
+
+    def test_a_config_is_counted_without_constructing_a_spec_or_model(self, monkeypatch):
+        want = {form: count(TINY, form).entries for form in ("train", "deploy")}
+
+        def refuse(self):
+            raise AssertionError(f"count constructed a {type(self).__name__}")
+
+        monkeypatch.setattr(ConvSpec, "__post_init__", refuse)
+        monkeypatch.setattr(Model, "__post_init__", refuse, raising=False)
+        for form, entries in want.items():
+            assert count(TINY, form).entries == entries
+
+    def test_subtotal_matches_whole_dotted_segments(self):
+        # stage3.1 takes in none of stage3.10 and stage3.11, and the prefix
+        # stage3.1.f names no entry
+        cfg = ModelConfig(depths=(1, 1, 12), dims=(8, 8, 8), num_classes=10,
+                          input_resolution=32)
+        report = count(cfg, "deploy")
+        cost = {e.name: (e.params, e.macs) for e in report.entries}
+        block = [c for name, c in cost.items() if name.startswith("stage3.1.")]
+        assert len(block) == 6
+        assert report.subtotal("stage3.1") == tuple(map(sum, zip(*block))) == (792, 730)
+        assert report.subtotal("stage3.1.ffn") == cost["stage3.1.ffn"]
+        assert report.subtotal("stage3.1.f") == (0, 0)
+        assert report.subtotal("down12") == cost["down12"]
 
     def test_tiny_config_hand_count_deploy(self):
         # stem (fused 3x3, resolutions 16/8/4/2):

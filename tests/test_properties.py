@@ -5,11 +5,13 @@ Derandomized and with no example database, so a run is reproducible and
 leaves nothing behind."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvt2.fusion import fuse, fused_skeleton, random_rep_branch_spec, verify_equivalence
-from mvt2.model import ModelConfig, build, deploy, forward
+from mvt2 import tensor
+from mvt2.fusion import fuse, random_rep_branch_spec, verify_equivalence
+from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
 
 
 @st.composite
@@ -36,16 +38,16 @@ def branch_specs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=branch_specs(), batch=st.integers(1, 4), hw=st.integers(1, 9),
        seed=st.integers(0, 2**16))
-def test_fusion_is_equivalent_and_skeleton_matches(spec, batch, hw, seed):
+def test_fusion_is_equivalent_and_on_the_grid_rule(spec, batch, hw, seed):
     tol = 1e-4 if spec.dtype == np.float32 else 1e-10
     report = verify_equivalence(spec, samples=2, tol=tol, input_hw=hw, batch=batch, seed=seed)
     assert report["pass"], report
-    want, got = fuse(spec), fused_skeleton(spec)
+    m, got = spec.main, fuse(spec)
+    k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
     assert (got.kernel.shape, got.kernel.dtype, got.bias.shape, got.bias.dtype,
             got.stride, got.padding, got.groups) == (
-        want.kernel.shape, want.kernel.dtype, want.bias.shape, want.bias.dtype,
-        want.stride, want.padding, want.groups)
-    assert not got.kernel.any() and not got.bias.any()
+        (m.out_channels, m.in_channels // m.groups, k, k), m.dtype, (m.out_channels,),
+        m.dtype, m.stride, m.padding + (k - m.kernel_size[0]) // 2, m.groups)
 
 
 @st.composite
@@ -74,3 +76,50 @@ def test_batch_rows_are_bit_identical_to_batch_one_runs(config, batch, seed):
         full = forward(m, x)
         for b in range(batch):
             assert np.array_equal(full[b:b + 1], forward(m, x[b:b + 1])), (m.mode, b)
+
+
+# MACs per call of each ``tensor`` kernel that multiplies, from its output
+# and its arguments.  Block forwards look these up on the module at each
+# call (``autodiff.kernels``), so wrapping them there sees every call.
+KERNEL_MACS = {
+    "conv2d": lambda out, x, spec: out[0].size * spec.kernel[0].size,
+    "batchnorm_infer": lambda out, x, bn: out[0].size,
+    "matmul": lambda out, a, b: out[0].size * a.shape[-1],
+}
+
+
+def forward_macs(model, x):
+    """The MACs a forward of the one-image batch ``x`` runs: its conv,
+    batch-norm and matmul calls, plus the classifier's product."""
+    calls = [model.head_weight.size]
+
+    def counted(kernel, macs):
+        def run(*args):
+            out = kernel(*args)
+            calls.append(macs(out, *args))
+            return out
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, macs in KERNEL_MACS.items():
+            mp.setattr(tensor, name, counted(getattr(tensor, name), macs))
+        forward(model, x)
+    return sum(calls)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(config=small_configs(), seed=st.integers(0, 2**16))
+def test_count_is_what_a_forward_runs_and_a_model_stores(config, seed):
+    """In either form, ``count`` of a config gives the entries of the built
+    model and of its deploy, the MACs a batch-1 forward runs and the
+    elements the model stores."""
+    train = build(config, seed=seed)
+    deployed = deploy(train)
+    assert count(train, "deploy").entries == count(deployed).entries
+    r = config.input_resolution
+    x = np.random.default_rng(seed).standard_normal((1, 3, r, r)).astype(np.float32)
+    for form, model in (("train", train), ("deploy", deployed)):
+        report = count(config, form)
+        assert report.entries == count(train, form).entries, form
+        assert report.total_macs == forward_macs(model, x), form
+        assert report.total_params == sum(a.size for _, a in named_tensors(model)), form

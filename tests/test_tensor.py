@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from mvt2.blocks import rep_embed_forward
-from mvt2.model import VARIANTS, _walk, build, deploy
+from mvt2.model import VARIANTS, _layout, build
 from mvt2.tensor import (
     BN_EPS,
     BNSpec,
@@ -55,20 +55,20 @@ def conv2d_reference(x, kernel, bias, stride, padding, groups):
 def dense_conv_geometries():
     """(kernel shape, stride, padding, groups, input resolution) of every
     distinct dense conv of s1, s2 and s3 at 224, train and deploy form,
-    walked and resolved as ``model.count`` does."""
+    walked over the ``_layout`` rows and resolved as ``model.count`` does:
+    each unit's main conv, which has its folded conv's geometry, and its
+    1x1 scale conv where the row has one."""
     found = set()
     for variant in ("s1", "s2", "s3"):
-        train = build(VARIANTS[variant])
-        for model in (train, deploy(train)):
-            res = model.config.input_resolution
-            for *_, block, field in _walk(model):
-                unit = getattr(block, field)
-                convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
-                for conv in convs:
-                    if conv is not None and not conv.is_depthwise:
-                        found.add((conv.kernel.shape, conv.stride, conv.padding, conv.groups, res))
-                k, _ = convs[0].kernel_size
-                res, _ = conv_output_hw(res, res, k, k, convs[0].stride, convs[0].padding)
+        config = VARIANTS[variant]
+        res = config.input_resolution
+        for _, cls, dims in _layout(config):
+            for row in cls.geometry(*dims):
+                if not row.groups == row.in_c == row.out_c:
+                    for k in (row.k, 1) if row.scale else (row.k,):
+                        kshape = (row.out_c, row.in_c // row.groups, k, k)
+                        found.add((kshape, row.stride, k // 2, row.groups, res))
+                res, _ = conv_output_hw(res, res, row.k, row.k, row.stride, row.k // 2)
     return sorted(found)
 
 
