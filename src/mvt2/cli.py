@@ -103,10 +103,11 @@ def cmd_verify_fusion(args) -> int:
         raise CliError(EXIT_USAGE, f"--samples must be at least 1, got {args.samples}")
     if not 0 <= args.tol < float("inf"):
         raise CliError(EXIT_USAGE, f"--tol must be finite and non-negative, got {args.tol}")
+    names, specs = zip(*fusable_branches(_load_model(args.in_path)))
+    results = verify_equivalence(specs, samples=args.samples, tol=args.tol)
     blocks = []
     all_pass = True
-    for name, spec in fusable_branches(_load_model(args.in_path)):
-        result = verify_equivalence(spec, samples=args.samples, tol=args.tol)
+    for name, result in zip(names, results):
         diff = result["max_abs_diff"]
         blocks.append(
             {

@@ -12,18 +12,24 @@ padded to keep the main conv's output grid.  A one-branch group, a plain
 conv and its batch norm, folds the same way.
 
 All fusion arithmetic runs in float64.  ``fold_bn`` rounds each folded
-branch to the branch's own dtype, and ``fuse`` sums a group's rounded
-branches in float64 and rounds the sum again.  So a float32 one-branch
-unit is its float64 fold rounded once, but a multi-branch weight takes
-two rounding steps and may differ in its last bit from the float64 fold
-of the whole group rounded once.  Functions here are pure over immutable
-inputs and safe to call concurrently.
+branch to the branch's own dtype, in one ufunc pass that computes each
+product in float64 and stores it rounded, and ``fuse`` sums a group's
+rounded branches in float64 and rounds the sum again.  So a float32
+one-branch unit is its float64 fold rounded once, but a multi-branch
+weight takes two rounding steps and may differ in its last bit from the
+float64 fold of the whole group rounded once.
+
+``verify_equivalence`` checks many groups in one call and draws each
+random input batch once per input shape and dtype: every group of that
+shape sees the same seeded batches it would see if checked alone.
+Functions here are pure over immutable inputs and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,24 +42,26 @@ def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
 
     Per output channel o with scale s_o = gamma_o / sqrt(var_o + eps):
     W'_o = W_o * s_o and b'_o = beta_o + (b_o - mean_o) * s_o, so that
-    conv2d(x, folded) == batchnorm_infer(conv2d(x, conv), bn).
+    conv2d(x, folded) == batchnorm_infer(conv2d(x, conv), bn).  The scale
+    is float64; each folded weight is one float64 ufunc loop that stores
+    straight into a fresh array of the conv's dtype, so every product is
+    computed in float64 and rounded once, with no float64 copy of the
+    kernel.
     """
     if bn.channels != conv.out_channels:
         raise ValueError(
             f"batch-norm has {bn.channels} channels, conv emits {conv.out_channels}"
         )
     dtype = conv.dtype
-    w = conv.kernel.astype(np.float64)
-    b = conv.bias.astype(np.float64)
     scale = bn.gamma.astype(np.float64) / np.sqrt(
         bn.running_var.astype(np.float64) + BN_EPS
     )
-    w_f = w * scale[:, None, None, None]
-    b_f = bn.beta.astype(np.float64) + (b - bn.running_mean.astype(np.float64)) * scale
-    return ConvSpec(
-        w_f.astype(dtype), b_f.astype(dtype),
-        stride=conv.stride, padding=conv.padding, groups=conv.groups,
-    )
+    shift = np.subtract(conv.bias, bn.running_mean, dtype=np.float64) * scale
+    w_f = np.multiply(conv.kernel, scale[:, None, None, None], dtype=np.float64,
+                      out=np.empty(conv.kernel.shape, dtype), casting="same_kind")
+    b_f = np.add(bn.beta, shift, dtype=np.float64,
+                 out=np.empty(conv.out_channels, dtype), casting="same_kind")
+    return ConvSpec(w_f, b_f, stride=conv.stride, padding=conv.padding, groups=conv.groups)
 
 
 @dataclass
@@ -187,32 +195,43 @@ def fuse(spec: RepBranchSpec) -> ConvSpec:
 
 
 def verify_equivalence(
-    spec: RepBranchSpec,
+    specs: Sequence[RepBranchSpec],
     samples: int = 100,
     tol: float = 1e-4,
     input_hw: int = 7,
     batch: int = 2,
     seed: int = 0,
-) -> dict:
-    """Evaluate train-form vs. fused-form on random inputs.
+) -> list[dict]:
+    """Evaluate train form against fused form on random inputs, one report
+    per branch group of ``specs``, in order.
 
-    Returns {"max_abs_diff": float, "pass": bool} with pass iff
+    Each report is {"max_abs_diff": float, "pass": bool} with pass iff
     max_abs_diff <= tol; a NaN difference makes max_abs_diff NaN and fails.
+    Every group sees the same ``samples`` input batches as every other group
+    of its input shape and dtype: the ones a generator seeded with ``seed``
+    draws.  So each batch is drawn once per shape and dtype, made read-only
+    and run through every group of that shape before the next is drawn; at
+    most one batch is alive at a time, and nothing outlives the call.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    fused = fuse(spec)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(
-            (batch, spec.in_channels, input_hw, input_hw)
-        ).astype(spec.dtype)
-        a = rep_branch_forward(x, spec)
-        b = conv2d(x, fused)
-        diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
-        worst = float(np.maximum(worst, diff))
-    return {"max_abs_diff": worst, "pass": worst <= tol}
+    by_input: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        key = ((batch, spec.in_channels, input_hw, input_hw), np.dtype(spec.dtype))
+        by_input.setdefault(key, []).append(i)
+    worst = [0.0] * len(specs)
+    for (shape, dtype), members in by_input.items():
+        fused = [fuse(specs[i]) for i in members]
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = rng.standard_normal(shape).astype(dtype)
+            x.flags.writeable = False
+            for i, folded in zip(members, fused):
+                a = rep_branch_forward(x, specs[i])
+                b = conv2d(x, folded)
+                diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+                worst[i] = float(np.maximum(worst[i], diff))
+    return [{"max_abs_diff": w, "pass": w <= tol} for w in worst]
 
 
 def random_rep_branch_spec(

@@ -154,17 +154,6 @@ class BNSpec:
     def dtype(self):
         return self.gamma.dtype
 
-    @classmethod
-    def identity(cls, channels: int, dtype=np.float32) -> "BNSpec":
-        """A batch-norm that maps x to x exactly (var = 1 - eps so var + eps = 1)."""
-        one = np.ones(channels, dtype=dtype)
-        return cls(
-            gamma=one.copy(),
-            beta=np.zeros(channels, dtype=dtype),
-            running_mean=np.zeros(channels, dtype=dtype),
-            running_var=one - dtype(BN_EPS),
-        )
-
 
 def _tap_span(i: int, p: int, s: int, size: int, out: int) -> tuple[int, int]:
     """The output positions [lo, hi) at which kernel tap ``i`` reads inside

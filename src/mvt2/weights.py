@@ -20,9 +20,9 @@ conv with its batch norm); a deploy file holds only the folded convs and
 the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
 variance below zero, is a ``FormatError``.  ``save`` refuses to write a
-non-finite tensor.  ``load`` reads the payload in one call into one
-read-only buffer, and a loaded model's tensors are views into it: an
-in-place write into one raises ``ValueError``.  The buffer is read, not
+non-finite tensor.  ``load`` reads the payload into one read-only
+buffer, and a loaded model's tensors are views into it: an in-place write
+into one raises ``ValueError``.  The buffer is read, not
 memory-mapped, so a file truncated or rewritten after the load cannot
 change or fault a live model.
 """
@@ -42,6 +42,9 @@ MAGIC = b"MVT2"
 VERSION = 1
 ALIGNMENT = 64
 _FIXED_HEADER = struct.Struct("<4sIQ")
+# floats per read in ``load``: 256 KiB, so each chunk is checked for
+# non-finite values while it is still in cache
+_READ_CHUNK = 1 << 16
 
 # recipe for turning an RGB image into network input; recorded in every
 # file so a loader needs no out-of-band information
@@ -210,16 +213,19 @@ def load(path) -> Model:
     """Reconstruct a model from ``path``.
 
     After the header and the manifest are checked, the payload the manifest
-    covers is read in one call into one 64-byte-aligned buffer, which is
-    then made read-only; each tensor is a view into it at its offset, so
-    the result is bit-identical to the model that was saved, and no other
-    copy of the file or of a tensor is held.  ``model.from_tensors`` builds
-    the stored form straight around those views: nothing is drawn, fused
-    or built and thrown away.  Each tensor is checked, in execution order,
-    for its name and shape, for non-finite values and, for a batch-norm
-    variance, for negative ones.  A config with more stage blocks than the
-    file lists tensors, or a payload that does not fit in memory, is a
-    ``FormatError``.
+    covers is read into one 64-byte-aligned buffer, which is then made
+    read-only; each tensor is a view into it at its offset, so the result
+    is bit-identical to the model that was saved, and no other copy of the
+    file or of a tensor is held.  ``model.from_tensors`` builds the stored
+    form straight around those views: nothing is drawn, fused or built and
+    thrown away.  Each tensor is checked, in execution order, for its name
+    and shape, for non-finite values and, for a batch-norm variance, for
+    negative ones.  The payload is read in 256 KiB chunks, each scanned
+    for non-finite values while it is still in cache; only when a chunk
+    holds one (in a tensor, or in the padding between tensors) is each
+    tensor scanned, so the error names the first bad tensor.  A config
+    with more stage blocks than the file lists tensors, or a payload that
+    does not fit in memory, is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -242,10 +248,14 @@ def load(path) -> Model:
             raise FormatError("payload needs more memory than there is") from None
         start = -raw.ctypes.data % ALIGNMENT
         floats = raw[start:start + extent].view(np.float32)
-        if fh.readinto(floats) != extent:
-            raise TruncatedPayloadError("payload ends inside a tensor")
-    if sys.byteorder == "big":
-        floats.byteswap(inplace=True)
+        finite, scratch = True, np.empty(_READ_CHUNK, dtype=bool)
+        for lo in range(0, floats.size, _READ_CHUNK):
+            part = floats[lo:lo + _READ_CHUNK]
+            if fh.readinto(part) != part.nbytes:
+                raise TruncatedPayloadError("payload ends inside a tensor")
+            if sys.byteorder == "big":
+                part.byteswap(inplace=True)
+            finite = finite and bool(np.isfinite(part, out=scratch[:part.size]).all())
     floats.flags.writeable = raw.flags.writeable = False
 
     by_name = {e["name"]: e for e in entries}
@@ -260,7 +270,7 @@ def load(path) -> Model:
             )
         first = entry["byte_offset"] // 4
         arr = floats[first:first + entry["byte_len"] // 4].reshape(shape)
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             raise FormatError(f"tensor {name!r} holds a NaN or infinite value")
         if name.endswith("_bn.var") and (arr < 0).any():
             raise FormatError(f"tensor {name!r} holds a negative batch-norm variance")

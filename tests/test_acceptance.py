@@ -69,8 +69,8 @@ def test_criterion_1_fusion_equivalence_on_100_random_specs():
         spec64 = random_rep_branch_spec(cin, cout, **shape, dtype=np.float64,
                                         rng=copy.deepcopy(rng))
         spec = random_rep_branch_spec(cin, cout, **shape, rng=rng)
-        r32 = verify_equivalence(spec, samples=5, tol=1e-4, seed=i)
-        r64 = verify_equivalence(spec64, samples=5, tol=1e-10, seed=i)
+        r32 = verify_equivalence([spec], samples=5, tol=1e-4, seed=i)[0]
+        r64 = verify_equivalence([spec64], samples=5, tol=1e-10, seed=i)[0]
         worst32 = max(worst32, r32["max_abs_diff"])
         worst64 = max(worst64, r64["max_abs_diff"])
         assert r32["pass"], f"spec {i} exceeded 1e-4 in float32: {r32['max_abs_diff']}"

@@ -22,7 +22,9 @@ from mvt2.blocks import (
 )
 from mvt2.fusion import RepBranchSpec, fold_bn, fuse
 from mvt2.model import init_block, init_unit
-from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, sigmoid
+from mvt2.tensor import BN_EPS, ConvSpec, batchnorm_infer, conv2d, sigmoid
+
+from helpers import identity_bn
 
 
 def zero_conv(in_c, out_c, k, stride=1, padding=None, groups=1, dtype=np.float32):
@@ -38,8 +40,8 @@ def zero_conv(in_c, out_c, k, stride=1, padding=None, groups=1, dtype=np.float32
 def zero_ffn(c, ratio=2):
     """The ``expand`` and ``project`` fields of a zero feed-forward."""
     return {
-        "expand": RepBranchSpec(zero_conv(c, ratio * c, 1), BNSpec.identity(ratio * c)),
-        "project": RepBranchSpec(zero_conv(ratio * c, c, 1), BNSpec.identity(c)),
+        "expand": RepBranchSpec(zero_conv(c, ratio * c, 1), identity_bn(ratio * c)),
+        "project": RepBranchSpec(zero_conv(ratio * c, c, 1), identity_bn(c)),
     }
 
 
@@ -117,10 +119,10 @@ class TestRepEmbed:
         c = 4
         branch = RepBranchSpec(
             main=zero_conv(c, c, 3),
-            main_bn=BNSpec.identity(c),
+            main_bn=identity_bn(c),
             scale=zero_conv(c, c, 1),
-            scale_bn=BNSpec.identity(c),
-            identity_bn=BNSpec.identity(c),
+            scale_bn=identity_bn(c),
+            identity_bn=identity_bn(c),
         )
         block = RepEmbedBlock(branch)
         np.random.seed(42)
@@ -152,9 +154,9 @@ class TestRepDWBlock:
         c = 6
         mixer = RepBranchSpec(
             main=zero_conv(c, c, 3, groups=c),
-            main_bn=BNSpec.identity(c),
+            main_bn=identity_bn(c),
             scale=zero_conv(c, c, 1, groups=c),
-            scale_bn=BNSpec.identity(c),
+            scale_bn=identity_bn(c),
         )
         block = RepDWBlock(mixer=mixer, **zero_ffn(c))
         np.random.seed(0)
@@ -194,8 +196,8 @@ class TestFFN:
         with pytest.raises(ValueError):
             RepDWBlock(
                 mixer=mixer,
-                expand=RepBranchSpec(zero_conv(4, 6, 1), BNSpec.identity(6)),
-                project=RepBranchSpec(zero_conv(6, 4, 1), BNSpec.identity(4)),
+                expand=RepBranchSpec(zero_conv(4, 6, 1), identity_bn(6)),
+                project=RepBranchSpec(zero_conv(6, 4, 1), identity_bn(4)),
             )
 
     def test_ratio_property(self):
@@ -294,7 +296,7 @@ class TestSDTA:
         with pytest.raises(ValueError):
             SDTABlock(
                 pre_mixer=block.pre_mixer,
-                proj_p=RepBranchSpec(zero_conv(8, 8 + 31, 1), BNSpec.identity(8 + 31)),
+                proj_p=RepBranchSpec(zero_conv(8, 8 + 31, 1), identity_bn(8 + 31)),
                 proj_o=block.proj_o,
                 expand=block.expand,
                 project=block.project,
@@ -316,11 +318,11 @@ class TestMDTA:
         proj_kernel[1, 1, 0, 0] = 1.0
         block = MDTABlock(
             qkv=RepBranchSpec(ConvSpec(qkv_kernel, np.zeros(6, dtype=np.float32)),
-                              BNSpec.identity(6)),
+                              identity_bn(6)),
             dw=RepBranchSpec(ConvSpec(dw_kernel, np.zeros(6, dtype=np.float32),
-                                      padding=1, groups=6), BNSpec.identity(6)),
+                                      padding=1, groups=6), identity_bn(6)),
             proj=RepBranchSpec(ConvSpec(proj_kernel, np.zeros(2, dtype=np.float32)),
-                               BNSpec.identity(2)),
+                               identity_bn(2)),
             **zero_ffn(2),
         )
         x = np.array([1.0, 2.0], dtype=np.float32).reshape(1, 2, 1, 1)
@@ -350,11 +352,11 @@ class TestMDTA:
             proj_kernel[i, i, 0, 0] = 1.0
         block = MDTABlock(
             qkv=RepBranchSpec(ConvSpec(qkv_kernel, np.zeros(12, dtype=np.float32)),
-                              BNSpec.identity(12)),
+                              identity_bn(12)),
             dw=RepBranchSpec(ConvSpec(dw_kernel, np.zeros(12, dtype=np.float32),
-                                      padding=1, groups=12), BNSpec.identity(12)),
+                                      padding=1, groups=12), identity_bn(12)),
             proj=RepBranchSpec(ConvSpec(proj_kernel, np.zeros(c, dtype=np.float32)),
-                               BNSpec.identity(c)),
+                               identity_bn(c)),
             **zero_ffn(c),
         )
         x = np.full((1, c, 1, 1), 3.0, dtype=np.float32)
@@ -457,7 +459,7 @@ class TestGeometryRows:
                         continue  # an embedding's widths are its own dims
                     bad = zero_conv(in_c, out_c, k, stride, groups=g)
                     if form is block:
-                        bad = RepBranchSpec(bad, BNSpec.identity(out_c))
+                        bad = RepBranchSpec(bad, identity_bn(out_c))
                     with pytest.raises(ValueError):
                         replace(form, **{field: bad})
                         pytest.fail(f"{unit or field} accepted a wrong {what}")

@@ -290,6 +290,24 @@ class TestCount:
         assert hashlib.sha256(stdout.encode()).hexdigest() == self.PINNED[case]
 
 
+class TestVerifyFusionPinned:
+    # sha256 of the whole `verify-fusion --samples 3` stdout of the TINY
+    # seed-1 train file; any change to a unit's inputs, its fold or its
+    # report changes it
+    PINNED = {
+        "sdta": "b854ea75c724edabed4afb707d88023fd985a43e8a5a8eedbd7401e3b99e5526",
+        "mdta": "2e1b68105fd24f9d8ebf5e48b0065c21d18fa6c50577b29a246d1a1dd0626122",
+    }
+
+    @pytest.mark.parametrize("attention", sorted(PINNED))
+    def test_stdout_is_pinned(self, capsys, tmp_path, attention):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(dataclasses.replace(TINY, attention=attention), seed=1), path)
+        rc, stdout, _ = run(capsys, ["verify-fusion", "--in", str(path), "--samples", "3"])
+        assert rc == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.PINNED[attention]
+
+
 class TestInfer:
     def write_input(self, tmp_path, shape, seed=0):
         rng = np.random.default_rng(seed)

@@ -11,6 +11,8 @@ from mvt2.fusion import (
 )
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
 
+from helpers import identity_bn
+
 
 def conv_param_total(conv):
     return conv.kernel.size + conv.bias.size
@@ -32,7 +34,7 @@ class TestFoldBN:
             np.random.randn(4).astype(np.float32),
             padding=1,
         )
-        folded = fold_bn(conv, BNSpec.identity(4))
+        folded = fold_bn(conv, identity_bn(4))
         assert np.array_equal(folded.kernel, conv.kernel)
         assert np.array_equal(folded.bias, conv.bias)
 
@@ -80,7 +82,7 @@ class TestFoldBN:
         conv = ConvSpec(np.zeros((4, 2, 3, 3), dtype=np.float32),
                         np.zeros(4, dtype=np.float32))
         with pytest.raises(ValueError):
-            fold_bn(conv, BNSpec.identity(3))
+            fold_bn(conv, identity_bn(3))
 
 
 def exact_bn(c, gamma=None):
@@ -182,13 +184,13 @@ class TestRepBranchSpec:
         main = ConvSpec(np.zeros((4, 4, 3, 3), dtype=np.float32),
                         np.zeros(4, dtype=np.float32), stride=2, padding=1)
         with pytest.raises(ValueError):
-            RepBranchSpec(main, BNSpec.identity(4), identity_bn=BNSpec.identity(4))
+            RepBranchSpec(main, identity_bn(4), identity_bn=identity_bn(4))
 
     def test_rejects_identity_on_channel_change(self):
         main = ConvSpec(np.zeros((6, 4, 3, 3), dtype=np.float32),
                         np.zeros(6, dtype=np.float32), padding=1)
         with pytest.raises(ValueError):
-            RepBranchSpec(main, BNSpec.identity(6), identity_bn=BNSpec.identity(6))
+            RepBranchSpec(main, identity_bn(6), identity_bn=identity_bn(6))
 
     def test_rejects_scale_padding_misalignment(self):
         main = ConvSpec(np.zeros((4, 4, 3, 3), dtype=np.float32),
@@ -196,7 +198,7 @@ class TestRepBranchSpec:
         scale = ConvSpec(np.zeros((4, 4, 1, 1), dtype=np.float32),
                          np.zeros(4, dtype=np.float32), padding=1)
         with pytest.raises(ValueError):
-            RepBranchSpec(main, BNSpec.identity(4), scale, BNSpec.identity(4))
+            RepBranchSpec(main, identity_bn(4), scale, identity_bn(4))
 
     def test_rejects_scale_stride_mismatch(self):
         main = ConvSpec(np.zeros((4, 4, 3, 3), dtype=np.float32),
@@ -204,13 +206,13 @@ class TestRepBranchSpec:
         scale = ConvSpec(np.zeros((4, 4, 1, 1), dtype=np.float32),
                          np.zeros(4, dtype=np.float32), stride=1)
         with pytest.raises(ValueError):
-            RepBranchSpec(main, BNSpec.identity(4), scale, BNSpec.identity(4))
+            RepBranchSpec(main, identity_bn(4), scale, identity_bn(4))
 
     def test_rejects_lone_scale_bn(self):
         main = ConvSpec(np.zeros((4, 4, 3, 3), dtype=np.float32),
                         np.zeros(4, dtype=np.float32), padding=1)
         with pytest.raises(ValueError):
-            RepBranchSpec(main, BNSpec.identity(4), scale_bn=BNSpec.identity(4))
+            RepBranchSpec(main, identity_bn(4), scale_bn=identity_bn(4))
 
 
 class TestFuse:
@@ -221,7 +223,7 @@ class TestFuse:
             np.random.randn(4).astype(np.float32),
             padding=1,
         )
-        fused = fuse(RepBranchSpec(main, BNSpec.identity(4)))
+        fused = fuse(RepBranchSpec(main, identity_bn(4)))
         assert np.array_equal(fused.kernel, main.kernel)
         assert np.array_equal(fused.bias, main.bias)
         assert (fused.stride, fused.padding, fused.groups) == (1, 1, 1)
@@ -232,8 +234,8 @@ class TestFuse:
                         np.zeros(c, dtype=np.float32), padding=1)
         scale = ConvSpec(np.zeros((c, c, 1, 1), dtype=np.float32),
                          np.zeros(c, dtype=np.float32))
-        spec = RepBranchSpec(main, BNSpec.identity(c), scale, BNSpec.identity(c),
-                             BNSpec.identity(c))
+        spec = RepBranchSpec(main, identity_bn(c), scale, identity_bn(c),
+                             identity_bn(c))
         fused = fuse(spec)
         np.random.seed(6)
         x = np.random.randint(-5, 5, size=(1, c, 6, 6)).astype(np.float32)
@@ -243,14 +245,14 @@ class TestFuse:
         rng = np.random.default_rng(7)
         spec = random_rep_branch_spec(8, 8, kernel_size=3, groups=8, rng=rng)
         assert spec.identity_bn is not None
-        report = verify_equivalence(spec, samples=100, tol=1e-4, input_hw=7)
+        report = verify_equivalence([spec], samples=100, tol=1e-4, input_hw=7)[0]
         assert report["pass"], report
 
     def test_depthwise_equivalence_float64(self):
         rng = np.random.default_rng(8)
         spec = random_rep_branch_spec(8, 8, kernel_size=3, groups=8,
                                       dtype=np.float64, rng=rng)
-        report = verify_equivalence(spec, samples=100, tol=1e-10, input_hw=7)
+        report = verify_equivalence([spec], samples=100, tol=1e-10, input_hw=7)[0]
         assert report["pass"], report
 
     def test_equivalence_grid(self):
@@ -273,7 +275,7 @@ class TestFuse:
         for kw in cases:
             for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-10)):
                 spec = random_rep_branch_spec(dtype=dtype, rng=rng, **kw)
-                report = verify_equivalence(spec, samples=20, tol=tol, input_hw=8)
+                report = verify_equivalence([spec], samples=20, tol=tol, input_hw=8)[0]
                 assert report["pass"], (kw, dtype, report)
 
     def test_fuse_has_the_geometry_of_the_grid_rule(self):
@@ -322,8 +324,8 @@ class TestVerifyEquivalence:
         c = 3
         main = ConvSpec(np.zeros((c, c, 3, 3), dtype=np.float32),
                         np.zeros(c, dtype=np.float32), padding=1)
-        spec = RepBranchSpec(main, BNSpec.identity(c), identity_bn=BNSpec.identity(c))
-        report = verify_equivalence(spec, samples=5, tol=0.0)
+        spec = RepBranchSpec(main, identity_bn(c), identity_bn=identity_bn(c))
+        report = verify_equivalence([spec], samples=5, tol=0.0)[0]
         assert report["max_abs_diff"] == 0.0
         assert report["pass"]
 
@@ -338,7 +340,7 @@ class TestVerifyEquivalence:
         )
         spec = RepBranchSpec(spec.main, big, spec.scale, spec.scale_bn,
                              spec.identity_bn)
-        report = verify_equivalence(spec, samples=50, tol=1e-8)
+        report = verify_equivalence([spec], samples=50, tol=1e-8)[0]
         assert report["pass"], report
 
     def test_large_gamma_float32_diff_grows(self):
@@ -352,20 +354,20 @@ class TestVerifyEquivalence:
         )
         loud = RepBranchSpec(base.main, big, base.scale, base.scale_bn,
                              base.identity_bn)
-        quiet = verify_equivalence(base, samples=20, tol=1e-4)["max_abs_diff"]
-        noisy = verify_equivalence(loud, samples=20, tol=1e-4)["max_abs_diff"]
+        quiet = verify_equivalence([base], samples=20, tol=1e-4)[0]["max_abs_diff"]
+        noisy = verify_equivalence([loud], samples=20, tol=1e-4)[0]["max_abs_diff"]
         assert noisy > quiet
 
     def test_rejects_zero_samples(self):
         spec = random_rep_branch_spec(4, 4)
         with pytest.raises(ValueError):
-            verify_equivalence(spec, samples=0)
+            verify_equivalence([spec], samples=0)[0]
 
     def test_overflowing_unit_fails(self):
         spec = random_rep_branch_spec(4, 4, rng=np.random.default_rng(12))
         spec.main.kernel[...] = np.finfo(np.float32).max
         with np.errstate(all="ignore"):
-            report = verify_equivalence(spec, samples=3)
+            report = verify_equivalence([spec], samples=3)[0]
         assert not report["max_abs_diff"] <= 1e-4
         assert report["pass"] is False
 
@@ -381,7 +383,44 @@ class TestVerifyEquivalence:
             return np.full_like(out, np.nan) if len(calls) == 2 else out
 
         monkeypatch.setattr(fusion, "rep_branch_forward", nan_on_second_sample)
-        report = verify_equivalence(spec, samples=3)
+        report = verify_equivalence([spec], samples=3)[0]
         assert len(calls) == 3
         assert np.isnan(report["max_abs_diff"])
         assert report["pass"] is False
+
+    def test_draws_each_input_once_per_shape_and_dtype_per_call(self, monkeypatch):
+        from mvt2 import fusion
+
+        rng = np.random.default_rng(14)
+        specs = [
+            random_rep_branch_spec(4, 4, rng=rng),
+            random_rep_branch_spec(4, 8, stride=2, rng=rng),
+            random_rep_branch_spec(6, 6, groups=6, rng=rng),
+            random_rep_branch_spec(4, 4, dtype=np.float64, rng=rng),
+            random_rep_branch_spec(6, 6, kernel_size=1, rng=rng),
+        ]
+        distinct = {(s.in_channels, s.dtype) for s in specs}
+        assert len(distinct) == 3
+        alone = [verify_equivalence([s], samples=4)[0] for s in specs]
+
+        draws, writeable = [], []
+
+        class CountingGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                draws.append(None)
+                return super().standard_normal(*args, **kwargs)
+
+        def forward_seen(x, s):
+            writeable.append(x.flags.writeable)
+            return rep_branch_forward(x, s)
+
+        monkeypatch.setattr(fusion.np.random, "default_rng",
+                            lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        monkeypatch.setattr(fusion, "rep_branch_forward", forward_seen)
+        for _ in range(2):
+            draws.clear()
+            # every unit's report is the one it gets checked alone
+            assert verify_equivalence(specs, samples=4) == alone
+            # a second call draws every batch again: nothing is kept between calls
+            assert len(draws) == 4 * len(distinct)
+        assert len(writeable) == 2 * 4 * len(specs) and not any(writeable)

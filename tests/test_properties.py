@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvt2 import tensor
-from mvt2.fusion import fuse, random_rep_branch_spec, verify_equivalence
+from mvt2.fusion import fold_bn, fuse, random_rep_branch_spec, verify_equivalence
 from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
+from mvt2.tensor import BNSpec, ConvSpec
 
 
 @st.composite
@@ -40,7 +41,8 @@ def branch_specs(draw):
        seed=st.integers(0, 2**16))
 def test_fusion_is_equivalent_and_on_the_grid_rule(spec, batch, hw, seed):
     tol = 1e-4 if spec.dtype == np.float32 else 1e-10
-    report = verify_equivalence(spec, samples=2, tol=tol, input_hw=hw, batch=batch, seed=seed)
+    report = verify_equivalence([spec], samples=2, tol=tol, input_hw=hw, batch=batch,
+                                seed=seed)[0]
     assert report["pass"], report
     m, got = spec.main, fuse(spec)
     k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
@@ -48,6 +50,45 @@ def test_fusion_is_equivalent_and_on_the_grid_rule(spec, batch, hw, seed):
             got.stride, got.padding, got.groups) == (
         (m.out_channels, m.in_channels // m.groups, k, k), m.dtype, (m.out_channels,),
         m.dtype, m.stride, m.padding + (k - m.kernel_size[0]) // 2, m.groups)
+
+
+def read_only(arr):
+    """``arr`` as ``weights.load`` gives a tensor: a view that refuses writes."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["dense", "grouped", "depthwise"]), k=st.sampled_from([1, 3]),
+       dtype=st.sampled_from([np.float32, np.float64]), in_per_group=st.integers(1, 4),
+       out_per_group=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_fold_bn_rounds_each_weight_once(kind, k, dtype, in_per_group, out_per_group, seed):
+    """``fold_bn`` is the float64 fold rounded once to the conv's dtype, bit
+    for bit, on read-only inputs."""
+    rng = np.random.default_rng(seed)
+    groups = {"dense": 1, "grouped": 2, "depthwise": in_per_group}[kind]
+    in_c = groups * (1 if kind == "depthwise" else in_per_group)
+    out_c = in_c if kind == "depthwise" else groups * out_per_group
+
+    def draw(n, lo=-3.0, hi=3.0):
+        # magnitudes over many binades, so the products round in every way
+        return read_only((rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)).astype(dtype))
+
+    conv = ConvSpec(draw((out_c, in_c // groups, k, k)), draw(out_c), padding=k // 2,
+                    groups=groups)
+    bn = BNSpec(gamma=draw(out_c), beta=draw(out_c), running_mean=draw(out_c),
+                running_var=read_only(np.abs(draw(out_c))))
+    got = fold_bn(conv, bn)
+    f64 = np.float64
+    scale = bn.gamma.astype(f64) / np.sqrt(bn.running_var.astype(f64) + tensor.BN_EPS)
+    want_w = (conv.kernel.astype(f64) * scale[:, None, None, None]).astype(dtype)
+    want_b = (bn.beta.astype(f64) + (conv.bias.astype(f64) - bn.running_mean.astype(f64))
+              * scale).astype(dtype)
+    assert got.kernel.dtype == got.bias.dtype == dtype
+    assert got.kernel.tobytes() == want_w.tobytes()
+    assert got.bias.tobytes() == want_b.tobytes()
+    assert (got.stride, got.padding, got.groups) == (conv.stride, conv.padding, conv.groups)
 
 
 @st.composite

@@ -22,6 +22,8 @@ from mvt2.tensor import (
     softmax,
 )
 
+from helpers import identity_bn
+
 
 def conv2d_reference(x, kernel, bias, stride, padding, groups):
     """Brute-force convolution in float64, seven nested loops."""
@@ -231,7 +233,7 @@ class TestBatchNorm:
     def test_identity_spec_is_exact(self):
         np.random.seed(4)
         x = np.random.randn(1, 3, 2, 2).astype(np.float32)
-        bn = BNSpec.identity(3)
+        bn = identity_bn(3)
         assert np.allclose(batchnorm_infer(x, bn), x, atol=1e-7)
 
     def test_rejects_negative_var(self):

@@ -550,6 +550,35 @@ class TestNonFinitePayload:
         loaded = dict(named_tensors(weights.load(path)))
         assert np.all(loaded[name] == np.float32(big))
 
+    def test_non_finite_padding_loads(self, tmp_path):
+        # the bytes between tensors belong to no tensor: a NaN there fails
+        # the load's one scan of the payload, but no tensor check
+        model = build(TINY, seed=0)
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        data = bytearray(path.read_bytes())
+        header_len = FIXED.unpack_from(data)[2]
+        entries = sorted(json.loads(data[FIXED.size:FIXED.size + header_len])["tensors"],
+                         key=lambda e: e["byte_offset"])
+        gap = next(a["byte_offset"] + a["byte_len"] for a, b in zip(entries, entries[1:])
+                   if b["byte_offset"] > a["byte_offset"] + a["byte_len"])
+        struct.pack_into("<f", data, FIXED.size + header_len + gap, np.nan)
+        path.write_bytes(bytes(data))
+        loaded = weights.load(path)
+        for (name, a), (_, b) in zip(named_tensors(model), named_tensors(loaded)):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_bad_tensor_past_the_first_read_is_named(self, tmp_path):
+        # a payload of several read chunks, with the one bad tensor last
+        model = build(dataclasses.replace(TINY, dims=(32, 64, 128)), seed=0)
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        assert path.stat().st_size > 4 * weights._READ_CHUNK
+        last = list(named_tensors(model))[-1][0]
+        patch_payload(path, last, 0, np.inf)
+        with pytest.raises(weights.FormatError, match=f"tensor '{last}' holds a NaN"):
+            weights.load(path)
+
 
 
 def run_cli(capsys, args):
