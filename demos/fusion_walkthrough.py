@@ -10,18 +10,16 @@ outputs.  This script does the collapse one step at a time.
 
 import numpy as np
 
-from mvt2.fusion import (
-    fold_bn,
-    fuse,
-    random_rep_branch_spec,
-    rep_branch_forward,
-)
+from mvt2.blocks import RepDWBlock
+from mvt2.fusion import fold_bn, fuse, rep_branch_forward
+from mvt2.model import init_unit
 from mvt2.tensor import ConvSpec, conv2d
 
 rng = np.random.default_rng(0)
 
-# a depthwise unit over 8 channels with all three branches present
-spec = random_rep_branch_spec(8, 8, kernel_size=3, groups=8, rng=rng)
+# a depthwise unit over 8 channels with all three branches present: the
+# token mixer of an 8-channel stage block, drawn as build draws it
+spec = init_unit(rng, RepDWBlock.geometry(8, 2)[0])
 print("branches: 3x3 main, 1x1 scale, identity")
 x = rng.standard_normal((1, 8, 5, 5)).astype(np.float32)
 

@@ -217,10 +217,8 @@ def compute_eta(acc_percent: float, e_img_mj: float) -> float:
 
 
 def variant_name(config: ModelConfig) -> str:
-    for name, ref in VARIANTS.items():
-        if ref.depths == config.depths and ref.dims == config.dims:
-            return name
-    return "custom"
+    """The name of the variant whose whole config ``config`` is, else "custom"."""
+    return next((name for name, ref in VARIANTS.items() if ref == config), "custom")
 
 
 def config_digest(config: ModelConfig, bench: BenchConfig) -> str:

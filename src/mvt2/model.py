@@ -13,9 +13,10 @@ feed-forward ones included, from its geometry row (``blocks.Geometry``).
 ``build`` draws each unit through ``init_unit``; ``from_tensors`` makes
 either form around given arrays, named by ``_tensor_name``, the one rule
 ``named_tensors`` also names by (``weights.load`` passes views of the
-file's buffer).  A ``Model`` checks its blocks against the layout when
-it is constructed, so ``count`` reads every cost off the same rows and
-builds nothing.
+file's buffer).  A ``Model`` holds one list of blocks in ``_layout`` order
+and checks it against the layout when it is constructed, so ``count``
+reads every cost off the same rows and builds nothing.  ``model.stem``
+... ``model.stage3`` are read-only views of that list by stage.
 
 Initialization scheme (``build``): conv weights are drawn fan-in
 scaled, std = gain / sqrt(in_channels_per_group * k * k), with the row's
@@ -62,8 +63,6 @@ ATTENTION_KINDS = ("sdta", "mdta")
 
 # Running-variance range for identity-branch batch norms (see module docstring).
 IDENTITY_VAR_RANGE = (20.0, 30.0)
-# Model fields holding blocks, in execution order.
-BLOCK_FIELDS = ("stem", "stage1", "down12", "stage2", "down23", "stage3")
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,22 @@ VARIANTS = {
 }
 
 
+def _stage_view(stage: str) -> property:
+    """A read-only ``Model`` property over ``blocks``: the list of blocks
+    ``_layout`` names ``<stage>.<i>``, or the one block it names ``stage``."""
+    def view(model):
+        hits = {n: b for n, b in _blocks(model) if n.partition(".")[0] == stage}
+        return hits[stage] if stage in hits else list(hits.values())
+    return property(view)
+
+
 @dataclass
 class Model:
     """A built network.  Immutable once constructed; forwards are pure.
+
+    ``blocks`` holds one block per ``_layout(config)`` row, in its order.
+    The stage names are read-only views of it: ``stem`` and ``stage1`` to
+    ``stage3`` give lists, ``down12`` and ``down23`` their one block.
 
     The blocks are the only record of the network's form: ``mode`` is read
     off every unit, and each block's forward is chosen by its type through
@@ -135,14 +147,12 @@ class Model:
     """
 
     config: ModelConfig
-    stem: list[RepEmbedBlock]
-    stage1: list[RepDWBlock]
-    down12: RepEmbedBlock
-    stage2: list[RepDWBlock]
-    down23: RepEmbedBlock
-    stage3: list  # SDTABlock or MDTABlock
+    blocks: list  # one block per ``_layout(config)`` row, in its order
     head_weight: np.ndarray
     head_bias: np.ndarray
+
+    stem, stage1, down12, stage2, down23, stage3 = map(
+        _stage_view, ("stem", "stage1", "down12", "stage2", "down23", "stage3"))
 
     def __post_init__(self):
         fault = next(_layout_faults(self), None)
@@ -171,10 +181,10 @@ def _layout_faults(model: Model):
     identity branch its row has or with one it has not (a folded unit has
     none to check), or a classifier not (num_classes, dims[2]).  Blocks may
     mix the forms."""
-    layout, blocks = list(_layout(model.config)), list(_blocks(model))
-    if len(blocks) != len(layout):
-        yield f"{len(blocks)} blocks, where it lays out {len(layout)}"
-    for (name, block), (_, cls, dims) in zip(blocks, layout):
+    layout = list(_layout(model.config))
+    if len(model.blocks) != len(layout):
+        yield f"{len(model.blocks)} blocks, where it lays out {len(layout)}"
+    for block, (name, cls, dims) in zip(model.blocks, layout):
         if type(block) is not cls or block.dims != dims:
             yield f"{name} is not a {cls.__name__} of dims {dims}"
             continue
@@ -264,28 +274,14 @@ def _layout(config: ModelConfig):
     yield from ((f"stage3.{i}", attention, (d3, r)) for i in range(config.depths[2]))
 
 
-def _fields(named_blocks) -> dict:
-    """``Model`` block fields from (block name, block) pairs in execution
-    order: ``stage1.<i>`` goes to the list ``stage1``, ``down12`` alone."""
-    fields = {}
-    for name, block in named_blocks:
-        f, indexed, _ = name.partition(".")
-        if indexed:
-            fields.setdefault(f, []).append(block)
-        else:
-            fields[f] = block
-    return fields
-
-
 def _assemble(config: ModelConfig, unit, head) -> Model:
     """The network of ``config``: each unit is ``unit(block name, unit name,
     row)``, walked in execution order, then the classifier's arrays are
     ``head(name, shape)`` for ``head.weight`` and ``head.bias``."""
-    fields = _fields((name, _block(cls, dims, lambda u, row: unit(name, u, row)))
-                     for name, cls, dims in _layout(config))
+    blocks = [_block(cls, dims, lambda u, row: unit(name, u, row))
+              for name, cls, dims in _layout(config)]
     shape = (config.num_classes, config.dims[2])
-    return Model(config, **fields, head_weight=head("head.weight", shape),
-                 head_bias=head("head.bias", shape[:1]))
+    return Model(config, blocks, head("head.weight", shape), head("head.bias", shape[:1]))
 
 
 def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
@@ -339,12 +335,8 @@ def forward(model: Model, x: np.ndarray) -> np.ndarray:
 def _blocks(model: Model):
     """Yield (block name, block) for every block of the network in execution
     order: ``stem.0`` ... ``down12`` ... ``stage3.<i>``."""
-    for f in BLOCK_FIELDS:
-        value = getattr(model, f)
-        if isinstance(value, list):
-            yield from ((f"{f}.{i}", b) for i, b in enumerate(value))
-        else:
-            yield f, value
+    for (name, _, _), block in zip(_layout(model.config), model.blocks):
+        yield name, block
 
 
 def _walk(model: Model):
@@ -360,7 +352,7 @@ def deploy(model: Model) -> Model:
     model that holds only the folded convs and the classifier."""
     if model.mode == "deploy":
         raise ValueError("model is already in deploy form")
-    return replace(model, **_fields((name, deployed(b)) for name, b in _blocks(model)))
+    return replace(model, blocks=list(map(deployed, model.blocks)))
 
 
 @dataclass

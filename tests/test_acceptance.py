@@ -19,7 +19,7 @@ import scipy.special
 from mvt2 import autodiff as ad
 from mvt2 import blocks, weights
 from mvt2.bench import BenchConfig, PowerProvider, compute_eta, energy_from_throughput, run_bench
-from mvt2.fusion import random_rep_branch_spec, verify_equivalence
+from mvt2.fusion import verify_equivalence
 from mvt2.model import (
     VARIANTS,
     build,
@@ -30,6 +30,8 @@ from mvt2.model import (
     named_tensors,
 )
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, softmax
+
+from helpers import random_rep_branch_spec
 
 # published budget table: variant -> (params, macs); only s1 is asserted,
 # the other rows are printed as measured deviations

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from mvt2.bench import (
     run_bench,
     variant_name,
 )
+from mvt2 import weights
 from mvt2.model import ModelConfig, VARIANTS, build, deploy
 
 TINY = ModelConfig(
@@ -272,3 +274,15 @@ class TestVariantName:
 
     def test_unknown_config_is_custom(self):
         assert variant_name(TINY) == "custom"
+
+    @pytest.mark.parametrize("change", [{"attention": "mdta"}, {"input_resolution": 256},
+                                        {"num_classes": 10}],
+                             ids=["mdta", "resolution-256", "10-classes"])
+    def test_look_alike_of_a_variant_is_custom(self, change):
+        """Same depths and dims as s1, but another network."""
+        assert variant_name(dataclasses.replace(VARIANTS["s1"], **change)) == "custom"
+
+    def test_loaded_variant_file_keeps_its_name(self, tmp_path):
+        path = tmp_path / "s1.mvt2"
+        weights.save(deploy(build(VARIANTS["s1"], seed=0)), path)
+        assert variant_name(weights.load(path).config) == "s1"

@@ -5,13 +5,12 @@ from mvt2.fusion import (
     RepBranchSpec,
     fold_bn,
     fuse,
-    random_rep_branch_spec,
     rep_branch_forward,
     verify_equivalence,
 )
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
 
-from helpers import identity_bn
+from helpers import identity_bn, random_rep_branch_spec
 
 
 def conv_param_total(conv):

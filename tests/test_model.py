@@ -114,26 +114,57 @@ class TestLayoutCheck:
     def test_a_block_short_raises(self):
         model = build(self.CFG, seed=0)
         with pytest.raises(ValueError, match="layout"):
-            replace(model, stage3=model.stage3[:1])
+            replace(model, blocks=model.blocks[:-1])
 
     def test_blocks_of_other_dims_raise(self):
         model = build(self.CFG, seed=0)
         other = build(replace(self.CFG, dims=(8, 8, 16)), seed=0)
         with pytest.raises(ValueError, match="layout"):
-            replace(model, stage3=other.stage3, head_weight=other.head_weight,
-                    head_bias=other.head_bias)
+            replace(model, blocks=model.blocks[:-2] + other.blocks[-2:],
+                    head_weight=other.head_weight, head_bias=other.head_bias)
 
     def test_a_unit_without_its_rows_branch_raises(self):
         model = build(self.CFG, seed=0)
         unit = model.stem[0].branch
         bare = RepEmbedBlock(fusion.RepBranchSpec(unit.main, unit.main_bn))
         with pytest.raises(ValueError, match="layout"):
-            replace(model, stem=[bare, *model.stem[1:]])
+            replace(model, blocks=[bare, *model.blocks[1:]])
 
     def test_a_classifier_of_another_shape_raises(self):
         model = build(self.CFG, seed=0)
         with pytest.raises(ValueError, match="layout"):
             replace(model, head_bias=model.head_bias[:-1])
+
+
+class TestStageViews:
+    """``stem`` ... ``stage3`` are read-only views of ``blocks``, by the
+    names ``_layout`` gives each block."""
+
+    STAGES = ("stem", "stage1", "down12", "stage2", "down23", "stage3")
+
+    @pytest.mark.parametrize("config", [TINY, VARIANTS["s1"]], ids=["tiny", "s1"])
+    def test_each_view_holds_its_layout_slice_of_blocks(self, config):
+        model = build(config, seed=0)
+        names = [name for name, _, _ in model_module._layout(config)]
+        seen = []
+        for stage in self.STAGES:
+            want = [b for n, b in zip(names, model.blocks) if n.partition(".")[0] == stage]
+            view = getattr(model, stage)
+            if stage in names:
+                assert len(want) == 1 and view is want[0]
+            else:
+                assert isinstance(view, list) and len(view) == len(want)
+                assert all(got is b for got, b in zip(view, want))
+            seen += want
+        assert len(seen) == len(model.blocks)
+
+    def test_views_cannot_be_set(self):
+        model = build(TINY, seed=0)
+        for stage in self.STAGES:
+            with pytest.raises(AttributeError):
+                setattr(model, stage, getattr(model, stage))
+            with pytest.raises(TypeError):
+                replace(model, **{stage: getattr(model, stage)})
 
 
 class TestForward:

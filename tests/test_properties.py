@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvt2 import tensor
-from mvt2.fusion import fold_bn, fuse, random_rep_branch_spec, verify_equivalence
+from mvt2.fusion import fold_bn, fuse, verify_equivalence
 from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
 from mvt2.tensor import BNSpec, ConvSpec
+
+from helpers import random_rep_branch_spec
 
 
 @st.composite

@@ -3,6 +3,7 @@ functions by name; these checks fail when a rename in src/ would leave a
 traced layer silently empty."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 
 from mvt2 import blocks
 from mvt2 import model as mvt2_model
-from mvt2.model import ModelConfig, build, deploy, forward
+from mvt2.model import ModelConfig, build, deploy, forward, named_tensors
 from mvt2.tensor import ConvSpec
 
 TINY = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), num_classes=10, input_resolution=32)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +130,30 @@ def test_one_depthwise_conv_span_per_depthwise_conv(tracer_module, form):
         tracer.stop()
     spans = sum(span[tracer_module.NAME] == "tensor.conv2d.depthwise" for span in tracer.spans)
     assert spans == want
+
+
+@pytest.fixture
+def phases_module(monkeypatch):
+    """perfbench/phases.py, imported as the benchmark imports it: from its
+    own directory, beside its sibling modules."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("phases")
+    for name in ("phases", "calib", "tracer"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("form", ["train", "deploy"])
+def test_benchmark_oracle_casts_every_array_to_float64(phases_module, form):
+    """Every workload checks its logits against ``phases.cast64(model)``,
+    which recurses only into dataclasses and lists; a ``Model`` whose
+    blocks it cannot reach keeps float32 units and its oracle fails."""
+    model = build(TINY, seed=0)
+    if form == "deploy":
+        model = deploy(model)
+    m64 = phases_module.cast64(model)
+    assert m64.dtype == np.float64
+    assert all(a.dtype == np.float64 for _, a in named_tensors(m64))
+    x = np.random.default_rng(6).standard_normal((2, 3, 32, 32))
+    out64 = forward(m64, x)
+    assert out64.dtype == np.float64
+    assert np.max(np.abs(out64 - forward(model, x.astype(np.float32)))) <= 1e-5

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mvt2 import cli, weights
 from mvt2.blocks import deployed
 from mvt2.fusion import RepBranchSpec
-from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
+from mvt2.model import ModelConfig, _blocks, build, count, deploy, forward, named_tensors
 
 TINY = ModelConfig(
     depths=(1, 1, 1),
@@ -88,15 +88,7 @@ class TestRoundTrip:
 
     def test_form_follows_hand_deployed_blocks(self, tmp_path):
         model = build(TINY, seed=4)
-        by_hand = dataclasses.replace(
-            model,
-            stem=[deployed(b) for b in model.stem],
-            stage1=[deployed(b) for b in model.stage1],
-            down12=deployed(model.down12),
-            stage2=[deployed(b) for b in model.stage2],
-            down23=deployed(model.down23),
-            stage3=[deployed(b) for b in model.stage3],
-        )
+        by_hand = dataclasses.replace(model, blocks=[deployed(b) for b in model.blocks])
         assert by_hand.mode == "deploy"
         path, ref = tmp_path / "m.mvt2", tmp_path / "ref.mvt2"
         weights.save(by_hand, path)
@@ -115,7 +107,8 @@ class TestRoundTrip:
         """A model with only some blocks deployed has no one form: save
         writes nothing, and deploy and count raise; forward still runs."""
         model = build(TINY, seed=4)
-        mixed = dataclasses.replace(model, **{part: [deployed(b) for b in getattr(model, part)]})
+        mixed = dataclasses.replace(model, blocks=[
+            deployed(b) if name.startswith(f"{part}.") else b for name, b in _blocks(model)])
         path = tmp_path / "m.mvt2"
         with pytest.raises(ValueError, match="mix"):
             weights.save(mixed, path)
