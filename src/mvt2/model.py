@@ -13,8 +13,8 @@ feed-forward ones included, from its geometry row (``blocks.Geometry``).
 ``build`` draws each unit through ``init_unit``; ``from_tensors`` makes
 either form around given arrays, named by ``_tensor_name``, the one rule
 ``named_tensors`` also names by (``weights.load`` passes views of the
-file's buffer).  A ``Model`` holds one list of blocks in ``_layout`` order
-and checks it against the layout when it is constructed, so ``count``
+file's buffer).  A ``Model`` holds one list of blocks in ``_layout`` order,
+all in one form, and checks so when it is constructed, so ``count``
 reads every cost off the same rows and builds nothing.  ``model.stem``
 ... ``model.stage3`` are read-only views of that list by stage.
 
@@ -132,18 +132,19 @@ def _stage_view(stage: str) -> property:
 
 @dataclass
 class Model:
-    """A built network.  Immutable once constructed; forwards are pure.
+    """A built network; forwards are pure.
 
     ``blocks`` holds one block per ``_layout(config)`` row, in its order.
     The stage names are read-only views of it: ``stem`` and ``stage1`` to
     ``stage3`` give lists, ``down12`` and ``down23`` their one block.
+    ``blocks`` is not copied: edit a model through ``dataclasses.replace``,
+    and ``weights.save`` re-checks it.
 
-    The blocks are the only record of the network's form: ``mode`` is read
-    off every unit, and each block's forward is chosen by its type through
-    ``blocks.block_forward``.  A model deployed only in part still runs
-    ``forward``, but has no ``mode``.  Constructing one whose blocks or
-    classifier are not its config's layout raises ``ValueError`` (see
-    ``_layout_faults``).
+    The blocks are the only record of the network's form, and every unit
+    holds the same one: ``mode`` is read off the first, and each block's
+    forward is chosen by its type through ``blocks.block_forward``.
+    Constructing a model whose blocks or classifier are not its config's
+    layout in one form raises ``ValueError`` (see ``_check``).
     """
 
     config: ModelConfig
@@ -155,9 +156,7 @@ class Model:
         _stage_view, ("stem", "stage1", "down12", "stage2", "down23", "stage3"))
 
     def __post_init__(self):
-        fault = next(_layout_faults(self), None)
-        if fault is not None:
-            raise ValueError(f"the blocks are not the config's layout: {fault}")
+        _check(self)
 
     @property
     def dtype(self):
@@ -165,37 +164,39 @@ class Model:
 
     @property
     def mode(self) -> str:
-        """``"deploy"`` when every unit holds a folded conv, ``"train"`` when
-        every unit holds its branch group; units that mix the two forms raise
-        ``ValueError``, since no weight file or cost report describes them."""
-        forms = {isinstance(getattr(block, field), ConvSpec)
-                 for _, _, block, field in _walk(self)}
-        if len(forms) != 1:
-            raise ValueError("the model's units mix train and deploy forms")
-        return "deploy" if forms.pop() else "train"
+        """``"deploy"`` when the units hold folded convs, ``"train"`` when
+        they hold branch groups, read off the first unit (``_check`` makes
+        every unit hold the same form)."""
+        first = self.blocks[0]
+        return "deploy" if isinstance(getattr(first, first.UNITS[0][1]), ConvSpec) else "train"
 
 
-def _layout_faults(model: Model):
-    """Yield what in ``model`` is not ``_layout(model.config)``: a block count,
-    a block of another type or dims, a train-form unit without the scale or
-    identity branch its row has or with one it has not (a folded unit has
-    none to check), or a classifier not (num_classes, dims[2]).  Blocks may
-    mix the forms."""
+def _check(model: Model) -> None:
+    """Raise ``ValueError`` if ``model`` is not ``_layout(model.config)`` in
+    one form: another block count, a block of another type or dims, units
+    of both forms, a train-form unit without the scale or identity branch
+    its row has or with one it has not (a folded unit has none to check),
+    or a classifier not (num_classes, dims[2])."""
+    def fault(what):
+        return ValueError(f"the model is not its config's layout in one form: {what}")
+
     layout = list(_layout(model.config))
     if len(model.blocks) != len(layout):
-        yield f"{len(model.blocks)} blocks, where it lays out {len(layout)}"
+        raise fault(f"{len(model.blocks)} blocks, where it lays out {len(layout)}")
     for block, (name, cls, dims) in zip(model.blocks, layout):
         if type(block) is not cls or block.dims != dims:
-            yield f"{name} is not a {cls.__name__} of dims {dims}"
-            continue
+            raise fault(f"{name} is not a {cls.__name__} of dims {dims}")
         for (unit, field), row in zip(cls.UNITS, cls.geometry(*dims)):
             spec = getattr(block, field)
+            # the first block passed the line above, so ``mode`` reads it safely
+            if isinstance(spec, ConvSpec) != (model.mode == "deploy"):
+                raise fault(f"its units mix train and deploy forms ({name}.{unit or field})")
             if isinstance(spec, RepBranchSpec) and (row.scale, row.identity) != (
                     spec.scale is not None, spec.identity_bn is not None):
-                yield f"{name} unit {unit or field!r} does not have its row's branches"
+                raise fault(f"{name} unit {unit or field!r} does not have its row's branches")
     shape = (model.config.num_classes, model.config.dims[2])
     if (model.head_weight.shape, model.head_bias.shape) != (shape, shape[:1]):
-        yield f"the classifier is not {shape}"
+        raise fault(f"the classifier is not {shape}")
 
 
 # A batch norm's four arrays, by the names a weight file stores them under.
@@ -420,9 +421,8 @@ def count(model_or_config: Union[Model, ModelConfig],
     the form asked for, so nothing is built, drawn or fused: the walk is
     ``_layout`` and each block class's ``UNITS`` and ``geometry`` rows,
     and every unit is charged by the one rule of ``_row_cost``.  A
-    model's own blocks are its layout (``Model`` checks so), and its form
-    is read once: a deploy-form model has no train-form cost, and a model
-    whose units mix the forms has no cost at all.
+    model's own blocks are its layout in one form (``Model`` checks so),
+    and a deploy-form model has no train-form cost.
     """
     is_model = isinstance(model_or_config, Model)
     form = model_or_config.mode if is_model else None

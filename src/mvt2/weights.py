@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .model import Model, ModelConfig, from_tensors, named_tensors
+from .model import Model, ModelConfig, _check, from_tensors, named_tensors
 
 MAGIC = b"MVT2"
 VERSION = 1
@@ -91,16 +91,18 @@ def _aligned(offset: int) -> int:
 def save(model: Model, path) -> None:
     """Write the model's parameters to ``path``, one tensor at a time.
 
-    Raises ValueError, before anything is written, if a tensor holds a NaN
-    or an infinity, or if the model's units mix train and deploy forms:
-    ``load`` would reject the file."""
-    if model.dtype != np.float32:
-        raise ValueError("weight files store float32; convert the model first")
-
+    Raises ValueError, before anything is written, if the model is not its
+    config's layout in one form (``model._check``: ``blocks`` may have been
+    edited in place), or if a tensor is not float32 or holds a NaN or an
+    infinity: ``load`` would refuse the file or return another model."""
+    _check(model)
     tensors = list(named_tensors(model))
     entries = []
     end = 0
     for name, arr in tensors:
+        if arr.dtype != np.float32:
+            raise ValueError(f"tensor {name!r} is {arr.dtype}: weight files store float32; "
+                             "convert the model first")
         if not np.isfinite(arr).all():
             raise ValueError(f"tensor {name!r} holds a NaN or infinite value; nothing written")
         offset = _aligned(end)

@@ -5,7 +5,12 @@ from typing import Optional
 import numpy as np
 
 from mvt2.fusion import RepBranchSpec
+from mvt2.model import ModelConfig
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec
+
+# The smallest network the tests build: one block per stage at 32x32.
+TINY = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), ffn_ratio=2,
+                   num_classes=10, input_resolution=32)
 
 
 def identity_bn(channels: int) -> BNSpec:

@@ -15,15 +15,9 @@ from mvt2.bench import (
     variant_name,
 )
 from mvt2 import weights
-from mvt2.model import ModelConfig, VARIANTS, build, deploy
+from mvt2.model import VARIANTS, build, deploy
 
-TINY = ModelConfig(
-    depths=(1, 1, 1),
-    dims=(8, 8, 8),
-    ffn_ratio=2,
-    num_classes=10,
-    input_resolution=32,
-)
+from helpers import TINY
 
 
 class TestPowerProvider:

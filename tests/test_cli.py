@@ -12,15 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvt2 import cli, weights
-from mvt2.model import ModelConfig, build, deploy, forward
+from mvt2.model import build, deploy, forward
 
-TINY = ModelConfig(
-    depths=(1, 1, 1),
-    dims=(8, 8, 8),
-    ffn_ratio=2,
-    num_classes=10,
-    input_resolution=32,
-)
+from helpers import TINY
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,10 @@ import dataclasses
 
 import pytest
 
-from mvt2.model import ModelConfig, build, count, deploy, fusable_branches, named_tensors
+from mvt2.model import build, count, deploy, fusable_branches, named_tensors
 
-TINY = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), ffn_ratio=2,
-                   num_classes=10, input_resolution=32)
+from helpers import TINY
+
 
 # "<name> <shape>" per tensor, in file order
 TRAIN_TENSORS = """

@@ -21,8 +21,7 @@ from mvt2.model import (
 )
 from mvt2.tensor import ConvSpec
 
-TINY = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), ffn_ratio=2,
-                   num_classes=10, input_resolution=32)
+from helpers import TINY
 
 
 class TestConfig:

@@ -11,10 +11,11 @@ import pytest
 
 from mvt2 import blocks
 from mvt2 import model as mvt2_model
-from mvt2.model import ModelConfig, build, deploy, forward, named_tensors
+from mvt2.model import build, deploy, forward, named_tensors
 from mvt2.tensor import ConvSpec
 
-TINY = ModelConfig(depths=(1, 1, 1), dims=(8, 8, 8), num_classes=10, input_resolution=32)
+from helpers import TINY
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

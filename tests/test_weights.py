@@ -16,15 +16,10 @@ from hypothesis import strategies as st
 from mvt2 import cli, weights
 from mvt2.blocks import deployed
 from mvt2.fusion import RepBranchSpec
-from mvt2.model import ModelConfig, _blocks, build, count, deploy, forward, named_tensors
+from mvt2.model import ModelConfig, _blocks, build, deploy, forward, named_tensors
 
-TINY = ModelConfig(
-    depths=(1, 1, 1),
-    dims=(8, 8, 8),
-    ffn_ratio=2,
-    num_classes=10,
-    input_resolution=32,
-)
+from helpers import TINY
+
 
 FIXED = struct.Struct("<4sIQ")
 
@@ -103,22 +98,13 @@ class TestRoundTrip:
             assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("part", ["stem", "stage1"])
-    def test_mixed_forms_are_refused(self, tmp_path, part):
-        """A model with only some blocks deployed has no one form: save
-        writes nothing, and deploy and count raise; forward still runs."""
+    def test_mixed_forms_are_refused(self, part):
+        """A model with only some blocks deployed has no one form, so it is
+        not built: no file, cost report or deploy call ever sees one."""
         model = build(TINY, seed=4)
-        mixed = dataclasses.replace(model, blocks=[
-            deployed(b) if name.startswith(f"{part}.") else b for name, b in _blocks(model)])
-        path = tmp_path / "m.mvt2"
         with pytest.raises(ValueError, match="mix"):
-            weights.save(mixed, path)
-        assert not path.exists()
-        with pytest.raises(ValueError, match="mix"):
-            deploy(mixed)
-        with pytest.raises(ValueError, match="mix"):
-            count(mixed)
-        x = np.random.default_rng(5).standard_normal((1, 3, 32, 32)).astype(np.float32)
-        assert np.isfinite(forward(mixed, x)).all()
+            dataclasses.replace(model, blocks=[
+                deployed(b) if name.startswith(f"{part}.") else b for name, b in _blocks(model)])
 
     def test_mdta_config_round_trip(self, tmp_path):
         cfg = ModelConfig(
@@ -239,6 +225,35 @@ class TestFileLayout:
         model = build(TINY, seed=0, dtype=np.float64)
         with pytest.raises(ValueError):
             weights.save(model, tmp_path / "m.mvt2")
+
+
+class TestSaveRechecks:
+    """``blocks`` is a plain list, so it can be edited in place after the
+    model was built; ``save`` checks the model again, and every tensor's
+    dtype, before it opens the file.  A refused save leaves no file."""
+
+    def refuse(self, tmp_path, model, match):
+        path = tmp_path / "m.mvt2"
+        with pytest.raises(ValueError, match=match):
+            weights.save(model, path)
+        assert not path.exists()
+
+    def test_a_popped_block_is_refused(self, tmp_path):
+        model = build(TINY, seed=0)
+        model.blocks.pop()
+        self.refuse(tmp_path, model, "layout")
+
+    def test_a_block_deployed_in_place_is_refused(self, tmp_path):
+        model = build(TINY, seed=0)
+        model.blocks[0] = deployed(model.blocks[0])
+        self.refuse(tmp_path, model, "mix")
+
+    def test_float64_blocks_under_a_float32_classifier_are_refused(self, tmp_path):
+        """The classifier alone is float32, so a check of the model's dtype
+        passes; ``load`` would give back a float32 model that runs where the
+        saved one cannot."""
+        model = dataclasses.replace(build(TINY, 0), blocks=build(TINY, 0, dtype=np.float64).blocks)
+        self.refuse(tmp_path, model, "'stem.0.main.kernel' is float64: weight files store float32")
 
 
 class TestCorruption:
