@@ -14,14 +14,15 @@ Four block families:
 
 The last three end in a feed-forward: two pointwise units, ``expand``
 to ``ratio`` times the width and ``project`` back, with a GELU between.
-Each block class lists all of its conv units once, in execution order,
-in a ``UNITS`` table of (name, field) rows, the feed-forward's last as
-``ffn.expand`` and ``ffn.project``, and its ``geometry(*dims)`` gives
-each unit's ``Geometry`` row in the same order: ``model.init_unit``
-draws a unit from its row, ``model.init_block`` draws a block's units
-from its rows, a block checks every unit against its row, in either
-form, and ``model.count`` charges each unit by its row alone.  A unit's
-field holds its current weights: in train form a ``RepBranchSpec`` (a
+Each block class's ``geometry(*dims)`` gives one ``Geometry`` row per
+conv unit, in execution order and in the order of the class's fields,
+the feed-forward's last: the row names the unit (``ffn.expand`` and
+``ffn.project`` for the feed-forward's) and the field that holds it, and
+is the one record of the unit.  ``model.init_unit`` draws a unit from
+its row, ``model.init_block`` draws a block's units from its rows, a
+block checks every unit against its row, in either form, and
+``model.count`` charges each unit by its row alone.  A unit's field
+holds its current weights: in train form a ``RepBranchSpec`` (a
 plain conv with its batch norm is a one-branch spec), in deploy form the
 one folded conv.  ``unit_forward`` runs a unit in whichever form it
 holds, so every block forward serves both forms; ``block_forward`` runs
@@ -39,8 +40,8 @@ forwards are pure, so shared blocks are safe to use concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -55,10 +56,6 @@ RESIDUAL_DAMP = 0.2
 
 # A conv unit: a branch group in train form, its folded conv once deployed.
 UnitSpec = Union[RepBranchSpec, ConvSpec]
-# A unit table row: (the unit's name, its field).
-Rows = tuple[tuple[str, str], ...]
-# The feed-forward's rows, which end every table but an embedding's.
-_FFN_UNITS: Rows = (("ffn.expand", "expand"), ("ffn.project", "project"))
 
 
 def _require(cond: bool, msg: str):
@@ -67,12 +64,16 @@ def _require(cond: bool, msg: str):
 
 
 class Geometry(NamedTuple):
-    """A conv unit's row: ``in_c`` to ``out_c`` channels through a k x k
-    conv with padding k // 2, ``stride`` and ``groups``, the same in both
-    forms, since every unit here folds to its main conv's kernel.  ``build``
-    draws a 1x1 ``scale`` branch and an ``identity`` batch norm beside the
-    main conv where the row says so, at init std scaled by ``gain``."""
+    """A conv unit's row: the unit ``name`` that its tensor and report names
+    use (``""`` for an embedding's one unit), the block ``field`` that holds
+    it, and ``in_c`` to ``out_c`` channels through a k x k conv with padding
+    k // 2, ``stride`` and ``groups``, the same in both forms, since every
+    unit here folds to its main conv's kernel.  ``build`` draws a 1x1
+    ``scale`` branch and an ``identity`` batch norm beside the main conv
+    where the row says so, at init std scaled by ``gain``."""
 
+    name: str
+    field: str
     in_c: int
     out_c: int
     k: int = 1
@@ -91,18 +92,19 @@ def unit_forward(unit: UnitSpec, x):
 
 
 def _ffn_geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
-    return Geometry(c, ratio * c), Geometry(ratio * c, c, gain=RESIDUAL_DAMP)
+    return (Geometry("ffn.expand", "expand", c, ratio * c),
+            Geometry("ffn.project", "project", ratio * c, c, gain=RESIDUAL_DAMP))
 
 
 class _Block:
     """What the block classes share.  A block reads its ``dims`` off its
-    units, and constructing it checks each unit, in either form, against
-    the row ``geometry(*dims)`` gives it."""
+    units, and constructing it checks that its ``geometry(*dims)`` rows
+    are its fields in order and each unit, in either form, its row's."""
 
     @property
     def channels(self) -> int:
-        """The width of the block's input."""
-        return getattr(self, self.UNITS[0][1]).in_channels
+        """The width of the block's input, its first unit's."""
+        return getattr(self, fields(self)[0].name).in_channels
 
     @property
     def dims(self) -> tuple:
@@ -111,29 +113,30 @@ class _Block:
         return self.channels, self.expand.out_channels // self.expand.in_channels
 
     def __post_init__(self):
-        for (name, field), row in zip(self.UNITS, self.geometry(*self.dims), strict=True):
-            spec = getattr(self, field)
+        rows = self.geometry(*self.dims)
+        if [row.field for row in rows] != [f.name for f in fields(self)]:
+            raise ValueError(f"{type(self).__name__}'s geometry rows are not its fields in order")
+        for row in rows:
+            spec = getattr(self, row.field)
             conv = spec.main if isinstance(spec, RepBranchSpec) else spec
             got = (conv.kernel.shape, conv.stride, conv.padding, conv.groups)
             want = ((row.out_c, row.in_c // row.groups, row.k, row.k), row.stride, row.k // 2,
                     row.groups)
             if got != want:
-                raise ValueError(f"{type(self).__name__} unit {name or field!r} has (kernel shape, "
-                                 f"stride, padding, groups) {got}, its geometry needs {want}")
+                raise ValueError(f"{type(self).__name__} unit {row.name or row.field!r} has "
+                                 f"(kernel shape, stride, padding, groups) {got}, its row {want}")
 
 
 @dataclass
 class RepEmbedBlock(_Block):
     """Dense multi-branch convolution; embeds patches or downsamples."""
 
-    UNITS: ClassVar[Rows] = (("", "branch"),)
-
     branch: UnitSpec
 
     @staticmethod
     def geometry(in_c: int, out_c: int, stride: int) -> tuple[Geometry, ...]:
         _require(stride in (1, 2), "embedding stride must be 1 or 2")
-        return (Geometry(in_c, out_c, 3, stride, scale=True),)
+        return (Geometry("", "branch", in_c, out_c, 3, stride, scale=True),)
 
     @property
     def dims(self) -> tuple:
@@ -144,16 +147,14 @@ class RepEmbedBlock(_Block):
 class RepDWBlock(_Block):
     """Residual depthwise mixer followed by a residual feed-forward."""
 
-    UNITS: ClassVar[Rows] = (("mixer", "mixer"),) + _FFN_UNITS
-
     mixer: UnitSpec
     expand: UnitSpec
     project: UnitSpec
 
     @staticmethod
     def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
-        return (Geometry(c, c, 3, groups=c, gain=RESIDUAL_DAMP, scale=True, identity=True),
-                *_ffn_geometry(c, ratio))
+        return (Geometry("mixer", "mixer", c, c, 3, groups=c, gain=RESIDUAL_DAMP, scale=True,
+                         identity=True), *_ffn_geometry(c, ratio))
 
 
 @dataclass
@@ -166,10 +167,7 @@ class SDTABlock(_Block):
     maps the concatenation back to C channels.
     """
 
-    UNITS: ClassVar[Rows] = (("mixer", "pre_mixer"), ("proj_p", "proj_p"),
-                             ("proj_o", "proj_o")) + _FFN_UNITS
-
-    pre_mixer: UnitSpec
+    mixer: UnitSpec
     proj_p: UnitSpec
     proj_o: UnitSpec
     expand: UnitSpec
@@ -178,8 +176,8 @@ class SDTABlock(_Block):
     @staticmethod
     def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
         _require(c % 4 == 0, f"channel count {c} must be divisible by 4")
-        return (RepDWBlock.geometry(c, ratio)[0], Geometry(c, c + 2 * QK_DIM),
-                Geometry(c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
+        return (RepDWBlock.geometry(c, ratio)[0], Geometry("proj_p", "proj_p", c, c + 2 * QK_DIM),
+                Geometry("proj_o", "proj_o", c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
 
     @staticmethod
     def attention_macs(c: int, hw: int) -> dict:
@@ -196,8 +194,6 @@ class MDTABlock(_Block):
     is row-stochastic and mixes value channels.
     """
 
-    UNITS: ClassVar[Rows] = (("qkv", "qkv"), ("dw", "dw"), ("proj", "proj")) + _FFN_UNITS
-
     qkv: UnitSpec
     dw: UnitSpec
     proj: UnitSpec
@@ -206,8 +202,9 @@ class MDTABlock(_Block):
 
     @staticmethod
     def geometry(c: int, ratio: int) -> tuple[Geometry, ...]:
-        return (Geometry(c, 3 * c), Geometry(3 * c, 3 * c, 3, groups=3 * c),
-                Geometry(c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
+        return (Geometry("qkv", "qkv", c, 3 * c),
+                Geometry("dw", "dw", 3 * c, 3 * c, 3, groups=3 * c),
+                Geometry("proj", "proj", c, c, gain=RESIDUAL_DAMP), *_ffn_geometry(c, ratio))
 
     @staticmethod
     def attention_macs(c: int, hw: int) -> dict:
@@ -238,7 +235,7 @@ def _sdta_attention(block: SDTABlock, x):
     n, c, h, w = x.shape
     _require(c == block.channels, f"input has {c} channels, block expects {block.channels}")
     ops = kernels(x)
-    p = unit_forward(block.proj_p, unit_forward(block.pre_mixer, x))
+    p = unit_forward(block.proj_p, unit_forward(block.mixer, x))
     q, k = p[:, :QK_DIM], p[:, QK_DIM:2 * QK_DIM]
     v, u = p[:, 2 * QK_DIM:2 * QK_DIM + c // 4], p[:, 2 * QK_DIM + c // 4:]
     q, k, v = (t.reshape(n, t.shape[1], h * w) for t in (q, k, v))
@@ -298,4 +295,4 @@ def block_forward(block, x):
 def deployed(block):
     """A copy of ``block`` that holds each unit as its fused conv; the
     train-form weights are not kept."""
-    return replace(block, **{field: fuse(getattr(block, field)) for _, field in block.UNITS})
+    return replace(block, **{f.name: fuse(getattr(block, f.name)) for f in fields(block)})

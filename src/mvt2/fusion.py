@@ -72,7 +72,8 @@ class RepBranchSpec:
     The scale branch must produce the same output grid as the main
     branch, which pins its padding to main.padding - (main_k - 1) // 2.
     The identity branch is legal only at stride 1 with equal channel
-    counts and a grid-preserving main padding.
+    counts and a grid-preserving main padding.  Every branch has the main
+    conv's dtype.
     """
 
     main: ConvSpec
@@ -88,6 +89,9 @@ class RepBranchSpec:
             raise ValueError(f"main kernel must be 1x1 or 3x3, got {m.kernel_size}")
         if self.main_bn.channels != m.out_channels:
             raise ValueError("main batch-norm channel count mismatch")
+        branches = (self.main_bn, self.scale, self.scale_bn, self.identity_bn)
+        if any(b is not None and b.dtype != m.dtype for b in branches):
+            raise ValueError(f"every branch must have the main conv's dtype {m.dtype}")
         if (self.scale is None) != (self.scale_bn is None):
             raise ValueError("scale conv and scale batch-norm must come together")
         if self.scale is not None:
@@ -114,6 +118,10 @@ class RepBranchSpec:
                 raise ValueError("identity branch requires grid-preserving main padding")
             if self.identity_bn.channels != m.out_channels:
                 raise ValueError("identity batch-norm channel count mismatch")
+
+    @property
+    def dtype(self):
+        return self.main.dtype
 
     @property
     def in_channels(self) -> int:

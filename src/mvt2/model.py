@@ -165,18 +165,18 @@ class Model:
     @property
     def mode(self) -> str:
         """``"deploy"`` when the units hold folded convs, ``"train"`` when
-        they hold branch groups, read off the first unit (``_check`` makes
-        every unit hold the same form)."""
-        first = self.blocks[0]
-        return "deploy" if isinstance(getattr(first, first.UNITS[0][1]), ConvSpec) else "train"
+        they hold branch groups, read off the first unit, ``stem.0``'s
+        (``_check`` makes every unit hold the same form)."""
+        return "deploy" if isinstance(self.blocks[0].branch, ConvSpec) else "train"
 
 
 def _check(model: Model) -> None:
     """Raise ``ValueError`` if ``model`` is not ``_layout(model.config)`` in
-    one form: another block count, a block of another type or dims, units
-    of both forms, a train-form unit without the scale or identity branch
-    its row has or with one it has not (a folded unit has none to check),
-    or a classifier not (num_classes, dims[2])."""
+    one form and one dtype: another block count, a block of another type
+    or dims, units of both forms, a train-form unit without the scale or
+    identity branch its row has or with one it has not (a folded unit has
+    none to check), a unit or classifier bias of another dtype than the
+    classifier weight, or a classifier not (num_classes, dims[2])."""
     def fault(what):
         return ValueError(f"the model is not its config's layout in one form: {what}")
 
@@ -186,17 +186,21 @@ def _check(model: Model) -> None:
     for block, (name, cls, dims) in zip(model.blocks, layout):
         if type(block) is not cls or block.dims != dims:
             raise fault(f"{name} is not a {cls.__name__} of dims {dims}")
-        for (unit, field), row in zip(cls.UNITS, cls.geometry(*dims)):
-            spec = getattr(block, field)
+        for row in cls.geometry(*dims):
+            spec, unit = getattr(block, row.field), f"{name}.{row.name or row.field}"
             # the first block passed the line above, so ``mode`` reads it safely
             if isinstance(spec, ConvSpec) != (model.mode == "deploy"):
-                raise fault(f"its units mix train and deploy forms ({name}.{unit or field})")
+                raise fault(f"its units mix train and deploy forms ({unit})")
             if isinstance(spec, RepBranchSpec) and (row.scale, row.identity) != (
                     spec.scale is not None, spec.identity_bn is not None):
-                raise fault(f"{name} unit {unit or field!r} does not have its row's branches")
+                raise fault(f"{unit} does not have its row's branches")
+            if spec.dtype != model.dtype:
+                raise fault(f"{unit} is {spec.dtype}, the classifier {model.dtype}")
     shape = (model.config.num_classes, model.config.dims[2])
     if (model.head_weight.shape, model.head_bias.shape) != (shape, shape[:1]):
         raise fault(f"the classifier is not {shape}")
+    if model.head_bias.dtype != model.dtype:
+        raise fault(f"the classifier bias is {model.head_bias.dtype}, its weight {model.dtype}")
 
 
 # A batch norm's four arrays, by the names a weight file stores them under.
@@ -248,15 +252,14 @@ def init_unit(rng, row: Geometry, dtype=np.float32) -> RepBranchSpec:
 
 
 def _block(cls, dims, unit):
-    """A ``cls`` block whose units are ``unit(unit name, row)`` over the rows
-    of ``cls.geometry(*dims)``."""
-    return cls(**{field: unit(name, row)
-                  for (name, field), row in zip(cls.UNITS, cls.geometry(*dims), strict=True)})
+    """A ``cls`` block whose units are ``unit(row)`` over the rows of
+    ``cls.geometry(*dims)``, each in its row's field."""
+    return cls(**{row.field: unit(row) for row in cls.geometry(*dims)})
 
 
 def init_block(cls, rng, *dims, dtype=np.float32):
     """Draw a ``cls`` block's units from ``cls.geometry(*dims)`` in execution order."""
-    return _block(cls, dims, lambda _, row: init_unit(rng, row, dtype))
+    return _block(cls, dims, lambda row: init_unit(rng, row, dtype))
 
 
 def _layout(config: ModelConfig):
@@ -276,10 +279,10 @@ def _layout(config: ModelConfig):
 
 
 def _assemble(config: ModelConfig, unit, head) -> Model:
-    """The network of ``config``: each unit is ``unit(block name, unit name,
-    row)``, walked in execution order, then the classifier's arrays are
+    """The network of ``config``: each unit is ``unit(block name, row)``,
+    walked in execution order, then the classifier's arrays are
     ``head(name, shape)`` for ``head.weight`` and ``head.bias``."""
-    blocks = [_block(cls, dims, lambda u, row: unit(name, u, row))
+    blocks = [_block(cls, dims, lambda row: unit(name, row))
               for name, cls, dims in _layout(config)]
     shape = (config.num_classes, config.dims[2])
     return Model(config, blocks, head("head.weight", shape), head("head.bias", shape[:1]))
@@ -294,7 +297,7 @@ def build(config: ModelConfig, seed: int, dtype=np.float32) -> Model:
             return np.zeros(shape, dtype)
         return (rng.standard_normal(shape) / np.sqrt(shape[1])).astype(dtype)
 
-    return _assemble(config, lambda _, __, row: init_unit(rng, row, dtype), head)
+    return _assemble(config, lambda _, row: init_unit(rng, row, dtype), head)
 
 
 def from_tensors(config: ModelConfig, mode: str, tensor) -> Model:
@@ -304,10 +307,9 @@ def from_tensors(config: ModelConfig, mode: str, tensor) -> Model:
     fused or copied."""
     folded = mode == "deploy"
 
-    def unit(block, name, row):
-        branched = row.scale or row.identity
+    def unit(block, row):
         return _unit(row, lambda branch, f, shape: tensor(
-            _tensor_name(block, name, branch, f, branched), shape), folded)
+            _tensor_name(block, row, branch, f), shape), folded)
 
     return _assemble(config, unit, tensor)
 
@@ -341,11 +343,12 @@ def _blocks(model: Model):
 
 
 def _walk(model: Model):
-    """Yield (block name, unit name, block, field) for every conv unit of the
-    network in execution order, by each block's ``UNITS`` table."""
-    for name, block in _blocks(model):
-        for unit, field in block.UNITS:
-            yield name, unit, block, field
+    """Yield (block name, geometry row, unit) for every conv unit of the
+    network in execution order: each ``_layout`` block's rows, each with
+    the unit its field holds."""
+    for (name, cls, dims), block in zip(_layout(model.config), model.blocks):
+        for row in cls.geometry(*dims):
+            yield name, row, getattr(block, row.field)
 
 
 def deploy(model: Model) -> Model:
@@ -419,10 +422,10 @@ def count(model_or_config: Union[Model, ModelConfig],
     Accepts a built model (defaulting to its own mode) or a config
     (defaulting to deploy form).  Either is counted by its config and
     the form asked for, so nothing is built, drawn or fused: the walk is
-    ``_layout`` and each block class's ``UNITS`` and ``geometry`` rows,
-    and every unit is charged by the one rule of ``_row_cost``.  A
-    model's own blocks are its layout in one form (``Model`` checks so),
-    and a deploy-form model has no train-form cost.
+    ``_layout`` and each block class's ``geometry`` rows, and every unit
+    is charged by the one rule of ``_row_cost``.  A model's own blocks
+    are its layout in one form (``Model`` checks so), and a deploy-form
+    model has no train-form cost.
     """
     is_model = isinstance(model_or_config, Model)
     form = model_or_config.mode if is_model else None
@@ -435,15 +438,16 @@ def count(model_or_config: Union[Model, ModelConfig],
     report = CostReport()
     res = config.input_resolution
     for name, cls, dims in _layout(config):
-        for (unit, _), row in zip(cls.UNITS, cls.geometry(*dims), strict=True):
-            if hasattr(cls, "attention_macs") and unit == cls.UNITS[-3][0]:
+        rows = cls.geometry(*dims)
+        for row in rows:
+            if hasattr(cls, "attention_macs") and row is rows[-3]:
                 # the attention contractions run just before the output
                 # projection, the last unit ahead of the feed-forward's two
                 for kind, macs in cls.attention_macs(dims[0], res * res).items():
                     report.entries.append(CostEntry(f"{name}.{kind}", 0, macs))
             p, m, res = _row_cost(row, mode, res)
             # a feed-forward's two units share one entry, "<block>.ffn"
-            key = f"{name}.{unit.split('.')[0]}" if unit else name
+            key = f"{name}.{row.name.split('.')[0]}" if row.name else name
             if report.entries and report.entries[-1].name == key:
                 report.entries[-1].params += p
                 report.entries[-1].macs += m
@@ -455,18 +459,18 @@ def count(model_or_config: Union[Model, ModelConfig],
     return report
 
 
-def _tensor_name(block: str, unit: str, branch: str, field: str, branched: bool) -> str:
-    """The name of one array of a unit, by the rule in the README's "Weight
-    files" section: a folded conv is ``<unit>_fused`` (``<block>.fused`` for
-    an embedding), a branch of a group that has more than its main branch
-    is ``<unit>.<branch>``, and a one-branch group is ``<unit>`` itself; a
-    batch norm's arrays add ``_bn`` to its branch.  A feed-forward unit's
-    names drop its "ffn." segment."""
-    part = unit.removeprefix("ffn.")
+def _tensor_name(block: str, row: Geometry, branch: str, field: str) -> str:
+    """The name of one array of the unit of geometry ``row``, by the rule in
+    the README's "Weight files" section: a folded conv is ``<unit>_fused``
+    (``<block>.fused`` for an embedding), a branch of a group whose row has
+    a scale or identity branch is ``<unit>.<branch>``, and a one-branch
+    group is ``<unit>`` itself; a batch norm's arrays add ``_bn`` to its
+    branch.  A feed-forward unit's names drop its "ffn." segment."""
+    part = row.name.removeprefix("ffn.")
     prefix = f"{block}.{part}" if part else block
     if branch == "fused":
         prefix = f"{prefix}_fused" if part else f"{prefix}.fused"
-    elif branched:
+    elif row.scale or row.identity:
         prefix = f"{prefix}.{branch}"
     return f"{prefix}_bn.{field}" if field in BN_FIELDS else f"{prefix}.{field}"
 
@@ -490,12 +494,9 @@ def named_tensors(model: Model):
     execution order: each unit's folded conv or its branch group, whichever
     it holds, named by ``_tensor_name``.  The arrays are the live model
     arrays."""
-    for name, unit, block, field in _walk(model):
-        spec = getattr(block, field)
-        branched = isinstance(spec, RepBranchSpec) and (
-            spec.scale is not None or spec.identity_bn is not None)
+    for name, row, spec in _walk(model):
         for branch, f, arr in _unit_arrays(spec):
-            yield _tensor_name(name, unit, branch, f, branched), arr
+            yield _tensor_name(name, row, branch, f), arr
     yield "head.weight", model.head_weight
     yield "head.bias", model.head_bias
 
@@ -510,5 +511,5 @@ def fusable_branches(model: Model) -> list[tuple[str, RepBranchSpec]]:
     """
     if model.mode == "deploy":
         raise ValueError("a deploy-form model has no branches left to fuse")
-    return [(f"{name}.{unit}" if unit else name, getattr(block, field))
-            for name, unit, block, field in _walk(model)]
+    return [(f"{name}.{row.name}" if row.name else name, unit)
+            for name, row, unit in _walk(model)]

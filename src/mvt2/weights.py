@@ -13,7 +13,7 @@ The JSON header holds the model configuration, the mode ("train" or
 tensor: {"name", "dtype": "f32", "shape", "byte_offset", "byte_len"} with
 offsets relative to the start of the payload.  Tensor names are the dotted
 paths produced by ``model.named_tensors``, derived from each block's
-``UNITS`` table in ``blocks``; every parameter appears exactly once.  Data
+``geometry`` rows in ``blocks``; every parameter appears exactly once.  Data
 is float32 regardless of platform endianness.  A train file holds each
 conv unit as a branch group (a one-branch group is named like a plain
 conv with its batch norm); a deploy file holds only the folded convs and
@@ -138,7 +138,10 @@ def save(model: Model, path) -> None:
 
 
 def read_header(path) -> dict:
-    """Parse and validate the fixed header and JSON manifest."""
+    """Parse the fixed header (magic, version, length) and the JSON header.
+    The JSON header is checked only for its ``config``, ``mode`` and
+    ``tensors`` keys and returned as it is; ``load`` checks the tensor
+    manifest and the config."""
     with open(path, "rb") as fh:
         return _parse(fh)[0]
 

@@ -162,7 +162,7 @@ def test_criterion_5_attention_structure():
         att, mix, _ = blocks._sdta_attention(block, x1)
         assert mix.shape == (2, 1, 1)
         assert np.all(mix == 1.0)
-        p = blocks.unit_forward(block.proj_p, blocks.unit_forward(block.pre_mixer, x1))
+        p = blocks.unit_forward(block.proj_p, blocks.unit_forward(block.mixer, x1))
         v = p[:, 2 * blocks.QK_DIM:2 * blocks.QK_DIM + c // 4]
         assert att.tobytes() == np.ascontiguousarray(v).tobytes()
     assert blocks.QK_DIM == 16

@@ -94,7 +94,7 @@ def sdta_block_ref64(block, x):
     x = x.astype(np.float64)
     n, c, h, w = x.shape
     hw = h * w
-    t = branch_ref64(x, block.pre_mixer)
+    t = branch_ref64(x, block.mixer)
     p = branch_ref64(t, block.proj_p)
     q, k = p[:, :QK_DIM], p[:, QK_DIM:2 * QK_DIM]
     v, u = p[:, 2 * QK_DIM:2 * QK_DIM + c // 4], p[:, 2 * QK_DIM + c // 4:]
@@ -225,7 +225,7 @@ class TestSDTA:
         maps = sdta_attention_map(block, x)
         # recompute the map from the block's own projections at scale 4
         from mvt2.fusion import rep_branch_forward
-        t = rep_branch_forward(x, block.pre_mixer)
+        t = rep_branch_forward(x, block.mixer)
         p = batchnorm_infer(conv2d(t, block.proj_p.main), block.proj_p.main_bn)
         q = p[0, :QK_DIM].reshape(QK_DIM, 9)
         k = p[0, QK_DIM:2 * QK_DIM].reshape(QK_DIM, 9)
@@ -251,7 +251,7 @@ class TestSDTA:
         # with M = [[1]] the attended values equal V, so the block reduces
         # to projecting concat(V, sigmoid(U)) and adding the residual
         from mvt2.fusion import rep_branch_forward
-        t = rep_branch_forward(x, block.pre_mixer)
+        t = rep_branch_forward(x, block.mixer)
         p = batchnorm_infer(conv2d(t, block.proj_p.main), block.proj_p.main_bn)
         v = p[:, 2 * QK_DIM:2 * QK_DIM + 2]
         u = p[:, 2 * QK_DIM + 2:]
@@ -295,7 +295,7 @@ class TestSDTA:
         block = init_block(SDTABlock, rng, 8, 2)
         with pytest.raises(ValueError):
             SDTABlock(
-                pre_mixer=block.pre_mixer,
+                mixer=block.mixer,
                 proj_p=RepBranchSpec(zero_conv(8, 8 + 31, 1), identity_bn(8 + 31)),
                 proj_o=block.proj_o,
                 expand=block.expand,
@@ -397,12 +397,12 @@ class TestConverter:
                       init_block(RepDWBlock, rng, 8, 2),
                       init_block(SDTABlock, rng, 8, 2)):
             converted = deployed(block)
-            for unit, field in block.UNITS:
-                got = getattr(converted, field)
-                want = fuse(getattr(block, field))
-                assert isinstance(got, ConvSpec), unit
-                assert np.array_equal(got.kernel, want.kernel), unit
-                assert np.array_equal(got.bias, want.bias), unit
+            for field in fields(block):
+                got = getattr(converted, field.name)
+                want = fuse(getattr(block, field.name))
+                assert isinstance(got, ConvSpec), field.name
+                assert np.array_equal(got.kernel, want.kernel), field.name
+                assert np.array_equal(got.bias, want.bias), field.name
 
     def test_single_branch_fuse_is_fold_bn(self):
         block = init_block(RepDWBlock, np.random.default_rng(31), 8, 2)
@@ -414,10 +414,10 @@ class TestConverter:
     def test_ablation_block_deploys_to_its_folded_units(self):
         block = init_block(MDTABlock, np.random.default_rng(32), 8, 2, dtype=np.float64)
         converted = deployed(block)
-        for unit, field in block.UNITS:
-            got, want = getattr(converted, field), fuse(getattr(block, field))
-            assert np.array_equal(got.kernel, want.kernel), unit
-            assert np.array_equal(got.bias, want.bias), unit
+        for field in fields(block):
+            got, want = getattr(converted, field.name), fuse(getattr(block, field.name))
+            assert np.array_equal(got.kernel, want.kernel), field.name
+            assert np.array_equal(got.bias, want.bias), field.name
         x = np.random.default_rng(33).standard_normal((2, 8, 4, 4))
         assert np.max(np.abs(mdta_block_forward(block, x)
                              - mdta_block_forward(converted, x))) < 1e-10
@@ -451,7 +451,8 @@ class TestGeometryRows:
         valid conv, so only the block can refuse it."""
         block = init(np.random.default_rng(40))
         for form, kernels in ((block, (1, 3)), (deployed(block), (1, 3, 5))):
-            for unit, field in form.UNITS:
+            for row in form.geometry(*form.dims):
+                field = row.field
                 replace(form, **{field: getattr(form, field)})  # the unit as built passes
                 for what, (in_c, out_c, k, stride, g) in wrong_geometries(
                         getattr(form, field), kernels):
@@ -462,21 +463,31 @@ class TestGeometryRows:
                         bad = RepBranchSpec(bad, identity_bn(out_c))
                     with pytest.raises(ValueError):
                         replace(form, **{field: bad})
-                        pytest.fail(f"{unit or field} accepted a wrong {what}")
+                        pytest.fail(f"{row.name or field} accepted a wrong {what}")
 
     @pytest.mark.parametrize("cls", [RepEmbedBlock, RepDWBlock, SDTABlock, MDTABlock],
                              ids=lambda cls: cls.__name__)
     def test_the_unit_table_lists_every_field_in_order(self, cls):
-        """The table is the one record of a block's units that deploy,
-        the model walk, the cost model, file names and init read."""
-        assert [f.name for f in fields(cls)] == [field for _, field in cls.UNITS]
+        """The geometry rows are the one record of a block's units that
+        deploy, the model walk, the cost model, file names and init read:
+        their fields are the dataclass fields, in order."""
+        dims = (8, 16, 2) if cls is RepEmbedBlock else (8, 2)
+        assert [row.field for row in cls.geometry(*dims)] == [f.name for f in fields(cls)]
+
+    @pytest.mark.parametrize("cls", [RepEmbedBlock, RepDWBlock, SDTABlock, MDTABlock],
+                             ids=lambda cls: cls.__name__)
+    def test_channels_is_the_input_width(self, cls):
+        dims = (8, 16, 2) if cls is RepEmbedBlock else (8, 2)
+        assert init_block(cls, np.random.default_rng(42), *dims).channels == 8
 
     def test_a_geometry_a_row_short_raises(self, monkeypatch):
-        """A unit without a row is neither drawn unchecked nor left unchecked."""
+        """A unit without a row is neither drawn unchecked nor left unchecked:
+        the block is then short of a field, and a block given every field
+        refuses rows that are not its fields."""
         block = init_block(RepDWBlock, np.random.default_rng(41), 8, 2)
         full = RepDWBlock.geometry
         monkeypatch.setattr(RepDWBlock, "geometry", staticmethod(lambda c, r: full(c, r)[:-1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             init_block(RepDWBlock, np.random.default_rng(41), 8, 2)
         with pytest.raises(ValueError):
             replace(block)

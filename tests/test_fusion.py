@@ -207,6 +207,22 @@ class TestRepBranchSpec:
         with pytest.raises(ValueError):
             RepBranchSpec(main, identity_bn(4), scale, identity_bn(4))
 
+    @pytest.mark.parametrize("branch", ["main_bn", "scale", "identity_bn"])
+    def test_rejects_a_branch_of_another_dtype(self, branch):
+        """A float64 branch under a float32 main conv would fail only later,
+        in ``rep_branch_forward``."""
+        main = ConvSpec(np.zeros((4, 4, 3, 3), dtype=np.float32),
+                        np.zeros(4, dtype=np.float32), padding=1)
+        scale = ConvSpec(np.zeros((4, 4, 1, 1), dtype=np.float32), np.zeros(4, dtype=np.float32))
+        branches = dict(main_bn=identity_bn(4), scale=scale, scale_bn=identity_bn(4),
+                        identity_bn=identity_bn(4))
+        RepBranchSpec(main, **branches)  # all float32 passes
+        branches[branch] = (
+            ConvSpec(scale.kernel.astype(np.float64), scale.bias.astype(np.float64))
+            if branch == "scale" else BNSpec(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)))
+        with pytest.raises(ValueError, match="dtype"):
+            RepBranchSpec(main, **branches)
+
     def test_rejects_lone_scale_bn(self):
         main = ConvSpec(np.zeros((4, 4, 3, 3), dtype=np.float32),
                         np.zeros(4, dtype=np.float32), padding=1)

@@ -134,6 +134,24 @@ class TestLayoutCheck:
         with pytest.raises(ValueError, match="layout"):
             replace(model, head_bias=model.head_bias[:-1])
 
+    def test_float64_units_under_a_float32_classifier_raise(self):
+        """Its forward would raise from the first conv."""
+        model = build(self.CFG, seed=0)
+        with pytest.raises(ValueError, match="stem.0.branch is float64, the classifier float32"):
+            replace(model, blocks=build(self.CFG, seed=0, dtype=np.float64).blocks)
+
+    def test_one_float64_unit_raises(self):
+        model = build(self.CFG, seed=0)
+        stem = build(self.CFG, seed=0, dtype=np.float64).blocks[0]
+        with pytest.raises(ValueError, match="stem.0.branch is float64"):
+            replace(model, blocks=[stem, *model.blocks[1:]])
+
+    def test_a_float64_classifier_bias_raises(self):
+        """``linear`` would add it in float64 and return float64 logits."""
+        model = build(self.CFG, seed=0)
+        with pytest.raises(ValueError, match="classifier bias is float64"):
+            replace(model, head_bias=model.head_bias.astype(np.float64))
+
 
 class TestStageViews:
     """``stem`` ... ``stage3`` are read-only views of ``blocks``, by the
@@ -342,7 +360,7 @@ class TestDeploy:
 class TestCount:
     def test_pointwise_conv_closed_form(self):
         # a 2 -> 2 pointwise conv at 1x1: 4 weights and 2 biases, 4 MACs
-        assert _row_cost(Geometry(2, 2), "deploy", 1) == (6, 4, 1)
+        assert _row_cost(Geometry("proj", "proj", 2, 2), "deploy", 1) == (6, 4, 1)
 
     def test_a_config_is_counted_without_constructing_a_spec_or_model(self, monkeypatch):
         want = {form: count(TINY, form).entries for form in ("train", "deploy")}

@@ -11,7 +11,7 @@ import pytest
 
 from mvt2 import blocks
 from mvt2 import model as mvt2_model
-from mvt2.model import build, deploy, forward, named_tensors
+from mvt2.model import VARIANTS, build, deploy, forward, named_tensors
 from mvt2.tensor import ConvSpec
 
 from helpers import TINY
@@ -101,11 +101,24 @@ def test_one_branch_group_span_per_fusable_unit(tracer_module, form):
     assert spans == want
 
 
+@pytest.mark.parametrize("config", [TINY, VARIANTS["s1"]], ids=["tiny", "s1"])
+@pytest.mark.parametrize("form", ["train", "deploy"])
+def test_stage_map_attributes_every_block_to_its_stage(tracer_module, config, form):
+    """The ``model.stage.*`` metrics charge each block's time to the stage
+    ``stage_map`` gives it: the first segment of the block's layout name."""
+    model = build(config, seed=0)
+    if form == "deploy":
+        model = deploy(model)
+    stages = tracer_module.stage_map(model)
+    assert {id(block): name.partition(".")[0] for name, block in mvt2_model._blocks(model)} \
+        == stages
+    assert len(stages) == len(model.blocks)
+
+
 def depthwise_convs(model) -> int:
     """The depthwise convs one forward runs, read off the model's conv units."""
     total = 0
-    for *_, block, field in mvt2_model._walk(model):
-        unit = getattr(block, field)
+    for *_, unit in mvt2_model._walk(model):
         convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
         total += sum(conv is not None and conv.is_depthwise for conv in convs)
     return total

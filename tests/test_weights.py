@@ -250,10 +250,14 @@ class TestSaveRechecks:
 
     def test_float64_blocks_under_a_float32_classifier_are_refused(self, tmp_path):
         """The classifier alone is float32, so a check of the model's dtype
-        passes; ``load`` would give back a float32 model that runs where the
-        saved one cannot."""
-        model = dataclasses.replace(build(TINY, 0), blocks=build(TINY, 0, dtype=np.float64).blocks)
-        self.refuse(tmp_path, model, "'stem.0.main.kernel' is float64: weight files store float32")
+        would pass; ``load`` would give back a float32 model that runs where
+        the saved one cannot.  Such a model is refused when it is built, and
+        again by ``save`` if its blocks are swapped in place."""
+        with pytest.raises(ValueError, match="stem.0.branch is float64"):
+            dataclasses.replace(build(TINY, 0), blocks=build(TINY, 0, dtype=np.float64).blocks)
+        model = build(TINY, 0)
+        model.blocks[:] = build(TINY, 0, dtype=np.float64).blocks
+        self.refuse(tmp_path, model, "stem.0.branch is float64")
 
 
 class TestCorruption:
