@@ -67,10 +67,11 @@ class Geometry(NamedTuple):
     """A conv unit's row: the unit ``name`` that its tensor and report names
     use (``""`` for an embedding's one unit), the block ``field`` that holds
     it, and ``in_c`` to ``out_c`` channels through a k x k conv with padding
-    k // 2, ``stride`` and ``groups``, the same in both forms, since every
-    unit here folds to its main conv's kernel.  ``build`` draws a 1x1
-    ``scale`` branch and an ``identity`` batch norm beside the main conv
-    where the row says so, at init std scaled by ``gain``."""
+    k // 2, ``stride`` and ``groups``, the same in both forms: ``fuse`` keeps
+    the main conv's grid, so every unit folds to its main conv's kernel.
+    ``build`` draws a 1x1 ``scale`` branch and an ``identity`` batch norm
+    beside the main conv where the row says so, at init std scaled by
+    ``gain``."""
 
     name: str
     field: str

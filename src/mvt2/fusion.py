@@ -5,19 +5,20 @@ batch norm: a k by k convolution (k in {1, 3}), an optional 1 by 1 "scale"
 convolution, and an optional identity path.  At deployment the group is
 replaced by a single convolution that computes the same function: fold
 each BN into its convolution (the identity path as a one-hot 1 by 1
-conv), centre each folded kernel on one grid, and sum kernels and
-biases.  The grid is RepVGG's (Ding et al., CVPR 2021): 3 by 3 when the
-main conv is 3 by 3 or an identity path needs a centre tap, else 1 by 1,
-padded to keep the main conv's output grid.  A one-branch group, a plain
-conv and its batch norm, folds the same way.
+conv) and add the folds.  A folded unit keeps its main conv's grid: its
+kernel size, stride, padding and groups.  The scale and identity folds
+are 1 by 1 and land on the main kernel's centre tap alone, the way
+MobileOne's 1 by 1 blocks fold (Vasu et al., CVPR 2023), so a 1 by 1
+main conv stays 1 by 1 even beside an identity path.  A one-branch
+group, a plain conv and its batch norm, folds the same way.
 
 All fusion arithmetic runs in float64.  ``fold_bn`` rounds each folded
 branch to the branch's own dtype, in one ufunc pass that computes each
 product in float64 and stores it rounded, and ``fuse`` sums a group's
-rounded branches in float64 and rounds the sum again.  So a float32
-one-branch unit is its float64 fold rounded once, but a multi-branch
-weight takes two rounding steps and may differ in its last bit from the
-float64 fold of the whole group rounded once.
+rounded centre taps and biases in float64 and rounds the sums again.  So
+a float32 one-branch unit is its float64 fold rounded once, but a
+multi-branch centre tap takes two rounding steps and may differ in its
+last bit from the float64 fold of the whole group rounded once.
 
 ``verify_equivalence`` checks many groups in one call and draws each
 random input batch once per input shape and dtype: every group of that
@@ -147,10 +148,6 @@ class RepBranchSpec:
     def groups(self) -> int:
         return self.main.groups
 
-    @property
-    def dtype(self):
-        return self.main.dtype
-
 
 def rep_branch_forward(x, spec: RepBranchSpec):
     """Train-form forward: sum of per-branch BN'd outputs.  ``x`` is an
@@ -168,21 +165,27 @@ def rep_branch_forward(x, spec: RepBranchSpec):
     return out
 
 
-def fuse(spec: RepBranchSpec) -> ConvSpec:
-    """Collapse the branch group into one convolution with the main conv's
-    stride, groups and dtype, on the grid rule of the module docstring:
-    k = 3 when the main conv is 3x3 or there is an identity branch, else
-    1, and padding ``main.padding + (k - main_k) // 2``.
+def _centre(kernel: np.ndarray) -> np.ndarray:
+    """The centre tap of every (out, in) kernel pair, as a view."""
+    return kernel[:, :, kernel.shape[2] // 2, kernel.shape[3] // 2]
 
-    Each branch is folded with its batch norm, the identity branch as a
-    one-hot 1x1 conv.  The folded kernels, centred on the k x k grid, and
-    their biases are summed in float64 (main, scale, identity) and
-    rounded to the group's dtype.  A one-branch group is its folded conv.
+
+def fuse(spec: RepBranchSpec) -> ConvSpec:
+    """Collapse the branch group into one convolution on the main conv's
+    grid: its kernel size, stride, padding, groups and dtype.
+
+    Each branch is folded with its batch norm and rounded to the group's
+    dtype, the identity branch as a one-hot 1x1 conv.  The 1x1 scale and
+    identity folds touch only the centre tap, so the centre taps and the
+    biases are summed in float64 from zero (main, scale, identity) and
+    rounded once; every other tap is the main fold plus 0.0, which is the
+    fold itself except that a -0.0 tap becomes +0.0, as in a sum from
+    zero.  A one-branch group is its folded conv.
     """
-    m = spec.main
-    folded = [fold_bn(m, spec.main_bn)]
+    fused = fold_bn(spec.main, spec.main_bn)
     if spec.scale is None and spec.identity_bn is None:
-        return folded[0]
+        return fused
+    folded = [fused]
     if spec.scale is not None:
         folded.append(fold_bn(spec.scale, spec.scale_bn))
     if spec.identity_bn is not None:
@@ -191,15 +194,15 @@ def fuse(spec: RepBranchSpec) -> ConvSpec:
         one_hot[np.arange(c), np.arange(c) % per_group] = 1
         folded.append(fold_bn(ConvSpec(one_hot, np.zeros(c, spec.dtype), groups=spec.groups),
                               spec.identity_bn))
-    k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
-    kernel = np.zeros((m.out_channels, m.in_channels // m.groups, k, k))
-    bias = np.zeros(m.out_channels)
+    centre = np.zeros(_centre(fused.kernel).shape)
+    bias = np.zeros(spec.out_channels)
     for conv in folded:
-        lo = (k - conv.kernel_size[0]) // 2
-        kernel[:, :, lo:k - lo, lo:k - lo] += conv.kernel
+        centre += _centre(conv.kernel)
         bias += conv.bias
-    return ConvSpec(kernel.astype(m.dtype), bias.astype(m.dtype), stride=m.stride,
-                    padding=m.padding + (k - m.kernel_size[0]) // 2, groups=m.groups)
+    fused.kernel += 0.0  # a -0.0 tap becomes +0.0, as in a sum from zero
+    _centre(fused.kernel)[...] = centre
+    fused.bias[...] = bias
+    return fused
 
 
 def verify_equivalence(
@@ -237,7 +240,8 @@ def verify_equivalence(
             for i, folded in zip(members, fused):
                 a = rep_branch_forward(x, specs[i])
                 b = conv2d(x, folded)
-                diff = float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64))))
+                diff = np.subtract(a, b, dtype=np.float64)
+                diff = float(np.max(np.abs(diff, out=diff)))
                 worst[i] = float(np.maximum(worst[i], diff))
     return [{"max_abs_diff": w, "pass": w <= tol} for w in worst]
 

@@ -68,3 +68,39 @@ def random_rep_branch_spec(
     if with_identity and stride == 1 and in_channels == out_channels:
         identity_bn = rand_bn(out_channels)
     return RepBranchSpec(main, rand_bn(out_channels), scale, scale_bn, identity_bn)
+
+
+def reference_fold_bn(kernel, bias, bn: BNSpec, dtype):
+    """``fold_bn``'s arithmetic written out: the float64 fold of ``bn``
+    into (``kernel``, ``bias``), each weight rounded once to ``dtype``."""
+    f64 = np.float64
+    scale = bn.gamma.astype(f64) / np.sqrt(bn.running_var.astype(f64) + BN_EPS)
+    w = (kernel.astype(f64) * scale[:, None, None, None]).astype(dtype)
+    b = (bn.beta.astype(f64) + (bias.astype(f64) - bn.running_mean.astype(f64))
+         * scale).astype(dtype)
+    return w, b
+
+
+def reference_fuse(spec: RepBranchSpec) -> ConvSpec:
+    """``fuse`` by the arithmetic of its docstring, with no shortcut: each
+    branch folded and rounded to the group's dtype (the identity branch as
+    a one-hot 1x1 conv), the folds summed in float64 from zero on the main
+    conv's grid, in the order main, scale, identity, and the sum rounded
+    once.  A one-branch group is its fold."""
+    m, dtype = spec.main, spec.dtype
+    folds = [reference_fold_bn(m.kernel, m.bias, spec.main_bn, dtype)]
+    if spec.scale is not None:
+        folds.append(reference_fold_bn(spec.scale.kernel, spec.scale.bias, spec.scale_bn, dtype))
+    c = spec.out_channels
+    if spec.identity_bn is not None:
+        one_hot = np.zeros((c, spec.in_channels // spec.groups, 1, 1))
+        one_hot[np.arange(c), np.arange(c) % one_hot.shape[1]] = 1
+        folds.append(reference_fold_bn(one_hot, np.zeros(c), spec.identity_bn, dtype))
+    if len(folds) > 1:
+        kernel, bias, k = np.zeros(m.kernel.shape), np.zeros(c), m.kernel_size[0]
+        for w, b in folds:
+            lo = (k - w.shape[2]) // 2
+            kernel[:, :, lo:k - lo, lo:k - lo] += w
+            bias += b
+        folds = [(kernel.astype(dtype), bias.astype(dtype))]
+    return ConvSpec(*folds[0], stride=m.stride, padding=m.padding, groups=m.groups)

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from mvt2.fusion import (
     rep_branch_forward,
     verify_equivalence,
 )
+from mvt2.model import VARIANTS, build, deploy, named_tensors
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
 
 from helpers import identity_bn, random_rep_branch_spec
@@ -101,8 +105,9 @@ def conv64(kernel, **kw):
 
 
 class TestPad1x1:
-    """``fuse`` centres a 1x1 kernel on the 3x3 grid of a 3x3 main conv or
-    of an identity branch, at one more pixel of padding."""
+    """``fuse`` adds a folded 1x1 kernel to the centre tap of the main
+    conv's grid and keeps the main conv's padding, so a 1x1 main conv stays
+    1x1 even beside an identity branch."""
 
     def test_center_embedding(self):
         main = conv64(np.zeros((1, 1, 3, 3)), padding=1)
@@ -119,13 +124,13 @@ class TestPad1x1:
         assert not np.any(fuse(spec).kernel)
 
     def test_functional_equivalence_stride1(self):
-        # an identity branch of scale 0 lifts a 1x1 main to 3x3 and adds nothing
+        # an identity branch of scale 0 keeps a 1x1 main 1x1 and adds nothing
         rng = np.random.default_rng(2)
         main = conv64(rng.standard_normal((5, 5, 1, 1)))
-        lifted = fuse(RepBranchSpec(main, exact_bn(5), identity_bn=exact_bn(5, gamma=0.0)))
-        assert lifted.kernel_size == (3, 3) and lifted.padding == 1
+        fused = fuse(RepBranchSpec(main, exact_bn(5), identity_bn=exact_bn(5, gamma=0.0)))
+        assert fused.kernel_size == (1, 1) and fused.padding == 0
         x = rng.standard_normal((2, 5, 6, 6))
-        assert np.max(np.abs(conv2d(x, main) - conv2d(x, lifted))) < 1e-12
+        assert np.max(np.abs(conv2d(x, main) - conv2d(x, fused))) < 1e-12
 
     def test_functional_equivalence_stride2(self):
         rng = np.random.default_rng(3)
@@ -137,7 +142,7 @@ class TestPad1x1:
         assert np.max(np.abs(conv2d(x, scale) - conv2d(x, lifted))) < 1e-12
 
     def test_rejects_3x3(self):
-        # only a 1x1 side branch is lifted; a 3x3 one is refused up front
+        # only a 1x1 side branch lands on the centre tap; a 3x3 one is refused up front
         main = conv64(np.zeros((1, 1, 3, 3)), padding=1)
         with pytest.raises(ValueError):
             RepBranchSpec(main, exact_bn(1), conv64(np.zeros((1, 1, 3, 3)), padding=1),
@@ -155,11 +160,12 @@ class TestIdentityConv:
         return fuse(RepBranchSpec(main, exact_bn(channels), identity_bn=exact_bn(channels)))
 
     def test_depthwise_center_taps(self):
-        spec = self.identity_only(4, 4)
-        assert spec.kernel.shape == (4, 1, 3, 3)
-        for i in range(4):
-            assert spec.kernel[i, 0, 1, 1] == 1.0
-        assert np.count_nonzero(spec.kernel) == 4
+        for k in (1, 3):
+            spec = self.identity_only(4, 4, k)
+            assert spec.kernel.shape == (4, 1, k, k) and spec.padding == k // 2
+            for i in range(4):
+                assert spec.kernel[i, 0, k // 2, k // 2] == 1.0
+            assert np.count_nonzero(spec.kernel) == 4
 
     def test_dense_center_slice_is_identity(self):
         spec = self.identity_only(4, 1, k=3)
@@ -294,9 +300,8 @@ class TestFuse:
                 assert report["pass"], (kw, dtype, report)
 
     def test_fuse_has_the_geometry_of_the_grid_rule(self):
-        # 3x3 when the main conv is 3x3 or there is an identity branch, else
-        # 1x1, padded to keep the main conv's output grid, in its stride,
-        # groups and dtype
+        # the main conv's grid: its kernel size, stride, padding, groups and
+        # dtype, with or without an identity branch
         rng = np.random.default_rng(11)
         cases = [
             dict(in_channels=4, out_channels=4, groups=1, stride=1),
@@ -314,12 +319,11 @@ class TestFuse:
             for dtype in (np.float32, np.float64):
                 spec = random_rep_branch_spec(dtype=dtype, rng=rng, **kw)
                 m, got = spec.main, fuse(spec)
-                k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
+                k = m.kernel_size[0]
                 assert (got.kernel.shape, got.kernel.dtype, got.bias.shape, got.bias.dtype,
                         got.stride, got.padding, got.groups) == (
                     (m.out_channels, m.in_channels // m.groups, k, k), dtype,
-                    (m.out_channels,), dtype, m.stride,
-                    m.padding + (k - m.kernel_size[0]) // 2, m.groups), (kw, dtype)
+                    (m.out_channels,), dtype, m.stride, m.padding, m.groups), (kw, dtype)
 
     def test_fused_param_count_never_exceeds_train_form(self):
         rng = np.random.default_rng(10)
@@ -332,6 +336,30 @@ class TestFuse:
         ):
             spec = random_rep_branch_spec(rng=rng, **kw)
             assert conv_param_total(fuse(spec)) <= train_param_total(spec)
+
+    def test_sums_in_one_float64_centre_plane(self):
+        # a float64 grid of the kernel's full size beside the float32 fold
+        # would take the peak past three times the kernel's bytes
+        spec = random_rep_branch_spec(224, 224, rng=np.random.default_rng(15))
+        fuse(spec)
+        tracemalloc.start()
+        try:
+            fuse(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * spec.main.kernel.nbytes
+
+    def test_s1_seed0_deploy_tensors_are_pinned(self):
+        """Every fused tensor of s1 seed 0, names, shapes and bytes, pinned in
+        memory: its 3x3 embeddings with 1x1 scale branches, its depthwise
+        mixers with identity branches and its one-branch units."""
+        digest = hashlib.sha256()
+        for name, arr in named_tensors(deploy(build(VARIANTS["s1"], 0))):
+            digest.update(f"{name} {arr.dtype} {arr.shape}\n".encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "3bcdab5438e957a85c72f9633f57948450584718c1c3c06212c1715ac4a9f377")
 
 
 class TestVerifyEquivalence:

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvt2 import tensor
-from mvt2.fusion import fold_bn, fuse, verify_equivalence
+from mvt2.fusion import RepBranchSpec, fold_bn, fuse, verify_equivalence
 from mvt2.model import ModelConfig, build, count, deploy, forward, named_tensors
 from mvt2.tensor import BNSpec, ConvSpec
 
-from helpers import random_rep_branch_spec
+from helpers import random_rep_branch_spec, reference_fold_bn, reference_fuse
 
 
 @st.composite
@@ -42,16 +42,38 @@ def branch_specs(draw):
 @given(spec=branch_specs(), batch=st.integers(1, 4), hw=st.integers(1, 9),
        seed=st.integers(0, 2**16))
 def test_fusion_is_equivalent_and_on_the_grid_rule(spec, batch, hw, seed):
+    """``fuse`` computes the train form's function on the main conv's grid,
+    and its bytes are those of the reference fuser's arithmetic."""
     tol = 1e-4 if spec.dtype == np.float32 else 1e-10
     report = verify_equivalence([spec], samples=2, tol=tol, input_hw=hw, batch=batch,
                                 seed=seed)[0]
     assert report["pass"], report
-    m, got = spec.main, fuse(spec)
-    k = 3 if m.kernel_size == (3, 3) or spec.identity_bn is not None else 1
+    m, got, want = spec.main, fuse(spec), reference_fuse(spec)
     assert (got.kernel.shape, got.kernel.dtype, got.bias.shape, got.bias.dtype,
             got.stride, got.padding, got.groups) == (
-        (m.out_channels, m.in_channels // m.groups, k, k), m.dtype, (m.out_channels,),
-        m.dtype, m.stride, m.padding + (k - m.kernel_size[0]) // 2, m.groups)
+        m.kernel.shape, m.dtype, (m.out_channels,), m.dtype, m.stride, m.padding, m.groups)
+    assert got.kernel.tobytes() == want.kernel.tobytes()
+    assert got.bias.tobytes() == want.bias.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fuse_turns_negative_zero_taps_positive(dtype):
+    """A -0.0 tap of the main fold comes out +0.0 from a multi-branch group,
+    as from a sum from zero, off the centre and on it; a one-branch group
+    is its fold, -0.0 taps and all."""
+    spec = random_rep_branch_spec(4, 4, groups=2, dtype=dtype, rng=np.random.default_rng(3))
+    spec.main.kernel[:, :, 0, :] = -0.0  # a whole row of off-centre taps
+    spec.main.kernel[:, :, 1, 1] = -0.0
+    spec.scale.kernel[0] = -0.0  # the scale fold is -0.0 at channel 0's centre
+    spec.identity_bn.gamma[0] = -0.0  # and so is the identity fold
+    assert np.signbit(fold_bn(spec.main, spec.main_bn).kernel[:, :, 0, :]).all()
+    got = fuse(spec)
+    assert got.kernel.tobytes() == reference_fuse(spec).kernel.tobytes()
+    assert not np.signbit(got.kernel[:, :, 0, :]).any()
+    assert got.kernel[0, 0, 1, 1] == 0 and not np.signbit(got.kernel[0, 0, 1, 1])
+    alone = RepBranchSpec(spec.main, spec.main_bn)
+    assert np.signbit(fuse(alone).kernel[:, :, 0, :]).all()
+    assert fuse(alone).kernel.tobytes() == reference_fuse(alone).kernel.tobytes()
 
 
 def read_only(arr):
@@ -82,11 +104,7 @@ def test_fold_bn_rounds_each_weight_once(kind, k, dtype, in_per_group, out_per_g
     bn = BNSpec(gamma=draw(out_c), beta=draw(out_c), running_mean=draw(out_c),
                 running_var=read_only(np.abs(draw(out_c))))
     got = fold_bn(conv, bn)
-    f64 = np.float64
-    scale = bn.gamma.astype(f64) / np.sqrt(bn.running_var.astype(f64) + tensor.BN_EPS)
-    want_w = (conv.kernel.astype(f64) * scale[:, None, None, None]).astype(dtype)
-    want_b = (bn.beta.astype(f64) + (conv.bias.astype(f64) - bn.running_mean.astype(f64))
-              * scale).astype(dtype)
+    want_w, want_b = reference_fold_bn(conv.kernel, conv.bias, bn, dtype)
     assert got.kernel.dtype == got.bias.dtype == dtype
     assert got.kernel.tobytes() == want_w.tobytes()
     assert got.bias.tobytes() == want_b.tobytes()
