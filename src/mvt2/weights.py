@@ -20,16 +20,17 @@ conv with its batch norm); a deploy file holds only the folded convs and
 the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
 variance below zero, is a ``FormatError``.  ``save`` refuses to write a
-non-finite tensor.  ``load`` reads the payload into one read-only
-buffer, and a loaded model's tensors are views into it: an in-place write
-into one raises ``ValueError``.  The buffer is read, not
+non-finite tensor.  Saving over an existing regular file writes a new
+file in its place (see ``save``).  ``load`` reads the payload into one
+read-only buffer, and a loaded model's tensors are views into it: an
+in-place write into one raises ``ValueError``.  The buffer is read, not
 memory-mapped, so a file truncated or rewritten after the load cannot
 change or fault a live model.
 """
 
+import contextlib
 import dataclasses
 import json
-import math
 import os
 import struct
 import sys
@@ -94,7 +95,17 @@ def save(model: Model, path) -> None:
     Raises ValueError, before anything is written, if the model is not its
     config's layout in one form (``model._check``: ``blocks`` may have been
     edited in place), or if a tensor is not float32 or holds a NaN or an
-    infinity: ``load`` would refuse the file or return another model."""
+    infinity: ``load`` would refuse the file or return another model.
+
+    When ``path`` names an existing regular file the caller may write
+    (through a symlink, the link's target; the link stays), that file is
+    unlinked and a new one is written under its name: a hard link to the
+    old file keeps the old bytes, and the new file's mode comes from the
+    umask, not from the old file.  A directory, FIFO or device, or a file
+    the caller may not write, is opened as before.  Nothing is fsynced.
+    The reason is speed: on ext4 with its default ``auto_da_alloc``,
+    truncating a file written moments before waits for its writeback, and
+    unlinking it does not."""
     _check(model)
     tensors = list(named_tensors(model))
     entries = []
@@ -127,6 +138,10 @@ def save(model: Model, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
+    # a refused unlink (say, in a read-only directory) writes in place
+    if os.path.isfile(path) and os.access(path, os.W_OK):
+        with contextlib.suppress(OSError):
+            os.unlink(os.path.realpath(path))
     with open(path, "wb") as fh:
         fh.write(_FIXED_HEADER.pack(MAGIC, VERSION, len(header_bytes)))
         fh.write(header_bytes)
@@ -174,19 +189,22 @@ def _parse(fh):
     return header, size - header_end
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+_ENTRY_KEYS = ("name", "dtype", "shape", "byte_offset", "byte_len")
+_ENTRY_KEY_SET = frozenset(_ENTRY_KEYS)
 
 
 def _validate_manifest(entries, payload_len: int):
+    """Check each entry's keys and types, then its byte count, alignment and
+    extent, in that order; then that no two payload regions overlap.  A
+    count is a JSON integer ``>= 0``: ``type(v) is int`` refuses bools."""
     if not isinstance(entries, list):
         raise FormatError("header 'tensors' is not a list")
-    seen = set()
+    seen, spans = set(), []
     for entry in entries:
-        keys = ("name", "dtype", "shape", "byte_offset", "byte_len")
-        if not isinstance(entry, dict) or any(key not in entry for key in keys):
-            raise FormatError(f"each tensor entry must be an object with keys {keys}")
-        name = entry["name"]
+        if not isinstance(entry, dict) or not entry.keys() >= _ENTRY_KEY_SET:
+            raise FormatError(f"each tensor entry must be an object with keys {_ENTRY_KEYS}")
+        name, shape = entry["name"], entry["shape"]
+        offset, length = entry["byte_offset"], entry["byte_len"]
         if not isinstance(name, str):
             raise FormatError(f"tensor name {name!r} is not a string")
         if name in seen:
@@ -194,21 +212,23 @@ def _validate_manifest(entries, payload_len: int):
         seen.add(name)
         if entry["dtype"] != "f32":
             raise FormatError(f"tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        shape = entry["shape"]
-        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        if not isinstance(shape, list):
             raise FormatError(f"tensor {name!r}: shape {shape!r} is not a list of counts")
-        if not (_is_count(entry["byte_offset"]) and _is_count(entry["byte_len"])):
+        expected = 4
+        for dim in shape:
+            if type(dim) is not int or dim < 0:
+                raise FormatError(f"tensor {name!r}: shape {shape!r} is not a list of counts")
+            expected *= dim
+        if not (type(offset) is int and offset >= 0 and type(length) is int and length >= 0):
             raise FormatError(f"tensor {name!r}: byte_offset and byte_len must be counts")
-        expected = math.prod(shape) * 4
-        if entry["byte_len"] != expected:
-            raise FormatError(
-                f"tensor {name!r}: byte_len {entry['byte_len']} does not match shape"
-            )
-        if entry["byte_offset"] % ALIGNMENT != 0:
+        if length != expected:
+            raise FormatError(f"tensor {name!r}: byte_len {length} does not match shape")
+        if offset % ALIGNMENT != 0:
             raise FormatError(f"tensor {name!r} is not {ALIGNMENT}-byte aligned")
-        if entry["byte_offset"] + entry["byte_len"] > payload_len:
+        if offset + length > payload_len:
             raise TruncatedPayloadError(f"payload ends inside tensor {name!r}")
-    spans = sorted((e["byte_offset"], e["byte_offset"] + e["byte_len"]) for e in entries)
+        spans.append((offset, offset + length))
+    spans.sort()
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):
         if start < prev_end:
             raise FormatError("tensor payload regions overlap")

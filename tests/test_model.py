@@ -1,10 +1,13 @@
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mvt2 import blocks, fusion, model as model_module, tensor
+from mvt2 import blocks, fusion, model as model_module, tensor, weights
 from mvt2.blocks import Geometry, RepEmbedBlock
 from mvt2.model import (
     VARIANTS,
@@ -285,6 +288,47 @@ class TestInputsUntouched:
         if form == "train":
             want |= {"batchnorm_infer", "rep_branch_forward", "one-tap depthwise conv2d"}
         assert set(calls) == want
+
+
+class TestConcurrentForward:
+    """The promise of the ``tensor``, ``blocks`` and ``fusion`` docstrings:
+    concurrent calls on shared inputs are safe.  Two threads run
+    ``forward`` on one model, built or loaded, over the same inputs, and
+    every result keeps the bits of a serial run."""
+
+    ROUNDS = 64
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    def test_two_threads_give_the_serial_bits(self, tmp_path, form, source):
+        net = build(TINY, seed=0)
+        if form == "deploy":
+            net = deploy(net)
+        if source == "loaded":
+            path = tmp_path / "m.mvt2"
+            weights.save(net, path)
+            net = weights.load(path)
+        rng = np.random.default_rng(6)
+        inputs = [rng.standard_normal((b, 3, 32, 32)).astype(np.float32) for b in (1, 3)]
+        serial = [forward(net, x).tobytes() for x in inputs]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(offset):
+            start.wait()
+            got = []
+            for i in range(self.ROUNDS):
+                k = (i + offset) % len(inputs)
+                got.append(forward(net, inputs[k]).tobytes() == serial[k])
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                results = list(pool.map(run, (0, 1), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[True] * self.ROUNDS] * 2
 
 
 class TestS1FullResolution:

@@ -260,6 +260,71 @@ class TestSaveRechecks:
         self.refuse(tmp_path, model, "stem.0.branch is float64")
 
 
+class TestSaveOverAFile:
+    """``save`` unlinks an existing regular file it may write and writes a
+    new one in its place; every other path is opened as before."""
+
+    def test_a_new_inode_with_the_bytes_of_a_fresh_save(self, tmp_path):
+        path, fresh, hard = tmp_path / "m.mvt2", tmp_path / "fresh.mvt2", tmp_path / "hard.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        old = path.read_bytes()
+        os.link(path, hard)
+        model = deploy(build(TINY, seed=1))
+        weights.save(model, path)
+        weights.save(model, fresh)
+        assert path.stat().st_ino != hard.stat().st_ino
+        assert path.read_bytes() == fresh.read_bytes()
+        assert hard.read_bytes() == old
+
+    def test_a_symlink_is_followed_and_kept(self, tmp_path):
+        target, link, fresh = tmp_path / "t.mvt2", tmp_path / "link.mvt2", tmp_path / "f.mvt2"
+        weights.save(build(TINY, seed=0), target)
+        link.symlink_to(target.name)
+        model = build(TINY, seed=1)
+        weights.save(model, link)
+        weights.save(model, fresh)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_a_refused_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        model = build(TINY, seed=1)
+        dict(_blocks(model))["stage2.0"].project.main_bn.beta[1] = np.nan
+        with pytest.raises(ValueError, match="holds a NaN"):
+            weights.save(model, path)
+        assert path.read_bytes() == before and path.stat().st_ino == inode
+
+    @pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() == 0,
+                        reason="root may write a read-only file")
+    def test_a_read_only_file_is_refused(self, tmp_path):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        before = path.read_bytes()
+        path.chmod(0o444)
+        with pytest.raises(OSError):
+            weights.save(build(TINY, seed=1), path)
+        assert path.read_bytes() == before
+
+    def test_a_file_named_as_a_directory_is_refused(self, tmp_path):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        before = path.read_bytes()
+        with pytest.raises(OSError):
+            weights.save(build(TINY, seed=1), f"{path}/")
+        assert path.read_bytes() == before
+
+    def test_fuse_out_a_directory_exits_3_and_keeps_it(self, tmp_path, capsys):
+        train, out = tmp_path / "m.mvt2", tmp_path / "out"
+        weights.save(build(TINY, seed=0), train)
+        out.mkdir()
+        (out / "kept").write_bytes(b"kept")
+        assert cli.main(["fuse", "--in", str(train), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out / "kept").read_bytes() == b"kept"
+
+
 class TestCorruption:
     def make(self, tmp_path):
         path = tmp_path / "m.mvt2"
@@ -467,6 +532,54 @@ HOSTILE_HEADERS = [
     pytest.param(lambda h: h["config"].update(depths=[1.5, 1, 1]), id="depth-a-float"),
     pytest.param(lambda h: h["config"].update(num_classes=True), id="classes-a-bool"),
 ]
+
+
+def first_entry(**fields):
+    return lambda h: h["tensors"][0].update(fields)
+
+
+# one case per fault ``load`` finds in the manifest, with its error and
+# message; the first entry is stem.0's main kernel, at byte offset 0
+MANIFEST_FAULTS = [
+    pytest.param(lambda h: h.update(tensors={}), weights.FormatError, "is not a list",
+                 id="tensors-an-object"),
+    pytest.param(lambda h: h["tensors"][0].pop("dtype"), weights.FormatError,
+                 "must be an object with keys", id="entry-without-dtype"),
+    pytest.param(first_entry(name=7), weights.FormatError, "7 is not a string",
+                 id="name-a-number"),
+    pytest.param(lambda h: h["tensors"].insert(1, h["tensors"][0]), weights.DuplicateNameError,
+                 "listed more than once", id="name-twice"),
+    pytest.param(first_entry(dtype="f64"), weights.FormatError, "unsupported dtype 'f64'",
+                 id="dtype-f64"),
+    pytest.param(lambda h: h["tensors"][0]["shape"].__setitem__(0, True), weights.FormatError,
+                 "is not a list of counts", id="shape-holds-true"),
+    pytest.param(lambda h: h["tensors"][0]["shape"].__setitem__(1, 3.0), weights.FormatError,
+                 "is not a list of counts", id="shape-holds-a-float"),
+    pytest.param(lambda h: h["tensors"][0]["shape"].__setitem__(2, -3), weights.FormatError,
+                 "is not a list of counts", id="shape-holds-a-negative"),
+    pytest.param(first_entry(byte_offset=False), weights.FormatError, "must be counts",
+                 id="offset-false"),
+    pytest.param(first_entry(byte_len=None), weights.FormatError, "must be counts",
+                 id="length-null"),
+    pytest.param(first_entry(byte_len=4), weights.FormatError, "does not match shape",
+                 id="length-not-the-shape"),
+    pytest.param(first_entry(byte_offset=32), weights.FormatError, "64-byte aligned",
+                 id="offset-misaligned"),
+    pytest.param(first_entry(byte_offset=1 << 40), weights.TruncatedPayloadError,
+                 "payload ends inside tensor", id="offset-past-the-payload"),
+    pytest.param(lambda h: h["tensors"][1].update(byte_offset=0), weights.FormatError,
+                 "regions overlap", id="regions-overlap"),
+]
+
+
+@pytest.mark.parametrize("mutate, error, message", MANIFEST_FAULTS)
+def test_manifest_fault_has_its_error_and_message(tmp_path, mutate, error, message):
+    path = tmp_path / "m.mvt2"
+    weights.save(build(TINY, seed=0), path)
+    rewrite_header(path, mutate)
+    with pytest.raises(error, match=message) as caught:
+        weights.load(path)
+    assert type(caught.value) is error
 
 
 class TestHostileHeader:
