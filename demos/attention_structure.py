@@ -19,7 +19,7 @@ c = 64
 block = init_block(SDTABlock, rng, c, 2)
 
 # the projection widens by exactly 2 * 16 = 32 channels
-print("projection:", c, "->", block.proj_p.out_channels, "channels")
+print("projection:", c, "->", block.proj_p.main.out_channels, "channels")
 print("split:", [QK_DIM, QK_DIM, c // 4, 3 * c // 4])
 
 # on a 4x4 grid the mixing matrix is 16x16 and its columns sum to one

@@ -34,8 +34,11 @@ Each forward is written once and takes an ndarray or an
 the ``tensor`` kernel of the same name and record the gradient with
 respect to the input only (weights are constants), so a traced forward
 matches the engine's bit for bit and the gradient checker differentiates
-the code the engine runs.  Blocks are immutable after construction and
-forwards are pure, so shared blocks are safe to use concurrently.
+the code the engine runs.  Forwards are pure and never write into a
+block or its arrays, so shared blocks are safe to use concurrently.  A
+block checks its units only when it is constructed: nothing stops a
+caller from assigning a field afterwards, which is why ``weights.save``
+checks a model again before writing it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .autodiff import kernels
-from .fusion import RepBranchSpec, fuse, rep_branch_forward
+from .fusion import RepBranchSpec, fuse, main_conv, rep_branch_forward
 from .tensor import ConvSpec
 
 # Query/key head width; attention scores are divided by its square root (4).
@@ -105,21 +108,21 @@ class _Block:
     @property
     def channels(self) -> int:
         """The width of the block's input, its first unit's."""
-        return getattr(self, fields(self)[0].name).in_channels
+        return main_conv(getattr(self, fields(self)[0].name)).in_channels
 
     @property
     def dims(self) -> tuple:
         """The width and the feed-forward's expansion ratio; a non-integral
         ratio fails the row check."""
-        return self.channels, self.expand.out_channels // self.expand.in_channels
+        expand = main_conv(self.expand)
+        return self.channels, expand.out_channels // expand.in_channels
 
     def __post_init__(self):
         rows = self.geometry(*self.dims)
         if [row.field for row in rows] != [f.name for f in fields(self)]:
             raise ValueError(f"{type(self).__name__}'s geometry rows are not its fields in order")
         for row in rows:
-            spec = getattr(self, row.field)
-            conv = spec.main if isinstance(spec, RepBranchSpec) else spec
+            conv = main_conv(getattr(self, row.field))
             got = (conv.kernel.shape, conv.stride, conv.padding, conv.groups)
             want = ((row.out_c, row.in_c // row.groups, row.k, row.k), row.stride, row.k // 2,
                     row.groups)
@@ -141,7 +144,8 @@ class RepEmbedBlock(_Block):
 
     @property
     def dims(self) -> tuple:
-        return self.branch.in_channels, self.branch.out_channels, self.branch.stride
+        conv = main_conv(self.branch)
+        return conv.in_channels, conv.out_channels, conv.stride
 
 
 @dataclass

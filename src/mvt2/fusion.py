@@ -6,7 +6,9 @@ convolution, and an optional identity path.  At deployment the group is
 replaced by a single convolution that computes the same function: fold
 each BN into its convolution (the identity path as a one-hot 1 by 1
 conv) and add the folds.  A folded unit keeps its main conv's grid: its
-kernel size, stride, padding and groups.  The scale and identity folds
+kernel size, stride, padding and groups.  So ``main_conv(unit)``, the
+group's main conv or the folded conv itself, is the one answer to what
+grid a unit runs on, in either form.  The scale and identity folds
 are 1 by 1 and land on the main kernel's centre tap alone, the way
 MobileOne's 1 by 1 blocks fold (Vasu et al., CVPR 2023), so a 1 by 1
 main conv stays 1 by 1 even beside an identity path.  A one-branch
@@ -30,7 +32,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -120,33 +122,12 @@ class RepBranchSpec:
             if self.identity_bn.channels != m.out_channels:
                 raise ValueError("identity batch-norm channel count mismatch")
 
-    @property
-    def dtype(self):
-        return self.main.dtype
 
-    @property
-    def in_channels(self) -> int:
-        return self.main.in_channels
-
-    @property
-    def out_channels(self) -> int:
-        return self.main.out_channels
-
-    @property
-    def kernel_size(self) -> tuple[int, int]:
-        return self.main.kernel_size
-
-    @property
-    def stride(self) -> int:
-        return self.main.stride
-
-    @property
-    def padding(self) -> int:
-        return self.main.padding
-
-    @property
-    def groups(self) -> int:
-        return self.main.groups
+def main_conv(unit: Union[RepBranchSpec, ConvSpec]) -> ConvSpec:
+    """The conv whose grid ``unit`` runs on, in either form: a train-form
+    group's main conv, or the folded conv itself.  ``fuse`` keeps that grid,
+    so its kernel shape, stride, padding, groups and dtype are the unit's."""
+    return unit.main if isinstance(unit, RepBranchSpec) else unit
 
 
 def rep_branch_forward(x, spec: RepBranchSpec):
@@ -189,13 +170,14 @@ def fuse(spec: RepBranchSpec) -> ConvSpec:
     if spec.scale is not None:
         folded.append(fold_bn(spec.scale, spec.scale_bn))
     if spec.identity_bn is not None:
-        c, per_group = spec.out_channels, spec.in_channels // spec.groups
-        one_hot = np.zeros((c, per_group, 1, 1), spec.dtype)
+        m = spec.main
+        c, per_group = m.out_channels, m.in_channels // m.groups
+        one_hot = np.zeros((c, per_group, 1, 1), m.dtype)
         one_hot[np.arange(c), np.arange(c) % per_group] = 1
-        folded.append(fold_bn(ConvSpec(one_hot, np.zeros(c, spec.dtype), groups=spec.groups),
+        folded.append(fold_bn(ConvSpec(one_hot, np.zeros(c, m.dtype), groups=m.groups),
                               spec.identity_bn))
     centre = np.zeros(_centre(fused.kernel).shape)
-    bias = np.zeros(spec.out_channels)
+    bias = np.zeros(spec.main.out_channels)
     for conv in folded:
         centre += _centre(conv.kernel)
         bias += conv.bias
@@ -228,7 +210,7 @@ def verify_equivalence(
         raise ValueError("samples must be at least 1")
     by_input: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
-        key = ((batch, spec.in_channels, input_hw, input_hw), np.dtype(spec.dtype))
+        key = ((batch, spec.main.in_channels, input_hw, input_hw), np.dtype(spec.main.dtype))
         by_input.setdefault(key, []).append(i)
     worst = [0.0] * len(specs)
     for (shape, dtype), members in by_input.items():

@@ -48,7 +48,7 @@ from .blocks import (
     block_forward,
     deployed,
 )
-from .fusion import RepBranchSpec
+from .fusion import RepBranchSpec, main_conv
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -194,8 +194,8 @@ def _check(model: Model) -> None:
             if isinstance(spec, RepBranchSpec) and (row.scale, row.identity) != (
                     spec.scale is not None, spec.identity_bn is not None):
                 raise fault(f"{unit} does not have its row's branches")
-            if spec.dtype != model.dtype:
-                raise fault(f"{unit} is {spec.dtype}, the classifier {model.dtype}")
+            if main_conv(spec).dtype != model.dtype:
+                raise fault(f"{unit} is {main_conv(spec).dtype}, the classifier {model.dtype}")
     shape = (model.config.num_classes, model.config.dims[2])
     if (model.head_weight.shape, model.head_bias.shape) != (shape, shape[:1]):
         raise fault(f"the classifier is not {shape}")

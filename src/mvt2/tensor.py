@@ -296,6 +296,7 @@ _AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 _GELU_C = np.float32(np.sqrt(2.0) / _AS_P)
 _GELU_H = tuple(np.float32(a / 2 * float(_GELU_C) ** i) for i, a in enumerate(_AS_A, start=1))
 _GELU_CLAMP = np.float32(9.0)
+_SIGN_BIT = np.uint32(0x80000000)
 # Three float32 scratch blocks of 128 KiB each, which stay in L2.
 _GELU_BLOCK = 1 << 15
 
@@ -319,10 +320,12 @@ def gelu(x: np.ndarray) -> np.ndarray:
     1e4`` (it stays normal up to ``|x|`` ~ 1e21), where an unclamped
     ``exp(-x^2 / 2)`` sinks into float32 subnormals, which are slow in the
     GEMMs that read them.  Past 9 the result is within 1e-18 of the exact
-    one.  The result takes ``x``'s sign by ``np.copysign`` in one pass,
-    so -0.0, -inf and a tail that underflows to 0 give -0.0 as in
-    float64.  Against the float64 GELU on a dense grid over [-10, 10] the
-    float32 result is within 3.4e-7 absolute.
+    one.  The result takes ``x``'s sign bit, the bits ``np.copysign``
+    gives, by integer passes on ``uint32`` views (clear the sign bit, then
+    or in ``x``'s), which cost less than ``copysign``; so -0.0, -inf and a
+    tail that underflows to 0 give -0.0 as in float64.  Against the
+    float64 GELU on a dense grid over [-10, 10] the float32 result is
+    within 3.4e-7 absolute.
 
     float32 input runs in blocks of 32768 elements through three
     block-sized scratch buffers, so the output is the only full-size
@@ -361,7 +364,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
         q *= a
         y = np.maximum(xs[lo:hi], np.float32(0.0), out=ys[lo:hi])
         y -= q
-        np.copysign(y, xs[lo:hi], out=y)
+        # x's sign bit, in a's free buffer, replaces y's
+        sign = np.bitwise_and(xs[lo:hi].view(np.uint32), _SIGN_BIT, out=a.view(np.uint32))
+        y = y.view(np.uint32)
+        y &= ~_SIGN_BIT
+        y |= sign
     return out
 
 

@@ -93,9 +93,10 @@ def save(model: Model, path) -> None:
     """Write the model's parameters to ``path``, one tensor at a time.
 
     Raises ValueError, before anything is written, if the model is not its
-    config's layout in one form (``model._check``: ``blocks`` may have been
-    edited in place), or if a tensor is not float32 or holds a NaN or an
-    infinity: ``load`` would refuse the file or return another model.
+    config's layout in one form and one dtype (``model._check``: ``blocks``
+    may have been edited in place), if that dtype is not float32, or if a
+    tensor holds a NaN or an infinity: ``load`` would refuse the file or
+    return another model.
 
     When ``path`` names an existing regular file the caller may write
     (through a symlink, the link's target; the link stays), that file is
@@ -107,13 +108,13 @@ def save(model: Model, path) -> None:
     truncating a file written moments before waits for its writeback, and
     unlinking it does not."""
     _check(model)
+    if model.dtype != np.float32:
+        raise ValueError(f"the model is {model.dtype}: weight files store float32; "
+                         "convert the model first")
     tensors = list(named_tensors(model))
     entries = []
     end = 0
     for name, arr in tensors:
-        if arr.dtype != np.float32:
-            raise ValueError(f"tensor {name!r} is {arr.dtype}: weight files store float32; "
-                             "convert the model first")
         if not np.isfinite(arr).all():
             raise ValueError(f"tensor {name!r} holds a NaN or infinite value; nothing written")
         offset = _aligned(end)

@@ -87,13 +87,13 @@ def reference_fuse(spec: RepBranchSpec) -> ConvSpec:
     a one-hot 1x1 conv), the folds summed in float64 from zero on the main
     conv's grid, in the order main, scale, identity, and the sum rounded
     once.  A one-branch group is its fold."""
-    m, dtype = spec.main, spec.dtype
+    m, dtype = spec.main, spec.main.dtype
     folds = [reference_fold_bn(m.kernel, m.bias, spec.main_bn, dtype)]
     if spec.scale is not None:
         folds.append(reference_fold_bn(spec.scale.kernel, spec.scale.bias, spec.scale_bn, dtype))
-    c = spec.out_channels
+    c = m.out_channels
     if spec.identity_bn is not None:
-        one_hot = np.zeros((c, spec.in_channels // spec.groups, 1, 1))
+        one_hot = np.zeros((c, m.in_channels // m.groups, 1, 1))
         one_hot[np.arange(c), np.arange(c) % one_hot.shape[1]] = 1
         folds.append(reference_fold_bn(one_hot, np.zeros(c), spec.identity_bn, dtype))
     if len(folds) > 1:

@@ -147,7 +147,7 @@ def test_criterion_5_attention_structure():
     rng = np.random.default_rng(3)
     for c in (320, 448):
         block = init_block(blocks.SDTABlock, rng, c, 2)
-        assert block.proj_p.out_channels == c + 32
+        assert block.proj_p.main.out_channels == c + 32
         x = rng.standard_normal((2, c, 4, 4)).astype(np.float32)
         maps = blocks.sdta_attention_map(block, x)
         assert maps.shape == (2, 16, 16)

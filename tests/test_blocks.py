@@ -20,7 +20,7 @@ from mvt2.blocks import (
     sdta_block_forward,
     sdta_forward,
 )
-from mvt2.fusion import RepBranchSpec, fold_bn, fuse
+from mvt2.fusion import RepBranchSpec, fold_bn, fuse, main_conv
 from mvt2.model import init_block, init_unit
 from mvt2.tensor import BN_EPS, ConvSpec, batchnorm_infer, conv2d, sigmoid
 
@@ -205,14 +205,14 @@ class TestFFN:
         for cls in (RepDWBlock, SDTABlock, MDTABlock):
             block = init_block(cls, rng, 8, 3)
             assert block.dims == (8, 3), cls.__name__
-            assert block.expand.out_channels == 3 * block.channels, cls.__name__
+            assert block.expand.main.out_channels == 3 * block.channels, cls.__name__
 
 
 class TestSDTA:
     def test_c320_projection_split(self):
         rng = np.random.default_rng(11)
         block = init_block(SDTABlock, rng, 320, 2)
-        assert block.proj_p.out_channels == 352
+        assert block.proj_p.main.out_channels == 352
         x = rng.standard_normal((1, 320, 4, 4)).astype(np.float32)
         out = sdta_block_forward(block, x)
         assert out.shape == x.shape
@@ -426,8 +426,9 @@ class TestConverter:
 def wrong_geometries(spec, kernels):
     """(what, (in, out, k, stride, groups)) for geometries that differ from
     ``spec``'s in exactly one of the five and still make a valid conv."""
-    in_c, out_c, (k, _), stride, g = (spec.in_channels, spec.out_channels,
-                                      spec.kernel_size, spec.stride, spec.groups)
+    conv = main_conv(spec)
+    in_c, out_c, (k, _), stride, g = (conv.in_channels, conv.out_channels,
+                                      conv.kernel_size, conv.stride, conv.groups)
     yield "in", (in_c + g, out_c, k, stride, g)
     yield "out", (in_c, out_c + g, k, stride, g)
     for other in kernels:

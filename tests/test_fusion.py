@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -8,10 +9,19 @@ from mvt2.fusion import (
     RepBranchSpec,
     fold_bn,
     fuse,
+    main_conv,
     rep_branch_forward,
     verify_equivalence,
 )
-from mvt2.model import VARIANTS, build, deploy, named_tensors
+from mvt2.model import (
+    ATTENTION_KINDS,
+    VARIANTS,
+    _walk,
+    build,
+    deploy,
+    from_tensors,
+    named_tensors,
+)
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
 
 from helpers import identity_bn, random_rep_branch_spec
@@ -236,6 +246,32 @@ class TestRepBranchSpec:
             RepBranchSpec(main, identity_bn(4), scale_bn=identity_bn(4))
 
 
+def grid(conv):
+    return conv.kernel.shape, conv.stride, conv.padding, conv.groups
+
+
+class TestMainConv:
+    @pytest.mark.parametrize("attention", ATTENTION_KINDS)
+    @pytest.mark.parametrize("variant", ["s1", "s2", "s3"])
+    def test_every_unit_runs_on_its_rows_grid_in_both_forms(self, variant, attention):
+        """``main_conv`` of every unit, train and deploy, has its geometry
+        row's kernel shape, stride, padding k // 2 and groups, and a train
+        unit's fuse keeps that grid and dtype.  The arrays are zeros: only
+        the grid is read."""
+        config = dataclasses.replace(VARIANTS[variant], attention=attention)
+        dtype = np.float32 if attention == "sdta" else np.float64
+        for mode in ("train", "deploy"):
+            model = from_tensors(config, mode, lambda _, shape: np.zeros(shape, dtype))
+            for name, row, unit in _walk(model):
+                conv = main_conv(unit)
+                assert grid(conv) == ((row.out_c, row.in_c // row.groups, row.k, row.k),
+                                      row.stride, row.k // 2, row.groups), (mode, name, row)
+                assert conv.dtype == dtype
+                if mode == "train":
+                    fused = main_conv(fuse(unit))
+                    assert (grid(fused), fused.dtype) == (grid(conv), conv.dtype), (name, row)
+
+
 class TestFuse:
     def test_main_only_identity_bn_returns_unchanged(self):
         np.random.seed(5)
@@ -442,7 +478,7 @@ class TestVerifyEquivalence:
             random_rep_branch_spec(4, 4, dtype=np.float64, rng=rng),
             random_rep_branch_spec(6, 6, kernel_size=1, rng=rng),
         ]
-        distinct = {(s.in_channels, s.dtype) for s in specs}
+        distinct = {(s.main.in_channels, s.main.dtype) for s in specs}
         assert len(distinct) == 3
         alone = [verify_equivalence([s], samples=4)[0] for s in specs]
 

@@ -69,7 +69,7 @@ class TestBuild:
 
     def test_s1_projection_width(self):
         model = build(VARIANTS["s1"], seed=0)
-        assert model.stage3[0].proj_p.out_channels == 352
+        assert model.stage3[0].proj_p.main.out_channels == 352
 
     def test_block_counts_match_depths(self):
         model = build(VARIANTS["s2"], seed=0)

@@ -44,7 +44,7 @@ def branch_specs(draw):
 def test_fusion_is_equivalent_and_on_the_grid_rule(spec, batch, hw, seed):
     """``fuse`` computes the train form's function on the main conv's grid,
     and its bytes are those of the reference fuser's arithmetic."""
-    tol = 1e-4 if spec.dtype == np.float32 else 1e-10
+    tol = 1e-4 if spec.main.dtype == np.float32 else 1e-10
     report = verify_equivalence([spec], samples=2, tol=tol, input_hw=hw, batch=batch,
                                 seed=seed)[0]
     assert report["pass"], report

@@ -450,6 +450,20 @@ class TestGelu:
             assert got.shape == view.shape
             assert np.array_equal(bits(got), bits(gelu(np.ascontiguousarray(view))))
 
+    def test_float32_sign_bit_is_the_inputs(self):
+        """The result's sign bit is ``x``'s for every class of bit pattern:
+        a stride through all 2^32 of them, and every exponent of either
+        sign with mantissas 0, 1, the largest, the quiet bit alone and an
+        alternating pattern, which takes in +-0, subnormals, +-inf and
+        quiet and signalling NaNs."""
+        stride = np.arange(0, 2**32, 4093, dtype=np.uint64).astype(np.uint32)
+        exponents = np.arange(512, dtype=np.uint32) << 23
+        mantissas = np.array([0, 1, 0x7FFFFF, 0x400000, 0x2AAAAA], dtype=np.uint32)
+        probes = np.concatenate([stride, (exponents[:, None] | mantissas).ravel()])
+        with np.errstate(invalid="ignore"):  # a signalling NaN is invalid in arithmetic
+            got = gelu(probes.view(np.float32)).view(np.uint32)
+        assert np.array_equal(got >> 31, probes >> 31)
+
     def test_float32_emits_no_subnormals(self):
         # A result below float32's smallest normal that is not 0 would
         # reach the next GEMM as a subnormal, which runs many times slower.
