@@ -4,7 +4,8 @@ Subcommands cover the model lifecycle: build random weights, fuse them for
 deployment, verify the fusion numerically, count parameters and MACs, run
 inference on raw tensors, benchmark with an energy model, and spot-check
 gradients.  stdout carries machine-readable JSON only; diagnostics go to
-stderr.
+stderr.  ``main`` may be called many times in one process; the argument
+parser is built once, at the first call, and shared by every later one.
 
 Exit codes:
     0  success / check passed
@@ -19,6 +20,7 @@ Exit codes:
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -260,7 +262,11 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built at the first call.  Every call
+    returns the same parser, so it is shared and must not be modified.
+    ``main`` runs subcommand ``x-y`` as the function ``cmd_x_y``."""
     parser = argparse.ArgumentParser(prog="mvt2", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -268,32 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("fuse", help="fold a train-form file into deploy form")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("verify-fusion", help="check train/deploy equivalence per block")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.set_defaults(func=cmd_verify_fusion)
 
     p = sub.add_parser("count", help="analytic parameter and MAC totals")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--mode", choices=["train", "deploy"], default="deploy")
     p.add_argument("--attention", choices=["sdta", "mdta"], default="sdta")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("infer", help="run a weight file on raw float32 input")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="little-endian float32 NCHW binary")
     p.add_argument("--shape", required=True, help="N,C,H,W")
     p.add_argument("--topk", type=int, default=5)
-    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("bench", help="timed forward passes with an energy model")
     p.add_argument("--model", required=True)
@@ -306,29 +307,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acc", type=float, default=None, help="externally measured top-1 %%")
     p.add_argument("--acc-source", default="unspecified", help="where --acc came from")
     p.add_argument("--out", default=None, help="also write the report JSON here")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of one block")
     p.add_argument("--block", choices=["repdw", "sdta", "mdta"], required=True)
     p.add_argument("--channels", type=int, default=8)
     p.add_argument("--hw", type=int, default=4)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # ``cmd_<command>`` is looked up by name at each call, not held by the
+    # shared parser, so a rebinding of that name (a tracer's wrapper, a
+    # test's patch) takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     # the one place that maps a fault to its exit code; the commands check
     # their results for non-finite values, so numpy's warnings are off
     try:
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return command(args)
     except CliError as exc:
         code, message = exc.code, str(exc)
     except OSError as exc:

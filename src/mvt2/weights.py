@@ -19,13 +19,15 @@ conv unit as a branch group (a one-branch group is named like a plain
 conv with its batch norm); a deploy file holds only the folded convs and
 the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
-variance below zero, is a ``FormatError``.  ``save`` refuses to write a
-non-finite tensor.  Saving over an existing regular file writes a new
-file in its place (see ``save``).  ``load`` reads the payload into one
-read-only buffer, and a loaded model's tensors are views into it: an
-in-place write into one raises ``ValueError``.  The buffer is read, not
-memory-mapped, so a file truncated or rewritten after the load cannot
-change or fault a live model.
+variance below zero, is a ``FormatError``.  ``save`` and ``load`` apply
+one per-tensor rule, ``tensor_fault``, so ``save`` refuses a tensor that
+``load`` would refuse or read back as another.  Saving over an existing
+regular file writes a new file in its place (see ``save``).  ``load``
+reads the payload into one read-only buffer, and a loaded model's
+tensors are views into it: an in-place write into one raises
+``ValueError``.  The buffer is read, not memory-mapped, so a file
+truncated or rewritten after the load cannot change or fault a live
+model.
 """
 
 import contextlib
@@ -89,14 +91,31 @@ def _aligned(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
+def tensor_fault(name: str, arr: np.ndarray, screened: bool = False):
+    """Why ``arr`` cannot be the file tensor ``name``, or None if it can:
+    it is not float32, it holds a NaN or an infinity (not looked for when
+    ``screened``, the caller having found none), or ``name`` is a
+    batch-norm variance and ``arr`` holds a value below zero.  ``save`` and
+    ``load`` both apply it, so ``save`` writes no file that ``load``
+    refuses or reads back as another model."""
+    if arr.dtype != np.float32:
+        return f"is {arr.dtype}: weight files store float32"
+    if not screened and not np.isfinite(arr).all():
+        return "holds a NaN or infinite value"
+    if name.endswith("_bn.var") and (arr < 0).any():
+        return "holds a negative batch-norm variance"
+    return None
+
+
 def save(model: Model, path) -> None:
     """Write the model's parameters to ``path``, one tensor at a time.
 
     Raises ValueError, before anything is written, if the model is not its
     config's layout in one form and one dtype (``model._check``: ``blocks``
-    may have been edited in place), if that dtype is not float32, or if a
-    tensor holds a NaN or an infinity: ``load`` would refuse the file or
-    return another model.
+    may have been edited in place), or if a tensor breaks the per-tensor
+    rule ``load`` applies (``tensor_fault``: not float32, a NaN or an
+    infinity, a negative batch-norm variance): ``load`` would refuse the
+    file or return another model.
 
     When ``path`` names an existing regular file the caller may write
     (through a symlink, the link's target; the link stays), that file is
@@ -108,15 +127,13 @@ def save(model: Model, path) -> None:
     truncating a file written moments before waits for its writeback, and
     unlinking it does not."""
     _check(model)
-    if model.dtype != np.float32:
-        raise ValueError(f"the model is {model.dtype}: weight files store float32; "
-                         "convert the model first")
     tensors = list(named_tensors(model))
     entries = []
     end = 0
     for name, arr in tensors:
-        if not np.isfinite(arr).all():
-            raise ValueError(f"tensor {name!r} holds a NaN or infinite value; nothing written")
+        fault = tensor_fault(name, arr)
+        if fault is not None:
+            raise ValueError(f"tensor {name!r} {fault}; nothing written")
         offset = _aligned(end)
         end = offset + 4 * arr.size
         entries.append(
@@ -245,13 +262,13 @@ def load(path) -> Model:
     file or of a tensor is held.  ``model.from_tensors`` builds the stored
     form straight around those views: nothing is drawn, fused or built and
     thrown away.  Each tensor is checked, in execution order, for its name
-    and shape, for non-finite values and, for a batch-norm variance, for
-    negative ones.  The payload is read in 256 KiB chunks, each scanned
-    for non-finite values while it is still in cache; only when a chunk
-    holds one (in a tensor, or in the padding between tensors) is each
-    tensor scanned, so the error names the first bad tensor.  A config
-    with more stage blocks than the file lists tensors, or a payload that
-    does not fit in memory, is a ``FormatError``.
+    and shape, then by ``tensor_fault``.  The payload is read in 256 KiB
+    chunks, each scanned for non-finite values while it is still in cache;
+    only when a chunk holds one (in a tensor, or in the padding between
+    tensors) does ``tensor_fault`` scan each tensor, so the error names the
+    first bad tensor.  A config that needs a tensor the file does not list
+    is refused at the first such tensor, and a payload that does not fit
+    in memory is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -264,10 +281,7 @@ def load(path) -> Model:
             config = ModelConfig(**header["config"])
         except (TypeError, ValueError) as exc:
             raise FormatError(f"invalid model config in header: {exc}") from None
-        # every stage block holds at least one tensor, in either form
-        if sum(config.depths) > len(entries):
-            raise FormatError(f"model config needs more than the {len(entries)} tensors listed")
-        extent = max(e["byte_offset"] + e["byte_len"] for e in entries)
+        extent = max((e["byte_offset"] + e["byte_len"] for e in entries), default=0)
         try:
             raw = np.empty(extent + ALIGNMENT, dtype=np.uint8)
         except MemoryError:
@@ -296,10 +310,9 @@ def load(path) -> Model:
             )
         first = entry["byte_offset"] // 4
         arr = floats[first:first + entry["byte_len"] // 4].reshape(shape)
-        if not finite and not np.isfinite(arr).all():
-            raise FormatError(f"tensor {name!r} holds a NaN or infinite value")
-        if name.endswith("_bn.var") and (arr < 0).any():
-            raise FormatError(f"tensor {name!r} holds a negative batch-norm variance")
+        fault = tensor_fault(name, arr, screened=finite)
+        if fault is not None:
+            raise FormatError(f"tensor {name!r} {fault}")
         return arr
 
     model = from_tensors(config, mode, tensor)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -562,6 +563,47 @@ class TestGradcheck:
         assert stdout == ""
         assert stderr.startswith(f"error: {flag} ")
         assert stderr.count("\n") == 1
+
+
+class TestSharedParser:
+    """``main`` builds its parser at the first call and shares it with
+    every later call in the process."""
+
+    @pytest.fixture()
+    def counted_builds(self, monkeypatch):
+        """The ``prog`` of every parser built while the test runs, starting
+        from a cleared cache."""
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        yield built
+        cli.build_parser.cache_clear()
+
+    def test_repeats_are_byte_identical_and_one_parser_is_built(
+            self, capsys, tmp_path, tiny_files, counted_builds):
+        raw = tmp_path / "x.raw"
+        np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype("<f4").tofile(raw)
+        commands = [
+            (2, ["--no-such-flag"]),
+            (0, ["--help"]),
+            (2, ["count", "--variant", "s9"]),
+            (0, ["count", "--variant", "s1"]),
+            (0, ["build", "--variant", "s1", "--out", str(tmp_path / "b.mvt2")]),
+            (0, ["fuse", "--in", tiny_files["train"], "--out", str(tmp_path / "d.mvt2")]),
+            (0, ["verify-fusion", "--in", tiny_files["train"], "--samples", "2"]),
+            (0, ["infer", "--model", tiny_files["deploy"], "--input", str(raw),
+                 "--shape", "1,3,32,32"]),
+        ]
+        for code, argv in commands:
+            first = run(capsys, argv)
+            assert first[0] == code and (first[1] or first[2]), argv
+            assert run(capsys, argv) == first, argv
+        assert counted_builds.count("mvt2") == 1
 
 
 # For each flag of each subcommand, (common values, rare values).  Common

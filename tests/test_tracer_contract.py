@@ -2,14 +2,16 @@
 functions by name; these checks fail when a rename in src/ would leave a
 traced layer silently empty."""
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvt2 import blocks
+from mvt2 import blocks, cli, weights
 from mvt2 import model as mvt2_model
 from mvt2.model import VARIANTS, build, deploy, forward, named_tensors
 from mvt2.tensor import ConvSpec
@@ -31,6 +33,32 @@ def tracer_module():
 def test_every_traced_block_forward_exists(tracer_module):
     for name in tracer_module.BLOCK_FORWARDS:
         assert callable(getattr(blocks, name, None)), name
+
+
+def test_traced_cli_commands_record_their_spans(tracer_module, tmp_path):
+    """``cli.main`` builds its parser once per process, so here the parser
+    exists before the tracer starts; each traced command still records its
+    span."""
+    train, dep, raw = tmp_path / "t.mvt2", tmp_path / "d.mvt2", tmp_path / "x.raw"
+    weights.save(build(TINY, seed=0), train)
+    np.zeros((1, 3, 32, 32), dtype="<f4").tofile(raw)
+    commands = [["fuse", "--in", str(train), "--out", str(dep)],
+                ["verify-fusion", "--in", str(train), "--samples", "1"],
+                ["infer", "--model", str(dep), "--input", str(raw), "--shape", "1,3,32,32"]]
+    originals = {n: getattr(cli, n) for n in ("cmd_fuse", "cmd_verify_fusion", "cmd_infer")}
+    tracer = tracer_module.Tracer()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main(argv) for argv in commands] == [0, 0, 0]
+        tracer.start()
+        try:
+            assert [cli.main(argv) for argv in commands] == [0, 0, 0]
+        finally:
+            tracer.stop()
+
+    names = [span[tracer_module.NAME] for span in tracer.spans]
+    for name in ("cli.fuse", "cli.verify_fusion", "cli.infer"):
+        assert names.count(name) == 1, name
+    assert all(getattr(cli, n) is f for n, f in originals.items())
 
 
 @pytest.mark.parametrize("form", ["train", "deploy"])

@@ -223,14 +223,15 @@ class TestFileLayout:
 
     def test_float64_model_rejected(self, tmp_path):
         model = build(TINY, seed=0, dtype=np.float64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="float32"):
             weights.save(model, tmp_path / "m.mvt2")
 
 
 class TestSaveRechecks:
-    """``blocks`` is a plain list, so it can be edited in place after the
-    model was built; ``save`` checks the model again, and every tensor's
-    dtype, before it opens the file.  A refused save leaves no file."""
+    """``blocks`` is a plain list and the arrays of a built model are
+    writable, so both can be edited after the model was built; ``save``
+    checks the model again, and every tensor by the rule ``load`` applies,
+    before it opens the file.  A refused save leaves no file."""
 
     def refuse(self, tmp_path, model, match):
         path = tmp_path / "m.mvt2"
@@ -258,6 +259,19 @@ class TestSaveRechecks:
         model = build(TINY, 0)
         model.blocks[:] = build(TINY, 0, dtype=np.float64).blocks
         self.refuse(tmp_path, model, "stem.0.branch is float64")
+
+    def test_a_negative_variance_written_in_place_is_refused(self, tmp_path):
+        # ``load`` would refuse the file with a FormatError
+        model = build(TINY, 0)
+        model.stage2[0].project.main_bn.running_var[0] = -1
+        self.refuse(tmp_path, model, "'stage2.0.project_bn.var' holds a negative")
+
+    def test_a_float64_array_assigned_in_a_unit_is_refused(self, tmp_path):
+        # written as float32, the file would load as another model
+        model = build(TINY, 0)
+        main = model.blocks[0].branch.main
+        main.bias = np.zeros_like(main.bias, dtype=np.float64)
+        self.refuse(tmp_path, model, "'stem.0.main.bias' is float64: weight files store float32")
 
 
 class TestSaveOverAFile:
@@ -609,9 +623,10 @@ class TestConfigBeyondFile:
     traceback or a long build."""
 
     @pytest.mark.parametrize("mutate", [
-        # more stage blocks than listed tensors: rejected before the walk
+        # more stage blocks than listed tensors: refused at the first missing one
         pytest.param(lambda h: h["config"].update(depths=[200000, 1, 1]),
                      id="deeper-than-the-manifest"),
+        pytest.param(lambda h: h.update(tensors=[]), id="no-tensors"),
         # a head far larger than memory: its file shape is refused, nothing allocated
         pytest.param(lambda h: h["config"].update(num_classes=10**12),
                      id="skeleton-out-of-memory"),
