@@ -112,7 +112,10 @@ def conv2d(x: Var, spec: T.ConvSpec) -> Var:
     return Var(out, (x,), (dx,))
 
 
-def batchnorm_infer(x: Var, bn: T.BNSpec) -> Var:
+def batchnorm_infer(x: Var, bn: T.BNSpec, out=None) -> Var:
+    """``out`` is taken for ``tensor.batchnorm_infer``'s signature and not
+    written: a recorded ``Var``'s value is never overwritten, so the result
+    is a fresh array, with the bits an in-place run gives."""
     x = _as_var(x)
     scale = (bn.gamma / np.sqrt(bn.running_var + T.BN_EPS))[None, :, None, None]
     return Var(T.batchnorm_infer(x.value, bn), (x,), (lambda g: g * scale,))

@@ -35,7 +35,11 @@ the ``tensor`` kernel of the same name and record the gradient with
 respect to the input only (weights are constants), so a traced forward
 matches the engine's bit for bit and the gradient checker differentiates
 the code the engine runs.  Forwards are pure and never write into a
-block or its arrays, so shared blocks are safe to use concurrently.  A
+block, its arrays or their input, so shared blocks are safe to use
+concurrently.  They write only into arrays the call itself made: a
+residual ``x + f(x)`` is added into ``f``'s fresh output, and a
+train-form batch norm runs in place on its conv's fresh output, through
+``tensor.batchnorm_infer``'s ``out=``.  A
 block checks its units only when it is constructed: nothing stops a
 caller from assigning a field afterwards, which is why ``weights.save``
 checks a model again before writing it.
@@ -217,6 +221,15 @@ class MDTABlock(_Block):
         return {"attn_qk": c * c * hw, "attn_av": c * c * hw}
 
 
+def _residual(x, fx):
+    """The residual ``x + fx``, written into ``fx``: the fresh output of the
+    branch that ``x`` went through, which no one else holds.  Float
+    addition commutes, so these are the bits of ``x + fx``; for a ``Var``,
+    ``+=`` makes a new ``add`` node."""
+    fx += x
+    return fx
+
+
 def ffn_forward(block, x):
     """The feed-forward of ``block``, without its residual."""
     return unit_forward(block.project, kernels(x).gelu(unit_forward(block.expand, x)))
@@ -227,8 +240,8 @@ def rep_embed_forward(block: RepEmbedBlock, x):
 
 
 def rep_dw_block_forward(block: RepDWBlock, x):
-    x = x + unit_forward(block.mixer, x)
-    return x + ffn_forward(block, x)
+    x = _residual(x, unit_forward(block.mixer, x))
+    return _residual(x, ffn_forward(block, x))
 
 
 def _sdta_attention(block: SDTABlock, x):
@@ -256,12 +269,12 @@ def sdta_forward(block: SDTABlock, x):
     ops = kernels(x)
     att, _, u = _sdta_attention(block, x)
     y = ops.concat_channels([att.reshape(n, c // 4, h, w), ops.sigmoid(u)])
-    return x + unit_forward(block.proj_o, y)
+    return _residual(x, unit_forward(block.proj_o, y))
 
 
 def sdta_block_forward(block: SDTABlock, x):
     x = sdta_forward(block, x)
-    return x + ffn_forward(block, x)
+    return _residual(x, ffn_forward(block, x))
 
 
 def sdta_attention_map(block: SDTABlock, x: np.ndarray) -> np.ndarray:
@@ -277,12 +290,12 @@ def mdta_forward(block: MDTABlock, x):
     p = unit_forward(block.dw, unit_forward(block.qkv, x))
     q, k, v = (p[:, i * c:(i + 1) * c].reshape(n, c, h * w) for i in range(3))
     m = ops.softmax(ops.matmul(q, k.swapaxes(1, 2)) / float(np.sqrt(c)), axis=2)
-    return x + unit_forward(block.proj, ops.matmul(m, v).reshape(n, c, h, w))
+    return _residual(x, unit_forward(block.proj, ops.matmul(m, v).reshape(n, c, h, w)))
 
 
 def mdta_block_forward(block: MDTABlock, x):
     x = mdta_forward(block, x)
-    return x + ffn_forward(block, x)
+    return _residual(x, ffn_forward(block, x))
 
 
 # Each block kind's forward, by its module-level name.

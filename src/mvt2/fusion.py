@@ -134,13 +134,18 @@ def rep_branch_forward(x, spec: RepBranchSpec):
     """Train-form forward: sum of per-branch BN'd outputs.  ``x`` is an
     ndarray or an ``autodiff.Var``; see ``autodiff.kernels``.  Traced, every
     value comes from the same ``tensor`` kernels, so the result is the
-    same bits, and the gradient is taken with respect to ``x`` only.  The
-    sum accumulates into the main branch's fresh output (``Var`` has no
-    in-place add, so for it ``+=`` makes a new node with the same sum)."""
+    same bits, and the gradient is taken with respect to ``x`` only.  Each
+    conv branch's batch norm runs in place on that branch's fresh conv
+    output, and the sum accumulates into the main branch's; ``x`` is only
+    read, so the identity branch's batch norm gets a fresh array.  (The
+    traced batch norm writes into no ``Var``, and ``Var`` has no in-place
+    add, so for it ``+=`` makes a new node with the same sum.)"""
     ops = kernels(x)
-    out = ops.batchnorm_infer(ops.conv2d(x, spec.main), spec.main_bn)
+    y = ops.conv2d(x, spec.main)
+    out = ops.batchnorm_infer(y, spec.main_bn, out=y)
     if spec.scale is not None:
-        out += ops.batchnorm_infer(ops.conv2d(x, spec.scale), spec.scale_bn)
+        y = ops.conv2d(x, spec.scale)
+        out += ops.batchnorm_infer(y, spec.scale_bn, out=y)
     if spec.identity_bn is not None:
         out += ops.batchnorm_infer(x, spec.identity_bn)
     return out

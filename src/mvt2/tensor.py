@@ -29,9 +29,11 @@ every element: ``batchnorm_infer`` as one multiply and one add per
 element, float32 ``gelu`` in fixed-size blocks through block-sized
 scratch buffers, where an element's result depends on neither the block
 nor its place in it.  No kernel writes into its input or its weights,
-which may be read-only views (``weights.load`` gives such); each
-returns a fresh array, which callers may update in place.  Concurrent calls on
-shared immutable inputs are safe.
+which may be read-only views (``weights.load`` gives such), with one
+exception a caller asks for: ``batchnorm_infer`` writes into the
+``out=`` array it is passed, which may be its input.  Every other call
+returns a fresh array, which callers may update in place.  Concurrent
+calls on shared immutable inputs are safe.
 """
 
 from __future__ import annotations
@@ -249,20 +251,25 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return out
 
 
-def batchnorm_infer(x: np.ndarray, bn: BNSpec) -> np.ndarray:
+def batchnorm_infer(x: np.ndarray, bn: BNSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Per-channel normalization with fixed running statistics.
 
     With ``scale = gamma / sqrt(var + BN_EPS)`` per channel, computes ``x *
     scale + (beta - mean * scale)``: two passes over the tensor and no
-    full-size array but the output.
+    full-size array but the output.  The output is a fresh array, or
+    ``out`` when one is given: an array of ``x``'s shape and dtype, which
+    may be ``x`` itself.  Each element is computed from its own input
+    element alone, so writing in place gives the bits of a fresh output.
     """
     x = as_nchw(x)
     if x.dtype != bn.dtype:
         raise ValueError(f"input dtype {x.dtype} does not match batch-norm dtype {bn.dtype}")
     if x.shape[1] != bn.channels:
         raise ValueError(f"input has {x.shape[1]} channels, batch-norm has {bn.channels}")
+    if out is not None and (out.shape, out.dtype) != (x.shape, x.dtype):
+        raise ValueError(f"out is {out.dtype} {out.shape}, the input {x.dtype} {x.shape}")
     scale = bn.gamma / np.sqrt(bn.running_var + x.dtype.type(BN_EPS))
-    out = x * scale[None, :, None, None]
+    out = np.multiply(x, scale[None, :, None, None], out=out)
     out += (bn.beta - bn.running_mean * scale)[None, :, None, None]
     return out
 
@@ -321,9 +328,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
     ``exp(-x^2 / 2)`` sinks into float32 subnormals, which are slow in the
     GEMMs that read them.  Past 9 the result is within 1e-18 of the exact
     one.  The result takes ``x``'s sign bit, the bits ``np.copysign``
-    gives, by integer passes on ``uint32`` views (clear the sign bit, then
-    or in ``x``'s), which cost less than ``copysign``; so -0.0, -inf and a
-    tail that underflows to 0 give -0.0 as in float64.  Against the
+    gives, by integer passes on ``uint32`` views that or ``x``'s sign bit
+    into the result, which cost less than ``copysign``.  The or alone is
+    enough: the tail is never below zero, so ``max(x, 0)`` minus the tail
+    has its sign bit set only where ``x`` has (a positive ``x`` loses at
+    most half of itself, a negative one gives ``0`` minus the tail, and a
+    NaN passes through as ``x``'s own NaN).  So -0.0, -inf and a tail that
+    underflows to 0 give -0.0 as in float64.  Against the
     float64 GELU on a dense grid over [-10, 10] the float32 result is
     within 3.4e-7 absolute.
 
@@ -364,10 +375,9 @@ def gelu(x: np.ndarray) -> np.ndarray:
         q *= a
         y = np.maximum(xs[lo:hi], np.float32(0.0), out=ys[lo:hi])
         y -= q
-        # x's sign bit, in a's free buffer, replaces y's
+        # y's sign bit can be set only where x's is: or in x's, from a's free buffer
         sign = np.bitwise_and(xs[lo:hi].view(np.uint32), _SIGN_BIT, out=a.view(np.uint32))
         y = y.view(np.uint32)
-        y &= ~_SIGN_BIT
         y |= sign
     return out
 

@@ -20,14 +20,15 @@ conv with its batch norm); a deploy file holds only the folded convs and
 the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
 variance below zero, is a ``FormatError``.  ``save`` and ``load`` apply
-one per-tensor rule, ``tensor_fault``, so ``save`` refuses a tensor that
-``load`` would refuse or read back as another.  Saving over an existing
-regular file writes a new file in its place (see ``save``).  ``load``
-reads the payload into one read-only buffer, and a loaded model's
-tensors are views into it: an in-place write into one raises
-``ValueError``.  The buffer is read, not memory-mapped, so a file
-truncated or rewritten after the load cannot change or fault a live
-model.
+one per-tensor rule, ``tensor_fault``, and ask for each tensor by the
+shape of its geometry row through one walk, ``model.from_tensors``, so
+``save`` refuses a tensor that ``load`` would refuse or read back as
+another.  Saving over an existing regular file writes a new file in its
+place (see ``save``).  ``load`` reads the payload into one read-only
+buffer, and a loaded model's tensors are views into it: an in-place
+write into one raises ``ValueError``.  The buffer is read, not
+memory-mapped, so a file truncated or rewritten after the load cannot
+change or fault a live model.
 """
 
 import contextlib
@@ -112,10 +113,12 @@ def save(model: Model, path) -> None:
 
     Raises ValueError, before anything is written, if the model is not its
     config's layout in one form and one dtype (``model._check``: ``blocks``
-    may have been edited in place), or if a tensor breaks the per-tensor
-    rule ``load`` applies (``tensor_fault``: not float32, a NaN or an
-    infinity, a negative batch-norm variance): ``load`` would refuse the
-    file or return another model.
+    may have been edited in place), or if a tensor breaks a rule ``load``
+    applies: the shape its geometry row gives, asked for by the same
+    ``from_tensors`` walk ``load`` makes, or the per-tensor rule
+    (``tensor_fault``: not float32, a NaN or an infinity, a negative
+    batch-norm variance).  ``load`` would refuse the file or return
+    another model.
 
     When ``path`` names an existing regular file the caller may write
     (through a symlink, the link's target; the link stays), that file is
@@ -127,13 +130,22 @@ def save(model: Model, path) -> None:
     truncating a file written moments before waits for its writeback, and
     unlinking it does not."""
     _check(model)
-    tensors = list(named_tensors(model))
+    arrays, tensors = dict(named_tensors(model)), []
+
+    def tensor(name, shape):
+        arr = arrays[name]
+        fault = (f"has shape {arr.shape}, its row {shape}" if arr.shape != shape
+                 else tensor_fault(name, arr))
+        if fault is not None:
+            raise ValueError(f"tensor {name!r} {fault}; nothing written")
+        tensors.append((name, arr))
+        return arr
+
+    # ``load``'s walk, which asks for each tensor by its row's shape
+    from_tensors(model.config, model.mode, tensor)
     entries = []
     end = 0
     for name, arr in tensors:
-        fault = tensor_fault(name, arr)
-        if fault is not None:
-            raise ValueError(f"tensor {name!r} {fault}; nothing written")
         offset = _aligned(end)
         end = offset + 4 * arr.size
         entries.append(

@@ -15,6 +15,7 @@ from mvt2.blocks import (
 )
 from mvt2.fusion import RepBranchSpec, rep_branch_forward
 from mvt2.model import init_block, init_unit
+from mvt2 import tensor as T
 from mvt2.tensor import BNSpec, ConvSpec
 
 
@@ -155,6 +156,15 @@ class TestPrimitives:
         loss_w = weighted_sum(rng, (2, 4, 3, 3))
         err = ad.check_gradient(lambda v: loss_w(ad.batchnorm_infer(v, bn)), x)
         assert err < 1e-6
+
+    def test_batchnorm_out_writes_into_no_var(self):
+        rng = np.random.default_rng(18)
+        x = ad.Var(rng.standard_normal((2, 4, 3, 3)).astype(np.float32))
+        bn = BNSpec(*(rng.uniform(0.5, 1.5, 4).astype(np.float32) for _ in range(4)))
+        raw = x.value.tobytes()
+        y = ad.batchnorm_infer(x, bn, out=x)
+        assert x.value.tobytes() == raw
+        assert y.value.tobytes() == T.batchnorm_infer(x.value, bn).tobytes()
 
     def test_matmul(self):
         rng = np.random.default_rng(9)

@@ -272,6 +272,25 @@ class TestMainConv:
                     assert (grid(fused), fused.dtype) == (grid(conv), conv.dtype), (name, row)
 
 
+class TestRepBranchForward:
+    def test_batch_norms_run_in_place_on_their_conv_outputs(self):
+        """A dense 16 to 32 channel 3x3 stride-2 unit with a 1x1 scale
+        branch, batch 4 at 112x112.  The peak holds the output, the scale
+        branch's conv output and one column buffer: about 2.14 outputs.  A
+        batch norm that made its own copy of a conv output would take it
+        past 3."""
+        spec = random_rep_branch_spec(16, 32, stride=2, rng=np.random.default_rng(16))
+        x = np.random.default_rng(17).standard_normal((4, 16, 112, 112)).astype(np.float32)
+        out = rep_branch_forward(x, spec)
+        tracemalloc.start()
+        try:
+            rep_branch_forward(x, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out.nbytes
+
+
 class TestFuse:
     def test_main_only_identity_bn_returns_unchanged(self):
         np.random.seed(5)

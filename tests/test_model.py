@@ -252,13 +252,16 @@ class TestInputsUntouched:
     @pytest.mark.parametrize("form", ["train", "deploy"])
     def test_no_kernel_or_forward_writes_into_its_input(self, monkeypatch, form, attention):
         # Outputs are summed and rescaled in place; this pins that the
-        # buffers written are always the callee's own, never an argument.
+        # buffers written are always the callee's own, or an ``out=`` its
+        # caller passed, never any other argument.
         calls = Counter()
 
         def untouched(name, fn):
-            def wrapped(*args):
-                before = [(a, a.tobytes()) for a in args if isinstance(a, np.ndarray)]
-                out = fn(*args)
+            def wrapped(*args, **kwargs):
+                dest = kwargs.get("out")
+                before = [(a, a.tobytes()) for a in (*args, *kwargs.values())
+                          if isinstance(a, np.ndarray) and a is not dest]
+                out = fn(*args, **kwargs)
                 for a, raw in before:
                     assert a.tobytes() == raw, f"{name} wrote into its input"
                 calls[name] += 1

@@ -155,8 +155,8 @@ def forward_macs(model, x):
     calls = [model.head_weight.size]
 
     def counted(kernel, macs):
-        def run(*args):
-            out = kernel(*args)
+        def run(*args, **kwargs):
+            out = kernel(*args, **kwargs)
             calls.append(macs(out, *args))
             return out
         return run

@@ -230,6 +230,25 @@ class TestBatchNorm:
             ) * bn.gamma[c] + bn.beta[c]
         assert np.max(np.abs(got.astype(np.float64) - want)) < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_may_be_the_input_and_gives_the_same_bits(self, dtype):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 5, 4, 4)).astype(dtype)
+        bn = BNSpec(rng.uniform(0.5, 1.5, 5).astype(dtype), rng.standard_normal(5).astype(dtype),
+                    rng.standard_normal(5).astype(dtype), rng.uniform(0.5, 1.5, 5).astype(dtype))
+        raw = x.tobytes()
+        fresh = batchnorm_infer(x, bn)
+        assert x.tobytes() == raw
+        got = batchnorm_infer(x, bn, out=x)
+        assert got is x
+        assert got.tobytes() == fresh.tobytes()
+
+    def test_out_of_another_shape_or_dtype_is_refused(self):
+        x = np.ones((1, 3, 2, 2), np.float32)
+        for out in (np.empty((1, 3, 2, 1), np.float32), np.empty(x.shape, np.float64)):
+            with pytest.raises(ValueError, match="out is"):
+                batchnorm_infer(x, identity_bn(3), out=out)
+
     def test_identity_spec_is_exact(self):
         np.random.seed(4)
         x = np.random.randn(1, 3, 2, 2).astype(np.float32)

@@ -230,8 +230,9 @@ class TestFileLayout:
 class TestSaveRechecks:
     """``blocks`` is a plain list and the arrays of a built model are
     writable, so both can be edited after the model was built; ``save``
-    checks the model again, and every tensor by the rule ``load`` applies,
-    before it opens the file.  A refused save leaves no file."""
+    checks the model again, and every tensor by the rules ``load`` applies
+    (its row's shape and the per-tensor rule), before it opens the file.
+    A refused save leaves no file."""
 
     def refuse(self, tmp_path, model, match):
         path = tmp_path / "m.mvt2"
@@ -272,6 +273,12 @@ class TestSaveRechecks:
         main = model.blocks[0].branch.main
         main.bias = np.zeros_like(main.bias, dtype=np.float64)
         self.refuse(tmp_path, model, "'stem.0.main.bias' is float64: weight files store float32")
+
+    def test_an_array_of_another_shape_assigned_in_a_unit_is_refused(self, tmp_path):
+        # ``load`` would refuse the file with a ShapeError
+        model = build(TINY, 0)
+        model.blocks[0].branch.main.bias = np.zeros(2, np.float32)
+        self.refuse(tmp_path, model, r"'stem.0.main.bias' has shape \(2,\), its row \(1,\)")
 
 
 class TestSaveOverAFile:
