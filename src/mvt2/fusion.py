@@ -27,17 +27,125 @@ random input batch once per input shape and dtype: every group of that
 shape sees the same seeded batches it would see if checked alone.
 Functions here are pure over immutable inputs and safe to call
 concurrently.
+
+Two threads.  ``verify_equivalence`` and ``model.deploy`` run their
+independent units through ``split_map``: the calling thread takes the
+even indices and one worker thread, owned by the library and kept for
+the process, the odd ones.  The split depends on the index alone, so
+results, reports and the error raised are those of the serial loop.
+Where the kernel does not balance load between CPUs (a cpuset with
+``sched_load_balance`` 0), a new thread stays on its creator's CPU and
+the split gains nothing.  So the worker, when it starts, moves itself
+off the CPU the caller ran on and then allows itself every CPU the
+caller may use again: it is placed, not pinned, and a ``taskset`` or
+cgroup policy of the embedding process still holds.  With one allowed
+CPU, or where the CPUs cannot be read, it is not placed.  The worker
+runs numpy like any caller, so the rule of one BLAS thread per
+computing thread holds for it too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .autodiff import kernels
 from .tensor import BN_EPS, BNSpec, ConvSpec, conv2d
+
+
+_worker: Optional[ThreadPoolExecutor] = None
+_worker_lock = threading.Lock()
+_on_worker = threading.local()
+
+
+def _current_cpu() -> Optional[int]:
+    """The CPU the calling thread is on (field 39 of its ``stat``), or None
+    where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _start_worker(away, allowed) -> None:
+    """The worker's initializer: leave the caller's CPU for ``away``, then
+    allow every CPU of ``allowed`` again, so the worker runs beside the
+    caller without being pinned there."""
+    _on_worker.active = True
+    if away:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, away)
+            os.sched_setaffinity(0, allowed)
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The library's worker, made at the first split and kept for the
+    process; placed off the CPU of the thread that made it."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            try:
+                allowed = os.sched_getaffinity(0)
+            except (AttributeError, OSError):
+                allowed = set()
+            cpu = _current_cpu()
+            away = allowed - {cpu} if cpu in allowed else set()
+            _worker = ThreadPoolExecutor(1, "mvt2-split", _start_worker, (away, allowed))
+        return _worker
+
+
+def _forget_worker() -> None:
+    """After a fork the child has no worker thread: it makes its own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _run(fn: Callable, part: list):
+    """``fn`` over ``part`` up to its first exception: (results, exception
+    or None)."""
+    done = []
+    try:
+        for item in part:
+            done.append(fn(item))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def split_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(v) for v in items]``, on two threads: the caller computes the
+    even indices and the library's worker the odd ones.  The caller waits
+    for the worker's half even when its own half raised, so nothing
+    outlives the call.  If items fail, the exception raised is that of the
+    lowest failing index, the one the serial loop raises.  ``fn`` must be
+    safe to run on two threads at once; called on the worker itself, the
+    map runs serially there."""
+    items = list(items)
+    if len(items) < 2 or getattr(_on_worker, "active", False):
+        return [fn(v) for v in items]
+    odd = _worker_pool().submit(_run, fn, items[1::2])
+    try:
+        even = _run(fn, items[0::2])
+    finally:
+        odd = odd.result()
+    failed = [(2 * len(done) + k, exc) for k, (done, exc) in enumerate((even, odd))
+              if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(items)
+    out[0::2], out[1::2] = even[0], odd[0]
+    return out
 
 
 def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
@@ -207,9 +315,13 @@ def verify_equivalence(
     max_abs_diff <= tol; a NaN difference makes max_abs_diff NaN and fails.
     Every group sees the same ``samples`` input batches as every other group
     of its input shape and dtype: the ones a generator seeded with ``seed``
-    draws.  So each batch is drawn once per shape and dtype, made read-only
-    and run through every group of that shape before the next is drawn; at
-    most one batch is alive at a time, and nothing outlives the call.
+    draws.  So each batch is drawn once per shape and dtype, by the calling
+    thread, made read-only and run through every group of that shape
+    before the next is drawn; at most one batch is alive at a time, and
+    nothing outlives the call.  A shape's groups are fused, and then
+    checked on each batch, through ``split_map``, on two threads; every
+    report is what the serial loop gives, and an error is the one it
+    raises.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -217,18 +329,20 @@ def verify_equivalence(
     for i, spec in enumerate(specs):
         key = ((batch, spec.main.in_channels, input_hw, input_hw), np.dtype(spec.main.dtype))
         by_input.setdefault(key, []).append(i)
+
+    def max_diff(unit):  # on the batch ``x`` of the current sample
+        i, folded = unit
+        diff = np.subtract(rep_branch_forward(x, specs[i]), conv2d(x, folded),
+                           dtype=np.float64)
+        return float(np.max(np.abs(diff, out=diff)))
+
     worst = [0.0] * len(specs)
     for (shape, dtype), members in by_input.items():
-        fused = [fuse(specs[i]) for i in members]
+        units = list(zip(members, split_map(lambda i: fuse(specs[i]), members)))
         rng = np.random.default_rng(seed)
         for _ in range(samples):
             x = rng.standard_normal(shape).astype(dtype)
             x.flags.writeable = False
-            for i, folded in zip(members, fused):
-                a = rep_branch_forward(x, specs[i])
-                b = conv2d(x, folded)
-                diff = np.subtract(a, b, dtype=np.float64)
-                diff = float(np.max(np.abs(diff, out=diff)))
+            for i, diff in zip(members, split_map(max_diff, units)):
                 worst[i] = float(np.maximum(worst[i], diff))
     return [{"max_abs_diff": w, "pass": w <= tol} for w in worst]
-

@@ -48,7 +48,7 @@ from .blocks import (
     block_forward,
     deployed,
 )
-from .fusion import RepBranchSpec, main_conv
+from .fusion import RepBranchSpec, main_conv, split_map
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -353,10 +353,13 @@ def _walk(model: Model):
 
 def deploy(model: Model) -> Model:
     """Fuse every branch group and fold every batch norm; returns a new
-    model that holds only the folded convs and the classifier."""
+    model that holds only the folded convs and the classifier.  The blocks
+    are folded through ``fusion.split_map``, on the calling thread and the
+    library's worker, into the bytes and order of a serial loop; an error
+    is the one the serial loop raises first."""
     if model.mode == "deploy":
         raise ValueError("model is already in deploy form")
-    return replace(model, blocks=list(map(deployed, model.blocks)))
+    return replace(model, blocks=split_map(deployed, model.blocks))
 
 
 @dataclass

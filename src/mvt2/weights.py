@@ -23,18 +23,20 @@ variance below zero, is a ``FormatError``.  ``save`` and ``load`` apply
 one per-tensor rule, ``tensor_fault``, and ask for each tensor by the
 shape of its geometry row through one walk, ``model.from_tensors``, so
 ``save`` refuses a tensor that ``load`` would refuse or read back as
-another.  Saving over an existing regular file writes a new file in its
-place (see ``save``).  ``load`` reads the payload into one read-only
-buffer, and a loaded model's tensors are views into it: an in-place
-write into one raises ``ValueError``.  The buffer is read, not
-memory-mapped, so a file truncated or rewritten after the load cannot
-change or fault a live model.
+another.  ``save`` writes a temporary file and puts it in the target's
+place in one step, so a failed save leaves the old file whole (see
+``save``).  ``load`` reads the payload into one read-only buffer, and a
+loaded model's tensors are views into it: an in-place write into one
+raises ``ValueError``.  The buffer is read, not memory-mapped, so a file
+truncated or rewritten after the load cannot change or fault a live
+model.
 """
 
 import contextlib
 import dataclasses
 import json
 import os
+import secrets
 import struct
 import sys
 
@@ -121,14 +123,21 @@ def save(model: Model, path) -> None:
     another model.
 
     When ``path`` names an existing regular file the caller may write
-    (through a symlink, the link's target; the link stays), that file is
-    unlinked and a new one is written under its name: a hard link to the
-    old file keeps the old bytes, and the new file's mode comes from the
-    umask, not from the old file.  A directory, FIFO or device, or a file
-    the caller may not write, is opened as before.  Nothing is fsynced.
-    The reason is speed: on ext4 with its default ``auto_da_alloc``,
-    truncating a file written moments before waits for its writeback, and
-    unlinking it does not."""
+    (through a symlink, the link's target; the link stays), the new file
+    is written under a temporary name in the target's directory and then
+    put in the target's place in one step (``_exchange`` where Linux has
+    it, else ``os.replace``).  So a ``save`` that fails part-way (a full
+    disk, a file-size limit, a kill) leaves the old file whole, and a
+    concurrent ``load`` reads the old file or the new one, never a part.
+    On an error the temporary file is removed; a kill leaves it behind.
+    A hard link to the old file keeps the old bytes, and the new file's
+    mode is ``0o666 & ~umask``, not the old file's.  Where the directory
+    refuses a new file, the old one is written in place.  Any other path
+    (a new name, a directory, FIFO or device, or a file the caller may
+    not write) is opened as before.  Nothing is fsynced.  The new file
+    has a fresh inode, which also saves time: on ext4 with its default
+    ``auto_da_alloc``, truncating a file written moments before waits
+    for its writeback."""
     _check(model)
     arrays, tensors = dict(named_tensors(model)), []
 
@@ -168,11 +177,7 @@ def save(model: Model, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
-    # a refused unlink (say, in a read-only directory) writes in place
-    if os.path.isfile(path) and os.access(path, os.W_OK):
-        with contextlib.suppress(OSError):
-            os.unlink(os.path.realpath(path))
-    with open(path, "wb") as fh:
+    def write(fh):
         fh.write(_FIXED_HEADER.pack(MAGIC, VERSION, len(header_bytes)))
         fh.write(header_bytes)
         end = 0
@@ -180,6 +185,46 @@ def save(model: Model, path) -> None:
             fh.write(bytes(entry["byte_offset"] - end))
             fh.write(np.ascontiguousarray(arr, dtype="<f4"))
             end = entry["byte_offset"] + entry["byte_len"]
+
+    if os.path.isfile(path) and os.access(path, os.W_OK):
+        target = os.fsdecode(os.path.realpath(path))
+        head, name = os.path.split(target)
+        tmp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass  # the directory refuses a new file: write in place
+        else:
+            try:
+                with open(fd, "wb") as fh:
+                    write(fh)
+                if not _exchange(tmp, target):
+                    os.replace(tmp, target)
+            finally:  # a part-written file, or the old one after an exchange
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            return
+    with open(path, "wb") as fh:
+        write(fh)
+
+
+def _exchange(a, b) -> bool:
+    """Swap the files named ``a`` and ``b`` in one step, with Linux's
+    ``renameat2(RENAME_EXCHANGE)``; False, with nothing changed, where that
+    is missing or refused (``b`` does not exist, say).  ``os.replace`` onto
+    an existing file makes ext4 (``auto_da_alloc``) start writing the new
+    file back inside the call, about 17 ms for a 25 MB file on a
+    virtio-disk Xeon host; the exchange does not."""
+    if not sys.platform.startswith("linux"):
+        return False
+    import ctypes
+
+    try:
+        renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    except (OSError, AttributeError):
+        return False
+    at_cwd, exchange = -100, 2  # AT_FDCWD, RENAME_EXCHANGE
+    return renameat2(at_cwd, os.fsencode(a), at_cwd, os.fsencode(b), exchange) == 0
 
 
 def read_header(path) -> dict:

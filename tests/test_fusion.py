@@ -1,16 +1,28 @@
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvt2 import fusion
+from mvt2.blocks import deployed
 from mvt2.fusion import (
     RepBranchSpec,
     fold_bn,
     fuse,
     main_conv,
     rep_branch_forward,
+    split_map,
     verify_equivalence,
 )
 from mvt2.model import (
@@ -20,11 +32,12 @@ from mvt2.model import (
     build,
     deploy,
     from_tensors,
+    fusable_branches,
     named_tensors,
 )
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
 
-from helpers import identity_bn, random_rep_branch_spec
+from helpers import TINY, identity_bn, random_rep_branch_spec
 
 
 def conv_param_total(conv):
@@ -522,3 +535,165 @@ class TestVerifyEquivalence:
             # a second call draws every batch again: nothing is kept between calls
             assert len(draws) == 4 * len(distinct)
         assert len(writeable) == 2 * 4 * len(specs) and not any(writeable)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(code: str, timeout: float = 120) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` and ``tests`` on its
+    path; returns its stdout and fails the test on a non-zero exit."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), str(ROOT / "tests"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# prints a digest of deploy's tensors and of verify_equivalence's reports on a
+# TINY seed-0 train model
+DIGEST = """
+    import hashlib
+    from helpers import TINY
+    from mvt2.fusion import verify_equivalence
+    from mvt2.model import build, deploy, fusable_branches, named_tensors
+    model = build(TINY, seed=0)
+    h = hashlib.sha256()
+    for name, arr in named_tensors(deploy(model)):
+        h.update(name.encode() + arr.tobytes())
+    specs = [s for _, s in fusable_branches(model)]
+    h.update(repr(verify_equivalence(specs, samples=3)).encode())
+    print(h.hexdigest())
+"""
+
+
+def split_worker() -> threading.Thread:
+    split_map(abs, [-1, -2])  # makes the worker if there is none yet
+    (worker,) = [t for t in threading.enumerate() if t.name.startswith("mvt2-split")]
+    return worker
+
+
+class TestSplitMap:
+    """``deploy`` and ``verify_equivalence`` split their units over the
+    caller and one library worker: the results, the reports and the error
+    raised are the serial loop's, from any number of callers, in a forked
+    child and on one CPU."""
+
+    def test_results_keep_their_order(self):
+        for n in range(6):
+            assert split_map(lambda v: v * v, range(n)) == [v * v for v in range(n)]
+
+    @pytest.mark.parametrize("bad", [(3, 4), (2, 5), (5, 2), (7,)])
+    def test_the_lowest_failing_index_raises(self, bad):
+        def fn(v):
+            if v in bad:
+                raise ValueError(f"item {v}")
+            return v
+
+        with pytest.raises(ValueError, match=f"item {min(bad)}$"):
+            split_map(fn, range(9))
+
+    def test_the_caller_waits_for_the_worker_when_its_half_fails(self):
+        done = []
+
+        def fn(v):
+            if v == 0:
+                raise KeyError(v)
+            time.sleep(0.02)
+            done.append(v)
+
+        with pytest.raises(KeyError):
+            split_map(fn, range(8))
+        assert sorted(done) == [1, 3, 5, 7]
+
+    def test_deploy_raises_the_serial_loops_error(self):
+        """Block 5 runs on the worker and block 6 on the caller: the
+        error is block 5's, as in the serial loop."""
+        def bn(c):
+            return BNSpec(*(np.ones(c, np.float32) for _ in range(4)))
+
+        model = build(TINY, seed=0)
+        model.blocks[5].branch.main_bn = bn(9)
+        model.blocks[6].mixer.main_bn = bn(10)
+        with pytest.raises(ValueError) as serial:
+            [deployed(b) for b in model.blocks]
+        assert "9 channels" in str(serial.value)
+        for _ in range(8):
+            with pytest.raises(ValueError) as split:
+                deploy(model)
+            assert str(split.value) == str(serial.value)
+
+    def test_two_callers_get_the_serial_bits(self):
+        model = build(TINY, seed=0)
+        specs = [s for _, s in fusable_branches(model)]
+        serial_tensors = [a.tobytes() for _, a in named_tensors(
+            dataclasses.replace(model, blocks=[deployed(b) for b in model.blocks]))]
+        serial_reports = [verify_equivalence([s], samples=2)[0] for s in specs]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(_):
+            start.wait()
+            got = []
+            for _ in range(16):
+                fused = [a.tobytes() for _, a in named_tensors(deploy(model))]
+                got.append(fused == serial_tensors
+                           and verify_equivalence(specs, samples=2) == serial_reports)
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                results = list(pool.map(run, (0, 1), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[True] * 16] * 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_a_forked_child_makes_its_own_worker(self):
+        run_script("""
+            import os, signal, sys
+            from helpers import TINY
+            from mvt2.model import build, deploy
+            model = build(TINY, seed=0)
+            deploy(model)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)  # a hung child ends itself
+                deploy(model)
+                os._exit(0)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_gives_the_same_results(self):
+        one = run_script("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})"
+                         + textwrap.dedent(DIGEST))
+        assert one == run_script(DIGEST)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_the_worker_is_placed_not_pinned(self):
+        assert os.sched_getaffinity(split_worker().native_id) == os.sched_getaffinity(0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="fewer than two allowed CPUs")
+    def test_the_worker_leaves_the_callers_cpu_then_allows_all(self):
+        out = run_script("""
+            import json, os, threading
+            calls = []
+            set_affinity = os.sched_setaffinity
+            def record(pid, mask):
+                calls.append((threading.current_thread().name, sorted(mask)))
+                set_affinity(pid, mask)
+            os.sched_setaffinity = record
+            from mvt2.fusion import split_map
+            split_map(abs, [1, 2])
+            print(json.dumps([calls, sorted(os.sched_getaffinity(0))]))
+        """)
+        calls, allowed = json.loads(out)
+        (first_name, away), (second_name, back) = calls
+        assert first_name.startswith("mvt2-split") and second_name == first_name
+        assert len(away) == len(allowed) - 1 and set(away) < set(allowed)
+        assert back == allowed

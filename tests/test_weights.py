@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import io
 import json
 import os
+import stat
 import struct
 import tempfile
 
@@ -282,8 +284,51 @@ class TestSaveRechecks:
 
 
 class TestSaveOverAFile:
-    """``save`` unlinks an existing regular file it may write and writes a
-    new one in its place; every other path is opened as before."""
+    """``save`` writes a new file under a temporary name beside an existing
+    regular file it may write and puts it in that file's place in one step;
+    every other path is opened as before."""
+
+    def test_a_save_that_fails_part_way_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        before = path.read_bytes()
+
+        class FullDisk:
+            """A file whose writes fail after the two headers and the first
+            tensor's padding and data."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 4:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(weights, "open", lambda *a, **k: FullDisk(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            weights.save(build(TINY, seed=1), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.mvt2"]
+
+    def test_the_new_files_mode_comes_from_the_umask(self, tmp_path):
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        path.chmod(0o600)
+        umask = os.umask(0o027)
+        try:
+            weights.save(build(TINY, seed=1), path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
     def test_a_new_inode_with_the_bytes_of_a_fresh_save(self, tmp_path):
         path, fresh, hard = tmp_path / "m.mvt2", tmp_path / "fresh.mvt2", tmp_path / "hard.mvt2"
