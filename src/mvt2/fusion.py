@@ -29,9 +29,10 @@ Functions here are pure over immutable inputs and safe to call
 concurrently.
 
 Two threads.  ``verify_equivalence`` and ``model.deploy`` run their
-independent units through ``split_map``: the calling thread takes the
-even indices and one worker thread, owned by the library and kept for
-the process, the odd ones.  The split depends on the index alone, so
+independent units through ``split_map``, and ``weights.load`` the two
+halves of its payload read: the calling thread takes the even indices
+and one worker thread, owned by the library and kept for the process,
+the odd ones.  The split depends on the index alone, so
 results, reports and the error raised are those of the serial loop.
 Where the kernel does not balance load between CPUs (a cpuset with
 ``sched_load_balance`` 0), a new thread stays on its creator's CPU and

@@ -23,13 +23,16 @@ variance below zero, is a ``FormatError``.  ``save`` and ``load`` apply
 one per-tensor rule, ``tensor_fault``, and ask for each tensor by the
 shape of its geometry row through one walk, ``model.from_tensors``, so
 ``save`` refuses a tensor that ``load`` would refuse or read back as
-another.  ``save`` writes a temporary file and puts it in the target's
-place in one step, so a failed save leaves the old file whole (see
-``save``).  ``load`` reads the payload into one read-only buffer, and a
-loaded model's tensors are views into it: an in-place write into one
+another; it also refuses a conv whose grid is not its row's, which a
+file does not record.  ``save`` writes a temporary file and puts it in the
+target's place in one step, so a failed save leaves the old file whole
+(see ``save``).  ``load`` reads the payload into one read-only buffer, and
+a loaded model's tensors are views into it: an in-place write into one
 raises ``ValueError``.  The buffer is read, not memory-mapped, so a file
 truncated or rewritten after the load cannot change or fault a live
-model.
+model.  The read runs on two threads: the caller reads and screens the
+first half of the payload and ``fusion.split_map``'s worker the second,
+each by positional reads.
 """
 
 import contextlib
@@ -42,7 +45,9 @@ import sys
 
 import numpy as np
 
-from .model import Model, ModelConfig, _check, from_tensors, named_tensors
+from .fusion import split_map
+from .model import Model, ModelConfig, _check, _walk, from_tensors, named_tensors
+from .tensor import ConvSpec
 
 MAGIC = b"MVT2"
 VERSION = 1
@@ -110,6 +115,13 @@ def tensor_fault(name: str, arr: np.ndarray, screened: bool = False):
     return None
 
 
+def _grids(unit) -> list:
+    """(stride, padding, groups) of each conv of a unit: the folded conv, or
+    a group's main conv and its scale conv if it has one."""
+    convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
+    return [(c.stride, c.padding, c.groups) for c in convs if c is not None]
+
+
 def save(model: Model, path) -> None:
     """Write the model's parameters to ``path``, one tensor at a time.
 
@@ -119,8 +131,10 @@ def save(model: Model, path) -> None:
     applies: the shape its geometry row gives, asked for by the same
     ``from_tensors`` walk ``load`` makes, or the per-tensor rule
     (``tensor_fault``: not float32, a NaN or an infinity, a negative
-    batch-norm variance).  ``load`` would refuse the file or return
-    another model.
+    batch-norm variance).  It raises too if a conv's stride, padding or
+    groups, assigned after the model was built, is not what its row gives,
+    which is all a file records of a conv's grid.  ``load`` would refuse
+    the file or return another model.
 
     When ``path`` names an existing regular file the caller may write
     (through a symlink, the link's target; the link stays), the new file
@@ -151,7 +165,12 @@ def save(model: Model, path) -> None:
         return arr
 
     # ``load``'s walk, which asks for each tensor by its row's shape
-    from_tensors(model.config, model.mode, tensor)
+    rebuilt = from_tensors(model.config, model.mode, tensor)
+    for (block, row, unit), (_, _, read) in zip(_walk(model), _walk(rebuilt)):
+        if _grids(unit) != _grids(read):
+            name = f"{block}.{row.name}" if row.name else block
+            raise ValueError(f"unit {name!r} has (stride, padding, groups) {_grids(unit)}, "
+                             f"its row {_grids(read)}; nothing written")
     entries = []
     end = 0
     for name, arr in tensors:
@@ -323,9 +342,16 @@ def load(path) -> Model:
     chunks, each scanned for non-finite values while it is still in cache;
     only when a chunk holds one (in a tensor, or in the padding between
     tensors) does ``tensor_fault`` scan each tensor, so the error names the
-    first bad tensor.  A config that needs a tensor the file does not list
-    is refused at the first such tensor, and a payload that does not fit
-    in memory is a ``FormatError``.
+    first bad tensor.  The chunks are split into two contiguous halves run
+    through ``split_map``: the caller reads and scans the first and the
+    library's worker the second, each with ``os.preadv`` at its own
+    offsets, so the threads share no file position.  A one-chunk payload
+    stays on the caller.  A short read in either half is a
+    ``TruncatedPayloadError``, the first half's if both fail, raised once
+    both halves are done.  The worker runs only the read and the scan, no
+    other ``mvt2`` function.  A config that needs a tensor the file does
+    not list is refused at the first such tensor, and a payload that does
+    not fit in memory is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -345,14 +371,24 @@ def load(path) -> Model:
             raise FormatError("payload needs more memory than there is") from None
         start = -raw.ctypes.data % ALIGNMENT
         floats = raw[start:start + extent].view(np.float32)
-        finite, scratch = True, np.empty(_READ_CHUNK, dtype=bool)
-        for lo in range(0, floats.size, _READ_CHUNK):
-            part = floats[lo:lo + _READ_CHUNK]
-            if fh.readinto(part) != part.nbytes:
-                raise TruncatedPayloadError("payload ends inside a tensor")
-            if sys.byteorder == "big":
-                part.byteswap(inplace=True)
-            finite = finite and bool(np.isfinite(part, out=scratch[:part.size]).all())
+        fd, payload_start = fh.fileno(), fh.tell()
+
+        def read(starts):
+            """Read and screen the chunks at float offsets ``starts``: whether
+            they are all finite."""
+            finite, scratch = True, np.empty(_READ_CHUNK, dtype=bool)
+            for lo in starts:
+                part = floats[lo:lo + _READ_CHUNK]
+                if os.preadv(fd, [part], payload_start + 4 * lo) != part.nbytes:
+                    raise TruncatedPayloadError("payload ends inside a tensor")
+                if sys.byteorder == "big":
+                    part.byteswap(inplace=True)
+                finite = finite and bool(np.isfinite(part, out=scratch[:part.size]).all())
+            return finite
+
+        starts = range(0, floats.size, _READ_CHUNK)
+        mid = (len(starts) + 1) // 2  # the caller's half, the larger when odd
+        finite = all(split_map(read, [h for h in (starts[:mid], starts[mid:]) if h]))
     floats.flags.writeable = raw.flags.writeable = False
 
     by_name = {e["name"]: e for e in entries}

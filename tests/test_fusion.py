@@ -552,10 +552,12 @@ def run_script(code: str, timeout: float = 120) -> str:
 
 
 # prints a digest of deploy's tensors and of verify_equivalence's reports on a
-# TINY seed-0 train model
+# TINY seed-0 train model, and of the tensors ``load`` reads back from a
+# file of several read chunks (TINY at dims (32, 64, 128))
 DIGEST = """
-    import hashlib
+    import dataclasses, hashlib, os, tempfile
     from helpers import TINY
+    from mvt2 import weights
     from mvt2.fusion import verify_equivalence
     from mvt2.model import build, deploy, fusable_branches, named_tensors
     model = build(TINY, seed=0)
@@ -564,6 +566,12 @@ DIGEST = """
         h.update(name.encode() + arr.tobytes())
     specs = [s for _, s in fusable_branches(model)]
     h.update(repr(verify_equivalence(specs, samples=3)).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mvt2")
+        weights.save(build(dataclasses.replace(TINY, dims=(32, 64, 128)), seed=0), path)
+        assert os.path.getsize(path) > 8 * weights._READ_CHUNK
+        for name, arr in named_tensors(weights.load(path)):
+            h.update(name.encode() + arr.tobytes())
     print(h.hexdigest())
 """
 

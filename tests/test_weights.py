@@ -8,7 +8,11 @@ import json
 import os
 import stat
 import struct
+import sys
 import tempfile
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 from mvt2 import cli, weights
 from mvt2.blocks import deployed
-from mvt2.fusion import RepBranchSpec
+from mvt2.fusion import RepBranchSpec, split_map
 from mvt2.model import ModelConfig, _blocks, build, deploy, forward, named_tensors
 
 from helpers import TINY
@@ -281,6 +285,21 @@ class TestSaveRechecks:
         model = build(TINY, 0)
         model.blocks[0].branch.main.bias = np.zeros(2, np.float32)
         self.refuse(tmp_path, model, r"'stem.0.main.bias' has shape \(2,\), its row \(1,\)")
+
+    def test_a_grid_assigned_after_building_is_refused(self, tmp_path):
+        # a file records no conv's grid: ``load`` would read padding 1 back
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, 1), path)
+        before = path.read_bytes()
+        model = build(TINY, 0)
+        branch = model.blocks[0].branch
+        branch.main.padding = branch.scale.padding = 0
+        with pytest.raises(ValueError, match=r"unit 'stem.0' has \(stride, padding, groups\) "
+                                             r"\[\(2, 0, 1\), \(2, 0, 1\)\], its row "
+                                             r"\[\(2, 1, 1\), \(2, 0, 1\)\]; nothing written"):
+            weights.save(model, path)
+        assert path.read_bytes() == before
+        assert weights.load(path).blocks[0].branch.main.padding == 1
 
 
 class TestSaveOverAFile:
@@ -762,14 +781,119 @@ class TestNonFinitePayload:
 
     def test_bad_tensor_past_the_first_read_is_named(self, tmp_path):
         # a payload of several read chunks, with the one bad tensor last
-        model = build(dataclasses.replace(TINY, dims=(32, 64, 128)), seed=0)
-        path = tmp_path / "m.mvt2"
-        weights.save(model, path)
-        assert path.stat().st_size > 4 * weights._READ_CHUNK
+        model, path = multi_chunk_file(tmp_path)
         last = list(named_tensors(model))[-1][0]
         patch_payload(path, last, 0, np.inf)
         with pytest.raises(weights.FormatError, match=f"tensor '{last}' holds a NaN"):
             weights.load(path)
+
+    def test_a_fault_in_each_half_names_the_first(self, tmp_path, monkeypatch):
+        """The caller reads and screens the payload's first half and the
+        library's worker the second; a NaN in the first half and an
+        infinity in the second name the NaN's tensor, the first in
+        execution order."""
+        _, path = multi_chunk_file(tmp_path)
+        caller, worker = tensors_by_half(path, monkeypatch)
+        patch_payload(path, caller[-1], 0, np.nan)
+        patch_payload(path, worker[0], 0, np.inf)
+        with pytest.raises(weights.FormatError, match=f"tensor '{caller[-1]}' holds a NaN"):
+            weights.load(path)
+
+
+def multi_chunk_file(tmp_path):
+    """A TINY model at dims (32, 64, 128), saved: its payload is about four
+    read chunks, so ``load`` splits it over two threads."""
+    model = build(dataclasses.replace(TINY, dims=(32, 64, 128)), seed=0)
+    path = tmp_path / "m.mvt2"
+    weights.save(model, path)
+    assert path.stat().st_size > 4 * weights._READ_CHUNK * 3
+    return model, path
+
+
+def payload_start(path) -> int:
+    with open(path, "rb") as fh:
+        return FIXED.size + FIXED.unpack(fh.read(FIXED.size))[2]
+
+
+def read_offsets(path, monkeypatch) -> tuple[list, list]:
+    """The file offsets ``load`` reads ``path`` at on the calling thread and
+    on other threads, each sorted."""
+    real, calls, me = os.preadv, [], threading.get_ident()
+
+    def preadv(fd, buffers, offset):
+        calls.append((threading.get_ident() == me, offset))
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    weights.load(path)
+    monkeypatch.setattr(os, "preadv", real)
+    return [sorted(o for mine, o in calls if mine is side) for side in (True, False)]
+
+
+def tensors_by_half(path, monkeypatch) -> tuple[list, list]:
+    """The names of the tensors wholly in the calling thread's half of the
+    payload and wholly in the worker's, in payload order."""
+    caller, worker = read_offsets(path, monkeypatch)
+    assert caller and worker and caller[-1] < worker[0]
+    split = worker[0] - payload_start(path)
+    entries = sorted(weights.read_header(path)["tensors"], key=lambda e: e["byte_offset"])
+    return ([e["name"] for e in entries if e["byte_offset"] + e["byte_len"] <= split],
+            [e["name"] for e in entries if e["byte_offset"] >= split])
+
+
+class TestTwoThreadRead:
+    """``load`` reads and screens the first half of a payload's chunks on
+    the calling thread and the second on the library's worker, each with
+    positional reads, so no file offset is shared."""
+
+    def test_a_short_read_in_the_workers_half_raises_after_the_callers_half(
+            self, tmp_path, monkeypatch):
+        _, path = multi_chunk_file(tmp_path)
+        caller, worker = read_offsets(path, monkeypatch)
+        real, done, me = os.preadv, [], threading.get_ident()
+
+        def preadv(fd, buffers, offset):
+            if threading.get_ident() == me:
+                time.sleep(0.05)  # the worker's short read comes first
+            n = real(fd, buffers, offset)
+            done.append(offset)
+            return n - 4 if offset == worker[0] else n
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        with pytest.raises(weights.TruncatedPayloadError, match="payload ends inside a tensor"):
+            weights.load(path)
+        assert set(caller) <= set(done) and worker[0] in done
+
+    def test_two_threads_loading_one_file_get_its_tensors(self, tmp_path):
+        model, path = multi_chunk_file(tmp_path)
+        saved = [a.tobytes() for _, a in named_tensors(model)]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(_):
+            start.wait()
+            return [[a.tobytes() for _, a in named_tensors(weights.load(path))] == saved
+                    for _ in range(8)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                results = list(pool.map(run, (0, 1), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[True] * 8] * 2
+
+    def test_a_load_on_the_worker_reads_serially_there(self, tmp_path):
+        model, path = multi_chunk_file(tmp_path)
+        saved = [a.tobytes() for _, a in named_tensors(model)]
+
+        def load(p):
+            return threading.current_thread().name, [
+                a.tobytes() for _, a in named_tensors(weights.load(p))]
+
+        (first, a), (second, b) = split_map(load, [path, path])
+        assert first == threading.current_thread().name and second.startswith("mvt2-split")
+        assert a == b == saved
 
 
 
