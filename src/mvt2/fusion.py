@@ -29,12 +29,17 @@ Functions here are pure over immutable inputs and safe to call
 concurrently.
 
 Two threads.  ``verify_equivalence`` and ``model.deploy`` run their
-independent units through ``split_map``, and ``weights.load`` the two
-halves of its payload read: the calling thread takes the even indices
-and one worker thread, owned by the library and kept for the process,
-the odd ones.  The split depends on the index alone, so
-results, reports and the error raised are those of the serial loop.
-Where the kernel does not balance load between CPUs (a cpuset with
+independent units through ``tensor.split_map`` (also importable from
+here), and ``weights.load`` the two halves of its payload read: the
+calling thread takes the even indices and one worker thread, owned by
+the library and kept for the process, the odd ones.  The split depends
+on the index alone, so results, reports and the error raised are those
+of the serial loop.  The worker runs each half in a copy of the caller's
+``contextvars`` context, so an ``np.errstate`` around the call holds on
+both threads.  Kernels that split a forward's batch rows (see
+``tensor``) run whole on their own thread inside such a split, on the
+worker and on the caller alike, so no split nests in another.  Where
+the kernel does not balance load between CPUs (a cpuset with
 ``sched_load_balance`` 0), a new thread stays on its creator's CPU and
 the split gains nothing.  So the worker, when it starts, moves itself
 off the CPU the caller ran on and then allows itself every CPU the
@@ -47,106 +52,13 @@ computing thread holds for it too.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .autodiff import kernels
-from .tensor import BN_EPS, BNSpec, ConvSpec, conv2d
-
-
-_worker: Optional[ThreadPoolExecutor] = None
-_worker_lock = threading.Lock()
-_on_worker = threading.local()
-
-
-def _current_cpu() -> Optional[int]:
-    """The CPU the calling thread is on (field 39 of its ``stat``), or None
-    where that cannot be read."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as fh:
-            return int(fh.read().rpartition(b")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _start_worker(away, allowed) -> None:
-    """The worker's initializer: leave the caller's CPU for ``away``, then
-    allow every CPU of ``allowed`` again, so the worker runs beside the
-    caller without being pinned there."""
-    _on_worker.active = True
-    if away:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, away)
-            os.sched_setaffinity(0, allowed)
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The library's worker, made at the first split and kept for the
-    process; placed off the CPU of the thread that made it."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            try:
-                allowed = os.sched_getaffinity(0)
-            except (AttributeError, OSError):
-                allowed = set()
-            cpu = _current_cpu()
-            away = allowed - {cpu} if cpu in allowed else set()
-            _worker = ThreadPoolExecutor(1, "mvt2-split", _start_worker, (away, allowed))
-        return _worker
-
-
-def _forget_worker() -> None:
-    """After a fork the child has no worker thread: it makes its own."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _run(fn: Callable, part: list):
-    """``fn`` over ``part`` up to its first exception: (results, exception
-    or None)."""
-    done = []
-    try:
-        for item in part:
-            done.append(fn(item))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-def split_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(v) for v in items]``, on two threads: the caller computes the
-    even indices and the library's worker the odd ones.  The caller waits
-    for the worker's half even when its own half raised, so nothing
-    outlives the call.  If items fail, the exception raised is that of the
-    lowest failing index, the one the serial loop raises.  ``fn`` must be
-    safe to run on two threads at once; called on the worker itself, the
-    map runs serially there."""
-    items = list(items)
-    if len(items) < 2 or getattr(_on_worker, "active", False):
-        return [fn(v) for v in items]
-    odd = _worker_pool().submit(_run, fn, items[1::2])
-    try:
-        even = _run(fn, items[0::2])
-    finally:
-        odd = odd.result()
-    failed = [(2 * len(done) + k, exc) for k, (done, exc) in enumerate((even, odd))
-              if exc is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    out = [None] * len(items)
-    out[0::2], out[1::2] = even[0], odd[0]
-    return out
+from .tensor import BN_EPS, BNSpec, ConvSpec, conv2d, split_map
 
 
 def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:

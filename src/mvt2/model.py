@@ -48,7 +48,7 @@ from .blocks import (
     block_forward,
     deployed,
 )
-from .fusion import RepBranchSpec, main_conv, split_map
+from .fusion import RepBranchSpec, main_conv
 from .tensor import (
     BNSpec,
     ConvSpec,
@@ -57,6 +57,7 @@ from .tensor import (
     gelu,
     global_avg_pool,
     linear,
+    split_map,
 )
 
 ATTENTION_KINDS = ("sdta", "mdta")
@@ -315,7 +316,10 @@ def from_tensors(config: ModelConfig, mode: str, tensor) -> Model:
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Run the network; returns an (N, num_classes) score matrix."""
+    """Run the network; returns an (N, num_classes) score matrix.  At a
+    batch of two or more images the 1x1 and depthwise convs and GELU share
+    their rows with the library's worker thread (see ``tensor``); each row
+    keeps the bits of its batch-1 run."""
     x = as_nchw(x)
     if x.shape[1] != 3:
         raise ValueError(f"input must have 3 channels, got {x.shape[1]}")
@@ -354,7 +358,7 @@ def _walk(model: Model):
 def deploy(model: Model) -> Model:
     """Fuse every branch group and fold every batch norm; returns a new
     model that holds only the folded convs and the classifier.  The blocks
-    are folded through ``fusion.split_map``, on the calling thread and the
+    are folded through ``tensor.split_map``, on the calling thread and the
     library's worker, into the bytes and order of a serial loop; an error
     is the one the serial loop raises first."""
     if model.mode == "deploy":

@@ -34,11 +34,34 @@ exception a caller asks for: ``batchnorm_infer`` writes into the
 ``out=`` array it is passed, which may be its input.  Every other call
 returns a fresh array, which callers may update in place.  Concurrent
 calls on shared immutable inputs are safe.
+
+Two cores.  ``split_map`` runs independent items on the calling thread
+and one library-owned worker thread.  Three kernels use it inside
+themselves for a batch of two or more rows: unpadded 1x1 stride-1 dense
+``conv2d``, whose columns are views of the input; depthwise ``conv2d``
+with a padded copy; and float32 ``gelu``.  The caller takes rows [0,
+ceil(n/2)) and the worker the rest.  Each half runs the per-sample GEMMs,
+per-tap multiply-adds or GELU blocks of a whole call, bias add included,
+into its own rows of one output array, so every row keeps its bits, and
+the same rows stay on the same thread from kernel to kernel.  The worker
+runs only numpy on its half, never a ``tensor`` function by name.  Batch
+1 stays on the caller.  Dense convs that fill a column buffer (3x3,
+strided 1x1) stay serial: split by samples they need a second buffer,
+and split into row bands they change GEMM bits.  ``batchnorm_infer`` stays
+serial too: two passes of one multiply or add per element were slower
+split.  A kernel called inside a split, on either thread, runs whole on
+its own thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -46,6 +69,119 @@ from scipy.special import erf, expit
 FLOAT_DTYPES = (np.float32, np.float64)
 # Batch-norm epsilon of every BNSpec; weight files do not store it.
 BN_EPS = 1e-5
+
+
+_worker: Optional[ThreadPoolExecutor] = None
+_worker_lock = threading.Lock()
+# ``active`` on a thread running a half of a split: the worker always, the
+# caller while it runs its own half
+_in_split = threading.local()
+
+
+def _current_cpu() -> Optional[int]:
+    """The CPU the calling thread is on (field 39 of its ``stat``), or None
+    where that cannot be read."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _start_worker(away, allowed) -> None:
+    """The worker's initializer: leave the caller's CPU for ``away``, then
+    allow every CPU of ``allowed`` again, so the worker runs beside the
+    caller without being pinned there."""
+    _in_split.active = True
+    if away:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, away)
+            os.sched_setaffinity(0, allowed)
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The library's worker, made at the first split and kept for the
+    process; placed off the CPU of the thread that made it."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            try:
+                allowed = os.sched_getaffinity(0)
+            except (AttributeError, OSError):
+                allowed = set()
+            cpu = _current_cpu()
+            away = allowed - {cpu} if cpu in allowed else set()
+            _worker = ThreadPoolExecutor(1, "mvt2-split", _start_worker, (away, allowed))
+        return _worker
+
+
+def _forget_worker() -> None:
+    """After a fork the child has no worker thread: it makes its own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _run(fn: Callable, part: list):
+    """``fn`` over ``part`` up to its first exception: (results, exception
+    or None)."""
+    done = []
+    try:
+        for item in part:
+            done.append(fn(item))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _splits(n: int) -> bool:
+    """Whether ``n`` items or batch rows split: two or more, and not
+    already inside a split."""
+    return n >= 2 and not getattr(_in_split, "active", False)
+
+
+def split_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(v) for v in items]``, on two threads: the caller computes the
+    even indices and the library's worker the odd ones.  The worker runs
+    its half in a copy of the caller's ``contextvars`` context, so the
+    caller's ``np.errstate`` holds there too.  The caller waits for the
+    worker's half even when its own half raised, so nothing outlives the
+    call.  If items fail, the exception raised is that of the lowest
+    failing index, the one the serial loop raises.  ``fn`` must be safe to
+    run on two threads at once.  Inside a split, on the worker or on the
+    caller running its own half, the map runs serially on that thread, so
+    no split nests in another and none waits behind the busy worker."""
+    items = list(items)
+    if not _splits(len(items)):
+        return [fn(v) for v in items]
+    odd = _worker_pool().submit(contextvars.copy_context().run, _run, fn, items[1::2])
+    _in_split.active = True
+    try:
+        even = _run(fn, items[0::2])
+    finally:
+        _in_split.active = False
+        odd = odd.result()
+    failed = [(2 * len(done) + k, exc) for k, (done, exc) in enumerate((even, odd))
+              if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    out = [None] * len(items)
+    out[0::2], out[1::2] = even[0], odd[0]
+    return out
+
+
+def _split_rows(rows: Callable[[int, int], None], n: int) -> None:
+    """``rows(lo, hi)`` over the batch rows [0, n): the caller takes [0,
+    ceil(n/2)) and ``split_map``'s worker the rest, or the caller all of
+    them where ``_splits(n)`` does not hold."""
+    if _splits(n):
+        mid = (n + 1) // 2
+        split_map(lambda span: rows(*span), [(0, mid), (mid, n)])
+    else:
+        rows(0, n)
 
 
 def as_nchw(x: np.ndarray, name: str = "x") -> np.ndarray:
@@ -186,7 +322,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     in row-major order (0 + tap 0 + tap 1 + ..., then the bias), so each
     row is bit-identical too; input and output stay NCHW.  An unpadded 1x1
     depthwise conv, a single tap, is one per-channel multiply and the bias
-    add, in NCHW.
+    add, in NCHW.  An unpadded 1x1 stride-1 dense conv and a padded
+    depthwise conv split a batch of two or more rows over two threads
+    (see the module docstring); each half runs the same per-row arithmetic
+    into its own rows of the output.
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
@@ -205,26 +344,36 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         out = x[:, :, ::s, ::s] * spec.kernel[:, 0]
         out += spec.bias[:, None, None]
     elif spec.is_depthwise:
-        # One padded NHWC copy; each tap is a multiply-add over rows of c
-        # contiguous floats, into one accumulator, in row-major tap order.
-        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-        xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
         taps = np.ascontiguousarray(spec.kernel[:, 0].transpose(1, 2, 0))
-        acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
-        tmp = np.empty_like(acc)
-        for i in range(kh):
-            for j in range(kw):
-                win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-                acc += np.multiply(win, taps[i, j], out=tmp)
         out = np.empty((n, c, ho, wo), dtype=x.dtype)
-        np.add(acc.transpose(0, 3, 1, 2), spec.bias[None, :, None, None], out=out)
+
+        def rows(lo, hi):
+            # One padded NHWC copy of the rows; each tap is a multiply-add
+            # over rows of c contiguous floats, into one accumulator, in
+            # row-major tap order.
+            xp = np.zeros((hi - lo, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+            xp[:, p:p + h, p:p + w] = x[lo:hi].transpose(0, 2, 3, 1)
+            acc = np.zeros((hi - lo, ho, wo, c), dtype=x.dtype)
+            tmp = np.empty_like(acc)
+            for i in range(kh):
+                for j in range(kw):
+                    win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+                    acc += np.multiply(win, taps[i, j], out=tmp)
+            np.add(acc.transpose(0, 3, 1, 2), spec.bias[None, :, None, None], out=out[lo:hi])
+
+        _split_rows(rows, n)
     else:
         icg, ocg = c // g, spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
         out = np.empty((n, g, ocg, ho * wo), dtype=x.dtype)
+        bias = spec.bias.reshape(g, ocg, 1)
         if kh == kw == 1 and s == 1 and p == 0:
-            for b in range(n):
-                np.matmul(weights, x[b].reshape(g, icg, ho * wo), out=out[b])
+            def rows(lo, hi):
+                for b in range(lo, hi):
+                    np.matmul(weights, x[b].reshape(g, icg, ho * wo), out=out[b])
+                out[lo:hi] += bias
+
+            _split_rows(rows, n)
         else:
             # One (c, kh, kw, ho, wo) column buffer, rows ordered like the
             # flattened kernel.  A tap's strips that fall in the padding are
@@ -246,8 +395,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
                 for dst, src in taps:
                     dst[...] = x[b][src]
                 np.matmul(weights, cols.reshape(g, icg * kh * kw, ho * wo), out=out[b])
+            out += bias
         out = out.reshape(n, spec.out_channels, ho, wo)
-        out += spec.bias[None, :, None, None]
     return out
 
 
@@ -306,6 +455,9 @@ _GELU_CLAMP = np.float32(9.0)
 _SIGN_BIT = np.uint32(0x80000000)
 # Three float32 scratch blocks of 128 KiB each, which stay in L2.
 _GELU_BLOCK = 1 << 15
+# The block of each half of a split call: four times fewer ufunc calls, so
+# two threads hand the GIL to each other four times less often.
+_GELU_SPLIT_BLOCK = 1 << 17
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -343,6 +495,9 @@ def gelu(x: np.ndarray) -> np.ndarray:
     allocation (a non-contiguous input is first copied).  Every element
     takes the same elementwise path in every block, so a result depends
     neither on the tensor's size or layout nor on where the element falls.
+    With two or more rows along axis 0, the rows are split over two threads
+    (see the module docstring), each half in blocks of 131072 elements
+    through its own scratch buffers.
     """
     x = np.asarray(x)
     if x.dtype not in FLOAT_DTYPES:
@@ -354,10 +509,23 @@ def gelu(x: np.ndarray) -> np.ndarray:
         return 0.5 * np.maximum(x, lowest) * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
     out = np.empty(x.shape, dtype=np.float32)
     xs, ys = np.ascontiguousarray(x).reshape(-1), out.reshape(-1)
-    size = min(xs.size, _GELU_BLOCK)
+    n = x.shape[0] if x.ndim else 1
+    if _splits(n):
+        row = xs.size // n
+        _split_rows(lambda lo, hi: _gelu_blocks(xs[lo * row:hi * row], ys[lo * row:hi * row],
+                                                _GELU_SPLIT_BLOCK), n)
+    else:
+        _gelu_blocks(xs, ys, _GELU_BLOCK)
+    return out
+
+
+def _gelu_blocks(xs: np.ndarray, ys: np.ndarray, block: int) -> None:
+    """Float32 ``gelu`` of the flat ``xs`` into ``ys``, ``block`` elements
+    at a time through three block-sized scratch buffers."""
+    size = min(xs.size, block)
     a_buf, u_buf, q_buf = (np.empty(size, dtype=np.float32) for _ in range(3))
-    for lo in range(0, xs.size, _GELU_BLOCK):
-        hi = min(lo + _GELU_BLOCK, xs.size)
+    for lo in range(0, xs.size, block):
+        hi = min(lo + block, xs.size)
         a, u, q = a_buf[:hi - lo], u_buf[:hi - lo], q_buf[:hi - lo]
         np.abs(xs[lo:hi], out=a)
         np.add(a, _GELU_C, out=u)
@@ -379,7 +547,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
         sign = np.bitwise_and(xs[lo:hi].view(np.uint32), _SIGN_BIT, out=a.view(np.uint32))
         y = y.view(np.uint32)
         y |= sign
-    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ a loaded model's tensors are views into it: an in-place write into one
 raises ``ValueError``.  The buffer is read, not memory-mapped, so a file
 truncated or rewritten after the load cannot change or fault a live
 model.  The read runs on two threads: the caller reads and screens the
-first half of the payload and ``fusion.split_map``'s worker the second,
+first half of the payload and ``tensor.split_map``'s worker the second,
 each by positional reads.
 """
 
@@ -45,9 +45,8 @@ import sys
 
 import numpy as np
 
-from .fusion import split_map
 from .model import Model, ModelConfig, _check, _walk, from_tensors, named_tensors
-from .tensor import ConvSpec
+from .tensor import ConvSpec, split_map
 
 MAGIC = b"MVT2"
 VERSION = 1

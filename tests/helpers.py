@@ -1,9 +1,12 @@
 """Builders shared by several test modules."""
 
+import contextlib
+import threading
 from typing import Optional
 
 import numpy as np
 
+from mvt2 import tensor
 from mvt2.fusion import RepBranchSpec
 from mvt2.model import ModelConfig
 from mvt2.tensor import BN_EPS, BNSpec, ConvSpec
@@ -104,3 +107,22 @@ def reference_fuse(spec: RepBranchSpec) -> ConvSpec:
             bias += b
         folds = [(kernel.astype(dtype), bias.astype(dtype))]
     return ConvSpec(*folds[0], stride=m.stride, padding=m.padding, groups=m.groups)
+
+
+@contextlib.contextmanager
+def counted_submits():
+    """Count the halves handed to the library's worker thread: yields a
+    list that gets the submitting thread's ident at each ``submit``."""
+    pool = tensor._worker_pool()
+    calls = []
+    submit = pool.submit
+
+    def counted(*args, **kwargs):
+        calls.append(threading.get_ident())
+        return submit(*args, **kwargs)
+
+    pool.submit = counted
+    try:
+        yield calls
+    finally:
+        del pool.submit

@@ -35,9 +35,9 @@ from mvt2.model import (
     fusable_branches,
     named_tensors,
 )
-from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d
+from mvt2.tensor import BN_EPS, BNSpec, ConvSpec, batchnorm_infer, conv2d, gelu
 
-from helpers import TINY, identity_bn, random_rep_branch_spec
+from helpers import TINY, counted_submits, identity_bn, random_rep_branch_spec
 
 
 def conv_param_total(conv):
@@ -551,19 +551,24 @@ def run_script(code: str, timeout: float = 120) -> str:
     return proc.stdout
 
 
-# prints a digest of deploy's tensors and of verify_equivalence's reports on a
-# TINY seed-0 train model, and of the tensors ``load`` reads back from a
-# file of several read chunks (TINY at dims (32, 64, 128))
+# prints a digest of deploy's tensors, of a batch-3 forward in both forms
+# (split over the caller and the worker) and of verify_equivalence's
+# reports on a TINY seed-0 train model, and of the tensors ``load`` reads
+# back from a file of several read chunks (TINY at dims (32, 64, 128))
 DIGEST = """
     import dataclasses, hashlib, os, tempfile
     from helpers import TINY
     from mvt2 import weights
     from mvt2.fusion import verify_equivalence
     from mvt2.model import build, deploy, fusable_branches, named_tensors
+    import numpy as np
+    from mvt2.model import forward
     model = build(TINY, seed=0)
     h = hashlib.sha256()
     for name, arr in named_tensors(deploy(model)):
         h.update(name.encode() + arr.tobytes())
+    x = np.random.default_rng(0).standard_normal((3, 3, 32, 32)).astype(np.float32)
+    h.update(forward(model, x).tobytes() + forward(deploy(model), x).tobytes())
     specs = [s for _, s in fusable_branches(model)]
     h.update(repr(verify_equivalence(specs, samples=3)).encode())
     with tempfile.TemporaryDirectory() as tmp:
@@ -614,6 +619,44 @@ class TestSplitMap:
         with pytest.raises(KeyError):
             split_map(fn, range(8))
         assert sorted(done) == [1, 3, 5, 7]
+
+    def test_the_worker_takes_the_callers_error_settings(self):
+        with np.errstate(over="ignore", invalid="raise"):
+            got = split_map(lambda _: (np.geterr()["over"], np.geterr()["invalid"]), range(4))
+        assert got == [("ignore", "raise")] * 4
+
+    def test_overflowing_units_give_the_serial_reports(self):
+        specs = [random_rep_branch_spec(4, 4, rng=np.random.default_rng(seed))
+                 for seed in (12, 13, 14)]
+        for spec in specs[:2]:
+            spec.main.kernel[...] = np.finfo(np.float32).max
+        with np.errstate(all="ignore"):
+            serial = [verify_equivalence([s], samples=3)[0] for s in specs]
+            split = verify_equivalence(specs, samples=3)
+        assert [r["pass"] for r in serial] == [False, False, True]
+        assert repr(split) == repr(serial)
+
+    def test_no_split_nests_in_another(self):
+        """Inside a split, the kernels that split a batch (at batch 2 here)
+        run whole on their own thread: only the outer splits submit."""
+        model = build(TINY, seed=0)
+        by_shape = {}
+        for _, spec in fusable_branches(model):
+            by_shape.setdefault((spec.main.in_channels, spec.main.dtype), []).append(spec)
+        group = max(by_shape.values(), key=len)
+        assert len(group) >= 2
+        with counted_submits() as submits:
+            verify_equivalence(group, samples=3, batch=2)
+        assert len(submits) == 1 + 3  # the fuse split, then one per sample
+
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 8, 9, 9)).astype(np.float32)
+        convs = [ConvSpec(rng.standard_normal((8, 8 // g, k, k)).astype(np.float32),
+                          np.zeros(8, np.float32), padding=k // 2, groups=g)
+                 for k, g in ((1, 1), (3, 8))]
+        with counted_submits() as submits:
+            split_map(lambda spec: gelu(conv2d(x, spec)), convs)
+        assert len(submits) == 1
 
     def test_deploy_raises_the_serial_loops_error(self):
         """Block 5 runs on the worker and block 6 on the caller: the

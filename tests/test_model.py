@@ -24,7 +24,7 @@ from mvt2.model import (
 )
 from mvt2.tensor import ConvSpec
 
-from helpers import TINY
+from helpers import TINY, counted_submits
 
 
 class TestConfig:
@@ -332,6 +332,62 @@ class TestConcurrentForward:
         finally:
             sys.setswitchinterval(interval)
         assert results == [[True] * self.ROUNDS] * 2
+
+
+class TestForwardThreads:
+    """A batch of two or more rows splits inside the 1x1 convs, the
+    depthwise convs and GELU, whose second half runs numpy alone on the
+    library's worker: every traced function is entered on the calling
+    thread only, so a tracer's one span stack stays right.  Batch 1 hands
+    the worker nothing."""
+
+    TRACED = (
+        (tensor, ("conv2d", "gelu", "batchnorm_infer", "matmul", "softmax", "sigmoid")),
+        (fusion, ("rep_branch_forward",)),
+        (blocks, ("ffn_forward", "rep_embed_forward", "rep_dw_block_forward", "sdta_forward",
+                  "sdta_block_forward", "mdta_forward", "mdta_block_forward")),
+    )
+
+    def rebind(self, monkeypatch):
+        """Wrap each traced function wherever an mvt2 module binds it, as
+        ``perfbench/tracer.py`` does; returns name -> set of thread idents."""
+        entered = {}
+        modules = [m for k, m in sys.modules.items() if k == "mvt2" or k.startswith("mvt2.")]
+        for owner, names in self.TRACED:
+            for name in names:
+                original = getattr(owner, name)
+
+                def wrapper(*args, _name=name, _fn=original, **kwargs):
+                    entered.setdefault(_name, set()).add(threading.get_ident())
+                    return _fn(*args, **kwargs)
+
+                for m in modules:
+                    for key, value in list(vars(m).items()):
+                        if value is original:
+                            monkeypatch.setattr(m, key, wrapper)
+        return entered
+
+    def test_traced_functions_run_on_the_calling_thread_only(self, monkeypatch):
+        nets = []
+        for attention in ("sdta", "mdta"):
+            train = build(replace(TINY, attention=attention), seed=0)
+            nets += [train, deploy(train)]
+        x = np.random.default_rng(0).standard_normal((4, 3, 32, 32)).astype(np.float32)
+        entered = self.rebind(monkeypatch)
+        with counted_submits() as submits:
+            for net in nets:
+                forward(net, x)
+        assert submits  # the forwards did split
+        assert set(entered) == {name for _, names in self.TRACED for name in names}
+        assert all(threads == {threading.get_ident()} for threads in entered.values())
+
+    def test_batch_one_hands_the_worker_nothing(self):
+        train = build(TINY, seed=0)
+        x = np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype(np.float32)
+        with counted_submits() as submits:
+            forward(train, x)
+            forward(deploy(train), x)
+        assert len(submits) == 1  # deploy's own split of the blocks
 
 
 class TestS1FullResolution:

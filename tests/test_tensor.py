@@ -22,7 +22,7 @@ from mvt2.tensor import (
     softmax,
 )
 
-from helpers import identity_bn
+from helpers import counted_submits, identity_bn
 
 
 def conv2d_reference(x, kernel, bias, stride, padding, groups):
@@ -599,3 +599,64 @@ class TestDepthwiseTapOrder:
         assert got.dtype == dtype and got.shape == want.shape
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+class TestBatchSplit:
+    """Unpadded 1x1 stride-1 dense convs, padded depthwise convs and float32
+    GELU split a batch of two or more rows over the calling thread and the
+    library's worker, one half each; every row keeps the bits of its
+    batch-1 call.  The other kernels, and batch 1, stay on the caller."""
+
+    CONVS = {  # out, in, kernel size, groups, stride, padding
+        "dense1x1": (24, 16, 1, 1, 1, 0),
+        "grouped1x1": (24, 16, 1, 4, 1, 0),
+        "depthwise3x3_s1": (16, 16, 3, 16, 1, 1),
+        "depthwise3x3_s2": (16, 16, 3, 16, 2, 1),
+    }
+
+    @staticmethod
+    def conv_spec(o, i, k, g, s, p, rng):
+        return ConvSpec(rng.standard_normal((o, i // g, k, k)).astype(np.float32),
+                        rng.standard_normal(o).astype(np.float32), s, p, g)
+
+    @pytest.mark.parametrize("batch", [2, 3, 5])
+    @pytest.mark.parametrize("kind", list(CONVS))
+    def test_conv_rows_keep_their_batch_one_bits(self, kind, batch):
+        rng = np.random.default_rng(batch)
+        spec = self.conv_spec(*self.CONVS[kind], rng)
+        x = rng.standard_normal((batch, spec.in_channels, 13, 11)).astype(np.float32)
+        with counted_submits() as submits:
+            full = conv2d(x, spec)
+        assert len(submits) == 1
+        for b in range(batch):
+            assert np.array_equal(bits(full[b:b + 1]), bits(conv2d(x[b:b + 1], spec))), b
+
+    @pytest.mark.parametrize("batch", [2, 3, 5])
+    def test_gelu_rows_keep_their_batch_one_bits(self, batch):
+        rng = np.random.default_rng(batch)
+        # rows of more than one 131072-element block, at odd extents
+        x = rng.normal(scale=4.0, size=(batch, 3, 211, 223)).astype(np.float32)
+        x.reshape(-1)[::997][:7] = [np.inf, -np.inf, np.nan, -0.0, 0.0, -20.0, 1e-30]
+        with counted_submits() as submits:
+            full = gelu(x)
+        assert len(submits) == 1
+        for b in range(batch):
+            assert np.array_equal(bits(full[b:b + 1]), bits(gelu(x[b:b + 1]))), b
+
+    def test_batch_one_and_the_other_kernels_stay_on_the_caller(self):
+        rng = np.random.default_rng(0)
+        x1 = rng.standard_normal((1, 16, 9, 9)).astype(np.float32)
+        x4 = rng.standard_normal((4, 16, 9, 9)).astype(np.float32)
+        with counted_submits() as submits:
+            for spec in map(lambda c: self.conv_spec(*c, rng), self.CONVS.values()):
+                conv2d(x1, spec)
+            gelu(x1)
+            for stride, k in ((1, 3), (2, 1), (2, 3)):  # column-buffer dense convs
+                conv2d(x4, self.conv_spec(8, 16, k, 1, stride, k // 2, rng))
+            batchnorm_infer(x4, identity_bn(16))
+            gelu(x4.astype(np.float64))
+        assert submits == []
