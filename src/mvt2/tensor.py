@@ -44,13 +44,14 @@ ceil(n/2)) and the worker the rest.  Each half runs the per-sample GEMMs,
 per-tap multiply-adds or GELU blocks of a whole call, bias add included,
 into its own rows of one output array, so every row keeps its bits, and
 the same rows stay on the same thread from kernel to kernel.  The worker
-runs only numpy on its half, never a ``tensor`` function by name.  Batch
-1 stays on the caller.  Dense convs that fill a column buffer (3x3,
-strided 1x1) stay serial: split by samples they need a second buffer,
-and split into row bands they change GEMM bits.  ``batchnorm_infer`` stays
-serial too: two passes of one multiply or add per element were slower
-split.  A kernel called inside a split, on either thread, runs whole on
-its own thread.
+runs only numpy and private helpers on its half, never a public
+``tensor`` function, so a tracer that rebinds those sees every call on
+the calling thread.  Batch 1 stays on the caller.  Dense convs that
+fill a column buffer (3x3, strided 1x1) stay serial: split by samples
+they need a second buffer, and split into row bands they change GEMM
+bits.  ``batchnorm_infer`` stays serial too: two passes of one multiply
+or add per element were slower split.  A kernel called inside a split,
+on either thread, runs whole on its own thread.
 """
 
 from __future__ import annotations
@@ -173,15 +174,14 @@ def split_map(fn: Callable, items: Sequence) -> list:
     return out
 
 
-def _split_rows(rows: Callable[[int, int], None], n: int) -> None:
-    """``rows(lo, hi)`` over the batch rows [0, n): the caller takes [0,
-    ceil(n/2)) and ``split_map``'s worker the rest, or the caller all of
-    them where ``_splits(n)`` does not hold."""
-    if _splits(n):
-        mid = (n + 1) // 2
-        split_map(lambda span: rows(*span), [(0, mid), (mid, n)])
-    else:
-        rows(0, n)
+def _split_rows(rows: Callable, x: np.ndarray, out: np.ndarray, *args) -> None:
+    """``rows(x[half], out[half], *args)`` over two halves of the rows of
+    ``x`` and ``out``: the caller takes [0, ceil(n/2)) and ``split_map``'s
+    worker the rest.  Callers check ``_splits`` first, so a serial call
+    runs its kernel with no closure or split on its path."""
+    n = len(x)
+    mid = (n + 1) // 2
+    split_map(lambda half: rows(x[half], out[half], *args), [slice(0, mid), slice(mid, n)])
 
 
 def as_nchw(x: np.ndarray, name: str = "x") -> np.ndarray:
@@ -345,35 +345,21 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         out += spec.bias[:, None, None]
     elif spec.is_depthwise:
         taps = np.ascontiguousarray(spec.kernel[:, 0].transpose(1, 2, 0))
-        out = np.empty((n, c, ho, wo), dtype=x.dtype)
-
-        def rows(lo, hi):
-            # One padded NHWC copy of the rows; each tap is a multiply-add
-            # over rows of c contiguous floats, into one accumulator, in
-            # row-major tap order.
-            xp = np.zeros((hi - lo, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-            xp[:, p:p + h, p:p + w] = x[lo:hi].transpose(0, 2, 3, 1)
-            acc = np.zeros((hi - lo, ho, wo, c), dtype=x.dtype)
-            tmp = np.empty_like(acc)
-            for i in range(kh):
-                for j in range(kw):
-                    win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-                    acc += np.multiply(win, taps[i, j], out=tmp)
-            np.add(acc.transpose(0, 3, 1, 2), spec.bias[None, :, None, None], out=out[lo:hi])
-
-        _split_rows(rows, n)
+        if _splits(n):
+            out = np.empty((n, c, ho, wo), dtype=x.dtype)
+            _split_rows(_depthwise, x, out, taps, spec.bias, s, p)
+        else:
+            out = _depthwise(x, None, taps, spec.bias, s, p)
     else:
         icg, ocg = c // g, spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
         out = np.empty((n, g, ocg, ho * wo), dtype=x.dtype)
-        bias = spec.bias.reshape(g, ocg, 1)
         if kh == kw == 1 and s == 1 and p == 0:
-            def rows(lo, hi):
-                for b in range(lo, hi):
-                    np.matmul(weights, x[b].reshape(g, icg, ho * wo), out=out[b])
-                out[lo:hi] += bias
-
-            _split_rows(rows, n)
+            bias = spec.bias.reshape(g, ocg, 1)
+            if _splits(n):
+                _split_rows(_pointwise, x, out, weights, bias)
+            else:
+                _pointwise(x, out, weights, bias)
         else:
             # One (c, kh, kw, ho, wo) column buffer, rows ordered like the
             # flattened kernel.  A tap's strips that fall in the padding are
@@ -395,8 +381,40 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
                 for dst, src in taps:
                     dst[...] = x[b][src]
                 np.matmul(weights, cols.reshape(g, icg * kh * kw, ho * wo), out=out[b])
-            out += bias
+            out += spec.bias.reshape(g, ocg, 1)
         out = out.reshape(n, spec.out_channels, ho, wo)
+    return out
+
+
+def _pointwise(x: np.ndarray, out: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> None:
+    """Unpadded 1x1 stride-1 dense conv of the NCHW ``x`` into the (N,
+    groups, out/groups, H*W) ``out``: one stacked GEMM per row, its columns
+    a view of the row, then the (groups, out/groups, 1) bias."""
+    for b in range(len(x)):
+        np.matmul(weights, x[b].reshape(weights.shape[0], -1, out.shape[-1]), out=out[b])
+    out += bias
+
+
+def _depthwise(x: np.ndarray, out: np.ndarray | None, taps: np.ndarray, bias: np.ndarray,
+               s: int, p: int) -> np.ndarray:
+    """Depthwise conv of the NCHW ``x`` with the (kh, kw, C) ``taps``, into
+    ``out``, or a new array if it is None: one padded NHWC copy, then each
+    tap is a multiply-add over rows of C contiguous floats, into one
+    accumulator, in row-major tap order, and the bias add writes NCHW."""
+    n, c, h, w = x.shape
+    kh, kw = taps.shape[:2]
+    ho, wo = conv_output_hw(h, w, kh, kw, s, p)
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
+    tmp = np.empty_like(acc)
+    for i in range(kh):
+        for j in range(kw):
+            win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+            acc += np.multiply(win, taps[i, j], out=tmp)
+    if out is None:
+        out = np.empty((n, c, ho, wo), dtype=x.dtype)
+    np.add(acc.transpose(0, 3, 1, 2), bias[None, :, None, None], out=out)
     return out
 
 
@@ -511,17 +529,16 @@ def gelu(x: np.ndarray) -> np.ndarray:
     xs, ys = np.ascontiguousarray(x).reshape(-1), out.reshape(-1)
     n = x.shape[0] if x.ndim else 1
     if _splits(n):
-        row = xs.size // n
-        _split_rows(lambda lo, hi: _gelu_blocks(xs[lo * row:hi * row], ys[lo * row:hi * row],
-                                                _GELU_SPLIT_BLOCK), n)
+        _split_rows(_gelu_blocks, xs.reshape(n, -1), ys.reshape(n, -1), _GELU_SPLIT_BLOCK)
     else:
         _gelu_blocks(xs, ys, _GELU_BLOCK)
     return out
 
 
 def _gelu_blocks(xs: np.ndarray, ys: np.ndarray, block: int) -> None:
-    """Float32 ``gelu`` of the flat ``xs`` into ``ys``, ``block`` elements
-    at a time through three block-sized scratch buffers."""
+    """Float32 ``gelu`` of the contiguous ``xs`` into ``ys``, ``block``
+    elements at a time through three block-sized scratch buffers."""
+    xs, ys = xs.ravel(), ys.ravel()
     size = min(xs.size, block)
     a_buf, u_buf, q_buf = (np.empty(size, dtype=np.float32) for _ in range(3))
     for lo in range(0, xs.size, block):
