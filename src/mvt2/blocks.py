@@ -40,9 +40,9 @@ concurrently.  They write only into arrays the call itself made: a
 residual ``x + f(x)`` is added into ``f``'s fresh output, and a
 train-form batch norm runs in place on its conv's fresh output, through
 ``tensor.batchnorm_infer``'s ``out=``.  A
-block checks its units only when it is constructed: nothing stops a
-caller from assigning a field afterwards, which is why ``weights.save``
-checks a model again before writing it.
+block checks its units when it is constructed, and its fields, like
+those of the specs it holds, are frozen, so no unit can leave its row
+afterwards.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class _Block:
                                  f"(kernel shape, stride, padding, groups) {got}, its row {want}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepEmbedBlock(_Block):
     """Dense multi-branch convolution; embeds patches or downsamples."""
 
@@ -152,7 +152,7 @@ class RepEmbedBlock(_Block):
         return conv.in_channels, conv.out_channels, conv.stride
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepDWBlock(_Block):
     """Residual depthwise mixer followed by a residual feed-forward."""
 
@@ -166,7 +166,7 @@ class RepDWBlock(_Block):
                          identity=True), *_ffn_geometry(c, ratio))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SDTABlock(_Block):
     """Split-projection transposed attention with a gated local path.
 
@@ -194,7 +194,7 @@ class SDTABlock(_Block):
         return {"attn_qk": QK_DIM * hw * hw, "attn_av": c // 4 * hw * hw}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MDTABlock(_Block):
     """Per-channel transposed attention, the ablation of ``SDTABlock``.
 

@@ -29,14 +29,13 @@ Functions here are pure over immutable inputs and safe to call
 concurrently.
 
 Two threads.  ``verify_equivalence`` and ``model.deploy`` run their
-independent units through ``tensor.split_map`` (also importable from
-here), and ``weights.load`` the two halves of its payload read: the
-calling thread takes the even indices and one worker thread, owned by
-the library and kept for the process, the odd ones.  The split depends
-on the index alone, so results, reports and the error raised are those
-of the serial loop.  The worker runs each half in a copy of the caller's
-``contextvars`` context, so an ``np.errstate`` around the call holds on
-both threads.  Kernels that split a forward's batch rows (see
+independent units through ``tensor.split_map``, and ``weights.load``
+the two halves of its payload read: the calling thread takes the even
+indices and one worker thread, owned by the library and kept for the
+process, the odd ones.  The split depends on the index alone, so
+results, reports and the error raised are those of the serial loop.
+The worker runs each half in a copy of the caller's ``contextvars``
+context, so an ``np.errstate`` around the call holds on both threads.  Kernels that split a forward's batch rows (see
 ``tensor``) run whole on their own thread inside such a split, on the
 worker and on the caller alike, so no split nests in another.  Where
 the kernel does not balance load between CPUs (a cpuset with
@@ -88,7 +87,7 @@ def fold_bn(conv: ConvSpec, bn: BNSpec) -> ConvSpec:
     return ConvSpec(w_f, b_f, stride=conv.stride, padding=conv.padding, groups=conv.groups)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepBranchSpec:
     """Train-form parallel branches: main conv + BN, optional 1x1 conv + BN,
     optional identity BN.
@@ -207,7 +206,7 @@ def fuse(spec: RepBranchSpec) -> ConvSpec:
     for conv in folded:
         centre += _centre(conv.kernel)
         bias += conv.bias
-    fused.kernel += 0.0  # a -0.0 tap becomes +0.0, as in a sum from zero
+    fused.kernel[...] += 0.0  # a -0.0 tap becomes +0.0, as in a sum from zero
     _centre(fused.kernel)[...] = centre
     fused.bias[...] = bias
     return fused

@@ -131,15 +131,17 @@ def _stage_view(stage: str) -> property:
     return property(view)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """A built network; forwards are pure.
 
     ``blocks`` holds one block per ``_layout(config)`` row, in its order.
     The stage names are read-only views of it: ``stem`` and ``stage1`` to
     ``stage3`` give lists, ``down12`` and ``down23`` their one block.
-    ``blocks`` is not copied: edit a model through ``dataclasses.replace``,
-    and ``weights.save`` re-checks it.
+    A model, its blocks and their specs are frozen: edit one through
+    ``dataclasses.replace``, which checks it again.  ``blocks`` is a list
+    and is not copied, so it can still be edited in place, and
+    ``weights.save`` checks the model again before writing it.
 
     The blocks are the only record of the network's form, and every unit
     holds the same one: ``mode`` is read off the first, and each block's

@@ -202,7 +202,7 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
     return ho, wo
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvSpec:
     """Weights and hyperparameters of a 2-D convolution.
 
@@ -218,8 +218,8 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel)
-        self.bias = np.asarray(self.bias)
+        object.__setattr__(self, "kernel", np.asarray(self.kernel))
+        object.__setattr__(self, "bias", np.asarray(self.bias))
         if self.kernel.ndim != 4:
             raise ValueError(f"kernel must be rank-4, got shape {self.kernel.shape}")
         if self.kernel.dtype not in FLOAT_DTYPES or self.bias.dtype not in FLOAT_DTYPES:
@@ -262,7 +262,7 @@ class ConvSpec:
         return self.kernel.dtype
 
 
-@dataclass
+@dataclass(frozen=True)
 class BNSpec:
     """Batch-norm parameters and running statistics (inference mode only);
     every batch norm uses epsilon ``BN_EPS``."""
@@ -273,9 +273,10 @@ class BNSpec:
     running_var: np.ndarray
 
     def __post_init__(self):
-        arrs = [np.asarray(a) for a in
-                (self.gamma, self.beta, self.running_mean, self.running_var)]
-        self.gamma, self.beta, self.running_mean, self.running_var = arrs
+        names = ("gamma", "beta", "running_mean", "running_var")
+        arrs = [np.asarray(getattr(self, name)) for name in names]
+        for name, a in zip(names, arrs):
+            object.__setattr__(self, name, a)
         n = self.gamma.shape
         if any(a.shape != n for a in arrs) or self.gamma.ndim != 1:
             raise ValueError("batch-norm arrays must all be 1-D of equal length")

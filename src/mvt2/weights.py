@@ -20,15 +20,16 @@ conv with its batch norm); a deploy file holds only the folded convs and
 the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
 variance below zero, is a ``FormatError``.  ``save`` and ``load`` apply
-one per-tensor rule, ``tensor_fault``, and ask for each tensor by the
-shape of its geometry row through one walk, ``model.from_tensors``, so
-``save`` refuses a tensor that ``load`` would refuse or read back as
-another; it also refuses a conv whose grid is not its row's, which a
-file does not record.  ``save`` writes a temporary file and puts it in the
-target's place in one step, so a failed save leaves the old file whole
-(see ``save``).  ``load`` reads the payload into one read-only buffer, and
-a loaded model's tensors are views into it: an in-place write into one
-raises ``ValueError``.  The buffer is read, not memory-mapped, so a file
+one per-tensor rule, ``tensor_fault``, so ``save`` refuses a tensor that
+``load`` would refuse or read back as another.  A tensor's shape and a
+conv's grid (which a file does not record) need no check in ``save``:
+the specs, the blocks and ``Model`` are frozen dataclasses that check
+every unit against its geometry row when they are constructed.  ``save``
+writes a temporary file and puts it in the target's place in one step,
+so a failed save leaves the old file whole (see ``save``).  ``load``
+reads the payload into one read-only buffer, and a loaded model's
+tensors are views into it: an in-place write into one raises
+``ValueError``.  The buffer is read, not memory-mapped, so a file
 truncated or rewritten after the load cannot change or fault a live
 model.  The read runs on two threads: the caller reads and screens the
 first half of the payload and ``tensor.split_map``'s worker the second,
@@ -45,8 +46,8 @@ import sys
 
 import numpy as np
 
-from .model import Model, ModelConfig, _check, _walk, from_tensors, named_tensors
-from .tensor import ConvSpec, split_map
+from .model import Model, ModelConfig, _check, from_tensors, named_tensors
+from .tensor import split_map
 
 MAGIC = b"MVT2"
 VERSION = 1
@@ -114,26 +115,18 @@ def tensor_fault(name: str, arr: np.ndarray, screened: bool = False):
     return None
 
 
-def _grids(unit) -> list:
-    """(stride, padding, groups) of each conv of a unit: the folded conv, or
-    a group's main conv and its scale conv if it has one."""
-    convs = [unit] if isinstance(unit, ConvSpec) else [unit.main, unit.scale]
-    return [(c.stride, c.padding, c.groups) for c in convs if c is not None]
-
-
 def save(model: Model, path) -> None:
     """Write the model's parameters to ``path``, one tensor at a time.
 
     Raises ValueError, before anything is written, if the model is not its
     config's layout in one form and one dtype (``model._check``: ``blocks``
-    may have been edited in place), or if a tensor breaks a rule ``load``
-    applies: the shape its geometry row gives, asked for by the same
-    ``from_tensors`` walk ``load`` makes, or the per-tensor rule
-    (``tensor_fault``: not float32, a NaN or an infinity, a negative
-    batch-norm variance).  It raises too if a conv's stride, padding or
-    groups, assigned after the model was built, is not what its row gives,
-    which is all a file records of a conv's grid.  ``load`` would refuse
-    the file or return another model.
+    is a list and may have been edited in place), or if a tensor breaks
+    the per-tensor rule ``load`` applies (``tensor_fault``: not float32, a
+    NaN or an infinity, a negative batch-norm variance, any of which the
+    writable arrays of a built model may come to hold).  ``load`` would
+    refuse such a file or return another model.  Every tensor's shape and
+    every conv's grid are its geometry row's, checked when the frozen
+    specs and blocks were constructed.
 
     When ``path`` names an existing regular file the caller may write
     (through a symlink, the link's target; the link stays), the new file
@@ -152,24 +145,11 @@ def save(model: Model, path) -> None:
     ``auto_da_alloc``, truncating a file written moments before waits
     for its writeback."""
     _check(model)
-    arrays, tensors = dict(named_tensors(model)), []
-
-    def tensor(name, shape):
-        arr = arrays[name]
-        fault = (f"has shape {arr.shape}, its row {shape}" if arr.shape != shape
-                 else tensor_fault(name, arr))
+    tensors = list(named_tensors(model))
+    for name, arr in tensors:
+        fault = tensor_fault(name, arr)
         if fault is not None:
             raise ValueError(f"tensor {name!r} {fault}; nothing written")
-        tensors.append((name, arr))
-        return arr
-
-    # ``load``'s walk, which asks for each tensor by its row's shape
-    rebuilt = from_tensors(model.config, model.mode, tensor)
-    for (block, row, unit), (_, _, read) in zip(_walk(model), _walk(rebuilt)):
-        if _grids(unit) != _grids(read):
-            name = f"{block}.{row.name}" if row.name else block
-            raise ValueError(f"unit {name!r} has (stride, padding, groups) {_grids(unit)}, "
-                             f"its row {_grids(read)}; nothing written")
     entries = []
     end = 0
     for name, arr in tensors:

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from mvt2 import cli, weights
 from mvt2.blocks import deployed
-from mvt2.fusion import RepBranchSpec, split_map
+from mvt2.fusion import RepBranchSpec, main_conv
 from mvt2.model import ModelConfig, _blocks, build, deploy, forward, named_tensors
+from mvt2.tensor import split_map
 
 from helpers import TINY
 
@@ -236,9 +237,9 @@ class TestFileLayout:
 class TestSaveRechecks:
     """``blocks`` is a plain list and the arrays of a built model are
     writable, so both can be edited after the model was built; ``save``
-    checks the model again, and every tensor by the rules ``load`` applies
-    (its row's shape and the per-tensor rule), before it opens the file.
-    A refused save leaves no file."""
+    checks the model again, and every tensor by the per-tensor rule
+    ``load`` applies, before it opens the file.  A refused save leaves no
+    file."""
 
     def refuse(self, tmp_path, model, match):
         path = tmp_path / "m.mvt2"
@@ -273,33 +274,65 @@ class TestSaveRechecks:
         model.stage2[0].project.main_bn.running_var[0] = -1
         self.refuse(tmp_path, model, "'stage2.0.project_bn.var' holds a negative")
 
-    def test_a_float64_array_assigned_in_a_unit_is_refused(self, tmp_path):
-        # written as float32, the file would load as another model
-        model = build(TINY, 0)
-        main = model.blocks[0].branch.main
-        main.bias = np.zeros_like(main.bias, dtype=np.float64)
-        self.refuse(tmp_path, model, "'stem.0.main.bias' is float64: weight files store float32")
 
-    def test_an_array_of_another_shape_assigned_in_a_unit_is_refused(self, tmp_path):
-        # ``load`` would refuse the file with a ShapeError
-        model = build(TINY, 0)
-        model.blocks[0].branch.main.bias = np.zeros(2, np.float32)
-        self.refuse(tmp_path, model, r"'stem.0.main.bias' has shape \(2,\), its row \(1,\)")
+def frozen_tree(obj):
+    """``obj`` and every dataclass it holds, through lists, depth first."""
+    yield obj
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        for v in value if isinstance(value, list) else [value]:
+            if dataclasses.is_dataclass(v):
+                yield from frozen_tree(v)
 
-    def test_a_grid_assigned_after_building_is_refused(self, tmp_path):
-        # a file records no conv's grid: ``load`` would read padding 1 back
+
+class TestFrozen:
+    """A model, its blocks and their specs are frozen, so a unit cannot
+    leave its geometry row after it is built, and the faults ``save`` once
+    looked for can be made only through a constructor, which refuses them."""
+
+    @pytest.mark.parametrize("attention", ["sdta", "mdta"])
+    @pytest.mark.parametrize("form", ["train", "deploy"])
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_no_field_can_be_assigned_and_no_fault_built(self, tmp_path, source, form,
+                                                         attention):
+        model = build(dataclasses.replace(TINY, attention=attention), seed=0)
+        if form == "deploy":
+            model = deploy(model)
         path = tmp_path / "m.mvt2"
-        weights.save(build(TINY, 1), path)
+        weights.save(model, path)
         before = path.read_bytes()
-        model = build(TINY, 0)
-        branch = model.blocks[0].branch
-        branch.main.padding = branch.scale.padding = 0
-        with pytest.raises(ValueError, match=r"unit 'stem.0' has \(stride, padding, groups\) "
-                                             r"\[\(2, 0, 1\), \(2, 0, 1\)\], its row "
-                                             r"\[\(2, 1, 1\), \(2, 0, 1\)\]; nothing written"):
-            weights.save(model, path)
+        if source == "loaded":
+            model = weights.load(path)
+
+        kinds = set()
+        for obj in frozen_tree(model):
+            kinds.add(type(obj).__name__)
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        specs = {"ConvSpec"} | ({"RepBranchSpec", "BNSpec"} if form == "train" else set())
+        attn = "SDTABlock" if attention == "sdta" else "MDTABlock"
+        assert kinds == {"Model", "ModelConfig", "RepEmbedBlock", "RepDWBlock", attn} | specs
+
+        stem0 = model.blocks[0]
+
+        def with_stem0(**changes):
+            """The model with ``stem.0``'s main conv (its folded conv once
+            deployed) made again by ``dataclasses.replace``."""
+            conv = dataclasses.replace(main_conv(stem0.branch), **changes)
+            unit = dataclasses.replace(stem0.branch, main=conv) if form == "train" else conv
+            return dataclasses.replace(model, blocks=[dataclasses.replace(stem0, branch=unit),
+                                                      *model.blocks[1:]])
+
+        bias = main_conv(stem0.branch).bias
+        grid = ("scale padding 0 does not align" if form == "train"
+                else r"RepEmbedBlock unit 'branch' has \(kernel shape, stride, padding, groups\)")
+        for changes, match in (({"padding": 0}, grid),
+                               ({"bias": bias.astype(np.float64)}, "kernel and bias dtypes differ"),
+                               ({"bias": np.zeros(2, np.float32)}, r"bias shape \(2,\)")):
+            with pytest.raises(ValueError, match=match):
+                weights.save(with_stem0(**changes), path)
         assert path.read_bytes() == before
-        assert weights.load(path).blocks[0].branch.main.padding == 1
 
 
 class TestSaveOverAFile:
