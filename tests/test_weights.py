@@ -274,6 +274,51 @@ class TestSaveRechecks:
         model.stage2[0].project.main_bn.running_var[0] = -1
         self.refuse(tmp_path, model, "'stage2.0.project_bn.var' holds a negative")
 
+    @staticmethod
+    def with_stem0_main(model, **changes):
+        """``model`` with ``stem.0``'s main conv made again by
+        ``dataclasses.replace``: the one way left to change a built unit."""
+        stem0 = model.blocks[0]
+        branch = dataclasses.replace(stem0.branch,
+                                     main=dataclasses.replace(stem0.branch.main, **changes))
+        return dataclasses.replace(model, blocks=[dataclasses.replace(stem0, branch=branch),
+                                                  *model.blocks[1:]])
+
+    def test_a_float64_array_assigned_in_a_unit_is_refused(self, tmp_path):
+        # written as float32, the file would load as another model
+        model = build(TINY, 0)
+        main = model.blocks[0].branch.main
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            main.bias = np.zeros_like(main.bias, dtype=np.float64)
+        path = tmp_path / "m.mvt2"
+        with pytest.raises(ValueError, match="kernel and bias dtypes differ"):
+            weights.save(self.with_stem0_main(
+                model, bias=np.zeros_like(main.bias, dtype=np.float64)), path)
+        assert not path.exists()
+
+    def test_an_array_of_another_shape_assigned_in_a_unit_is_refused(self, tmp_path):
+        # ``load`` would refuse the file with a ShapeError
+        model = build(TINY, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.blocks[0].branch.main.bias = np.zeros(2, np.float32)
+        path = tmp_path / "m.mvt2"
+        with pytest.raises(ValueError, match=r"bias shape \(2,\)"):
+            weights.save(self.with_stem0_main(model, bias=np.zeros(2, np.float32)), path)
+        assert not path.exists()
+
+    def test_a_grid_assigned_after_building_is_refused(self, tmp_path):
+        # a file records no conv's grid: ``load`` would read padding 1 back
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, 1), path)
+        before = path.read_bytes()
+        model = build(TINY, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.blocks[0].branch.main.padding = 0
+        with pytest.raises(ValueError, match="scale padding 0 does not align"):
+            weights.save(self.with_stem0_main(model, padding=0), path)
+        assert path.read_bytes() == before
+        assert weights.load(path).blocks[0].branch.main.padding == 1
+
 
 def frozen_tree(obj):
     """``obj`` and every dataclass it holds, through lists, depth first."""
