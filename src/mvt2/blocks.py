@@ -91,6 +91,13 @@ class Geometry(NamedTuple):
     scale: bool = False
     identity: bool = False
 
+    def shape(self, branch: str, field: str) -> tuple:
+        """The shape of one array of the unit (see ``model._unit``): a kernel
+        is (out_c, in_c // groups, k, k), k being 1 on the ``scale`` branch,
+        and a bias or batch-norm array is (out_c,)."""
+        k = 1 if branch == "scale" else self.k
+        return (self.out_c, self.in_c // self.groups, k, k) if field == "kernel" else (self.out_c,)
+
 
 def unit_forward(unit: UnitSpec, x):
     """Run a conv unit: its branch group in train form, its folded conv once deployed."""
@@ -128,8 +135,7 @@ class _Block:
         for row in rows:
             conv = main_conv(getattr(self, row.field))
             got = (conv.kernel.shape, conv.stride, conv.padding, conv.groups)
-            want = ((row.out_c, row.in_c // row.groups, row.k, row.k), row.stride, row.k // 2,
-                    row.groups)
+            want = (row.shape("main", "kernel"), row.stride, row.k // 2, row.groups)
             if got != want:
                 raise ValueError(f"{type(self).__name__} unit {row.name or row.field!r} has "
                                  f"(kernel shape, stride, padding, groups) {got}, its row {want}")

@@ -28,25 +28,11 @@ shape sees the same seeded batches it would see if checked alone.
 Functions here are pure over immutable inputs and safe to call
 concurrently.
 
-Two threads.  ``verify_equivalence`` and ``model.deploy`` run their
-independent units through ``tensor.split_map``, and ``weights.load``
-the two halves of its payload read: the calling thread takes the even
-indices and one worker thread, owned by the library and kept for the
-process, the odd ones.  The split depends on the index alone, so
-results, reports and the error raised are those of the serial loop.
-The worker runs each half in a copy of the caller's ``contextvars``
-context, so an ``np.errstate`` around the call holds on both threads.  Kernels that split a forward's batch rows (see
-``tensor``) run whole on their own thread inside such a split, on the
-worker and on the caller alike, so no split nests in another.  Where
-the kernel does not balance load between CPUs (a cpuset with
-``sched_load_balance`` 0), a new thread stays on its creator's CPU and
-the split gains nothing.  So the worker, when it starts, moves itself
-off the CPU the caller ran on and then allows itself every CPU the
-caller may use again: it is placed, not pinned, and a ``taskset`` or
-cgroup policy of the embedding process still holds.  With one allowed
-CPU, or where the CPUs cannot be read, it is not placed.  The worker
-runs numpy like any caller, so the rule of one BLAS thread per
-computing thread holds for it too.
+Two threads.  ``verify_equivalence`` and ``model.deploy`` split their
+independent units by index through ``tensor.split_map``, the even ones
+on the caller and the odd ones on the library's worker, so results,
+reports and the error raised are those of the serial loop.  ``tensor``'s
+"Two cores" gives the rules of the split.
 """
 
 from __future__ import annotations

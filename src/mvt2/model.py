@@ -216,20 +216,20 @@ def _unit(row: Geometry, tensor, folded: bool = False) -> Union[RepBranchSpec, C
     norm and the identity batch norm where the row has them, in that
     order.  ``tensor(branch, field, shape)`` gives each array, ``branch``
     being "fused", "main", "scale" or "identity" and ``field`` "kernel",
-    "bias" or one of ``BN_FIELDS``."""
-    def conv(branch, k):
-        shape = (row.out_c, row.in_c // row.groups, k, k)
+    "bias" or one of ``BN_FIELDS``, and ``shape`` ``row.shape(branch, field)``."""
+    def conv(branch):
+        shape = row.shape(branch, "kernel")
         return ConvSpec(tensor(branch, "kernel", shape), tensor(branch, "bias", shape[:1]),
-                        stride=row.stride, padding=k // 2, groups=row.groups)
+                        stride=row.stride, padding=shape[-1] // 2, groups=row.groups)
 
     def bn(branch):
-        return BNSpec(*(tensor(branch, f, (row.out_c,)) for f in BN_FIELDS))
+        return BNSpec(*(tensor(branch, f, row.shape(branch, f)) for f in BN_FIELDS))
 
     if folded:
-        return conv("fused", row.k)
-    branches = {"main": conv("main", row.k), "main_bn": bn("main")}
+        return conv("fused")
+    branches = {"main": conv("main"), "main_bn": bn("main")}
     if row.scale:
-        branches |= {"scale": conv("scale", 1), "scale_bn": bn("scale")}
+        branches |= {"scale": conv("scale"), "scale_bn": bn("scale")}
     if row.identity:
         branches["identity_bn"] = bn("identity")
     return RepBranchSpec(**branches)
@@ -503,11 +503,18 @@ def named_tensors(model: Model):
     execution order: each unit's folded conv or its branch group, whichever
     it holds, named by ``_tensor_name``.  The arrays are the live model
     arrays."""
+    return ((name, arr) for name, arr, _ in _shaped_tensors(model))
+
+
+def _shaped_tensors(model: Model):
+    """``named_tensors`` as (name, array, shape) triples, ``shape`` being
+    the one ``from_tensors`` asks for ``name``."""
     for name, row, spec in _walk(model):
         for branch, f, arr in _unit_arrays(spec):
-            yield _tensor_name(name, row, branch, f), arr
-    yield "head.weight", model.head_weight
-    yield "head.bias", model.head_bias
+            yield _tensor_name(name, row, branch, f), arr, row.shape(branch, f)
+    shape = (model.config.num_classes, model.config.dims[2])
+    yield "head.weight", model.head_weight, shape
+    yield "head.bias", model.head_bias, shape[:1]
 
 
 def fusable_branches(model: Model) -> list[tuple[str, RepBranchSpec]]:

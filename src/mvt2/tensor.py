@@ -36,22 +36,29 @@ returns a fresh array, which callers may update in place.  Concurrent
 calls on shared immutable inputs are safe.
 
 Two cores.  ``split_map`` runs independent items on the calling thread
-and one library-owned worker thread.  Three kernels use it inside
-themselves for a batch of two or more rows: unpadded 1x1 stride-1 dense
-``conv2d``, whose columns are views of the input; depthwise ``conv2d``
-with a padded copy; and float32 ``gelu``.  The caller takes rows [0,
-ceil(n/2)) and the worker the rest.  Each half runs the per-sample GEMMs,
-per-tap multiply-adds or GELU blocks of a whole call, bias add included,
-into its own rows of one output array, so every row keeps its bits, and
-the same rows stay on the same thread from kernel to kernel.  The worker
-runs only numpy and private helpers on its half, never a public
-``tensor`` function, so a tracer that rebinds those sees every call on
-the calling thread.  Batch 1 stays on the caller.  Dense convs that
-fill a column buffer (3x3, strided 1x1) stay serial: split by samples
-they need a second buffer, and split into row bands they change GEMM
-bits.  ``batchnorm_infer`` stays serial too: two passes of one multiply
-or add per element were slower split.  A kernel called inside a split,
-on either thread, runs whole on its own thread.
+and one library-owned worker thread, and ``_split_rows`` alone decides
+whether a batch of rows splits and where: two or more rows, outside a
+split, go [0, ceil(n/2)) to the caller and the rest to the worker; any
+other call runs whole on the caller, with no split on its path.  It
+serves unpadded 1x1 stride-1 dense ``conv2d``, whose columns are views
+of the input, depthwise ``conv2d`` with a padded copy, float32 ``gelu``
+and ``weights.load``'s read chunks.  Each half runs the per-sample
+GEMMs, per-tap multiply-adds or GELU blocks of a whole call, bias add
+included, into its own rows of one output array, so every row keeps its
+bits, and the same rows stay on the same thread from kernel to kernel.
+The worker runs only numpy and private helpers on its half, never a
+public ``tensor`` function, so a tracer that rebinds those sees every
+call on the calling thread.  Dense convs that fill a column buffer (3x3,
+strided 1x1) stay serial: split by samples they need a second buffer,
+and split into row bands they change GEMM bits.  ``batchnorm_infer``
+stays serial too: two passes of one multiply or add per element were
+slower split.  A kernel called inside a split, on either thread, runs
+whole on its own thread, so no split nests in another.  Where the
+kernel does not balance load between CPUs, a new thread stays on its
+creator's CPU, so the worker moves itself off the caller's CPU when it
+starts, then allows itself every CPU the process may use: placed, not
+pinned.  It runs numpy like any caller, so one BLAS thread per
+computing thread holds for it too.
 """
 
 from __future__ import annotations
@@ -174,12 +181,14 @@ def split_map(fn: Callable, items: Sequence) -> list:
     return out
 
 
-def _split_rows(rows: Callable, x: np.ndarray, out: np.ndarray, *args) -> None:
-    """``rows(x[half], out[half], *args)`` over two halves of the rows of
-    ``x`` and ``out``: the caller takes [0, ceil(n/2)) and ``split_map``'s
-    worker the rest.  Callers check ``_splits`` first, so a serial call
-    runs its kernel with no closure or split on its path."""
+def _split_rows(rows: Callable, x: Sequence, out: np.ndarray, *args) -> None:
+    """``rows(x, out, *args)``, on the caller alone with no closure or split
+    on its path unless ``_splits(len(x))``; then over two halves of the
+    rows of ``x`` and ``out``, the caller taking [0, ceil(n/2)) and
+    ``split_map``'s worker the rest."""
     n = len(x)
+    if not _splits(n):
+        return rows(x, out, *args)
     mid = (n + 1) // 2
     split_map(lambda half: rows(x[half], out[half], *args), [slice(0, mid), slice(mid, n)])
 
@@ -324,9 +333,9 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     row is bit-identical too; input and output stay NCHW.  An unpadded 1x1
     depthwise conv, a single tap, is one per-channel multiply and the bias
     add, in NCHW.  An unpadded 1x1 stride-1 dense conv and a padded
-    depthwise conv split a batch of two or more rows over two threads
-    (see the module docstring); each half runs the same per-row arithmetic
-    into its own rows of the output.
+    depthwise conv run through ``_split_rows``, which splits a batch of
+    two or more rows over two threads (see the module docstring); each
+    half runs the same per-row arithmetic into its own rows of the output.
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
@@ -346,21 +355,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         out += spec.bias[:, None, None]
     elif spec.is_depthwise:
         taps = np.ascontiguousarray(spec.kernel[:, 0].transpose(1, 2, 0))
-        if _splits(n):
-            out = np.empty((n, c, ho, wo), dtype=x.dtype)
-            _split_rows(_depthwise, x, out, taps, spec.bias, s, p)
-        else:
-            out = _depthwise(x, None, taps, spec.bias, s, p)
+        out = np.empty((n, c, ho, wo), dtype=x.dtype)
+        _split_rows(_depthwise, x, out, taps, spec.bias, s, p)
     else:
         icg, ocg = c // g, spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
         out = np.empty((n, g, ocg, ho * wo), dtype=x.dtype)
         if kh == kw == 1 and s == 1 and p == 0:
-            bias = spec.bias.reshape(g, ocg, 1)
-            if _splits(n):
-                _split_rows(_pointwise, x, out, weights, bias)
-            else:
-                _pointwise(x, out, weights, bias)
+            _split_rows(_pointwise, x, out, weights, spec.bias.reshape(g, ocg, 1))
         else:
             # One (c, kh, kw, ho, wo) column buffer, rows ordered like the
             # flattened kernel.  A tap's strips that fall in the padding are
@@ -396,12 +398,12 @@ def _pointwise(x: np.ndarray, out: np.ndarray, weights: np.ndarray, bias: np.nda
     out += bias
 
 
-def _depthwise(x: np.ndarray, out: np.ndarray | None, taps: np.ndarray, bias: np.ndarray,
-               s: int, p: int) -> np.ndarray:
+def _depthwise(x: np.ndarray, out: np.ndarray, taps: np.ndarray, bias: np.ndarray,
+               s: int, p: int) -> None:
     """Depthwise conv of the NCHW ``x`` with the (kh, kw, C) ``taps``, into
-    ``out``, or a new array if it is None: one padded NHWC copy, then each
-    tap is a multiply-add over rows of C contiguous floats, into one
-    accumulator, in row-major tap order, and the bias add writes NCHW."""
+    the NCHW ``out``: one padded NHWC copy, then each tap is a multiply-add
+    over rows of C contiguous floats, into one accumulator, in row-major
+    tap order, and the bias add writes ``out``."""
     n, c, h, w = x.shape
     kh, kw = taps.shape[:2]
     ho, wo = conv_output_hw(h, w, kh, kw, s, p)
@@ -413,10 +415,7 @@ def _depthwise(x: np.ndarray, out: np.ndarray | None, taps: np.ndarray, bias: np
         for j in range(kw):
             win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
             acc += np.multiply(win, taps[i, j], out=tmp)
-    if out is None:
-        out = np.empty((n, c, ho, wo), dtype=x.dtype)
     np.add(acc.transpose(0, 3, 1, 2), bias[None, :, None, None], out=out)
-    return out
 
 
 def batchnorm_infer(x: np.ndarray, bn: BNSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -527,12 +526,10 @@ def gelu(x: np.ndarray) -> np.ndarray:
         lowest = np.finfo(x.dtype).min
         return 0.5 * np.maximum(x, lowest) * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
     out = np.empty(x.shape, dtype=np.float32)
-    xs, ys = np.ascontiguousarray(x).reshape(-1), out.reshape(-1)
     n = x.shape[0] if x.ndim else 1
-    if _splits(n):
-        _split_rows(_gelu_blocks, xs.reshape(n, -1), ys.reshape(n, -1), _GELU_SPLIT_BLOCK)
-    else:
-        _gelu_blocks(xs, ys, _GELU_BLOCK)
+    rows = (n, x.size // max(n, 1))  # a first axis of 0 leaves no -1 to infer
+    _split_rows(_gelu_blocks, np.ascontiguousarray(x).reshape(rows), out.reshape(rows),
+                _GELU_SPLIT_BLOCK if _splits(n) else _GELU_BLOCK)
     return out
 
 

@@ -21,19 +21,20 @@ the classifier.  Every fault in a file raises a ``WeightFileError``
 subclass; a tensor holding a NaN or an infinity, or a batch-norm
 variance below zero, is a ``FormatError``.  ``save`` and ``load`` apply
 one per-tensor rule, ``tensor_fault``, so ``save`` refuses a tensor that
-``load`` would refuse or read back as another.  A tensor's shape and a
-conv's grid (which a file does not record) need no check in ``save``:
-the specs, the blocks and ``Model`` are frozen dataclasses that check
-every unit against its geometry row when they are constructed.  ``save``
-writes a temporary file and puts it in the target's place in one step,
-so a failed save leaves the old file whole (see ``save``).  ``load``
+``load`` would refuse or read back as another, and ``save`` refuses an
+array reshaped in place.  A conv's grid (which a file does not record)
+needs no check: the specs, the blocks and ``Model`` are frozen
+dataclasses that check every unit against its geometry row when they
+are constructed.  ``save`` writes a temporary file and puts it in the
+target's place in one step, so a failed save leaves the old file whole
+(see ``save``).  ``load``
 reads the payload into one read-only buffer, and a loaded model's
 tensors are views into it: an in-place write into one raises
 ``ValueError``.  The buffer is read, not memory-mapped, so a file
 truncated or rewritten after the load cannot change or fault a live
-model.  The read runs on two threads: the caller reads and screens the
-first half of the payload and ``tensor.split_map``'s worker the second,
-each by positional reads.
+model.  The read runs on two threads through ``tensor._split_rows``:
+the caller reads and screens the first half of the payload's chunks and
+the library's worker the second, each by positional reads.
 """
 
 import contextlib
@@ -46,8 +47,8 @@ import sys
 
 import numpy as np
 
-from .model import Model, ModelConfig, _check, from_tensors, named_tensors
-from .tensor import split_map
+from .model import Model, ModelConfig, _check, _shaped_tensors, from_tensors
+from .tensor import _split_rows
 
 MAGIC = b"MVT2"
 VERSION = 1
@@ -123,10 +124,11 @@ def save(model: Model, path) -> None:
     is a list and may have been edited in place), or if a tensor breaks
     the per-tensor rule ``load`` applies (``tensor_fault``: not float32, a
     NaN or an infinity, a negative batch-norm variance, any of which the
-    writable arrays of a built model may come to hold).  ``load`` would
-    refuse such a file or return another model.  Every tensor's shape and
-    every conv's grid are its geometry row's, checked when the frozen
-    specs and blocks were constructed.
+    writable arrays of a built model may come to hold), or if an array
+    reshaped in place is not the shape ``Geometry.shape`` gives it.
+    ``load`` would refuse such a file or return another model.  Every
+    conv's grid is its row's, checked when the frozen specs and blocks
+    were constructed.
 
     When ``path`` names an existing regular file the caller may write
     (through a symlink, the link's target; the link stays), the new file
@@ -145,14 +147,14 @@ def save(model: Model, path) -> None:
     ``auto_da_alloc``, truncating a file written moments before waits
     for its writeback."""
     _check(model)
-    tensors = list(named_tensors(model))
-    for name, arr in tensors:
-        fault = tensor_fault(name, arr)
+    tensors = list(_shaped_tensors(model))
+    for name, arr, shape in tensors:
+        fault = tensor_fault(name, arr) if arr.shape == shape else f"is {arr.shape}, not {shape}"
         if fault is not None:
             raise ValueError(f"tensor {name!r} {fault}; nothing written")
     entries = []
     end = 0
-    for name, arr in tensors:
+    for name, arr, _ in tensors:
         offset = _aligned(end)
         end = offset + 4 * arr.size
         entries.append(
@@ -179,7 +181,7 @@ def save(model: Model, path) -> None:
         fh.write(_FIXED_HEADER.pack(MAGIC, VERSION, len(header_bytes)))
         fh.write(header_bytes)
         end = 0
-        for (_, arr), entry in zip(tensors, entries):
+        for (_, arr, _), entry in zip(tensors, entries):
             fh.write(bytes(entry["byte_offset"] - end))
             fh.write(np.ascontiguousarray(arr, dtype="<f4"))
             end = entry["byte_offset"] + entry["byte_len"]
@@ -321,16 +323,16 @@ def load(path) -> Model:
     chunks, each scanned for non-finite values while it is still in cache;
     only when a chunk holds one (in a tensor, or in the padding between
     tensors) does ``tensor_fault`` scan each tensor, so the error names the
-    first bad tensor.  The chunks are split into two contiguous halves run
-    through ``split_map``: the caller reads and scans the first and the
-    library's worker the second, each with ``os.preadv`` at its own
-    offsets, so the threads share no file position.  A one-chunk payload
-    stays on the caller.  A short read in either half is a
-    ``TruncatedPayloadError``, the first half's if both fail, raised once
-    both halves are done.  The worker runs only the read and the scan, no
-    other ``mvt2`` function.  A config that needs a tensor the file does
-    not list is refused at the first such tensor, and a payload that does
-    not fit in memory is a ``FormatError``.
+    first bad tensor.  The chunks go through ``tensor._split_rows``, each
+    setting its own entry of one array of flags: the caller reads and
+    scans the first half and the library's worker the second, each with
+    ``os.preadv`` at its own offsets, so the threads share no file
+    position; a one-chunk payload stays on the caller.  A short read in
+    either half is a ``TruncatedPayloadError``, the first half's if both
+    fail, raised once both halves are done.  The worker runs only the read
+    and the scan, no other ``mvt2`` function.  A config that needs a
+    tensor the file does not list is refused at the first such tensor,
+    and a payload that does not fit in memory is a ``FormatError``.
     """
     with open(path, "rb") as fh:
         header, payload_len = _parse(fh)
@@ -352,22 +354,22 @@ def load(path) -> Model:
         floats = raw[start:start + extent].view(np.float32)
         fd, payload_start = fh.fileno(), fh.tell()
 
-        def read(starts):
-            """Read and screen the chunks at float offsets ``starts``: whether
-            they are all finite."""
-            finite, scratch = True, np.empty(_READ_CHUNK, dtype=bool)
-            for lo in starts:
+        def read(starts, finite):
+            """Read and screen the chunks at float offsets ``starts``: each
+            chunk's ``finite`` flag says whether it is all finite."""
+            scratch = np.empty(_READ_CHUNK, dtype=bool)
+            for k, lo in enumerate(starts):
                 part = floats[lo:lo + _READ_CHUNK]
                 if os.preadv(fd, [part], payload_start + 4 * lo) != part.nbytes:
                     raise TruncatedPayloadError("payload ends inside a tensor")
                 if sys.byteorder == "big":
                     part.byteswap(inplace=True)
-                finite = finite and bool(np.isfinite(part, out=scratch[:part.size]).all())
-            return finite
+                finite[k] = np.isfinite(part, out=scratch[:part.size]).all()
 
         starts = range(0, floats.size, _READ_CHUNK)
-        mid = (len(starts) + 1) // 2  # the caller's half, the larger when odd
-        finite = all(split_map(read, [h for h in (starts[:mid], starts[mid:]) if h]))
+        flags = np.empty(len(starts), dtype=bool)
+        _split_rows(read, starts, flags)
+        finite = bool(flags.all())
     floats.flags.writeable = raw.flags.writeable = False
 
     by_name = {e["name"]: e for e in entries}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from mvt2 import tensor
 from mvt2.blocks import rep_embed_forward
 from mvt2.model import VARIANTS, _layout, build
 from mvt2.tensor import (
@@ -436,6 +437,12 @@ class TestGelu:
         assert got.shape == () and got.dtype == np.float32
         assert abs(float(got) - gelu_float64(1.0)) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), ()])
+    def test_empty_and_zero_dim_inputs_keep_their_shape_and_dtype(self, shape, dtype):
+        got = gelu(np.zeros(shape, dtype=dtype))
+        assert got.shape == shape and got.dtype == dtype
+
     def test_batch_rows_bit_identical_to_batch_one(self):
         # Odd extents, so rows start at every alignment within a SIMD vector.
         x = np.random.default_rng(2).normal(scale=3.0, size=(5, 7, 13, 11)).astype(np.float32)
@@ -647,14 +654,21 @@ class TestBatchSplit:
         for b in range(batch):
             assert np.array_equal(bits(full[b:b + 1]), bits(gelu(x[b:b + 1]))), b
 
-    def test_batch_one_and_the_other_kernels_stay_on_the_caller(self):
+    def test_batch_one_and_the_other_kernels_stay_on_the_caller(self, monkeypatch):
         rng = np.random.default_rng(0)
         x1 = rng.standard_normal((1, 16, 9, 9)).astype(np.float32)
         x4 = rng.standard_normal((4, 16, 9, 9)).astype(np.float32)
+
+        def no_split(fn, items):
+            raise AssertionError("a batch-1 call reached split_map")
+
         with counted_submits() as submits:
-            for spec in map(lambda c: self.conv_spec(*c, rng), self.CONVS.values()):
-                conv2d(x1, spec)
-            gelu(x1)
+            # batch 1 runs its rows directly, with no split_map call at all
+            with monkeypatch.context() as patch:
+                patch.setattr(tensor, "split_map", no_split)
+                for spec in map(lambda c: self.conv_spec(*c, rng), self.CONVS.values()):
+                    conv2d(x1, spec)
+                gelu(x1)
             for stride, k in ((1, 3), (2, 1), (2, 3)):  # column-buffer dense convs
                 conv2d(x4, self.conv_spec(8, 16, k, 1, stride, k // 2, rng))
             batchnorm_infer(x4, identity_bn(16))

@@ -25,7 +25,7 @@ from mvt2.fusion import RepBranchSpec, main_conv
 from mvt2.model import ModelConfig, _blocks, build, deploy, forward, named_tensors
 from mvt2.tensor import split_map
 
-from helpers import TINY
+from helpers import TINY, counted_submits
 
 
 FIXED = struct.Struct("<4sIQ")
@@ -318,6 +318,25 @@ class TestSaveRechecks:
             weights.save(self.with_stem0_main(model, padding=0), path)
         assert path.read_bytes() == before
         assert weights.load(path).blocks[0].branch.main.padding == 1
+
+
+    @pytest.mark.parametrize("array", [
+        pytest.param(lambda model: model.stage1[0].mixer.main.bias, id="conv_bias"),
+        pytest.param(lambda model: model.stage1[0].mixer.main_bn.running_var, id="bn_var"),
+    ])
+    def test_an_array_reshaped_in_place_is_refused(self, tmp_path, array):
+        # the frozen spec cannot see it; ``load`` would refuse the file with a ShapeError
+        model = build(TINY, 0)
+        array(model).shape = (2, 4)
+        match = r"'stage1\.0\.mixer\.main(\.bias|_bn\.var)' is \(2, 4\), not \(8,\)"
+        self.refuse(tmp_path, model, match)
+        path = tmp_path / "old.mvt2"
+        weights.save(build(TINY, 1), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=match):
+            weights.save(model, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.mvt2"]
 
 
 def frozen_tree(obj):
@@ -972,6 +991,17 @@ class TestTwoThreadRead:
         (first, a), (second, b) = split_map(load, [path, path])
         assert first == threading.current_thread().name and second.startswith("mvt2-split")
         assert a == b == saved
+
+    def test_a_one_chunk_payload_is_read_on_the_caller_alone(self, tmp_path):
+        model = build(TINY, seed=0)
+        path = tmp_path / "m.mvt2"
+        weights.save(model, path)
+        assert path.stat().st_size - payload_start(path) <= 4 * weights._READ_CHUNK
+        with counted_submits() as submits:
+            loaded = weights.load(path)
+        assert submits == []
+        assert [a.tobytes() for _, a in named_tensors(loaded)] == [
+            a.tobytes() for _, a in named_tensors(model)]
 
 
 
