@@ -181,7 +181,7 @@ def split_map(fn: Callable, items: Sequence) -> list:
     return out
 
 
-def _split_rows(rows: Callable, x: Sequence, out: np.ndarray, *args) -> None:
+def _split_rows(rows: Callable, x: Sequence, out: Sequence, *args) -> None:
     """``rows(x, out, *args)``, on the caller alone with no closure or split
     on its path unless ``_splits(len(x))``; then over two halves of the
     rows of ``x`` and ``out``, the caller taking [0, ceil(n/2)) and

@@ -324,7 +324,7 @@ def load(path) -> Model:
     only when a chunk holds one (in a tensor, or in the padding between
     tensors) does ``tensor_fault`` scan each tensor, so the error names the
     first bad tensor.  The chunks go through ``tensor._split_rows``, each
-    setting its own entry of one array of flags: the caller reads and
+    setting its own byte of one array of flags: the caller reads and
     scans the first half and the library's worker the second, each with
     ``os.preadv`` at its own offsets, so the threads share no file
     position; a one-chunk payload stays on the caller.  A short read in
@@ -364,12 +364,12 @@ def load(path) -> Model:
                     raise TruncatedPayloadError("payload ends inside a tensor")
                 if sys.byteorder == "big":
                     part.byteswap(inplace=True)
-                finite[k] = np.isfinite(part, out=scratch[:part.size]).all()
+                finite[k] = bool(np.isfinite(part, out=scratch[:part.size]).all())
 
         starts = range(0, floats.size, _READ_CHUNK)
-        flags = np.empty(len(starts), dtype=bool)
-        _split_rows(read, starts, flags)
-        finite = bool(flags.all())
+        flags = bytearray(len(starts))  # an ndarray here made set-up loads ~10% slower
+        _split_rows(read, starts, memoryview(flags))
+        finite = all(flags)
     floats.flags.writeable = raw.flags.writeable = False
 
     by_name = {e["name"]: e for e in entries}
