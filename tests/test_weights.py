@@ -319,7 +319,6 @@ class TestSaveRechecks:
         assert path.read_bytes() == before
         assert weights.load(path).blocks[0].branch.main.padding == 1
 
-
     @pytest.mark.parametrize("array", [
         pytest.param(lambda model: model.stage1[0].mixer.main.bias, id="conv_bias"),
         pytest.param(lambda model: model.stage1[0].mixer.main_bn.running_var, id="bn_var"),
@@ -1002,7 +1001,6 @@ class TestTwoThreadRead:
         assert submits == []
         assert [a.tobytes() for _, a in named_tensors(loaded)] == [
             a.tobytes() for _, a in named_tensors(model)]
-
 
 
 def run_cli(capsys, args):
