@@ -319,7 +319,7 @@ def from_tensors(config: ModelConfig, mode: str, tensor) -> Model:
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
     """Run the network; returns an (N, num_classes) score matrix.  At a
-    batch of two or more images the 1x1 and depthwise convs and GELU share
+    batch of two or more images the unpadded 1x1 convs and GELU share
     their rows with the library's worker thread (see ``tensor``); each row
     keeps the bits of its batch-1 run."""
     x = as_nchw(x)

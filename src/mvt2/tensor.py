@@ -40,25 +40,25 @@ and one library-owned worker thread, and ``_split_rows`` alone decides
 whether a batch of rows splits and where: two or more rows, outside a
 split, go [0, ceil(n/2)) to the caller and the rest to the worker; any
 other call runs whole on the caller, with no split on its path.  It
-serves unpadded 1x1 stride-1 dense ``conv2d``, whose columns are views
-of the input, depthwise ``conv2d`` with a padded copy, float32 ``gelu``
-and ``weights.load``'s read chunks.  Each half runs the per-sample
-GEMMs, per-tap multiply-adds or GELU blocks of a whole call, bias add
-included, into its own rows of one output array, so every row keeps its
-bits, and the same rows stay on the same thread from kernel to kernel.
-The worker runs only numpy and private helpers on its half, never a
-public ``tensor`` function, so a tracer that rebinds those sees every
-call on the calling thread.  Dense convs that fill a column buffer (3x3,
-strided 1x1) stay serial: split by samples they need a second buffer,
-and split into row bands they change GEMM bits.  ``batchnorm_infer``
-stays serial too: two passes of one multiply or add per element were
-slower split.  A kernel called inside a split, on either thread, runs
-whole on its own thread, so no split nests in another.  Where the
-kernel does not balance load between CPUs, a new thread stays on its
-creator's CPU, so the worker moves itself off the caller's CPU when it
-starts, then allows itself every CPU the process may use: placed, not
-pinned.  It runs numpy like any caller, so one BLAS thread per
-computing thread holds for it too.
+serves three callers only: unpadded 1x1 stride-1 dense ``conv2d``,
+whose columns are views of the input, float32 ``gelu`` and
+``weights.load``'s read chunks.  Each half runs the per-sample GEMMs or
+GELU blocks of a whole call, bias add included, into its own rows of one
+output array, so every row keeps its bits, and the same rows stay on the
+same thread from a 1x1 conv to a GELU.  The worker runs only numpy and
+private helpers on its half, never a public ``tensor`` function, so a
+tracer that rebinds those sees every call on the calling thread.  Dense
+convs that fill a column buffer (3x3, strided 1x1) stay serial: split by
+samples they need a second buffer, and split into row bands they change
+GEMM bits.  Depthwise convs and ``batchnorm_infer`` stay serial too:
+their few flops per byte leave them bound by memory traffic and per-call
+overhead, and each was measured slower split than whole.  A kernel
+called inside a split, on either thread, runs whole on its own thread,
+so no split nests in another.  Where the kernel does not balance load
+between CPUs, a new thread stays on its creator's CPU, so the worker
+moves itself off the caller's CPU when it starts, then allows itself
+every CPU the process may use: placed, not pinned.  It runs numpy like
+any caller, so one BLAS thread per computing thread holds for it too.
 """
 
 from __future__ import annotations
@@ -332,10 +332,11 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     in row-major order (0 + tap 0 + tap 1 + ..., then the bias), so each
     row is bit-identical too; input and output stay NCHW.  An unpadded 1x1
     depthwise conv, a single tap, is one per-channel multiply and the bias
-    add, in NCHW.  An unpadded 1x1 stride-1 dense conv and a padded
-    depthwise conv run through ``_split_rows``, which splits a batch of
-    two or more rows over two threads (see the module docstring); each
-    half runs the same per-row arithmetic into its own rows of the output.
+    add, in NCHW.  Depthwise convs run whole on the calling thread.  An
+    unpadded 1x1 stride-1 dense conv runs through ``_split_rows``, which
+    splits a batch of two or more rows over two threads (see the module
+    docstring); each half runs the same per-row GEMMs into its own rows of
+    the output.
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
@@ -355,8 +356,16 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
         out += spec.bias[:, None, None]
     elif spec.is_depthwise:
         taps = np.ascontiguousarray(spec.kernel[:, 0].transpose(1, 2, 0))
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
+        tmp = np.empty_like(acc)
+        for i in range(kh):
+            for j in range(kw):
+                win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
+                acc += np.multiply(win, taps[i, j], out=tmp)
         out = np.empty((n, c, ho, wo), dtype=x.dtype)
-        _split_rows(_depthwise, x, out, taps, spec.bias, s, p)
+        np.add(acc.transpose(0, 3, 1, 2), spec.bias[:, None, None], out=out)
     else:
         icg, ocg = c // g, spec.out_channels // g
         weights = spec.kernel.reshape(g, ocg, icg * kh * kw)
@@ -396,26 +405,6 @@ def _pointwise(x: np.ndarray, out: np.ndarray, weights: np.ndarray, bias: np.nda
     for b in range(len(x)):
         np.matmul(weights, x[b].reshape(weights.shape[0], -1, out.shape[-1]), out=out[b])
     out += bias
-
-
-def _depthwise(x: np.ndarray, out: np.ndarray, taps: np.ndarray, bias: np.ndarray,
-               s: int, p: int) -> None:
-    """Depthwise conv of the NCHW ``x`` with the (kh, kw, C) ``taps``, into
-    the NCHW ``out``: one padded NHWC copy, then each tap is a multiply-add
-    over rows of C contiguous floats, into one accumulator, in row-major
-    tap order, and the bias add writes ``out``."""
-    n, c, h, w = x.shape
-    kh, kw = taps.shape[:2]
-    ho, wo = conv_output_hw(h, w, kh, kw, s, p)
-    xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
-    acc = np.zeros((n, ho, wo, c), dtype=x.dtype)
-    tmp = np.empty_like(acc)
-    for i in range(kh):
-        for j in range(kw):
-            win = xp[:, i:i + s * (ho - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
-            acc += np.multiply(win, taps[i, j], out=tmp)
-    np.add(acc.transpose(0, 3, 1, 2), bias[None, :, None, None], out=out)
 
 
 def batchnorm_infer(x: np.ndarray, bn: BNSpec, out: np.ndarray | None = None) -> np.ndarray:

@@ -165,6 +165,21 @@ class TestOutOfRangeFlags:
         assert stderr.count("\n") == 1
         assert "Traceback" not in stderr
 
+    @pytest.mark.parametrize("flags, code", [
+        (["infer", "--input", "{input}", "--shape", "a,b,c,d"], 2),
+        (["infer", "--input", "{input}", "--shape", "0,3,32,32"], 5),
+        (["bench", "--iters", "1", "--power", "10"], 2),
+    ])
+    def test_a_flag_parsed_after_the_model_loads(self, capsys, tiny_files, flags, code):
+        data = tiny_files["root"] / "parse_input.bin"
+        np.zeros((1, 3, 32, 32), dtype="<f4").tofile(data)
+        flags = [f.format(input=data) for f in flags] + ["--model", tiny_files["deploy"]]
+        rc, stdout, stderr = run(capsys, flags)
+        assert rc == code
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1
+
     @pytest.mark.parametrize("topk", ["0", "-1", "-998"])
     def test_infer_topk_below_one_is_usage_error(self, capsys, tiny_files, topk):
         data = tiny_files["root"] / "topk_input.bin"

@@ -467,6 +467,44 @@ class TestSaveOverAFile:
         assert link.is_symlink() and os.readlink(link) == target.name
         assert target.read_bytes() == fresh.read_bytes()
 
+    @staticmethod
+    def assert_loads_as(path, model):
+        saved = {name: arr.tobytes() for name, arr in named_tensors(model)}
+        assert {name: arr.tobytes() for name, arr in named_tensors(weights.load(path))} == saved
+        assert os.listdir(path.parent) == [path.name]
+
+    def test_without_an_exchange_the_new_file_is_renamed_over_the_old(self, tmp_path,
+                                                                      monkeypatch):
+        # a filesystem without RENAME_EXCHANGE
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        inode, replaced = path.stat().st_ino, []
+        real = os.replace
+        monkeypatch.setattr(weights, "_exchange", lambda a, b: False)
+        monkeypatch.setattr(os, "replace", lambda a, b: replaced.append(b) or real(a, b))
+        model = build(TINY, seed=1)
+        weights.save(model, path)
+        assert replaced == [os.path.realpath(path)] and path.stat().st_ino != inode
+        self.assert_loads_as(path, model)
+
+    def test_a_directory_refusing_a_new_file_gets_the_old_one_rewritten(self, tmp_path,
+                                                                          monkeypatch):
+        # a read-only directory holding a writable file
+        path = tmp_path / "m.mvt2"
+        weights.save(build(TINY, seed=0), path)
+        inode, real = path.stat().st_ino, os.open
+
+        def no_new_file(name, *args, **kwargs):
+            if os.fsdecode(name).endswith(".tmp"):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES), name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_new_file)
+        model = build(TINY, seed=1)
+        weights.save(model, path)
+        assert path.stat().st_ino == inode
+        self.assert_loads_as(path, model)
+
     def test_a_refused_save_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "m.mvt2"
         weights.save(build(TINY, seed=0), path)
@@ -525,6 +563,13 @@ class TestCorruption:
         with pytest.raises(weights.TruncatedPayloadError):
             weights.load(path)
 
+    @pytest.mark.parametrize("size", [4, 15])
+    def test_file_ends_inside_the_fixed_header(self, tmp_path, size):
+        path = self.make(tmp_path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(weights.TruncatedPayloadError, match="shorter than the fixed header"):
+            weights.load(path)
+
     def test_version_mismatch(self, tmp_path):
         path = self.make(tmp_path)
         data = bytearray(path.read_bytes())
@@ -576,15 +621,20 @@ class TestCorruption:
             weights.load(path)
 
     def test_unknown_extra_tensor(self, tmp_path):
+        # the stranger has its own aligned region past the payload, so the
+        # manifest is sound and only the name is refused
         path = self.make(tmp_path)
+        payload_len = path.stat().st_size - payload_start(path)
+        offset = -(-payload_len // weights.ALIGNMENT) * weights.ALIGNMENT
 
         def add_stranger(header):
-            entry = dict(header["tensors"][0])
-            entry["name"] = "not.a.real.tensor"
-            header["tensors"].append(entry)
+            header["tensors"].append({"name": "not.a.real.tensor", "dtype": "f32",
+                                      "shape": [2], "byte_offset": offset, "byte_len": 8})
 
         rewrite_header(path, add_stranger)
-        with pytest.raises(weights.FormatError):
+        with open(path, "ab") as fh:
+            fh.write(bytes(offset - payload_len) + np.ones(2, dtype="<f4").tobytes())
+        with pytest.raises(weights.FormatError, match="unknown tensors"):
             weights.load(path)
 
     def test_missing_tensor(self, tmp_path):
