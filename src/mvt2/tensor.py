@@ -23,12 +23,13 @@ element gets the same additions in the same order and rows stay
 bit-identical.  A stacked ``matmul`` runs one GEMM per matrix, the same
 GEMM a single matrix gets, so a batch of attention products keeps its
 rows independent the same way; ``softmax`` reduces along one axis of
-each matrix only.  ``linear`` runs row by row, because one GEMM over the
-rows is not row-identical.  The elementwise kernels apply one formula to
-every element: ``batchnorm_infer`` as one multiply and one add per
-element, float32 ``gelu`` in fixed-size blocks through block-sized
-scratch buffers, where an element's result depends on neither the block
-nor its place in it.  No kernel writes into its input or its weights,
+each matrix only.  ``linear`` runs one matrix-vector product per row in
+one stacked call, because one GEMM over the rows is not row-identical.
+The elementwise kernels apply one formula to every element:
+``batchnorm_infer`` as one multiply and one add per element, float32
+``gelu`` in blocks of one fixed size through block-sized scratch
+buffers, where an element's result depends on neither the block nor its
+place in it.  No kernel writes into its input or its weights,
 which may be read-only views (``weights.load`` gives such), with one
 exception a caller asks for: ``batchnorm_infer`` writes into the
 ``out=`` array it is passed, which may be its input.  Every other call
@@ -42,15 +43,16 @@ split, go [0, ceil(n/2)) to the caller and the rest to the worker; any
 other call runs whole on the caller, with no split on its path.  It
 serves three callers only: unpadded 1x1 stride-1 dense ``conv2d``,
 whose columns are views of the input, float32 ``gelu`` and
-``weights.load``'s read chunks.  Each half runs the per-sample GEMMs or
-GELU blocks of a whole call, bias add included, into its own rows of one
-output array, so every row keeps its bits, and the same rows stay on the
-same thread from a 1x1 conv to a GELU.  The worker runs only numpy and
-private helpers on its half, never a public ``tensor`` function, so a
-tracer that rebinds those sees every call on the calling thread.  Dense
-convs that fill a column buffer (3x3, strided 1x1) stay serial: split by
-samples they need a second buffer, and split into row bands they change
-GEMM bits.  Depthwise convs and ``batchnorm_infer`` stay serial too:
+``weights.load``'s read chunks.  Each half runs what a whole call runs on
+its rows, bias add included, into its own rows of one output array: the
+1x1 conv one stacked ``np.matmul`` of the same per-sample GEMMs, GELU the
+same blocks of the same size.  So every row keeps its bits, and the same
+rows stay on the same thread from a 1x1 conv to a GELU.  The worker runs
+only numpy and private helpers on its half, never a public ``tensor``
+function, so a tracer that rebinds those sees every call on the calling
+thread.  Dense convs that fill a column buffer (3x3, strided 1x1) stay
+serial: split by samples they need a second buffer, and split into row
+bands they change GEMM bits.  Depthwise convs and ``batchnorm_infer`` stay serial too:
 their few flops per byte leave them bound by memory traffic and per-call
 overhead, and each was measured slower split than whole.  A kernel
 called inside a split, on either thread, runs whole on its own thread,
@@ -335,8 +337,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     add, in NCHW.  Depthwise convs run whole on the calling thread.  An
     unpadded 1x1 stride-1 dense conv runs through ``_split_rows``, which
     splits a batch of two or more rows over two threads (see the module
-    docstring); each half runs the same per-row GEMMs into its own rows of
-    the output.
+    docstring); each half runs the same per-row GEMMs, in one stacked
+    ``np.matmul``, into its own rows of the output.
     """
     x = as_nchw(x)
     n, c, h, w = x.shape
@@ -400,10 +402,11 @@ def conv2d(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
 
 def _pointwise(x: np.ndarray, out: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> None:
     """Unpadded 1x1 stride-1 dense conv of the NCHW ``x`` into the (N,
-    groups, out/groups, H*W) ``out``: one stacked GEMM per row, its columns
-    a view of the row, then the (groups, out/groups, 1) bias."""
-    for b in range(len(x)):
-        np.matmul(weights, x[b].reshape(weights.shape[0], -1, out.shape[-1]), out=out[b])
+    groups, out/groups, H*W) ``out``: one stacked ``np.matmul`` over the
+    rows, which runs the per-row, per-group GEMMs a loop over the rows
+    would, their columns views of the rows, then the (groups, out/groups,
+    1) bias."""
+    np.matmul(weights, x.reshape(out.shape[:2] + (-1, out.shape[-1])), out=out)
     out += bias
 
 
@@ -460,11 +463,9 @@ _GELU_C = np.float32(np.sqrt(2.0) / _AS_P)
 _GELU_H = tuple(np.float32(a / 2 * float(_GELU_C) ** i) for i, a in enumerate(_AS_A, start=1))
 _GELU_CLAMP = np.float32(9.0)
 _SIGN_BIT = np.uint32(0x80000000)
-# Three float32 scratch blocks of 128 KiB each, which stay in L2.
-_GELU_BLOCK = 1 << 15
-# The block of each half of a split call: four times fewer ufunc calls, so
-# two threads hand the GIL to each other four times less often.
-_GELU_SPLIT_BLOCK = 1 << 17
+# Three float32 scratch blocks of 256 KiB each, which stay in L2; one size
+# on either thread of a split.
+_GELU_BLOCK = 1 << 16
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -497,13 +498,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
     float64 GELU on a dense grid over [-10, 10] the float32 result is
     within 3.4e-7 absolute.
 
-    float32 input runs in blocks of 32768 elements through three
+    float32 input runs in blocks of 65536 elements through three
     block-sized scratch buffers, so the output is the only full-size
     allocation (a non-contiguous input is first copied).  Every element
     takes the same elementwise path in every block, so a result depends
     neither on the tensor's size or layout nor on where the element falls.
     With two or more rows along axis 0, the rows are split over two threads
-    (see the module docstring), each half in blocks of 131072 elements
+    (see the module docstring), each half in blocks of the same size
     through its own scratch buffers.
     """
     x = np.asarray(x)
@@ -517,19 +518,18 @@ def gelu(x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape, dtype=np.float32)
     n = x.shape[0] if x.ndim else 1
     rows = (n, x.size // max(n, 1))  # a first axis of 0 leaves no -1 to infer
-    _split_rows(_gelu_blocks, np.ascontiguousarray(x).reshape(rows), out.reshape(rows),
-                _GELU_SPLIT_BLOCK if _splits(n) else _GELU_BLOCK)
+    _split_rows(_gelu_blocks, np.ascontiguousarray(x).reshape(rows), out.reshape(rows))
     return out
 
 
-def _gelu_blocks(xs: np.ndarray, ys: np.ndarray, block: int) -> None:
-    """Float32 ``gelu`` of the contiguous ``xs`` into ``ys``, ``block``
+def _gelu_blocks(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Float32 ``gelu`` of the contiguous ``xs`` into ``ys``, ``_GELU_BLOCK``
     elements at a time through three block-sized scratch buffers."""
     xs, ys = xs.ravel(), ys.ravel()
-    size = min(xs.size, block)
-    a_buf, u_buf, q_buf = (np.empty(size, dtype=np.float32) for _ in range(3))
-    for lo in range(0, xs.size, block):
-        hi = min(lo + block, xs.size)
+    a_buf, u_buf, q_buf = (np.empty(min(xs.size, _GELU_BLOCK), dtype=np.float32)
+                           for _ in range(3))
+    for lo in range(0, xs.size, _GELU_BLOCK):
+        hi = min(lo + _GELU_BLOCK, xs.size)
         a, u, q = a_buf[:hi - lo], u_buf[:hi - lo], q_buf[:hi - lo]
         np.abs(xs[lo:hi], out=a)
         np.add(a, _GELU_C, out=u)
@@ -568,10 +568,10 @@ def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map of an (N, F_in) matrix by an (F_out, F_in) weight.
 
-    Rows are computed one at a time so each sample takes the identical
-    arithmetic path regardless of batch size (the platform GEMM picks
-    different kernels for different row counts, which would otherwise
-    perturb low-order bits).
+    One stacked ``np.matmul`` runs one matrix-vector product per row, never
+    one GEMM over the rows (the platform GEMM picks different kernels for
+    different row counts, which would perturb low-order bits), so each
+    sample takes the identical arithmetic path regardless of batch size.
     """
     x = np.asarray(x)
     weight = np.asarray(weight)
@@ -582,7 +582,6 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
         raise ValueError(f"input features {x.shape[1]} != weight features {weight.shape[1]}")
     if bias.shape != (weight.shape[0],):
         raise ValueError(f"bias shape {bias.shape} does not match out features {weight.shape[0]}")
-    out = np.empty((x.shape[0], weight.shape[0]), dtype=x.dtype)
-    for i in range(x.shape[0]):
-        out[i] = weight @ x[i] + bias
+    out = np.matmul(weight, x[:, :, None])[:, :, 0]
+    out += bias
     return out

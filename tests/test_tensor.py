@@ -390,6 +390,19 @@ class TestShapeOps:
         got = linear(x, w, b)
         assert np.allclose(got, [[1 * 3 + 2 * 4 + 0.5, 1 * 5 + 2 * 6 - 0.5]])
 
+    @pytest.mark.parametrize("out_f, in_f", [(1000, 320), (10, 8)])  # s1's head, TINY's
+    def test_linear_rows_bit_identical_to_batch_one(self, out_f, in_f):
+        rng = np.random.default_rng(out_f)
+        x = rng.standard_normal((5, in_f)).astype(np.float32)
+        w = rng.standard_normal((out_f, in_f)).astype(np.float32)
+        b = rng.standard_normal(out_f).astype(np.float32)
+        full = linear(x, w, b)
+        assert full.shape == (5, out_f) and full.dtype == np.float32
+        for i in range(5):
+            assert np.array_equal(bits(full[i:i + 1]), bits(linear(x[i:i + 1], w, b))), i
+            # the row-by-row loop the stacked call replaced, as the reference
+            assert np.array_equal(bits(full[i]), bits(w @ x[i] + b)), i
+
 
 def gelu_float64(x):
     """The exact GELU evaluated in float64."""
@@ -456,12 +469,13 @@ class TestGelu:
             return np.ascontiguousarray(a).view(np.uint32)
 
         rng = np.random.default_rng(5)
-        # Odd, and more than three 32768-element blocks.
-        x = rng.normal(scale=4.0, size=3 * 32768 + 4321).astype(np.float32)
-        x[::997] = [np.inf, -np.inf, np.nan, -0.0, 0.0, -20.0] * 17 + [1e-30]
+        block = tensor._GELU_BLOCK
+        # Odd, and more than three blocks.
+        x = rng.normal(scale=4.0, size=3 * block + 4321).astype(np.float32)
+        x[::997] = np.resize([np.inf, -np.inf, np.nan, -0.0, 0.0, -20.0, 1e-30], x[::997].size)
         full = gelu(x)
         # Each element alone (0-d), around every block edge and at random.
-        edges = np.concatenate([np.arange(k * 32768 - 9, k * 32768 + 9) for k in (1, 2, 3)])
+        edges = np.concatenate([np.arange(k * block - 9, k * block + 9) for k in (1, 2, 3)])
         for i in np.concatenate([edges, rng.choice(x.size, 300, replace=False)]):
             alone = gelu(x[i][()])
             assert alone.shape == () and bits(alone) == bits(full[i])
@@ -645,11 +659,23 @@ class TestBatchSplit:
         for b in range(batch):
             assert np.array_equal(bits(full[b:b + 1]), bits(conv2d(x[b:b + 1], spec))), b
 
+    @pytest.mark.parametrize("kind", ["dense1x1", "grouped1x1"])
+    def test_pointwise_is_the_per_row_gemm_loop(self, kind):
+        # the loop over rows that the stacked np.matmul replaced, as the reference
+        rng = np.random.default_rng(7)
+        spec = self.conv_spec(*self.CONVS[kind], rng)
+        x = rng.standard_normal((5, spec.in_channels, 13, 11)).astype(np.float32)
+        weights = spec.kernel.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+        want = np.stack([np.matmul(weights, row.reshape(spec.groups, -1, 13 * 11)) for row in x])
+        want += spec.bias.reshape(spec.groups, -1, 1)
+        assert np.array_equal(bits(conv2d(x, spec)), bits(want.reshape(5, -1, 13, 11)))
+
     @pytest.mark.parametrize("batch", [2, 3, 5])
     def test_gelu_rows_keep_their_batch_one_bits(self, batch):
         rng = np.random.default_rng(batch)
-        # rows of more than one 131072-element block, at odd extents
+        # rows longer than one block, so each half runs several, at odd extents
         x = rng.normal(scale=4.0, size=(batch, 3, 211, 223)).astype(np.float32)
+        assert x[0].size > tensor._GELU_BLOCK
         x.reshape(-1)[::997][:7] = [np.inf, -np.inf, np.nan, -0.0, 0.0, -20.0, 1e-30]
         with counted_submits() as submits:
             full = gelu(x)

@@ -1190,3 +1190,142 @@ def test_mutated_file_is_rejected_or_runs(data):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# JSON values that no header field holds as valid, and the two modes
+HOSTILE_VALUES = [0, -1, 1.5, "", "x", "train", "deploy", None, [], [8], {}, {"k": 1},
+                  2**63, True, False]
+
+
+def json_slots(obj):
+    """(container, key) for every value inside the JSON object ``obj``, the
+    elements of its lists (a shape's counts, say) included."""
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        yield obj, key
+        if isinstance(value, (dict, list)):
+            yield from json_slots(value)
+
+
+@st.composite
+def hostile_files(draw):
+    """A TINY train or deploy file, mutated as a hostile writer might: 1-4
+    random byte overwrites, with a truncation 30% of the time; a hostile
+    JSON value in place of the mode or of any value inside the config, one
+    manifest entry or the preprocessing recipe (list elements such as a
+    shape's counts included), or under an unknown config key; or the
+    manifest entries reordered."""
+    data = tiny_file_bytes(draw(st.sampled_from(["train", "deploy"])))
+    kind = draw(st.sampled_from(["bytes", "json", "reorder"]))
+    if kind == "bytes":
+        data = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        if draw(st.integers(0, 9)) < 3:
+            del data[draw(st.integers(0, len(data) - 1)):]
+        return bytes(data)
+    header_end = FIXED.size + FIXED.unpack_from(data)[2]
+    header = json.loads(data[FIXED.size:header_end])
+    if kind == "reorder":
+        header["tensors"] = draw(st.permutations(header["tensors"]))
+    else:
+        value = draw(st.sampled_from(HOSTILE_VALUES))
+        where = draw(st.sampled_from(["config", "entry", "mode", "preprocessing", "new key"]))
+        if where == "mode":
+            header["mode"] = value
+        elif where == "new key":
+            header["config"]["extra"] = value
+        else:
+            fields = {"config": header["config"], "preprocessing": header["preprocessing"],
+                      "entry": draw(st.sampled_from(header["tensors"]))}[where]
+            parent, key = draw(st.sampled_from(list(json_slots(fields))))
+            parent[key] = value
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return FIXED.pack(weights.MAGIC, weights.VERSION, len(text)) + text + data[header_end:]
+
+
+def cli_outcome(argv):
+    """``cli.main(argv)`` in-process: (exit code, stdout, stderr), after
+    checking that stdout is empty or one JSON document and that a failure
+    is one ``error:`` line on stderr with nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 0:
+        json.loads(out)
+    else:
+        assert out == "", (rc, out)
+        assert err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+    return rc, out, err
+
+
+def same_tensors(a, b):
+    return [(n, t.shape, t.tobytes()) for n, t in named_tensors(a)] == [
+        (n, t.shape, t.tobytes()) for n, t in named_tensors(b)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=hostile_files())
+def test_hostile_file_keeps_the_fault_contract(data):
+    """``infer`` and ``fuse`` on a hostile file exit 0, 1 (a non-finite
+    result) or 4, never with a traceback; a file that loads saves and
+    loads back to the same tensors, and a failed ``fuse`` writes nothing."""
+    with tempfile.TemporaryDirectory() as root:
+        path, raw, fused, again = (os.path.join(root, name)
+                                   for name in ("m.mvt2", "x.raw", "d.mvt2", "s.mvt2"))
+        with open(path, "wb") as fh:
+            fh.write(data)
+        np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype("<f4").tofile(raw)
+        try:
+            model = weights.load(path)
+        except weights.WeightFileError:
+            model = None
+        allowed = (4,) if model is None else (0, 1)
+        rc, _, err = cli_outcome(["infer", "--model", path, "--input", raw, "--shape", "1,3,32,32"])
+        assert rc in allowed, (rc, err)
+        if model is not None:
+            weights.save(model, again)
+            assert same_tensors(weights.load(again), model)
+        rc, _, err = cli_outcome(["fuse", "--in", path, "--out", fused])
+        assert rc in allowed, (rc, err)
+        assert os.path.exists(fused) == (rc == 0)
+        if rc == 0:
+            assert same_tensors(weights.load(fused), deploy(model))
+
+
+@st.composite
+def hostile_inputs(draw):
+    """``infer``'s raw input and ``--shape`` for a sound TINY file, and the
+    exit code each fault has: a whole number of floats other than the
+    shape's (5), a NaN or an infinity (5), a shape that is not four
+    integers (2), or a missing input or weight file (3).  A missing file's
+    bytes are None."""
+    x = np.random.default_rng(draw(st.integers(0, 3))).standard_normal(3 * 32 * 32)
+    kind = draw(st.sampled_from(["count", "non-finite", "shape", "no input", "no model"]))
+    shape = "1,3,32,32"
+    if kind == "count":
+        x = np.resize(x, draw(st.integers(0, 2 * x.size).filter(lambda k: k != x.size)))
+    elif kind == "non-finite":
+        x[draw(st.integers(0, x.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "shape":
+        shape = draw(st.sampled_from(["1,3,32", "1,3,32,32,1", "a,b,c,d", "1.5,3,32,32",
+                                      "", "1;3;32;32", "1,3,32,"]))
+    model = tiny_file_bytes(draw(st.sampled_from(["train", "deploy"])))
+    model = None if kind == "no model" else model
+    data = None if kind == "no input" else x.astype("<f4").tobytes()
+    code = {"count": 5, "non-finite": 5, "shape": 2}.get(kind, 3)
+    return model, data, shape, code
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(case=hostile_inputs())
+def test_hostile_input_has_its_exit_code(case):
+    model, data, shape, code = case
+    with tempfile.TemporaryDirectory() as root:
+        path, raw = os.path.join(root, "m.mvt2"), os.path.join(root, "x.raw")
+        for name, content in ((path, model), (raw, data)):
+            if content is not None:
+                with open(name, "wb") as fh:
+                    fh.write(content)
+        rc, _, err = cli_outcome(["infer", "--model", path, "--input", raw, "--shape", shape])
+    assert rc == code, (rc, err)
